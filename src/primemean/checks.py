@@ -46,6 +46,10 @@ class CheckOptions:
     hi: int | None = None
     points: int | None = None
 
+    def __post_init__(self):
+        if self.points is not None and self.points < 1:
+            raise GridError(f"need at least one checkpoint, got {self.points}")
+
     def grid(self, default_lo: int, default_hi: int,
              default_points: int) -> CheckpointGrid:
         return CheckpointGrid.log_spaced(self.lo or default_lo,
@@ -83,10 +87,11 @@ class CheckContext:
 
     def report(self, model_name: str,
                grid: CheckpointGrid) -> primesums.SumsReport:
+        """The model's checkpoint report on `grid`, without U (no check reads it)."""
         key = (model_name, grid.points)
         if key not in self._reports:
             self._reports[key] = sums_stream(
-                builtin(model_name), grid, parallel=self.parallel)
+                builtin(model_name), grid, parallel=self.parallel, with_u=False)
         return self._reports[key]
 
 

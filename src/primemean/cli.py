@@ -19,8 +19,10 @@ All floats print as %.15g and every certified constant is accompanied by its
 tail bound.  CSV output follows RFC 4180 (CRLF records).  Checkpoint reports
 persist to the directory named by --cache or the PRIMEMEAN_CACHE environment
 variable; with neither set, nothing is written to disk.  A cached report is
-reused only when its model name and grid hash match, and reloading one is
-bit-identical to recomputation.
+reused only when its model name and grid hash match, its integrity digest
+checks out, and it holds every field the command reads; reloading one is
+bit-identical to recomputation.  A corrupt, truncated or outdated file is
+detected and silently recomputed.
 """
 
 from __future__ import annotations
@@ -78,8 +80,8 @@ def _int_arg(text: str) -> int:
     """Checkpoint bound: accepts 50000 or 5e4."""
     try:
         value = int(float(text))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    except (ValueError, OverflowError):   # not a number, NaN, or infinite
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
     return value
@@ -98,6 +100,8 @@ def _build_grid(lo: int, hi: int, points: int, spacing: str) -> CheckpointGrid:
         return CheckpointGrid.log_spaced(lo, hi, points)
     if lo > hi:
         raise GridError(f"grid needs lo <= hi, got [{lo}, {hi}]")
+    if points < 1:
+        raise GridError(f"need at least one checkpoint, got {points}")
     pts = sorted({int(round(x)) for x in np.linspace(lo, hi, points)})
     return CheckpointGrid.from_points(pts)
 
@@ -181,7 +185,8 @@ def _config_from(args: argparse.Namespace, *, build_grid: bool) -> RunConfig:
         lo_def, hi_def, pts_def = _DEFAULT_GRID
         hi = args.hi or max(hi_def, args.lo or 0)
         lo = args.lo or (lo_def if lo_def <= hi else max(2, hi // 100))
-        grid = _build_grid(lo, hi, args.points or pts_def, args.spacing)
+        points = pts_def if args.points is None else args.points
+        grid = _build_grid(lo, hi, points, args.spacing)
     return RunConfig(
         model=model,
         grid=grid,
@@ -232,21 +237,27 @@ def emit_rows(fmt: str, header: tuple, rows: list, out=None) -> None:
 
 
 def cached_report(model: PrimeModel, grid: CheckpointGrid,
-                  cache_dir: str | None, parallel: bool) -> primesums.SumsReport:
+                  cache_dir: str | None, parallel: bool, *,
+                  with_u: bool) -> primesums.SumsReport:
     """Compute or reload a checkpoint report, persisting when caching is on.
 
-    A malformed or mismatched cache file is silently recomputed and
-    overwritten; reloads are bit-identical to fresh runs by construction.
+    `with_u` says whether the caller reads U.  A malformed or mismatched
+    cache file, or one without U for a caller that reads U, is a miss: the
+    report is recomputed and the file overwritten.  Reloads are
+    bit-identical to fresh runs by construction.
     """
     if cache_dir is None:
-        return primesums.sums_stream(model, grid, parallel=parallel)
+        return primesums.sums_stream(model, grid, parallel=parallel, with_u=with_u)
     path = primesums.default_cache_path(cache_dir, model, grid)
     if os.path.exists(path):
         try:
-            return primesums.load_report(path, model, grid)
+            report = primesums.load_report(path, model, grid)
         except CacheFormatError:
             pass
-    report = primesums.sums_stream(model, grid, parallel=parallel)
+        else:
+            if report.u_of_x is not None or not with_u:
+                return report
+    report = primesums.sums_stream(model, grid, parallel=parallel, with_u=with_u)
     os.makedirs(cache_dir, exist_ok=True)
     primesums.save_report(path, report)
     return report
@@ -300,7 +311,8 @@ def cmd_geomean(cfg: RunConfig, n: int | None, oracle: bool) -> int:
     if grid is None:   # the trivial n = 1 point: empty product, G = 1
         points, log_means = [1], [0.0]
     else:
-        report = cached_report(model, grid, cfg.cache_dir, cfg.parallel)
+        report = cached_report(model, grid, cfg.cache_dir, cfg.parallel,
+                               with_u=False)
         points = list(grid.points)
         log_means = [report.n_log_g[i] / p for i, p in enumerate(points)]
 
@@ -341,7 +353,7 @@ def cmd_geomean(cfg: RunConfig, n: int | None, oracle: bool) -> int:
 def cmd_sums(cfg: RunConfig) -> int:
     model = cfg.require_model
     grid = cfg.grid
-    report = cached_report(model, grid, cfg.cache_dir, cfg.parallel)
+    report = cached_report(model, grid, cfg.cache_dir, cfg.parallel, with_u=True)
     header = ("n", "s1") + primesums.FLOAT_FIELDS + ("n_log_g", "err_bound")
     rows = []
     for i, n in enumerate(grid.points):
@@ -392,7 +404,8 @@ def cmd_fit(cfg: RunConfig, target: str) -> int:
     # any model's report carries them; qsum-residual uses the chosen model.
     model = cfg.model if cfg.model is not None else builtin("kappa")
     grid = cfg.grid
-    report = cached_report(model, grid, cfg.cache_dir, cfg.parallel)
+    report = cached_report(model, grid, cfg.cache_dir, cfg.parallel,
+                           with_u=target == "u-residual")
     samples = _fit_samples(target, model, report, grid.points)
     with_constant = target in ("s2-residual", "qsum-residual")
     fit = series.fit_coefficients(samples, order=cfg.order,

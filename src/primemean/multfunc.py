@@ -472,18 +472,22 @@ def load_model_file(path: str) -> PrimeModel:
     against the declared (d, alpha, delta, K) on primes up to 10^5.
     """
     fields: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ModelSpecError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            if key in fields:
-                raise ModelSpecError(f"{path}:{lineno}: duplicate field {key!r}")
-            fields[key] = raw.strip()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ModelSpecError(f"{path}: cannot read model file: {exc}") from None
+    for lineno, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ModelSpecError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, raw = line.partition("=")
+        key = key.strip()
+        if key in fields:
+            raise ModelSpecError(f"{path}:{lineno}: duplicate field {key!r}")
+        fields[key] = raw.strip()
 
     strongly = fields.pop("strongly_multiplicative", "false").lower() in ("true", "yes", "1")
     required = {"name", "fp", *(_NUM_KEYS)}

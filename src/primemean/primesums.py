@@ -19,7 +19,10 @@ alongside the companion sums F1 (fractional parts), F2 (fractional parts over
 all prime powers), R(n) = sum {n/p} log p, M(x) = sum log p / p, and
 U(x) = sum_{2<=k<=x} log kappa(k) / log k.  `sums_stream` evaluates all of
 them at up to 64 checkpoints in one segmented pass; each prime updates every
-checkpoint >= p, so the pass is O(#primes * #checkpoints-above).
+checkpoint >= p, so the pass is O(#primes * #checkpoints-above).  U is the
+exception: it needs a residual sieve over every integer up to the last
+checkpoint (by far the costliest part of a sweep), and n log G_f(n) does not
+read it, so callers that do not read it skip it (`with_u=False`).
 
 Determinism contract: per-segment partials are formed by numpy's pairwise
 reduction and merged into Kahan accumulators in ascending segment order.  The
@@ -30,11 +33,13 @@ Every reported total carries a certified accumulation error bound derived
 only from stored quantities (explicitly *not* from run-time state), so a
 report loaded back from its cache file reproduces the bound bit-for-bit.
 
-Cache format (binary, little-endian): header {magic b"PMSM", version u16,
-model-name hash u64, checkpoint count u16}, then one record per checkpoint
-{n u64, s1 u64, then (value, compensation) f64 pairs for s2, s3, f1, f2,
-r_sum, m_of_x, u_of_x}.  `n_log_g` and `err_bound` are deliberately not
-stored: both are reassembled deterministically on load.
+Cache format v2 (binary, little-endian): header {magic b"PMSM", version u16,
+model-name hash u64, checkpoint count u16, flags u8 (bit 0: the file holds
+U)}, then a 16-byte blake2b digest of the header and the records, then one
+record per checkpoint {n u64, s1 u64, then one f64 each for s2, s3, f1, f2,
+r_sum, m_of_x and, when the file holds U, u_of_x}.  `n_log_g` and
+`err_bound` are deliberately not stored: both are reassembled
+deterministically on load.  A file whose digest does not match is rejected.
 """
 
 from __future__ import annotations
@@ -88,9 +93,10 @@ MAX_CHECKPOINTS = 64
 FLOAT_FIELDS = ("s2", "s3", "f1", "f2", "r_sum", "m_of_x", "u_of_x")
 
 CACHE_MAGIC = b"PMSM"
-CACHE_VERSION = 1
-_HEADER = struct.Struct("<4sHQH")
-_RECORD = struct.Struct("<QQ14d")
+CACHE_VERSION = 2
+_HEADER = struct.Struct("<4sHQHB")   # magic, version, model-name hash, count, flags
+_HAS_U = 0x01                        # flags bit: the records hold u_of_x
+_DIGEST_SIZE = 16                    # blake2b of header + payload, after the header
 
 # Per-term formation rounding allowance (in ulps of the term magnitude):
 # one log/log1p evaluation, one division, one multiplication, one cast.
@@ -167,9 +173,9 @@ class CheckpointGrid:
 class SumsReport:
     """All streaming sums at each checkpoint, with certified error bounds.
 
-    `s1` entries are exact integers.  `compensation` carries the final Kahan
-    compensation term per float field (FLOAT_FIELDS order) so that a report
-    serialized and re-loaded continues the same accumulation state.
+    `s1` entries are exact integers.  `u_of_x` is None when the report was
+    streamed without the U pass (`sums_stream(..., with_u=False)`); every
+    other field is the same, bit for bit, either way.
     `n_log_g` is the assembled identity value
     (log alpha) * s1 + d * s2 + s3 + [prime-power correction]; `err_bound`
     bounds its accumulation error.  Both are functions of the stored data
@@ -185,8 +191,7 @@ class SumsReport:
     f2: tuple[float, ...]
     r_sum: tuple[float, ...]
     m_of_x: tuple[float, ...]
-    u_of_x: tuple[float, ...]
-    compensation: tuple[tuple[float, ...], ...]
+    u_of_x: tuple[float, ...] | None
     n_log_g: tuple[float, ...]
     err_bound: tuple[float, ...]
 
@@ -204,7 +209,8 @@ class SumsReport:
         """One checkpoint row as a plain dict (CLI/reporting convenience)."""
         row = {"n": self.points[i], "s1": self.s1[i]}
         for name in FLOAT_FIELDS:
-            row[name] = getattr(self, name)[i]
+            column = getattr(self, name)
+            row[name] = None if column is None else column[i]
         row["n_log_g"] = self.n_log_g[i]
         row["err_bound"] = self.err_bound[i]
         return row
@@ -247,13 +253,14 @@ def _prime_power_pass(model: PrimeModel, points: tuple[int, ...]):
     return frac, pp2
 
 
-def _assemble(model: PrimeModel, points, s1, values):
-    """Recompute (n_log_g, err_bound, pp2) from checkpointed sums.
+def _assemble(model: PrimeModel, points, s1, values, pp2):
+    """Recompute (n_log_g, err_bound) from checkpointed sums.
 
-    `values` maps each FLOAT_FIELDS name to its per-checkpoint value list.
-    Everything here is a deterministic function of (model, points, s1,
-    values): running it on a freshly streamed report and on one re-loaded
-    from cache yields bit-identical outputs.
+    `values` maps "s2" and "s3" to their per-checkpoint value lists; `pp2`
+    is the second result of `_prime_power_pass(model, points)`.  Everything
+    here is a deterministic function of (model, points, s1, values): running
+    it on a freshly streamed report and on one re-loaded from cache yields
+    bit-identical outputs.
 
     The error bound per checkpoint n combines the pairwise/Kahan
     accumulation model (depth <= log2 n plus merge slack) with per-term
@@ -261,7 +268,6 @@ def _assemble(model: PrimeModel, points, s1, values):
     and a growth-profile majorant for s3.
     """
     la = math.log(model.alpha)
-    _, pp2 = _prime_power_pass(model, points)
     n_log_g = []
     err_bound = []
     for i, n in enumerate(points):
@@ -284,7 +290,7 @@ def _assemble(model: PrimeModel, points, s1, values):
         b += pp2[i].error_bound()
         b += 8.0 * EPS * (abs(la) * s1f + abs(model.d * s2) + abs(s3) + abs(ppv))
         err_bound.append(b)
-    return n_log_g, err_bound, pp2
+    return n_log_g, err_bound
 
 
 # --------------------------------------------------------------------------
@@ -416,11 +422,14 @@ def sums_stream(
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     parallel: bool = False,
     max_workers: int | None = None,
+    with_u: bool = True,
 ) -> SumsReport:
     """Evaluate every streaming sum at each checkpoint in one sieve pass.
 
+    With ``with_u=False`` the U pass is skipped and the report's `u_of_x` is
+    None; every other field is bit-identical to the ``with_u=True`` report.
     With ``parallel=True`` the prime segments and the integer blocks of the
-    U-pass are processed by a thread pool; partials are merged in ascending
+    U pass are processed by a thread pool; partials are merged in ascending
     segment order either way, so the result is bit-identical to the
     sequential run.
     """
@@ -445,13 +454,14 @@ def sums_stream(
         lo, hi = bounds[idx]
         return _u_segment_partial(points, lo, hi, u_base)
 
+    u_tasks = range(len(bounds)) if with_u else range(0)
     if parallel:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
             prime_parts = list(pool.map(prime_task, range(len(bounds))))
-            u_parts = list(pool.map(u_task, range(len(bounds))))
+            u_parts = list(pool.map(u_task, u_tasks))
     else:
         prime_parts = [prime_task(i) for i in range(len(bounds))]
-        u_parts = [u_task(i) for i in range(len(bounds))]
+        u_parts = [u_task(i) for i in u_tasks]
 
     for partial in prime_parts:
         for i, ds1, parts in partial:
@@ -463,7 +473,7 @@ def sums_stream(
             kah["u_of_x"][i].add(value, abs_x=mass, err_in=err)
 
     # prime-power corrections: F2 on top of F1, and the a >= 2 identity term
-    frac, _ = _prime_power_pass(model, points)
+    frac, pp2 = _prime_power_pass(model, points)
     f2 = []
     for i in range(m):
         acc = kah["f1"][i]
@@ -473,8 +483,10 @@ def sums_stream(
         f2.append(tot)
     kah["f2"] = f2
 
-    values = {name: [acc.value for acc in kah[name]] for name in FLOAT_FIELDS}
-    n_log_g, err_bound, pp2 = _assemble(model, points, s1, values)
+    values = {name: tuple(acc.value for acc in kah[name]) for name in FLOAT_FIELDS}
+    if not with_u:
+        values["u_of_x"] = None
+    n_log_g, err_bound = _assemble(model, points, s1, values, pp2)
 
     # Internal cross-check: the decomposed assembly must agree with a direct
     # compensated sum of floor(n/p) log f(p) within both error budgets.
@@ -494,11 +506,9 @@ def sums_stream(
         model_name=model.name,
         points=points,
         s1=tuple(s1),
-        compensation=tuple(
-            tuple(acc.comp for acc in kah[name]) for name in FLOAT_FIELDS),
         n_log_g=tuple(n_log_g),
         err_bound=tuple(err_bound),
-        **{name: tuple(values[name]) for name in FLOAT_FIELDS},
+        **values,
     )
 
 
@@ -518,7 +528,8 @@ def log_geomean_identity(model: PrimeModel, n: int, *,
         raise GridError(f"log_geomean_identity needs n >= 1, got {n}")
     if n == 1:
         return 0.0
-    report = sums_stream(model, CheckpointGrid((n,)), segment_size=segment_size)
+    report = sums_stream(model, CheckpointGrid((n,)), segment_size=segment_size,
+                         with_u=False)
     result = report.n_log_g[0]
     if report.err_bound[0] > 1e-12 * abs(result) + 1e-12 * n:
         raise AccumulationError(
@@ -760,17 +771,30 @@ def _model_name_hash(name: str) -> int:
         hashlib.blake2b(name.encode("utf-8"), digest_size=8).digest(), "little")
 
 
+def _record_layout(has_u: bool) -> tuple[tuple[str, ...], struct.Struct]:
+    """The float fields a record stores, in order, and the record struct."""
+    names = FLOAT_FIELDS if has_u else tuple(f for f in FLOAT_FIELDS if f != "u_of_x")
+    return names, struct.Struct(f"<QQ{len(names)}d")
+
+
+def _digest(header: bytes, payload: bytes) -> bytes:
+    h = hashlib.blake2b(header, digest_size=_DIGEST_SIZE)
+    h.update(payload)
+    return h.digest()
+
+
 def save_report(path: str, report: SumsReport) -> None:
     """Serialize a report (atomic replace; see module docstring for layout)."""
-    blob = [_HEADER.pack(CACHE_MAGIC, CACHE_VERSION,
-                         _model_name_hash(report.model_name), len(report))]
-    for i in range(len(report)):
-        pairs = []
-        for j, name in enumerate(FLOAT_FIELDS):
-            pairs.append(getattr(report, name)[i])
-            pairs.append(report.compensation[j][i])
-        blob.append(_RECORD.pack(report.points[i], report.s1[i], *pairs))
-    data = b"".join(blob)
+    has_u = report.u_of_x is not None
+    names, record = _record_layout(has_u)
+    columns = [getattr(report, name) for name in names]
+    payload = b"".join(
+        record.pack(n, report.s1[i], *(col[i] for col in columns))
+        for i, n in enumerate(report.points))
+    header = _HEADER.pack(CACHE_MAGIC, CACHE_VERSION,
+                          _model_name_hash(report.model_name), len(report),
+                          _HAS_U if has_u else 0)
+    data = header + _digest(header, payload) + payload
 
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".pmsm.tmp")
@@ -788,58 +812,59 @@ def load_report(path: str, model: PrimeModel,
                 grid: CheckpointGrid | None = None) -> SumsReport:
     """Load a cached report for (model, grid); n_log_g/err_bound reassembled.
 
-    Raises CacheFormatError on any mismatch: magic, version, model-name
-    hash, truncated payload, non-ascending checkpoints, or (when `grid` is
-    given) a different checkpoint set.
+    The report's `u_of_x` is None when the file does not hold U.  Raises
+    CacheFormatError on any mismatch: magic, version, unknown flags, invalid
+    checkpoint count, payload size, digest, model-name hash, non-ascending
+    checkpoints, or (when `grid` is given) a different checkpoint set.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    if len(data) < _HEADER.size:
+    start = _HEADER.size + _DIGEST_SIZE
+    if len(data) < start:
         raise CacheFormatError(f"{path}: truncated header")
-    magic, version, name_hash, count = _HEADER.unpack_from(data)
+    magic, version, name_hash, count, flags = _HEADER.unpack_from(data)
     if magic != CACHE_MAGIC:
         raise CacheFormatError(f"{path}: bad magic {magic!r}")
     if version != CACHE_VERSION:
         raise CacheFormatError(
             f"{path}: cache version {version} != supported {CACHE_VERSION}")
-    if name_hash != _model_name_hash(model.name):
-        raise CacheFormatError(
-            f"{path}: cached model does not match {model.name!r}")
-    expected = _HEADER.size + count * _RECORD.size
+    if flags & ~_HAS_U:
+        raise CacheFormatError(f"{path}: unknown flags {flags:#04x}")
+    if not (1 <= count <= MAX_CHECKPOINTS):
+        raise CacheFormatError(f"{path}: invalid checkpoint count {count}")
+    names, record = _record_layout(bool(flags & _HAS_U))
+    expected = start + count * record.size
     if len(data) != expected:
         raise CacheFormatError(
             f"{path}: payload is {len(data)} bytes, expected {expected}")
-    if not (1 <= count <= MAX_CHECKPOINTS):
-        raise CacheFormatError(f"{path}: invalid checkpoint count {count}")
+    header, payload = data[:_HEADER.size], data[start:]
+    if _digest(header, payload) != data[_HEADER.size:start]:
+        raise CacheFormatError(f"{path}: digest mismatch (corrupt file)")
+    if name_hash != _model_name_hash(model.name):
+        raise CacheFormatError(
+            f"{path}: cached model does not match {model.name!r}")
 
-    points, s1 = [], []
-    values = {name: [] for name in FLOAT_FIELDS}
-    comps = {name: [] for name in FLOAT_FIELDS}
-    off = _HEADER.size
-    for _ in range(count):
-        rec = _RECORD.unpack_from(data, off)
-        off += _RECORD.size
-        points.append(rec[0])
-        s1.append(rec[1])
-        for j, name in enumerate(FLOAT_FIELDS):
-            values[name].append(rec[2 + 2 * j])
-            comps[name].append(rec[3 + 2 * j])
+    rows = list(record.iter_unpack(payload))
+    points = tuple(row[0] for row in rows)
+    s1 = tuple(row[1] for row in rows)
     if any(b <= a for a, b in zip(points, points[1:])):
         raise CacheFormatError(f"{path}: checkpoints are not ascending")
-    points = tuple(points)
     if grid is not None and grid.points != points:
         raise CacheFormatError(
             f"{path}: cached grid {points} does not match the requested grid")
+    values = dict.fromkeys(FLOAT_FIELDS)
+    values.update((name, tuple(row[2 + j] for row in rows))
+                  for j, name in enumerate(names))
 
-    n_log_g, err_bound, _ = _assemble(model, points, s1, values)
+    _, pp2 = _prime_power_pass(model, points)
+    n_log_g, err_bound = _assemble(model, points, s1, values, pp2)
     return SumsReport(
         model_name=model.name,
         points=points,
-        s1=tuple(s1),
-        compensation=tuple(tuple(comps[name]) for name in FLOAT_FIELDS),
+        s1=s1,
         n_log_g=tuple(n_log_g),
         err_bound=tuple(err_bound),
-        **{name: tuple(values[name]) for name in FLOAT_FIELDS},
+        **values,
     )
 
 

@@ -4,10 +4,16 @@ from __future__ import annotations
 
 import json
 import math
+import struct
+from pathlib import Path
 
 import pytest
 
+from primemean import primesums
 from primemean.cli import main
+from primemean.errors import CacheFormatError
+from primemean.multfunc import builtin
+from primemean.primesums import CheckpointGrid
 
 
 def run(capsys, *argv):
@@ -121,6 +127,33 @@ def test_exit_code_ill_conditioned_fit(capsys):
     assert rc == 5 and "condition" in err
 
 
+@pytest.mark.parametrize("bad", [("--to", "inf"), ("--from", "inf"),
+                                 ("--to=-inf",), ("--to", "nan"),
+                                 ("--to", "1e400")])
+def test_non_finite_bound_is_exit_two(capsys, bad):
+    with pytest.raises(SystemExit) as exc:
+        main(["geomean", "--model", "euler_phi", *bad])
+    assert exc.value.code == 2
+    assert "not a finite number" in capsys.readouterr().err
+
+
+def test_missing_model_file_is_exit_two(tmp_path, capsys):
+    path = tmp_path / "no-such.model"
+    rc, _, err = run(capsys, "geomean", "--model", str(path), "--n", "10")
+    assert rc == 2 and str(path) in err
+
+
+@pytest.mark.parametrize("spacing", ["log", "linear"])
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_points_below_one_is_exit_two(capsys, spacing, points):
+    rc, _, err = run(capsys, "geomean", "--model", "kappa", "--to", "1000",
+                     "--points", points, "--spacing", spacing)
+    assert rc == 2 and "at least one checkpoint" in err
+    rc, _, err = run(capsys, "verify", "--check", "rs-inequality",
+                     "--points", points)
+    assert rc == 2 and "at least one checkpoint" in err
+
+
 def test_usage_error_is_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["fit", "--to", "100000"])  # --target is required
@@ -163,6 +196,70 @@ def test_cache_roundtrip(tmp_path, monkeypatch, capsys):
     rc3, out3, _ = run(capsys, *args)
     assert rc3 == 0 and out3 == out1
     assert cached[0].read_bytes() != b"garbage"
+
+
+def test_cache_without_u_is_refilled_for_sums(tmp_path, monkeypatch, capsys):
+    grid = ("--to", "20000", "--points", "3")
+    monkeypatch.delenv("PRIMEMEAN_CACHE", raising=False)
+    rc, cold, _ = run(capsys, "sums", "--model", "sigma", *grid, "--format", "json")
+    assert rc == 0
+
+    monkeypatch.setenv("PRIMEMEAN_CACHE", str(tmp_path))
+    rc, _, _ = run(capsys, "geomean", "--model", "sigma", *grid)
+    assert rc == 0
+    [path] = tmp_path.glob("*.pmsm")
+    model = builtin("sigma")
+    assert primesums.load_report(str(path), model).u_of_x is None
+    rc, warm, _ = run(capsys, "sums", "--model", "sigma", *grid, "--format", "json")
+    assert rc == 0 and warm == cold
+    assert primesums.load_report(str(path), model).u_of_x is not None
+
+
+def test_fit_u_residual_after_geomean(tmp_path, monkeypatch, capsys):
+    grid = ("--from", "1000", "--to", "100000", "--points", "5")
+    fit = ("fit", "--model", "kappa", "--target", "u-residual", *grid,
+           "--format", "json")
+    monkeypatch.delenv("PRIMEMEAN_CACHE", raising=False)
+    rc, cold, _ = run(capsys, *fit)
+    assert rc == 0
+    monkeypatch.setenv("PRIMEMEAN_CACHE", str(tmp_path))
+    rc, _, _ = run(capsys, "geomean", "--model", "kappa", *grid)
+    assert rc == 0
+    rc, warm, _ = run(capsys, *fit)
+    assert rc == 0 and warm == cold
+
+
+def _write_v1_cache(path, report):
+    """The version-1 layout: 16-byte header, then (value, compensation)
+    pairs for all seven float fields in every record."""
+    name_hash = primesums._model_name_hash(report.model_name)
+    blob = [struct.pack("<4sHQH", b"PMSM", 1, name_hash, len(report))]
+    for i, n in enumerate(report.points):
+        pairs = []
+        for name in primesums.FLOAT_FIELDS:
+            pairs += [getattr(report, name)[i], 0.0]
+        blob.append(struct.pack("<QQ14d", n, report.s1[i], *pairs))
+    path.write_bytes(b"".join(blob))
+
+
+def test_v1_cache_file_is_recomputed(tmp_path, monkeypatch, capsys):
+    model = builtin("kappa")
+    grid = CheckpointGrid.log_spaced(100, 20000, 3)
+    report = primesums.sums_stream(model, grid)
+    path = primesums.default_cache_path(str(tmp_path), model, grid)
+    _write_v1_cache(Path(path), report)
+    with pytest.raises(CacheFormatError, match="version 1"):
+        primesums.load_report(path, model, grid)
+
+    args = ("sums", "--model", "kappa", "--from", "100", "--to", "20000",
+            "--points", "3", "--format", "csv")
+    monkeypatch.delenv("PRIMEMEAN_CACHE", raising=False)
+    rc, cold, _ = run(capsys, *args)
+    assert rc == 0
+    monkeypatch.setenv("PRIMEMEAN_CACHE", str(tmp_path))
+    rc, warm, _ = run(capsys, *args)
+    assert rc == 0 and warm == cold
+    assert primesums.load_report(path, model, grid) == report
 
 
 def test_no_cache_without_configuration(tmp_path, monkeypatch, capsys):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import os
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -287,6 +288,26 @@ def test_parallel_matches_sequential_exactly():
     assert seq == par
 
 
+def _bits(values) -> bytes:
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+@pytest.mark.parametrize("name", ["kappa", "euler_phi", "sigma"])
+def test_report_without_u_matches_full_report(name):
+    # sigma has prime-power terms, euler_phi a nonzero S3
+    grid = CheckpointGrid.log_spaced(100, 2 * 10 ** 6, 7)
+    model = builtin(name)
+    full = sums_stream(model, grid)
+    lazy = sums_stream(model, grid, with_u=False)
+    lazy_par = sums_stream(model, grid, parallel=True, max_workers=3, with_u=False)
+    assert full.u_of_x is not None
+    for rep in (lazy, lazy_par):
+        assert rep.u_of_x is None
+        assert rep.s1 == full.s1
+        for field in ("s2", "s3", "f1", "f2", "r_sum", "m_of_x", "n_log_g", "err_bound"):
+            assert _bits(getattr(rep, field)) == _bits(getattr(full, field)), field
+
+
 def test_report_roundtrip_bitwise(tmp_path):
     grid = CheckpointGrid.log_spaced(10, 10 ** 4, 6)
     model = builtin("jordan_2")
@@ -302,6 +323,12 @@ def test_report_roundtrip_bitwise(tmp_path):
         load_report(str(path), model, CheckpointGrid.from_points([10, 100]))
     with pytest.raises(CacheFormatError):
         load_report(str(path), builtin("kappa"), grid)
+
+    lazy = sums_stream(model, grid, with_u=False)
+    lazy_path = tmp_path / "jordan-lazy.pmsm"
+    save_report(str(lazy_path), lazy)
+    assert load_report(str(lazy_path), model, grid) == lazy
+    assert lazy_path.stat().st_size == path.stat().st_size - 8 * len(grid)
 
 
 def test_cache_rejects_corruption(tmp_path):
@@ -322,6 +349,34 @@ def test_cache_rejects_corruption(tmp_path):
     missing = tmp_path / "absent.pmsm"
     with pytest.raises((CacheFormatError, OSError)):
         load_report(str(missing), model, grid)
+
+
+@pytest.fixture(scope="module")
+def saved_sigma(tmp_path_factory):
+    grid = CheckpointGrid.from_points([10, 100, 1000])
+    model = builtin("sigma")
+    rep = sums_stream(model, grid)
+    path = tmp_path_factory.mktemp("cache") / "sigma.pmsm"
+    save_report(str(path), rep)
+    return model, grid, rep, path
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_cache_single_byte_mutation_is_caught(saved_sigma, data):
+    model, grid, rep, path = saved_sigma
+    save_report(str(path), rep)
+    mutant = bytearray(path.read_bytes())
+    at = data.draw(st.integers(0, len(mutant) - 1), label="offset")
+    mutant[at] ^= data.draw(st.integers(1, 255), label="xor")
+    path.write_bytes(bytes(mutant))
+    try:
+        back = load_report(str(path), model, grid)
+    except CacheFormatError:
+        return
+    assert back.s1 == rep.s1 and back.points == rep.points
+    for field in primesums.FLOAT_FIELDS + ("n_log_g", "err_bound"):
+        assert _bits(getattr(back, field)) == _bits(getattr(rep, field)), field
 
 
 def test_default_cache_path_keys(tmp_path):
