@@ -13,6 +13,8 @@ Mertens log-sum constant, model-dependent prime series) with certified tail
 bounds, and verifies the expansions numerically at desk scale.
 """
 
+from types import ModuleType as _ModuleType
+
 from .constants import (
     ConstantValue,
     c_q,
@@ -100,83 +102,7 @@ from .sieve import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    # errors
-    "AccumulationError",
-    "CacheFormatError",
-    "GridError",
-    "IllConditionedFitError",
-    "ModelSpecError",
-    "PrecisionError",
-    "PrimemeanError",
-    "UnknownCheckError",
-    # sieve
-    "DEFAULT_MAX_BOUND",
-    "DEFAULT_SEGMENT_SIZE",
-    "SPF_CAP",
-    "PrimeStream",
-    "SpfTable",
-    "factorize",
-    "primes_up_to",
-    "spf_build",
-    "stream_segmented",
-    # models
-    "BUILTIN_NAMES",
-    "FunctionValue",
-    "PrimeModel",
-    "builtin",
-    "error_profile_check",
-    "load_model_file",
-    "log_ratio_prime_power",
-    "value_at",
-    # streaming prime sums
-    "CheckpointGrid",
-    "SumsReport",
-    "bruteforce_prefix",
-    "default_cache_path",
-    "identity_prefix",
-    "load_report",
-    "log_geomean_bruteforce",
-    "log_geomean_identity",
-    "mertens_m_of_x",
-    "omega_summatory",
-    "r_sum",
-    "rs_inequality_check",
-    "rs_inequality_sweep",
-    "save_report",
-    "sums_stream",
-    "u_of_x",
-    # constants
-    "ConstantValue",
-    "c_q",
-    "eta0",
-    "euler_gamma",
-    "leading_constant",
-    "meissel_mertens",
-    "meissel_mertens_limit",
-    "mertens_e",
-    "mertens_e_limit",
-    "rho_f",
-    "saffari_a",
-    # expansion algebra
-    "MAX_ORDER",
-    "Expansion",
-    "FitResult",
-    "fit_coefficients",
-    "geomean_expansion_eval",
-    "geomean_expansion_log",
-    "li_coeffs",
-    "lj_coeffs",
-    "lj_recurrence_check",
-    "s2_coeffs_from_d",
-    "series_exp",
-    # verification checks
-    "ACCEPTANCE_CHECKS",
-    "CHECK_NAMES",
-    "CheckContext",
-    "CheckOptions",
-    "CheckResult",
-    "run_all",
-    "run_check",
-    "__version__",
-]
+# The public surface is exactly the names imported above.
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]
+__all__.append("__version__")

@@ -28,7 +28,7 @@ from . import constants, primesums, series
 from .errors import GridError, UnknownCheckError
 from .multfunc import builtin
 from .primesums import CheckpointGrid, sums_stream
-from .sieve import SpfTable, spf_build
+from .sieve import SpfTable, distinct_prime_factors, spf_build
 
 ACCEPTANCE_MODELS = ("kappa", "two_omega", "euler_phi", "sigma",
                      "divisor_d", "jordan_2")
@@ -159,18 +159,9 @@ def _identity_grid(ctx: CheckContext, opts: CheckOptions):
 
 def _logkappa_summatory(n: int, table: SpfTable) -> float:
     """Independent oracle for sum_{k<=n} log kappa(k) via factor peeling."""
-    cur = np.arange(2, n + 1, dtype=np.int64)
     acc = 0.0
-    while cur.size:
-        s = table.spf[cur].astype(np.int64)
-        acc += float(np.sum(np.log(s.astype(np.float64))))
-        cur //= s
-        while True:
-            mask = cur % s == 0
-            if not mask.any():
-                break
-            cur[mask] //= s[mask]
-        cur = cur[cur > 1]
+    for _, p in distinct_prime_factors(np.arange(2, n + 1, dtype=np.int64), table):
+        acc += float(np.sum(np.log(p.astype(np.float64))))
     return acc
 
 

@@ -19,7 +19,7 @@ All floats print as %.15g and every certified constant is accompanied by its
 tail bound.  CSV output follows RFC 4180 (CRLF records).  Checkpoint reports
 persist to the directory named by --cache or the PRIMEMEAN_CACHE environment
 variable; with neither set, nothing is written to disk.  A cached report is
-reused only when its model name and grid hash match, its integrity digest
+reused only when its model fingerprint and grid hash match, its integrity digest
 checks out, and it holds every field the command reads; reloading one is
 bit-identical to recomputation.  A corrupt, truncated or outdated file is
 detected and silently recomputed.
@@ -179,6 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from(args: argparse.Namespace, *, build_grid: bool) -> RunConfig:
     cache_dir = args.cache if args.cache is not None \
         else os.environ.get("PRIMEMEAN_CACHE") or None
+    if cache_dir is not None and os.path.exists(cache_dir) \
+            and not os.path.isdir(cache_dir):
+        raise GridError(f"cache directory {cache_dir!r} is not a directory")
     model = _resolve_model(args.model)
     grid = None
     if build_grid:
@@ -445,10 +448,7 @@ def main(argv=None) -> int:
         if args.command == "fit":
             return cmd_fit(cfg, args.target)
         raise AssertionError(f"unhandled command {args.command!r}")
-    except GridError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ModelSpecError as exc:
+    except (GridError, ModelSpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PrecisionError as exc:

@@ -22,6 +22,12 @@ forms are deliberately elementary (direct prime sums; no zeta machinery):
   where g(t) = (log t)^(j-1)/t^2 and Gamma is the (closed-form) upper
   incomplete gamma at integer order.
 
+Every prime sum here goes through `accum.reduce_primes`, the same reducer as
+the streamed identity sums: pairwise per-segment partials merged in
+ascending order by Kahan summation, so each value is deterministic, and each
+tail bound includes the reducer's certified accumulation error (pairwise
+rounding, merge rounding and per-term formation rounding).
+
 The limit definitions of M and E converge like 1/log x — useless directly —
 but they make honest *validation oracles* once the known secondary structure
 of the prime counts is subtracted.  `meissel_mertens_limit` and
@@ -45,10 +51,10 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .accum import EPS, KahanSum, pairwise_error_bound
+from .accum import EPS, SegmentTerms, prime_sums, reduce_primes
 from .errors import GridError, PrecisionError
 from .multfunc import PrimeModel
-from .sieve import DEFAULT_MAX_BOUND, stream_segmented
+from .sieve import DEFAULT_MAX_BOUND
 
 __all__ = [
     "ConstantValue",
@@ -139,28 +145,6 @@ def euler_gamma(target_precision: float = DEFAULT_GAMMA_PRECISION,
                          method="harmonic-euler-maclaurin", params=(("n", float(n)),))
 
 
-# --------------------------------------------------------------------------
-# deterministic prime-sum streaming
-# --------------------------------------------------------------------------
-
-def _prime_sum(limit: int, term_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-               ) -> Tuple[float, float]:
-    """Sum term_fn(p, log p) over primes p <= limit, deterministically.
-
-    Per-segment sums use numpy's pairwise reduction; segments merge in
-    ascending order through Kahan compensation.  Returns (value, bound)
-    where bound certifies the floating-point accumulation error.
-    """
-    acc = KahanSum()
-    for seg in stream_segmented(2, limit).segments():
-        pf = seg.astype(np.float64)
-        terms = term_fn(pf, np.log(pf))
-        total = float(np.sum(terms))
-        mass = float(np.sum(np.abs(terms)))
-        acc.add(total, abs_x=mass, err_in=pairwise_error_bound(mass, terms.size))
-    return acc.value, acc.error_bound()
-
-
 @lru_cache(maxsize=None)
 def meissel_mertens(target_precision: float = DEFAULT_M_PRECISION,
                     truncation_override: int | None = None) -> ConstantValue:
@@ -184,11 +168,12 @@ def meissel_mertens(target_precision: float = DEFAULT_M_PRECISION,
             f"meissel_mertens needs primes to {p_cut:.3g}, beyond the sieve "
             f"bound {DEFAULT_MAX_BOUND:g}",
             achievable=1.0 / (2.0 * DEFAULT_MAX_BOUND))
-    total, fp_bound = _prime_sum(p_cut, lambda p, logp: np.log1p(-1.0 / p) + 1.0 / p)
+    [total] = prime_sums([p_cut], lambda p, logp: np.log1p(-1.0 / p) + 1.0 / p,
+                         signed=True)
     tail = 1.0 / (2.0 * p_cut)
     return ConstantValue(
-        value=gamma.value + total,
-        tail_bound=tail + gamma.tail_bound + fp_bound,
+        value=gamma.value + total.value,
+        tail_bound=tail + gamma.tail_bound + total.error_bound(),
         method="prime-sum", params=(("p_cut", float(p_cut)),))
 
 
@@ -225,10 +210,10 @@ def mertens_e(target_precision: float = DEFAULT_E_PRECISION,
             f"{DEFAULT_MAX_BOUND:g}",
             achievable=tail_at(DEFAULT_MAX_BOUND))
     gamma = euler_gamma(min(DEFAULT_GAMMA_PRECISION, target_precision / 100.0))
-    total, fp_bound = _prime_sum(p_cut, lambda p, logp: logp / (p * (p - 1.0)))
+    [total] = prime_sums([p_cut], lambda p, logp: logp / (p * (p - 1.0)))
     return ConstantValue(
-        value=-gamma.value - total,
-        tail_bound=tail_at(p_cut) + gamma.tail_bound + fp_bound,
+        value=-gamma.value - total.value,
+        tail_bound=tail_at(p_cut) + gamma.tail_bound + total.error_bound(),
         method="prime-sum", params=(("p_cut", float(p_cut)),))
 
 
@@ -270,9 +255,10 @@ def c_q(model: PrimeModel, target_precision: float = DEFAULT_CQ_PRECISION,
                 f"model {model.name!r} (delta={model.delta:g}) needs primes to "
                 f"{p_cut:.3g}, beyond the sieve bound {DEFAULT_MAX_BOUND:g}",
                 achievable=tail_at(DEFAULT_MAX_BOUND))
-    total, fp_bound = _prime_sum(p_cut, lambda p, logp: model.log_q_ratio_vec(p, logp) / p)
+    [total] = prime_sums([p_cut], lambda p, logp: model.log_q_ratio_vec(p, logp) / p,
+                         signed=True)
     return ConstantValue(
-        value=total, tail_bound=tail_at(p_cut) + fp_bound,
+        value=total.value, tail_bound=tail_at(p_cut) + total.error_bound(),
         method="prime-sum", params=(("p_cut", float(p_cut)),))
 
 
@@ -493,18 +479,18 @@ def _window_prime_averages(windows: Sequence[Tuple[float, float]]
     """Hann-weighted averages of (sum_{p<=x} 1/p, sum_{p<=x} log p/p).
 
     One streaming pass to the largest window edge; each prime contributes
-    its term times the closed-form Hann mass above log p.  Deterministic:
-    pairwise per-segment sums merged in ascending order with compensation.
+    its term times the closed-form Hann mass above log p.
     """
     bounds = [(math.log(x0), math.log(x1)) for x0, x1 in windows]
     x_hi = max(int(x1) for _, x1 in windows)
-    accs = [(KahanSum(), KahanSum()) for _ in windows]
-    for seg in stream_segmented(2, x_hi).segments():
+
+    def terms(seg: np.ndarray) -> SegmentTerms:
         pf = seg.astype(np.float64)
         v = np.log(pf)
         inv = 1.0 / pf
         lg = v * inv
-        for (u0, u1), (acc_m, acc_e) in zip(bounds, accs):
+        out = {}
+        for k, (u0, u1) in enumerate(bounds):
             du = u1 - u0
             mass = np.where(
                 v <= u0, 1.0,
@@ -512,11 +498,13 @@ def _window_prime_averages(windows: Sequence[Tuple[float, float]]
                          ((u1 - v) / 2.0
                           + (du / (4.0 * np.pi)) * np.sin(2.0 * np.pi * (v - u0) / du))
                          / (du / 2.0)))
-            tm = float(np.sum(mass * inv))
-            te = float(np.sum(mass * lg))
-            acc_m.add(tm, abs_x=tm)
-            acc_e.add(te, abs_x=te)
-    return [(acc_m.value, acc_e.value) for acc_m, acc_e in accs]
+            out[f"m{k}"] = mass * inv
+            out[f"e{k}"] = mass * lg
+        return out, None
+
+    sums = reduce_primes([x_hi], terms)
+    return [(sums[f"m{k}"][0].value, sums[f"e{k}"][0].value)
+            for k in range(len(windows))]
 
 
 def _check_window(x_hi: float, window_ratio: float) -> None:

@@ -12,7 +12,8 @@ class PrimemeanError(Exception):
 
 
 class GridError(PrimemeanError):
-    """Malformed evaluation grid or a range outside the sieve budget."""
+    """Malformed evaluation grid, a range outside the sieve budget, or a
+    cache location that is not a directory."""
 
 
 class PrecisionError(PrimemeanError):

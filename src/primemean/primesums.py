@@ -24,22 +24,26 @@ exception: it needs a residual sieve over every integer up to the last
 checkpoint (by far the costliest part of a sweep), and n log G_f(n) does not
 read it, so callers that do not read it skip it (`with_u=False`).
 
-Determinism contract: per-segment partials are formed by numpy's pairwise
-reduction and merged into Kahan accumulators in ascending segment order.  The
-parallel driver computes exactly the same partials and merges them in exactly
-the same order, so concurrent runs are bit-identical to sequential ones.
+Determinism contract: every sum here, the streamed ones and the scalar
+`r_sum` and `mertens_m_of_x` alike, goes through `accum.reduce_primes`, which
+forms per-segment partials by numpy's pairwise reduction and merges them
+into Kahan accumulators in ascending segment order, threaded or not.  So
+concurrent runs are bit-identical to sequential ones, and a scalar sum
+equals the streamed one at the same point bit for bit.
 
 Every reported total carries a certified accumulation error bound derived
 only from stored quantities (explicitly *not* from run-time state), so a
 report loaded back from its cache file reproduces the bound bit-for-bit.
 
-Cache format v2 (binary, little-endian): header {magic b"PMSM", version u16,
-model-name hash u64, checkpoint count u16, flags u8 (bit 0: the file holds
+Cache format v3 (binary, little-endian): header {magic b"PMSM", version u16,
+model hash u64, checkpoint count u16, flags u8 (bit 0: the file holds
 U)}, then a 16-byte blake2b digest of the header and the records, then one
 record per checkpoint {n u64, s1 u64, then one f64 each for s2, s3, f1, f2,
 r_sum, m_of_x and, when the file holds U, u_of_x}.  `n_log_g` and
 `err_bound` are deliberately not stored: both are reassembled
 deterministically on load.  A file whose digest does not match is rejected.
+The model hash fingerprints the model itself (see `_model_hash`), not only
+its name, so two models that share a name never share a cache file.
 """
 
 from __future__ import annotations
@@ -50,20 +54,24 @@ import os
 import struct
 import tempfile
 from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import partial
+from typing import Iterator
 
 import numpy as np
 
-from .accum import EPS, KahanSum, pairwise_error_bound
+from .accum import (EPS, FORM_ULPS, KahanSum, SegmentTerms, prime_sums,
+                    reduce_primes)
 from .errors import AccumulationError, CacheFormatError, GridError
-from .multfunc import PrimeModel, log_ratio_prime_power, value_at
+from .multfunc import (_VALIDATION_PRIMES, PrimeModel, log_ratio_prime_power,
+                       value_at)
 from .sieve import (
     DEFAULT_MAX_BOUND,
     DEFAULT_SEGMENT_SIZE,
     SpfTable,
+    distinct_prime_factors,
     primes_up_to,
-    stream_segmented,
 )
 
 __all__ = [
@@ -93,14 +101,10 @@ MAX_CHECKPOINTS = 64
 FLOAT_FIELDS = ("s2", "s3", "f1", "f2", "r_sum", "m_of_x", "u_of_x")
 
 CACHE_MAGIC = b"PMSM"
-CACHE_VERSION = 2
-_HEADER = struct.Struct("<4sHQHB")   # magic, version, model-name hash, count, flags
+CACHE_VERSION = 3
+_HEADER = struct.Struct("<4sHQHB")   # magic, version, model hash, count, flags
 _HAS_U = 0x01                        # flags bit: the records hold u_of_x
 _DIGEST_SIZE = 16                    # blake2b of header + payload, after the header
-
-# Per-term formation rounding allowance (in ulps of the term magnitude):
-# one log/log1p evaluation, one division, one multiplication, one cast.
-_FORM_ULPS = 4.0
 
 
 # --------------------------------------------------------------------------
@@ -173,6 +177,7 @@ class CheckpointGrid:
 class SumsReport:
     """All streaming sums at each checkpoint, with certified error bounds.
 
+    `model_hash` fingerprints the model (the cache key; see `_model_hash`).
     `s1` entries are exact integers.  `u_of_x` is None when the report was
     streamed without the U pass (`sums_stream(..., with_u=False)`); every
     other field is the same, bit for bit, either way.
@@ -183,6 +188,7 @@ class SumsReport:
     """
 
     model_name: str
+    model_hash: int
     points: tuple[int, ...]
     s1: tuple[int, ...]
     s2: tuple[float, ...]
@@ -247,7 +253,7 @@ def _prime_power_pass(model: PrimeModel, points: tuple[int, ...]):
                 frac[i].add(fr, err_in=EPS * fr)
                 if lr != 0.0:
                     t = q * lr
-                    pp2[i].add(t, err_in=_FORM_ULPS * EPS * abs(t))
+                    pp2[i].add(t, err_in=FORM_ULPS * EPS * abs(t))
             pa *= p
             a += 1
     return frac, pp2
@@ -278,7 +284,7 @@ def _assemble(model: PrimeModel, points, s1, values, pp2):
         v = la * s1f + model.d * s2 + s3 + ppv
         n_log_g.append(v)
 
-        depth = EPS * (math.ceil(math.log2(max(n, 2))) + 4.0 + _FORM_ULPS)
+        depth = EPS * (math.ceil(math.log2(max(n, 2))) + 4.0 + FORM_ULPS)
         if model.delta == math.inf:
             s3_mass = 0.0
         else:
@@ -298,77 +304,41 @@ def _assemble(model: PrimeModel, points, s1, values, pp2):
 # --------------------------------------------------------------------------
 
 
-def _prime_segment_partial(model: PrimeModel, points, seg: np.ndarray, need_s3: bool):
-    """Per-checkpoint partial sums contributed by one prime segment.
+def _prime_terms(model: PrimeModel, need_s3: bool, seg: np.ndarray) -> SegmentTerms:
+    """One prime segment's terms of every prime sum, for `reduce_primes`.
 
-    Returns a list of tuples (i, ds1, parts) where parts maps an accumulator
-    name to (value, absmass, err_in); `direct` is the straight
-    sum floor(n/p) log f(p) used for the internal cross-check.
+    `direct` is the straight sum floor(n/p) log f(p) used for the internal
+    cross-check; `s1` is an integer channel, summed exactly.
     """
-    if seg.size == 0:
-        return []
     pf = seg.astype(np.float64)
     lp = np.log(pf)
     lf = model.log_at_prime_vec(pf, lp)
     qr = model.log_q_ratio_vec(pf, lp) if need_s3 else None
-    mterm = lp / pf
-    full_m = None
 
-    lo = int(seg[0])
-    out = []
-    for i in range(bisect_left(points, lo), len(points)):
-        n = points[i]
-        cut = int(np.searchsorted(seg, n, side="right"))
-        if cut == 0:
-            continue
-        q = n // seg[:cut]
-        rm = (n - q * seg[:cut]).astype(np.float64)
+    def at_cut(count: int, n: int) -> Iterator[tuple[str, np.ndarray]]:
+        q = n // seg[:count]
+        yield "s1", q
         qf = q.astype(np.float64)
-        fr = rm / pf[:cut]
-
-        parts = {}
-
-        def put(name, value, mass, count):
-            parts[name] = (
-                float(value),
-                float(mass),
-                pairwise_error_bound(float(mass), count) + _FORM_ULPS * EPS * float(mass),
-            )
-
-        ds1 = int(np.sum(q))
-        t = qf * lp[:cut]
-        v = np.sum(t)
-        put("s2", v, v, cut)
+        yield "s2", qf * lp[:count]
         if need_s3:
-            t = qf * qr[:cut]
-            put("s3", np.sum(t), np.sum(np.abs(t)), cut)
-        v = np.sum(fr)
-        put("f1", v, v, cut)
-        t = fr * lp[:cut]
-        v = np.sum(t)
-        put("r_sum", v, v, cut)
-        if cut == seg.size:
-            if full_m is None:
-                full_m = float(np.sum(mterm))
-            v = full_m
-        else:
-            v = np.sum(mterm[:cut])
-        put("m_of_x", v, v, cut)
-        t = qf * lf[:cut]
-        put("direct", np.sum(t), np.sum(np.abs(t)), cut)
+            yield "s3", qf * qr[:count]
+        yield "direct", qf * lf[:count]
+        fr = (n - q * seg[:count]).astype(np.float64) / pf[:count]
+        yield "f1", fr
+        yield "r_sum", fr * lp[:count]
 
-        out.append((i, ds1, parts))
-    return out
+    return {"m_of_x": _mertens_terms(pf, lp)}, at_cut
 
 
-def _u_segment_partial(points, lo: int, hi: int, base: np.ndarray):
-    """Partial sums of U(x) = sum log kappa(k) / log k over k in [lo, hi).
+def _u_terms(base: np.ndarray, block: range) -> SegmentTerms:
+    """Terms log kappa(k) / log k of U(x) for the integers k in `block`.
 
     log kappa(k) (the squarefree kernel's log) is built by a residual sieve:
     each base prime deposits log p on its multiples once, all its powers are
     divided out of a residue array, and whatever residue exceeds 1 is a
     single prime factor > sqrt(hi).
     """
+    lo, hi = block.start, block.stop
     size = hi - lo
     res = np.arange(lo, hi, dtype=np.int64)
     logkap = np.zeros(size)
@@ -392,22 +362,7 @@ def _u_segment_partial(points, lo: int, hi: int, base: np.ndarray):
     left = res > 1
     if left.any():
         logkap[left] += np.log(res[left].astype(np.float64))
-    terms = logkap / np.log(np.arange(lo, hi, dtype=np.float64))
-
-    full = None
-    out = []
-    for i in range(bisect_left(points, lo), len(points)):
-        n = points[i]
-        if n >= hi - 1:
-            if full is None:
-                v = float(np.sum(terms))
-                full = (v, v, pairwise_error_bound(v, size) + _FORM_ULPS * EPS * v)
-            out.append((i, full))
-        else:
-            cnt = n - lo + 1
-            v = float(np.sum(terms[:cnt]))
-            out.append((i, (v, v, pairwise_error_bound(v, cnt) + _FORM_ULPS * EPS * v)))
-    return out
+    return {"u_of_x": logkap / np.log(np.arange(lo, hi, dtype=np.float64))}, None
 
 
 # --------------------------------------------------------------------------
@@ -434,43 +389,19 @@ def sums_stream(
     sequential run.
     """
     points = grid.points
-    n_max = grid.n_max
     m = len(points)
     need_s3 = model.delta != math.inf
+    opts = dict(segment_size=segment_size, parallel=parallel, max_workers=max_workers)
 
-    stream = stream_segmented(2, n_max, segment_size=segment_size)
-    bounds = stream.segment_bounds()
-    base = stream._base()
-    u_base = primes_up_to(math.isqrt(n_max))
-
-    s1 = [0] * m
-    kah = {name: [KahanSum() for _ in range(m)] for name in
-           ("s2", "s3", "f1", "r_sum", "m_of_x", "u_of_x", "direct")}
-
-    def prime_task(idx: int):
-        return _prime_segment_partial(model, points, stream.segment(idx, base), need_s3)
-
-    def u_task(idx: int):
-        lo, hi = bounds[idx]
-        return _u_segment_partial(points, lo, hi, u_base)
-
-    u_tasks = range(len(bounds)) if with_u else range(0)
-    if parallel:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            prime_parts = list(pool.map(prime_task, range(len(bounds))))
-            u_parts = list(pool.map(u_task, u_tasks))
-    else:
-        prime_parts = [prime_task(i) for i in range(len(bounds))]
-        u_parts = [u_task(i) for i in u_tasks]
-
-    for partial in prime_parts:
-        for i, ds1, parts in partial:
-            s1[i] += ds1
-            for name, (value, mass, err) in parts.items():
-                kah[name][i].add(value, abs_x=mass, err_in=err)
-    for partial in u_parts:
-        for i, (value, mass, err) in partial:
-            kah["u_of_x"][i].add(value, abs_x=mass, err_in=err)
+    kah = reduce_primes(points, partial(_prime_terms, model, need_s3),
+                        signed=("s3", "direct"), **opts)
+    if not need_s3:
+        kah["s3"] = [KahanSum() for _ in range(m)]
+    if with_u:
+        u_base = primes_up_to(math.isqrt(grid.n_max))
+        kah.update(reduce_primes(points, partial(_u_terms, u_base), integers=True,
+                                 **opts))
+    s1 = kah.pop("s1")
 
     # prime-power corrections: F2 on top of F1, and the a >= 2 identity term
     frac, pp2 = _prime_power_pass(model, points)
@@ -483,9 +414,8 @@ def sums_stream(
         f2.append(tot)
     kah["f2"] = f2
 
-    values = {name: tuple(acc.value for acc in kah[name]) for name in FLOAT_FIELDS}
-    if not with_u:
-        values["u_of_x"] = None
+    values = {name: tuple(acc.value for acc in kah[name]) if name in kah else None
+              for name in FLOAT_FIELDS}
     n_log_g, err_bound = _assemble(model, points, s1, values, pp2)
 
     # Internal cross-check: the decomposed assembly must agree with a direct
@@ -504,6 +434,7 @@ def sums_stream(
 
     return SumsReport(
         model_name=model.name,
+        model_hash=_model_hash(model),
         points=points,
         s1=tuple(s1),
         n_log_g=tuple(n_log_g),
@@ -616,20 +547,8 @@ def omega_summatory(n: int, table: SpfTable) -> int:
         raise GridError(f"omega_summatory needs n >= 1, got {n}")
     if n > table.limit:
         raise GridError(f"n={n} exceeds the factor table limit {table.limit}")
-    cur = np.arange(2, n + 1, dtype=np.int64)
-    total = 0
-    while cur.size:
-        s = table.spf[cur].astype(np.int64)
-        total += cur.size
-        cur //= s
-        while True:
-            mask = cur % s == 0
-            if not mask.any():
-                break
-            cur[mask] //= s[mask]
-        keep = cur > 1
-        cur = cur[keep]
-    return total
+    return sum(idx.size for idx, _ in
+               distinct_prime_factors(np.arange(2, n + 1, dtype=np.int64), table))
 
 
 def u_of_x(x: int, table: SpfTable) -> float:
@@ -643,61 +562,30 @@ def u_of_x(x: int, table: SpfTable) -> float:
     if x > table.limit:
         raise GridError(f"x={x} exceeds the factor table limit {table.limit}")
     k = np.arange(2, x + 1, dtype=np.int64)
-    cur = k.copy()
-    logkap = np.zeros(cur.size)
-    while True:
-        act = np.flatnonzero(cur > 1)
-        if act.size == 0:
-            break
-        s = table.spf[cur[act]].astype(np.int64)
-        logkap[act] += np.log(s.astype(np.float64))
-        c = cur[act] // s
-        while True:
-            mask = c % s == 0
-            if not mask.any():
-                break
-            c[mask] //= s[mask]
-        cur[act] = c
+    logkap = np.zeros(k.size)
+    for idx, p in distinct_prime_factors(k, table):
+        logkap[idx] += np.log(p.astype(np.float64))
     return float(np.sum(logkap / np.log(k.astype(np.float64))))
 
 
-def _prime_scalar_sum(x: int, term) -> KahanSum:
-    """Compensated sum over primes p <= x of term(p_float, log p)."""
-    acc = KahanSum()
-    for seg in stream_segmented(2, x).segments():
-        if seg.size == 0:
-            continue
-        pf = seg.astype(np.float64)
-        t = term(pf, np.log(pf))
-        v = float(np.sum(t))
-        mass = float(np.sum(np.abs(t)))
-        acc.add(v, abs_x=mass,
-                err_in=pairwise_error_bound(mass, seg.size) + _FORM_ULPS * EPS * mass)
-    return acc
+def _mertens_terms(pf: np.ndarray, lp: np.ndarray) -> np.ndarray:
+    """Terms log p / p of M(x)."""
+    return lp / pf
 
 
 def r_sum(n: int) -> float:
     """R(n) = sum_{p<=n} {n/p} log p, compensated."""
     if n < 2:
         raise GridError(f"r_sum needs n >= 2, got {n}")
-    acc = KahanSum()
-    for seg in stream_segmented(2, n).segments():
-        if seg.size == 0:
-            continue
-        pf = seg.astype(np.float64)
-        q = n // seg
-        fr = (n - q * seg).astype(np.float64) / pf
-        t = fr * np.log(pf)
-        v = float(np.sum(t))
-        acc.add(v, err_in=pairwise_error_bound(v, seg.size) + _FORM_ULPS * EPS * v)
-    return acc.value
+    # fmod of integers below 2^53 is exact: the remainder n - floor(n/p) p
+    return prime_sums([n], lambda pf, lp: np.fmod(n, pf) / pf * lp)[0].value
 
 
 def mertens_m_of_x(x: int) -> float:
     """M(x) = sum_{p<=x} log p / p, compensated."""
     if x < 2:
         raise GridError(f"mertens_m_of_x needs x >= 2, got {x}")
-    return _prime_scalar_sum(x, lambda pf, lp: lp / pf).value
+    return prime_sums([x], _mertens_terms)[0].value
 
 
 def rs_inequality_sweep(xs) -> list[bool]:
@@ -708,39 +596,18 @@ def rs_inequality_sweep(xs) -> list[bool]:
     the left is checked for every x >= 2.  The certified uncertainty of the
     E constant is folded into both margins, so a True verdict is conservative.
 
-    All M(x) values come from one segmented pass (prefix cuts inside each
-    segment), which keeps thousand-point sweeps cheap.
+    All M(x) values come from one segmented pass with every x as a cut, so
+    each equals `mertens_m_of_x(x)` bit for bit.
     """
     from .constants import mertens_e
 
     xs = [int(x) for x in xs]
     if any(x < 2 for x in xs):
         raise GridError("rs inequality checks need x >= 2")
-    order = np.argsort(xs, kind="stable")
-    x_sorted = [xs[i] for i in order]
-    x_max = x_sorted[-1]
+    cuts = sorted(set(xs))
+    m_at = {x: acc.value for x, acc in zip(cuts, prime_sums(cuts, _mertens_terms))}
 
     e = mertens_e()
-    m_at = {}
-    base = KahanSum()
-    stream = stream_segmented(2, x_max)
-    for (lo, hi), seg in zip(stream.segment_bounds(), stream.segments()):
-        inside = [x for x in x_sorted if lo <= x < hi]
-        if inside and seg.size:
-            pf = seg.astype(np.float64)
-            terms = np.log(pf) / pf
-            csum = np.cumsum(terms)
-            for x in inside:
-                cut = int(np.searchsorted(seg, x, side="right"))
-                m_at[x] = base.value + (float(csum[cut - 1]) if cut else 0.0)
-        elif inside:
-            for x in inside:
-                m_at[x] = base.value
-        if seg.size:
-            pf = seg.astype(np.float64)
-            t = np.log(pf) / pf
-            v = float(np.sum(t))
-            base.add(v, err_in=pairwise_error_bound(v, seg.size) + _FORM_ULPS * EPS * v)
 
     out = [False] * len(xs)
     for i, x in enumerate(xs):
@@ -766,9 +633,20 @@ def rs_inequality_check(x: int) -> bool:
 # --------------------------------------------------------------------------
 
 
-def _model_name_hash(name: str) -> int:
-    return int.from_bytes(
-        hashlib.blake2b(name.encode("utf-8"), digest_size=8).digest(), "little")
+def _model_hash(model: PrimeModel) -> int:
+    """Fingerprint of the model facts a cached report depends on.
+
+    Two models share it only if they agree on the name, the growth profile
+    (d, alpha, delta, K), the strongly-multiplicative flag, and the exact
+    values f(p) and f(p^a), a = 2..4, at the validation primes.
+    """
+    facts = [model.name, *map(repr, (model.d, model.alpha, model.delta,
+                                     model.k_bound, model.strongly_multiplicative))]
+    for p in _VALIDATION_PRIMES:
+        facts.append(str(Fraction(model.value_at_prime(p))))
+        facts += [str(Fraction(model.value_at_prime_power(p, a))) for a in (2, 3, 4)]
+    digest = hashlib.blake2b("\n".join(facts).encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "little")
 
 
 def _record_layout(has_u: bool) -> tuple[tuple[str, ...], struct.Struct]:
@@ -792,7 +670,7 @@ def save_report(path: str, report: SumsReport) -> None:
         record.pack(n, report.s1[i], *(col[i] for col in columns))
         for i, n in enumerate(report.points))
     header = _HEADER.pack(CACHE_MAGIC, CACHE_VERSION,
-                          _model_name_hash(report.model_name), len(report),
+                          report.model_hash, len(report),
                           _HAS_U if has_u else 0)
     data = header + _digest(header, payload) + payload
 
@@ -822,7 +700,7 @@ def load_report(path: str, model: PrimeModel,
     start = _HEADER.size + _DIGEST_SIZE
     if len(data) < start:
         raise CacheFormatError(f"{path}: truncated header")
-    magic, version, name_hash, count, flags = _HEADER.unpack_from(data)
+    magic, version, model_hash, count, flags = _HEADER.unpack_from(data)
     if magic != CACHE_MAGIC:
         raise CacheFormatError(f"{path}: bad magic {magic!r}")
     if version != CACHE_VERSION:
@@ -840,7 +718,7 @@ def load_report(path: str, model: PrimeModel,
     header, payload = data[:_HEADER.size], data[start:]
     if _digest(header, payload) != data[_HEADER.size:start]:
         raise CacheFormatError(f"{path}: digest mismatch (corrupt file)")
-    if name_hash != _model_name_hash(model.name):
+    if model_hash != _model_hash(model):
         raise CacheFormatError(
             f"{path}: cached model does not match {model.name!r}")
 
@@ -860,6 +738,7 @@ def load_report(path: str, model: PrimeModel,
     n_log_g, err_bound = _assemble(model, points, s1, values, pp2)
     return SumsReport(
         model_name=model.name,
+        model_hash=model_hash,
         points=points,
         s1=s1,
         n_log_g=tuple(n_log_g),
@@ -870,7 +749,7 @@ def load_report(path: str, model: PrimeModel,
 
 def default_cache_path(root: str, model: PrimeModel, grid: CheckpointGrid) -> str:
     """Canonical cache file name for a (model, grid) pair under `root`."""
-    h = hashlib.blake2b(digest_size=8)
+    h = hashlib.blake2b(_model_hash(model).to_bytes(8, "little"), digest_size=8)
     for n in grid.points:
         h.update(n.to_bytes(8, "little"))
     return os.path.join(root, f"{model.name}-{h.hexdigest()}.pmsm")

@@ -177,3 +177,26 @@ def factorize(k: int, table: SpfTable) -> list[tuple[int, int]]:
             a += 1
         out.append((p, a))
     return out
+
+
+def distinct_prime_factors(ks: np.ndarray, table: SpfTable
+                           ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Peel the distinct prime factors off every entry of the int64 array ks.
+
+    Round r yields (idx, p): the positions in `ks` of the entries with at
+    least r distinct prime factors, ascending, and the r-th smallest of
+    them.  Every entry must lie within the table.
+    """
+    idx = np.flatnonzero(ks > 1)
+    cur = ks[idx]
+    while idx.size:
+        p = table.spf[cur].astype(np.int64)
+        yield idx, p
+        cur //= p
+        while True:
+            mask = cur % p == 0
+            if not mask.any():
+                break
+            cur[mask] //= p[mask]
+        keep = cur > 1
+        idx, cur = idx[keep], cur[keep]

@@ -232,8 +232,7 @@ def test_fit_u_residual_after_geomean(tmp_path, monkeypatch, capsys):
 def _write_v1_cache(path, report):
     """The version-1 layout: 16-byte header, then (value, compensation)
     pairs for all seven float fields in every record."""
-    name_hash = primesums._model_name_hash(report.model_name)
-    blob = [struct.pack("<4sHQH", b"PMSM", 1, name_hash, len(report))]
+    blob = [struct.pack("<4sHQH", b"PMSM", 1, report.model_hash, len(report))]
     for i, n in enumerate(report.points):
         pairs = []
         for name in primesums.FLOAT_FIELDS:
@@ -260,6 +259,41 @@ def test_v1_cache_file_is_recomputed(tmp_path, monkeypatch, capsys):
     rc, warm, _ = run(capsys, *args)
     assert rc == 0 and warm == cold
     assert primesums.load_report(path, model, grid) == report
+
+
+def _shifted_model(path, shift: int) -> str:
+    path.write_text(
+        f"name = shifted\nd = 1\nalpha = 1\ndelta = 1\nK = {shift}\n"
+        f"fp = p + {shift}\nstrongly_multiplicative = true\n")
+    return str(path)
+
+
+def test_cache_keys_on_model_not_name(tmp_path, monkeypatch, capsys):
+    # two different models that share a name must not share a cache entry
+    first = _shifted_model(tmp_path / "one.model", 1)
+    second = _shifted_model(tmp_path / "two.model", 2)
+    args = ("sums", "--from", "10", "--to", "100", "--points", "2",
+            "--format", "json")
+    monkeypatch.delenv("PRIMEMEAN_CACHE", raising=False)
+    rc, cold, _ = run(capsys, *args, "--model", second)
+    assert rc == 0
+    cache = tmp_path / "cache"
+    rc, other, _ = run(capsys, *args, "--model", first, "--cache", str(cache))
+    assert rc == 0 and other != cold
+    rc, warm, _ = run(capsys, *args, "--model", second, "--cache", str(cache))
+    assert rc == 0 and warm == cold
+    assert len(list(cache.glob("shifted-*.pmsm"))) == 2
+
+
+def test_cache_path_naming_a_file_exits_2(tmp_path, monkeypatch, capsys):
+    target = tmp_path / "not-a-dir"
+    target.write_text("")
+    args = ("sums", "--model", "kappa", "--to", "1000", "--points", "2")
+    rc, out, err = run(capsys, *args, "--cache", str(target))
+    assert rc == 2 and str(target) in err and out == ""
+    monkeypatch.setenv("PRIMEMEAN_CACHE", str(target))
+    rc, out, err = run(capsys, *args)
+    assert rc == 2 and str(target) in err and out == ""
 
 
 def test_no_cache_without_configuration(tmp_path, monkeypatch, capsys):

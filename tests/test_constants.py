@@ -24,6 +24,7 @@ import pytest
 from mpmath import mp
 
 from primemean import constants
+from primemean.accum import EPS, FORM_ULPS
 from primemean.errors import GridError, PrecisionError
 from primemean.multfunc import builtin
 
@@ -175,3 +176,32 @@ def test_limit_oracles_agree_with_closed_forms(m_ref, e_ref):
         constants.meissel_mertens_limit(1e4)
     with pytest.raises(GridError):
         constants.mertens_e_limit(1e6, 1.5)
+
+
+# Values computed before the prime sums moved to the shared reducer in
+# accum: the move must leave each value bit-identical, and a tail bound may
+# only grow, by the per-term formation allowance (every mass here is < 1).
+_FROZEN_PRIME_SUMS = {
+    "M": (constants.meissel_mertens, (),
+          "0x1.0bc5ecede2b41p-2", "0x1.57a04eeddef94p-27"),
+    "E": (constants.mertens_e, (),
+          "-0x1.55241c98273c8p+0", "0x1.ad80165aa9703p-24"),
+    "C_Q[euler_phi]": (constants.c_q, ("euler_phi",),
+                       "-0x1.28fd6d474160dp-1", "0x1.5798f4ceb9f7fp-27"),
+    "C_Q[sigma]": (constants.c_q, ("sigma",),
+                   "0x1.893f73c97255dp-2", "0x1.5798f28d9f307p-27"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FROZEN_PRIME_SUMS))
+def test_prime_sum_constants_frozen(name):
+    fn, models, value, tail = _FROZEN_PRIME_SUMS[name]
+    cv = fn(*map(builtin, models))
+    assert cv.value == float.fromhex(value)
+    growth = cv.tail_bound - float.fromhex(tail)
+    assert 0.0 <= growth <= FORM_ULPS * EPS
+
+
+def test_limit_oracles_frozen():
+    assert constants.meissel_mertens_limit(1e7) == float.fromhex("0x1.0bc5e5ade4e4ep-2")
+    assert constants.mertens_e_limit(1e6) == float.fromhex("-0x1.5523fb403e970p+0")

@@ -261,6 +261,14 @@ def test_report_field_access(kappa10):
 # ---------------------------------------------------------------------------
 
 
+def test_scalar_sums_equal_streamed_report_bitwise():
+    grid = CheckpointGrid.log_spaced(100, 3 * 10 ** 6, 9)
+    rep = sums_stream(builtin("kappa"), grid, with_u=False)
+    for i, n in enumerate(grid.points):
+        assert r_sum(n) == rep.r_sum[i]
+        assert mertens_m_of_x(n) == rep.m_of_x[i]
+
+
 def test_rs_inequality_spot_points():
     assert rs_inequality_check(319)
     assert rs_inequality_check(10 ** 6)

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from primemean.errors import GridError
-from primemean.sieve import (DEFAULT_MAX_BOUND, SpfTable, factorize,
-                             primes_up_to, spf_build, stream_segmented)
+from primemean.sieve import (DEFAULT_MAX_BOUND, SpfTable,
+                             distinct_prime_factors, factorize, primes_up_to,
+                             spf_build, stream_segmented)
 
 
 def trial_division_primes(limit: int) -> list[int]:
@@ -96,6 +97,15 @@ def test_factorize_roundtrip(table5k: SpfTable):
         assert [p for p, _ in fac] == sorted(p for p, _ in fac)
     with pytest.raises(GridError):
         factorize(5001, table5k)
+
+
+def test_distinct_prime_factors_match_factorize(table5k: SpfTable):
+    ks = np.arange(0, 5001, dtype=np.int64)
+    peeled = [[] for _ in ks]
+    for idx, p in distinct_prime_factors(ks, table5k):
+        for i, q in zip(idx.tolist(), p.tolist()):
+            peeled[i].append(q)
+    assert peeled == [[p for p, _ in factorize(int(k), table5k)] for k in ks]
 
 
 def test_spf_build_cap():
