@@ -370,8 +370,7 @@ def cmd_sums(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig, names, args) -> int:
     opts = checks.CheckOptions(lo=args.lo, hi=args.hi, points=args.points)
     ctx = checks.CheckContext(parallel=cfg.parallel)
-    results = [checks.run_check(name, ctx, opts)
-               for name in (names or checks.ACCEPTANCE_CHECKS)]
+    results = checks.run_all(ctx, names, opts)
     if cfg.fmt == "table":
         for r in results:
             print(r.line())

@@ -5,72 +5,192 @@ A model couples exact prime-power evaluation with the asymptotic profile
 
     f(p) = alpha * p**d + O(p**(d - delta)),
 
-which is what the downstream prime-sum expansions consume.  The error term
-is not taken on faith: every model records a constant ``k_bound`` and
-`error_profile_check` measures max |f(p) - alpha*p**d| / p**(d-delta) over
-an initial prime range against it.
+which is what the downstream prime-sum expansions consume.
 
-Models are immutable and cheap; all operations are pure.  Exact values are
-kept as Python integers / fractions (no overflow), while the vectorised
-``log``-space hooks are what the streaming accumulators call per segment.
+Every model, built-in or file, is a spec in the model-file format below,
+built by `_compile`.  The grammar only yields rational functions of p, so
+``fp`` is evaluated once at a symbolic p to integer-coefficient N(p)/D(p),
+every hook derives from them, and a spec must declare d = deg N - deg D
+and alpha = lc(N)/lc(D) rounded to double.  `error_profile_check` measures
+max |f(p) - alpha*p**d| / p**(d-delta) over an initial prime range against
+the declared K (files are checked at load; the built-ins are trusted).
+Exact values are Python integers / fractions, memoised per model.
 """
 
 from __future__ import annotations
 
+import ast
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .errors import GridError, ModelSpecError
 from .sieve import SpfTable, factorize, primes_up_to
-
-__all__ = [
-    "PrimeModel",
-    "FunctionValue",
-    "BUILTIN_NAMES",
-    "builtin",
-    "value_at",
-    "log_ratio_prime_power",
-    "error_profile_check",
-    "load_model_file",
-    "parse_expression",
-]
 
 Exact = Union[int, Fraction]
 
 #: Names accepted by `builtin` (jordan_k for any integer k >= 1).
 BUILTIN_NAMES = ("kappa", "two_omega", "euler_phi", "sigma", "divisor_d", "jordan_<k>")
 
+#: Largest exponent a model expression may use, and largest degree in p its
+#: numerator and denominator may reach.  jordan_5's f(p^a) has degree 145 at
+#: p^a = 2^29, the largest power of 2 below the 1e9 sieve bound.
+MAX_EXPONENT = 256
+
+_M31 = 2 ** 31 - 1   # a prime; residues mod it of values at p < 2^30 stay in int64
+
 
 def _log_exact(q: Exact) -> float:
-    """Natural log of a positive int or Fraction without float overflow."""
-    if isinstance(q, Fraction):
-        return math.log(q.numerator) - math.log(q.denominator)
-    return math.log(q)
+    """log q within ~1 ulp (log1p of the exact q - 1 near 1), never overflowing."""
+    if isinstance(q, int):
+        return math.log(q)
+    if Fraction(1, 2) < q < 2:
+        return math.log1p(q - 1)
+    if abs(q.numerator.bit_length() - q.denominator.bit_length()) < 1000:
+        return math.log(q)
+    return math.log(q.numerator) - math.log(q.denominator)
 
+
+# --------------------------------------------------------------------------
+# rational functions of p
+# --------------------------------------------------------------------------
+
+def _horner(coeffs, x):
+    """coeffs[0] * x^k + ... + coeffs[k]; one coefficient comes back as is, no temporary."""
+    acc = coeffs[0]
+    for c in coeffs[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def _poly(*coeffs: int) -> np.ndarray:
+    """Integer polynomial coefficients, ascending, as an exact object array."""
+    return np.array(coeffs, dtype=object)
+
+
+def _check_degree(degree: int) -> None:
+    if degree > MAX_EXPONENT:
+        raise ModelSpecError(f"model expression reaches degree {degree} in p, "
+                             f"above MAX_EXPONENT = {MAX_EXPONENT}")
+
+
+class _Rat:
+    """N(p)/D(p) with exact integer coefficients (`_poly`); degrees <= MAX_EXPONENT."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: np.ndarray, den: np.ndarray = _poly(1)):
+        _check_degree(max(len(num), len(den)) - 1)
+        self.num, self.den = num, den
+
+    def __bool__(self) -> bool:
+        return any(self.num)
+
+    def __neg__(self) -> _Rat:
+        return _Rat(-self.num, self.den)
+
+    def __add__(self, other: _Rat) -> _Rat:
+        return _Rat(P.polyadd(P.polymul(self.num, other.den), P.polymul(other.num, self.den)),
+                    P.polymul(self.den, other.den))
+
+    def __sub__(self, other: _Rat) -> _Rat:
+        return self + -other
+
+    def __mul__(self, other: _Rat) -> _Rat:
+        return _Rat(P.polymul(self.num, other.num), P.polymul(self.den, other.den))
+
+    def __truediv__(self, other: _Rat) -> _Rat:
+        if not other:
+            raise ModelSpecError("division by zero in model expression")
+        return _Rat(P.polymul(self.num, other.den), P.polymul(self.den, other.num))
+
+    def __pow__(self, exponent: _Rat) -> _Rat:
+        if len(exponent.num) > 1 or len(exponent.den) > 1:
+            raise ModelSpecError("exponents must not depend on p")
+        e = Fraction(exponent.num[0], exponent.den[0])
+        if e.denominator != 1:
+            raise ModelSpecError("exponents must be integers")
+        if abs(e) > MAX_EXPONENT:
+            raise ModelSpecError(f"exponent {e} exceeds MAX_EXPONENT = {MAX_EXPONENT}")
+        base = self if e >= 0 else _Rat(_poly(1)) / self
+        _check_degree(abs(e) * (max(len(base.num), len(base.den)) - 1))
+        return _Rat(*(P.polypow(c, abs(e.numerator), MAX_EXPONENT) for c in (base.num, base.den)))
+
+    def degree(self) -> int:
+        return len(self.num) - len(self.den)
+
+    def leading(self) -> Fraction:
+        return Fraction(self.num[-1], self.den[-1])
+
+    def __call__(self, p: int) -> Exact:
+        """The exact value at the integer p."""
+        num, den = P.polyval(p, self.num), P.polyval(p, self.den)
+        if den == 0:
+            raise ModelSpecError("division by zero in model expression")
+        q = Fraction(num, den)
+        return q.numerator if q.denominator == 1 else q
+
+    def log1p_vec(self, p: np.ndarray) -> np.ndarray:
+        """log1p of this function, which must vanish as p -> inf, at float64 primes.
+
+        Evaluated as p^-k hn(x) / hd(x), Horner forms in x = 1/p: no positive
+        power of p is formed, so it is finite at every p >= 2 whatever the degree.
+        """
+        hn, hd = (_x_form(c, self.den[-1]) for c in (self.num, self.den))
+        x = 1.0 / p
+        k = -self.degree()
+        u = x if k == 1 else p ** -float(k)
+        u *= _horner(hn, x) / _horner(hd, x)
+        return np.log1p(u, out=u)  # in place: a segment-sized temporary costs page faults
+
+
+def _x_form(c: np.ndarray, scale: int) -> np.ndarray:
+    """Horner coefficients in x = 1/p of p^-deg c(p) / scale, zeros in front dropped."""
+    try:
+        return np.trim_zeros(np.array([float(Fraction(ci, scale)) for ci in c]), "f")
+    except OverflowError:
+        raise ModelSpecError("model coefficients overflow float64") from None
+
+
+_P = _Rat(_poly(0, 1))
+
+
+def _relative_to_leading(c: np.ndarray) -> _Rat:
+    """c(p) / (c_n p^n) - 1 for the polynomial c of degree n."""
+    lead = _Rat(_poly(*[0] * (len(c) - 1), c[-1]))
+    return (_Rat(c) - lead) / lead
+
+
+# --------------------------------------------------------------------------
+# models
+# --------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class PrimeModel:
     """A positive multiplicative function plus its growth profile.
 
-    ``value_at_prime(p)`` and ``value_at_prime_power(p, a)`` return exact
-    ints/fractions; they must agree at a = 1 and stay positive.  ``delta``
-    may be ``math.inf`` as a sentinel for an identically vanishing error
-    term (then ``k_bound`` must be 0 and the profile check demands
-    f(p) == alpha * p**d exactly).
+    ``fp`` is f(p) as N(p)/D(p) and ``fpa`` the expression for f(p^a); the
+    exact ``value_at_prime(p)`` and ``value_at_prime_power(p, a)`` must agree
+    at a = 1 and stay positive.  ``delta = math.inf`` is the sentinel for an
+    identically vanishing error term (f(p) == alpha * p**d exactly).
 
-    The three vectorised hooks serve the segmented accumulators:
+    The vectorised hooks sum log1p of exact rational functions that vanish
+    at large p (`_Rat.log1p_vec`), so they are finite at every p >= 2:
 
-    - ``log_at_prime_vec(p, logp)``: log f(p) for a float64 prime array,
-    - ``log_q_ratio_vec(p, logp)``: log(f(p) / (alpha * p**d)), written in
-      ``log1p`` form per model so the near-cancellation at large p costs
-      only an absolute error of order eps per term,
-    - ``prime_power_log_ratio(p, a)``: log(f(p^a)/f(p^(a-1))) for a >= 2.
+    - ``log_at_prime_vec(p, logp)``: log f(p) = log c + d log p
+      + log1p(N/(c_N p^deg N) - 1) - log1p(D/(c_D p^deg D) - 1), from N and
+      D directly, so the ``direct`` cross-check of `sums_stream` stays an
+      independent route;
+    - ``log_q_ratio_vec(p, logp)``: log(f(p) / (alpha * p**d)) =
+      log1p(R(p) / (alpha p^d D(p))) with R = N - alpha p^d D formed
+      exactly, so the near-cancellation at large p costs a few ulps per term.
     """
 
     name: str
@@ -79,11 +199,14 @@ class PrimeModel:
     delta: float
     k_bound: float
     strongly_multiplicative: bool
-    value_at_prime: Callable[[int], Exact]
-    value_at_prime_power: Callable[[int, int], Exact]
-    log_at_prime_vec: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    log_q_ratio_vec: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    prime_power_log_ratio: Optional[Callable[[int, int], float]] = None
+    fp: _Rat
+    fpa: _Expr
+    _rats: dict = field(init=False, repr=False)        # a -> f(p^a), None -> fp
+    _values: dict = field(default_factory=dict, init=False, repr=False)
+    _deviation: _Rat = field(init=False, repr=False)   # f(p) - alpha p^d, exact
+    _q: _Rat = field(init=False, repr=False)           # f(p) / (alpha p^d) - 1, exact
+    _log_c: float = field(init=False, repr=False)
+    _log_terms: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (self.alpha > 0):
@@ -92,9 +215,55 @@ class PrimeModel:
             raise ModelSpecError(f"model {self.name!r}: delta must be positive")
         if self.k_bound < 0:
             raise ModelSpecError(f"model {self.name!r}: k_bound must be >= 0")
+        alpha_pd = _Rat(*map(_poly, self.alpha.as_integer_ratio())) * _P ** _Rat(_poly(int(self.d)))
+        set_ = object.__setattr__
+        set_(self, "_rats", {None: self.fp})
+        set_(self, "_deviation", self.fp - alpha_pd)
+        set_(self, "_q", self._deviation / alpha_pd)
+        set_(self, "_log_c", _log_exact(self.fp.leading()))
+        set_(self, "_log_terms", tuple(
+            (op, _relative_to_leading(c))
+            for op, c in ((np.add, self.fp.num), (np.subtract, self.fp.den)) if any(c[:-1])))
 
     def __repr__(self) -> str:  # keep float spam out of tracebacks
         return f"PrimeModel({self.name!r}, d={self.d:g}, alpha={self.alpha:g})"
+
+    def value_at_prime(self, p: int) -> Exact:
+        return self._value(p, None)
+
+    def value_at_prime_power(self, p: int, a: int) -> Exact:
+        return self._value(p, a)
+
+    def _value(self, p: int, a: Optional[int]) -> Exact:
+        """Exact f(p^a) from fpa, memoised; a = None evaluates fp."""
+        v = self._values.get((p, a))
+        if v is None:
+            if a not in self._rats:
+                self._rats[a] = self.fpa.rational(a)
+            v = self._values[(p, a)] = self._rats[a](int(p))
+        return v
+
+    def _check_no_pole(self, p: np.ndarray) -> None:
+        """Raise if D vanishes at a prime of p: an exact test, residues mod 2^31 - 1 first."""
+        if any(self.fp.den[:-1]):
+            q, acc = p.astype(np.int64), 0
+            for c in self.fp.den[::-1]:
+                acc = (acc * q + int(c) % _M31) % _M31
+            for pole in q[acc == 0].tolist():
+                if P.polyval(pole, self.fp.den) == 0:
+                    raise ModelSpecError(f"model {self.name!r} has a pole at the prime {pole}")
+
+    def log_at_prime_vec(self, p: np.ndarray, logp: np.ndarray) -> np.ndarray:
+        self._check_no_pole(p)
+        out = self.d * logp
+        for op, rel in self._log_terms:
+            op(out, rel.log1p_vec(p), out=out)
+        out += self._log_c
+        return out
+
+    def log_q_ratio_vec(self, p: np.ndarray, logp: np.ndarray) -> np.ndarray:
+        self._check_no_pole(p)
+        return self._q.log1p_vec(p) if self._q else np.zeros_like(logp)
 
 
 @dataclass(frozen=True)
@@ -103,116 +272,6 @@ class FunctionValue:
 
     value: float
     log_value: float
-
-
-# --------------------------------------------------------------------------
-# built-in models
-# --------------------------------------------------------------------------
-
-def _strongly(name: str, d: float, alpha: float, fp: Callable[[int], Exact],
-              log_vec: Callable) -> PrimeModel:
-    zero = lambda p, logp: np.zeros_like(logp)
-    return PrimeModel(
-        name=name, d=d, alpha=alpha, delta=math.inf, k_bound=0.0,
-        strongly_multiplicative=True,
-        value_at_prime=fp,
-        value_at_prime_power=lambda p, a: fp(p),
-        log_at_prime_vec=log_vec,
-        log_q_ratio_vec=zero,
-        prime_power_log_ratio=lambda p, a: 0.0,
-    )
-
-
-def _make_kappa() -> PrimeModel:
-    # square-free kernel: f(p^a) = p
-    return _strongly("kappa", 1.0, 1.0, lambda p: p, lambda p, logp: logp.copy())
-
-
-def _make_two_omega() -> PrimeModel:
-    # 2**omega(n): f(p^a) = 2
-    return _strongly("two_omega", 0.0, 2.0, lambda p: 2,
-                     lambda p, logp: np.full_like(logp, math.log(2.0)))
-
-
-def _make_euler_phi() -> PrimeModel:
-    return PrimeModel(
-        name="euler_phi", d=1.0, alpha=1.0, delta=1.0, k_bound=1.0,
-        strongly_multiplicative=False,
-        value_at_prime=lambda p: p - 1,
-        value_at_prime_power=lambda p, a: p ** (a - 1) * (p - 1),
-        log_at_prime_vec=lambda p, logp: logp + np.log1p(-1.0 / p),
-        log_q_ratio_vec=lambda p, logp: np.log1p(-1.0 / p),
-        # f(p^a)/f(p^(a-1)) = p for a >= 2
-        prime_power_log_ratio=lambda p, a: math.log(p),
-    )
-
-
-def _make_sigma() -> PrimeModel:
-    def ratio(p: int, a: int) -> float:
-        # (p^(a+1)-1)/(p^a-1) = p * (1-p^-(a+1))/(1-p^-a)
-        return math.log(p) + math.log1p(-p ** -(a + 1.0)) - math.log1p(-p ** -float(a))
-
-    return PrimeModel(
-        name="sigma", d=1.0, alpha=1.0, delta=1.0, k_bound=1.0,
-        strongly_multiplicative=False,
-        value_at_prime=lambda p: p + 1,
-        value_at_prime_power=lambda p, a: (p ** (a + 1) - 1) // (p - 1),
-        log_at_prime_vec=lambda p, logp: logp + np.log1p(1.0 / p),
-        log_q_ratio_vec=lambda p, logp: np.log1p(1.0 / p),
-        prime_power_log_ratio=ratio,
-    )
-
-
-def _make_divisor_d() -> PrimeModel:
-    # number-of-divisors: f(p^a) = a + 1; at primes f(p) = 2 = alpha*p^0 exactly
-    return PrimeModel(
-        name="divisor_d", d=0.0, alpha=2.0, delta=math.inf, k_bound=0.0,
-        strongly_multiplicative=False,
-        value_at_prime=lambda p: 2,
-        value_at_prime_power=lambda p, a: a + 1,
-        log_at_prime_vec=lambda p, logp: np.full_like(logp, math.log(2.0)),
-        log_q_ratio_vec=lambda p, logp: np.zeros_like(logp),
-        prime_power_log_ratio=lambda p, a: math.log((a + 1.0) / a),
-    )
-
-
-def _make_jordan(k: int) -> PrimeModel:
-    return PrimeModel(
-        name=f"jordan_{k}", d=float(k), alpha=1.0, delta=float(k), k_bound=1.0,
-        strongly_multiplicative=False,
-        value_at_prime=lambda p: p ** k - 1,
-        value_at_prime_power=lambda p, a: p ** (k * (a - 1)) * (p ** k - 1),
-        log_at_prime_vec=lambda p, logp: k * logp + np.log1p(-p ** (-float(k))),
-        log_q_ratio_vec=lambda p, logp: np.log1p(-p ** (-float(k))),
-        # f(p^a)/f(p^(a-1)) = p^k for a >= 2
-        prime_power_log_ratio=lambda p, a: k * math.log(p),
-    )
-
-
-@lru_cache(maxsize=None)
-def builtin(name: str) -> PrimeModel:
-    """Return a built-in model by name.
-
-    Accepted names: kappa, two_omega, euler_phi, sigma, divisor_d and
-    jordan_<k> for an integer k >= 1 (e.g. ``jordan_2``).
-    """
-    simple = {
-        "kappa": _make_kappa,
-        "two_omega": _make_two_omega,
-        "euler_phi": _make_euler_phi,
-        "sigma": _make_sigma,
-        "divisor_d": _make_divisor_d,
-    }
-    if name in simple:
-        return simple[name]()
-    m = re.fullmatch(r"jordan_(-?\d+)", name)
-    if m:
-        k = int(m.group(1))
-        if k < 1:
-            raise ModelSpecError(f"jordan totient needs k >= 1, got {k}")
-        return _make_jordan(k)
-    raise ModelSpecError(
-        f"unknown model {name!r}; built-ins: {', '.join(BUILTIN_NAMES)}")
 
 
 # --------------------------------------------------------------------------
@@ -237,8 +296,6 @@ def value_at(model: PrimeModel, k: int, table: SpfTable) -> FunctionValue:
         exact *= v
         logs.append(_log_exact(v))
     log_value = math.fsum(logs)
-    if isinstance(exact, Fraction) and exact.denominator == 1:
-        exact = exact.numerator
     try:
         value = float(exact)
     except OverflowError:
@@ -247,214 +304,122 @@ def value_at(model: PrimeModel, k: int, table: SpfTable) -> FunctionValue:
 
 
 def log_ratio_prime_power(model: PrimeModel, p: int, a: int) -> float:
-    """log(f(p^a)/f(p^(a-1))) for a >= 2; exactly 0 for strongly multiplicative f."""
+    """log(f(p^a)/f(p^(a-1))) for a >= 2 from the exact ratio, within ~1 ulp
+    (exactly 0 for strongly multiplicative f)."""
     if a < 2:
         raise GridError(f"log_ratio_prime_power needs a >= 2, got {a}")
     if model.strongly_multiplicative:
         return 0.0
-    if model.prime_power_log_ratio is not None:
-        return model.prime_power_log_ratio(p, a)
-    hi = Fraction(model.value_at_prime_power(p, a))
-    lo = Fraction(model.value_at_prime_power(p, a - 1))
-    return _log_exact(hi / lo)
+    return _log_exact(Fraction(model.value_at_prime_power(p, a))
+                      / model.value_at_prime_power(p, a - 1))
 
 
 # --------------------------------------------------------------------------
 # growth-profile verification
 # --------------------------------------------------------------------------
 
-def _is_small_int(x: float) -> bool:
-    return math.isfinite(x) and float(x).is_integer() and abs(x) <= 2 ** 40
-
-
 def error_profile_check(model: PrimeModel, p_max: int) -> tuple[float, bool]:
     """Measure K_hat = max_{p <= p_max} |f(p) - alpha p^d| / p^(d-delta).
 
-    Returns (K_hat, pass) with pass meaning K_hat <= model.k_bound.  When
-    d, alpha and delta are all integers (every built-in) the ratio is
-    formed in exact rational arithmetic; otherwise in float64.  A model
-    with delta = inf claims a vanishing error term, so any nonzero
-    deviation yields K_hat = inf.
+    Returns (K_hat, pass) with pass meaning K_hat <= model.k_bound.  For an
+    integer delta the ratio is formed from the exact deviation at every
+    prime, otherwise in float64 from the log1p form.  delta = inf claims a
+    vanishing error term: K_hat = inf unless the deviation is identically 0.
     """
     if p_max < 2:
         raise GridError(f"error_profile_check needs p_max >= 2, got {p_max}")
-    primes = primes_up_to(p_max)
-    exact_ok = (_is_small_int(model.d) and _is_small_int(model.alpha)
-                and (model.delta == math.inf or _is_small_int(model.delta)))
-    if exact_ok:
-        d = int(model.d)
-        alpha = int(model.alpha)
-        k_hat_fr = Fraction(0)
-        any_dev = False
-        for p in primes.tolist():
-            dev = Fraction(model.value_at_prime(p)) - alpha * Fraction(p) ** d
-            if dev == 0:
-                continue
-            any_dev = True
-            if model.delta == math.inf:
-                break
-            ratio = abs(dev) / Fraction(p) ** (d - int(model.delta))
-            if ratio > k_hat_fr:
-                k_hat_fr = ratio
-        if model.delta == math.inf:
-            k_hat = math.inf if any_dev else 0.0
-        else:
-            k_hat = float(k_hat_fr)
-        return k_hat, k_hat <= model.k_bound
-    pf = primes.astype(np.float64)
-    logp = np.log(pf)
-    dev = np.abs(np.exp(model.log_at_prime_vec(pf, logp)) - model.alpha * pf ** model.d)
-    if model.delta == math.inf:
-        k_hat = 0.0 if not np.any(dev) else math.inf
+    dev = model._deviation
+    if model.delta == math.inf or not dev:
+        k_hat = math.inf if dev else 0.0
+    elif float(model.delta).is_integer():
+        pv = primes_up_to(p_max).astype(object)
+        e = int(model.d - model.delta)
+        num = abs(P.polyval(pv, dev.num)) * pv ** max(-e, 0)
+        den = abs(P.polyval(pv, dev.den)) * pv ** max(e, 0)
+        if not den.all():
+            raise ModelSpecError(f"model {model.name!r} has a pole at a prime <= {p_max}")
+        k_hat = float(max(map(Fraction, num, den)))
     else:
-        k_hat = float(np.max(dev / pf ** (model.d - model.delta)))
+        pf = primes_up_to(p_max).astype(np.float64)
+        u = np.expm1(model.log_q_ratio_vec(pf, np.log(pf)))
+        k_hat = float(np.max(model.alpha * np.abs(u) * pf ** model.delta))
     return k_hat, k_hat <= model.k_bound
 
 
 # --------------------------------------------------------------------------
-# declarative custom models
+# model specs: the file format, the built-ins, and the one compile step
 # --------------------------------------------------------------------------
 #
 # File format: `key = value` lines, '#' comments.  Required keys: name, d,
 # alpha, delta, K, fp; fpa is required unless strongly_multiplicative is
-# true.  fp/fpa are expressions over the grammar
-#
-#   expr   := term (('+'|'-') term)*
-#   term   := factor (('*'|'/') factor)*             (also unicode ×, ÷)
-#   factor := '-' factor | power
-#   power  := atom ('^' factor)?                      (integer exponents)
-#   atom   := 'p' | 'a' | integer | '(' expr ')'
-#
-# evaluated in exact rational arithmetic ('a' is only legal inside fpa).
+# true.  fp/fpa are expressions in p (and, in fpa only, a) built from
+# integers, + - * / (also unicode × ÷), unary minus, parentheses and ^ with
+# a constant integer exponent, with the usual precedence (^ binds tightest
+# and groups to the right).  They are evaluated in exact rational
+# arithmetic; no exponent, and no degree in p, may exceed MAX_EXPONENT.
 
-_TOKEN_RE = re.compile(r"\s*(\d+|[pa()^]|\*|×|÷|[+\-/])")
+_EXPR_CHARS = re.compile(r"[0-9pa()^*/+\-×÷\s]*")
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv, ast.Pow: operator.pow}
 
 
 class _Expr:
-    __slots__ = ("op", "args")
+    """A parsed model expression."""
 
-    def __init__(self, op: str, *args):
-        self.op = op
-        self.args = args
+    def __init__(self, node: ast.expr):
+        self.node = node
 
-    def eval(self, p: Exact, a: Optional[int]) -> Exact:
-        op = self.op
-        if op == "num":
-            return self.args[0]
-        if op == "p":
-            return p
-        if op == "a":
-            if a is None:
-                raise ModelSpecError("'a' is not allowed in the fp expression")
-            return a
-        vals = [arg.eval(p, a) for arg in self.args]
-        if op == "+":
-            return vals[0] + vals[1]
-        if op == "-":
-            return vals[0] - vals[1]
-        if op == "*":
-            return vals[0] * vals[1]
-        if op == "/":
-            if vals[1] == 0:
-                raise ModelSpecError("division by zero in model expression")
-            return Fraction(vals[0], 1) / Fraction(vals[1], 1)
-        if op == "neg":
-            return -vals[0]
-        if op == "^":
-            e = vals[1]
-            if isinstance(e, Fraction):
-                if e.denominator != 1:
-                    raise ModelSpecError("exponents must be integers")
-                e = e.numerator
-            if e < 0:
-                base = vals[0]
-                if base == 0:
-                    raise ModelSpecError("0 raised to a negative power")
-                return Fraction(1, 1) / Fraction(base, 1) ** (-e)
-            return vals[0] ** e
-        raise AssertionError(op)
+    def rational(self, a: Optional[int]) -> _Rat:
+        """The expression as N(p)/D(p), with 'a' bound to `a`."""
+        return _rational(self.node, a)
+
+    def eval(self, p: int, a: Optional[int]) -> Exact:
+        return self.rational(a)(p)
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                if text[pos:].strip():
-                    raise ModelSpecError(
-                        f"bad character {text[pos:].strip()[0]!r} in expression {text!r}")
-                break
-            tok = m.group(1)
-            self.tokens.append("*" if tok == "×" else "/" if tok == "÷" else tok)
-            pos = m.end()
-        self.i = 0
-
-    def peek(self) -> Optional[str]:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ModelSpecError("unexpected end of expression")
-        self.i += 1
-        return tok
-
-    def parse(self) -> _Expr:
-        e = self.expr()
-        if self.peek() is not None:
-            raise ModelSpecError(f"trailing tokens near {self.peek()!r}")
-        return e
-
-    def expr(self) -> _Expr:
-        e = self.term()
-        while self.peek() in ("+", "-"):
-            e = _Expr(self.take(), e, self.term())
-        return e
-
-    def term(self) -> _Expr:
-        e = self.factor()
-        while self.peek() in ("*", "/"):
-            e = _Expr(self.take(), e, self.factor())
-        return e
-
-    def factor(self) -> _Expr:
-        if self.peek() == "-":
-            self.take()
-            return _Expr("neg", self.factor())
-        return self.power()
-
-    def power(self) -> _Expr:
-        base = self.atom()
-        if self.peek() == "^":
-            self.take()
-            return _Expr("^", base, self.factor())
-        return base
-
-    def atom(self) -> _Expr:
-        tok = self.take()
-        if tok == "(":
-            e = self.expr()
-            if self.take() != ")":
-                raise ModelSpecError("missing ')' in expression")
-            return e
-        if tok == "p":
-            return _Expr("p")
-        if tok == "a":
-            return _Expr("a")
-        if tok.isdigit():
-            return _Expr("num", int(tok))
-        raise ModelSpecError(f"unexpected token {tok!r} in expression")
+def _rational(node: ast.expr, a: Optional[int]) -> _Rat:
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        return _BINARY[type(node.op)](_rational(node.left, a), _rational(node.right, a))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return -_rational(node.operand, a)
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return _Rat(_poly(node.value))
+    if isinstance(node, ast.Name) and node.id == "p":
+        return _P
+    if isinstance(node, ast.Name) and node.id == "a":
+        if a is None:
+            raise ModelSpecError("'a' is not allowed in the fp expression")
+        return _Rat(_poly(a))
+    raise ModelSpecError(f"unexpected {ast.unparse(node)!r} in model expression")
 
 
 def parse_expression(text: str) -> _Expr:
     """Parse a model expression (documented grammar) to an evaluable AST."""
-    return _Parser(text).parse()
+    if not _EXPR_CHARS.fullmatch(text) or "**" in re.sub(r"\s", "", text):
+        raise ModelSpecError(f"bad character in expression {text!r}")
+    source = text.replace("^", "**").replace("×", "*").replace("÷", "/").strip()
+    source = re.sub(r"(?<![0-9])0+(?=[0-9])", "", source)  # Python rejects 007
+    try:
+        return _Expr(ast.parse(source, mode="eval").body)
+    except (SyntaxError, ValueError, RecursionError):
+        raise ModelSpecError(f"cannot parse expression {text!r}") from None
 
 
 _NUM_KEYS = ("d", "alpha", "delta", "K")
 _VALIDATION_PRIMES = (2, 3, 5, 7, 11, 13, 31, 97, 1009, 10007)
+
+_BUILTIN_SPECS = {
+    # squarefree kernel: f(p^a) = p
+    "kappa": "d = 1\nalpha = 1\ndelta = inf\nK = 0\nfp = p\nstrongly_multiplicative = true",
+    # 2**omega(n): f(p^a) = 2
+    "two_omega": "d = 0\nalpha = 2\ndelta = inf\nK = 0\nfp = 2\nstrongly_multiplicative = true",
+    "euler_phi": "d = 1\nalpha = 1\ndelta = 1\nK = 1\nfp = p - 1\nfpa = p^(a - 1) * (p - 1)",
+    "sigma": "d = 1\nalpha = 1\ndelta = 1\nK = 1\nfp = p + 1\nfpa = (p^(a + 1) - 1) / (p - 1)",
+    # number of divisors: f(p^a) = a + 1; at primes f(p) = 2 = alpha*p^0 exactly
+    "divisor_d": "d = 0\nalpha = 2\ndelta = inf\nK = 0\nfp = 2\nfpa = a + 1",
+}
+_JORDAN_SPEC = ("d = {k}\nalpha = 1\ndelta = {k}\nK = 1\nfp = p^{k} - 1\n"
+                "fpa = p^({k} * (a - 1)) * (p^{k} - 1)")
 
 
 def _parse_scalar(key: str, raw: str) -> float:
@@ -464,57 +429,108 @@ def _parse_scalar(key: str, raw: str) -> float:
         raise ModelSpecError(f"field {key!r}: cannot parse number from {raw!r}") from None
 
 
-def load_model_file(path: str) -> PrimeModel:
-    """Load and validate a custom model from a declarative text file.
-
-    Raises ModelSpecError on syntax errors, missing fields, non-positive
-    values, fp/fpa disagreement at a=1, or a failed growth-profile check
-    against the declared (d, alpha, delta, K) on primes up to 10^5.
-    """
+def _parse_fields(lines: list[str], where: str) -> dict[str, str]:
     fields: dict[str, str] = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ModelSpecError(f"{path}: cannot read model file: {exc}") from None
     for lineno, line in enumerate(lines, 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ModelSpecError(f"{path}:{lineno}: expected 'key = value'")
+            raise ModelSpecError(f"{where}:{lineno}: expected 'key = value'")
         key, _, raw = line.partition("=")
         key = key.strip()
         if key in fields:
-            raise ModelSpecError(f"{path}:{lineno}: duplicate field {key!r}")
+            raise ModelSpecError(f"{where}:{lineno}: duplicate field {key!r}")
         fields[key] = raw.strip()
+    return fields
 
+
+def _compile(fields: dict[str, str], where: str) -> PrimeModel:
+    """Compile a parsed spec to a model: the one constructor of every model.
+
+    Rejects a (d, alpha, delta) that no rational f(p) can meet: d must be
+    deg N - deg D, alpha the leading coefficient rounded to double, and
+    delta = inf needs f(p) == alpha p^d identically.
+    """
     strongly = fields.pop("strongly_multiplicative", "false").lower() in ("true", "yes", "1")
     required = {"name", "fp", *(_NUM_KEYS)}
     if not strongly:
         required.add("fpa")
     missing = sorted(required - fields.keys())
     if missing:
-        raise ModelSpecError(f"{path}: missing fields: {', '.join(missing)}")
+        raise ModelSpecError(f"{where}: missing fields: {', '.join(missing)}")
     unknown = sorted(fields.keys() - required - {"fpa"})
     if unknown:
-        raise ModelSpecError(f"{path}: unknown fields: {', '.join(unknown)}")
+        raise ModelSpecError(f"{where}: unknown fields: {', '.join(unknown)}")
 
     name = fields["name"]
     if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
-        raise ModelSpecError(f"{path}: name {name!r} is not an identifier")
+        raise ModelSpecError(f"{where}: name {name!r} is not an identifier")
     nums = {k: _parse_scalar(k, fields[k]) for k in _NUM_KEYS}
 
     fp_ast = parse_expression(fields["fp"])
-    fp_ast.eval(2, None)  # reject 'a' inside fp early
+    fp = fp_ast.rational(None)
     fpa_ast = parse_expression(fields["fpa"]) if "fpa" in fields else fp_ast
+    if not fp:
+        raise ModelSpecError(f"{where}: fp is identically 0, so the model is not positive")
+    if nums["d"] != fp.degree():
+        raise ModelSpecError(
+            f"{where}: d = {nums['d']:g}, but f(p) grows like p^{fp.degree()} "
+            f"(deg N - deg D); expected d = {fp.degree()}")
+    expected_alpha = float(fp.leading()) if abs(fp.leading()) < 2 ** 1023 else math.inf
+    if nums["alpha"] != expected_alpha:
+        raise ModelSpecError(
+            f"{where}: alpha = {nums['alpha']!r}, but the leading coefficient of "
+            f"f(p) is {fp.leading()}; expected alpha = {expected_alpha!r}")
+    model = PrimeModel(
+        name=name, d=nums["d"], alpha=nums["alpha"], delta=nums["delta"],
+        k_bound=nums["K"], strongly_multiplicative=strongly, fp=fp, fpa=fpa_ast)
+    if model.delta == math.inf and model._deviation:
+        order = model._deviation.degree()
+        raise ModelSpecError(
+            f"{where}: growth profile violated: delta = inf, but f(p) - alpha p^d "
+            f"does not vanish (it grows like p^{order}); expected a finite "
+            f"delta <= {fp.degree() - order}")
+    return model
 
-    def fp(p: int) -> Exact:
-        return fp_ast.eval(p, None)
 
-    def fpa(p: int, a: int) -> Exact:
-        return fpa_ast.eval(p, a)
+@lru_cache(maxsize=None)
+def builtin(name: str) -> PrimeModel:
+    """Return a built-in model by name.
 
+    Accepted names: kappa, two_omega, euler_phi, sigma, divisor_d and
+    jordan_<k> for an integer k >= 1 (e.g. ``jordan_2``).
+    """
+    spec = _BUILTIN_SPECS.get(name)
+    if spec is None:
+        m = re.fullmatch(r"jordan_(-?\d+)", name)
+        if m is None:
+            raise ModelSpecError(
+                f"unknown model {name!r}; built-ins: {', '.join(BUILTIN_NAMES)}")
+        k = int(m.group(1))
+        if k < 1:
+            raise ModelSpecError(f"jordan totient needs k >= 1, got {k}")
+        name, spec = f"jordan_{k}", _JORDAN_SPEC.format(k=k)
+    return _compile(_parse_fields([f"name = {name}", *spec.splitlines()], name), name)
+
+
+def load_model_file(path: str) -> PrimeModel:
+    """Load and validate a custom model from a declarative text file.
+
+    Raises ModelSpecError on syntax errors, missing fields, an exponent or
+    degree above MAX_EXPONENT, a (d, alpha, delta) no rational f(p) can
+    meet, non-positive values, fp/fpa disagreement at a=1, or a failed
+    growth-profile check against the declared (d, alpha, delta, K) on
+    primes up to 10^5.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ModelSpecError(f"{path}: cannot read model file: {exc}") from None
+    model = _compile(_parse_fields(lines, path), path)
+
+    fp, fpa = model.value_at_prime, model.value_at_prime_power
     for p in _VALIDATION_PRIMES:
         for a in (1, 2, 3, 4):
             v = fpa(p, a) if a > 1 else fp(p)
@@ -524,28 +540,13 @@ def load_model_file(path: str) -> PrimeModel:
         if fpa(p, 1) != fp(p):
             raise ModelSpecError(
                 f"{path}: fp and fpa disagree at a=1 for p={p}")
-        if strongly and any(fpa(p, a) != fp(p) for a in (2, 3, 4)):
+        if model.strongly_multiplicative and any(fpa(p, a) != fp(p) for a in (2, 3, 4)):
             raise ModelSpecError(
                 f"{path}: declared strongly multiplicative but fpa varies with a")
 
-    def log_fp_vec(pf: np.ndarray, logp: np.ndarray) -> np.ndarray:
-        return np.log(np.array([float(fp(int(p))) for p in pf]))
-
-    def log_q_ratio(pf: np.ndarray, logp: np.ndarray) -> np.ndarray:
-        vals = np.array([float(fp(int(p))) for p in pf])
-        return np.log(vals / (nums["alpha"] * pf ** nums["d"]))
-
-    model = PrimeModel(
-        name=name, d=nums["d"], alpha=nums["alpha"], delta=nums["delta"],
-        k_bound=nums["K"], strongly_multiplicative=strongly,
-        value_at_prime=fp, value_at_prime_power=fpa,
-        log_at_prime_vec=log_fp_vec,
-        log_q_ratio_vec=(lambda pf, logp: np.zeros_like(logp)) if strongly and nums["delta"] == math.inf else log_q_ratio,
-        prime_power_log_ratio=(lambda p, a: 0.0) if strongly else None,
-    )
     k_hat, ok = error_profile_check(model, p_max=10 ** 5)
     if not ok:
         raise ModelSpecError(
             f"{path}: growth profile violated: measured K_hat = {k_hat:g} "
-            f"exceeds declared K = {nums['K']:g}")
+            f"exceeds declared K = {model.k_bound:g}")
     return model

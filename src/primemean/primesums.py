@@ -244,9 +244,7 @@ def _prime_power_pass(model: PrimeModel, points: tuple[int, ...]):
         pa = p * p
         a = 2
         while pa <= n_max:
-            lr = 0.0
-            if not model.strongly_multiplicative:
-                lr = log_ratio_prime_power(model, p, a)
+            lr = log_ratio_prime_power(model, p, a)
             for i in range(bisect_left(points, pa), m):
                 q, rm = divmod(points[i], pa)
                 fr = rm / pa

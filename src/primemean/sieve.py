@@ -105,7 +105,8 @@ class PrimeStream:
         return primes_up_to(math.isqrt(self.hi))[1:]  # odd base primes
 
     def segment(self, i: int, base_odd: np.ndarray | None = None) -> np.ndarray:
-        lo, hi = self.segment_bounds()[i]
+        lo = self.lo + i * self.segment_size
+        hi = min(lo + self.segment_size, self.hi + 1)
         return _segment_primes(lo, hi, self._base() if base_odd is None else base_odd)
 
     def segments(self) -> Iterator[np.ndarray]:

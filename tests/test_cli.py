@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import time
 from pathlib import Path
 
 import pytest
@@ -316,3 +317,19 @@ def test_custom_model_file(tmp_path, capsys):
     # product over 1..4: 1 * 3 * 4 * 3 = 36 (f(4) = f(2) = 3)
     assert json.loads(out)[0]["log_geomean"] == pytest.approx(
         math.log(36) / 4, abs=1e-12)
+
+
+@pytest.mark.parametrize("body", [
+    "d = 2\nalpha = 1\ndelta = 1\nK = 1\nfp = p + 1",        # d is deg N - deg D
+    "d = 1\nalpha = 2\ndelta = 1\nK = 1\nfp = p + 1",        # alpha is the leading coefficient
+    "d = 1\nalpha = 1\ndelta = inf\nK = 0\nfp = p + 1",      # the deviation does not vanish
+    "d = 1000000\nalpha = 1\ndelta = 1\nK = 1\nfp = p^1000000",
+])
+def test_unmeetable_model_file_exits_2_fast(tmp_path, capsys, body):
+    path = tmp_path / "bad.model"
+    path.write_text(f"name = bad\n{body}\nstrongly_multiplicative = true\n")
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "geomean", "--model", str(path), "--n", "10")
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2 and out == ""
+    assert "expected" in err or "MAX_EXPONENT" in err

@@ -26,7 +26,7 @@ from mpmath import mp
 from primemean import constants
 from primemean.accum import EPS, FORM_ULPS
 from primemean.errors import GridError, PrecisionError
-from primemean.multfunc import builtin
+from primemean.multfunc import builtin, load_model_file
 
 mp.dps = 30
 
@@ -205,3 +205,29 @@ def test_prime_sum_constants_frozen(name):
 def test_limit_oracles_frozen():
     assert constants.meissel_mertens_limit(1e7) == float.fromhex("0x1.0bc5e5ade4e4ep-2")
     assert constants.mertens_e_limit(1e6) == float.fromhex("-0x1.5523fb403e970p+0")
+
+
+def test_cq_model_file_is_bitwise_builtin(tmp_path):
+    path = tmp_path / "shifted.model"
+    path.write_text("name = shifted\nd = 1\nalpha = 1\ndelta = 1\nK = 1\n"
+                    "fp = p + 1\nstrongly_multiplicative = true\n")
+    assert constants.c_q(load_model_file(str(path))) == constants.c_q(builtin("sigma"))
+
+
+def test_cq_model_file_matches_prime_zeta_series(tmp_path):
+    # f(p) = (2p + 3)(2p - 1)/4 = p^2 (1 + 3/(2p)) (1 - 1/(2p)), and
+    # sum_p log(1 + c/p)/p = sum_{k>=1} (-1)^(k+1) c^k P(k+1)/k
+    path = tmp_path / "custom.model"
+    path.write_text("name = custom\nd = 2\nalpha = 1\ndelta = 1\nK = 9\n"
+                    "fp = (2 * p + 3) * (2 * p - 1) / 4\n"
+                    "strongly_multiplicative = true\n")
+    model = load_model_file(str(path))
+    with mpmath.workdps(30):
+        want = float(mpmath.fsum(
+            (-1) ** (k + 1) * c ** k * mpmath.primezeta(k + 1) / k
+            for c in (mpmath.mpf(3) / 2, -mpmath.mpf(1) / 2)
+            for k in range(1, 300)))
+    got = constants.c_q(model, target_precision=1.2e-5)
+    assert abs(got.value - want) <= got.tail_bound + 1e-12
+    rho = constants.rho_f(model, target_precision=1.2e-5)
+    assert abs(rho.value - math.exp(want)) <= rho.tail_bound + 1e-12

@@ -5,15 +5,19 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from primemean.accum import FORM_ULPS
 from primemean.errors import GridError, ModelSpecError
-from primemean.multfunc import (BUILTIN_NAMES, builtin, error_profile_check,
-                                load_model_file, log_ratio_prime_power,
-                                parse_expression, value_at)
-from primemean.sieve import factorize
+from primemean.multfunc import (BUILTIN_NAMES, MAX_EXPONENT, builtin,
+                                error_profile_check, load_model_file,
+                                log_ratio_prime_power, parse_expression,
+                                value_at)
+from primemean.sieve import factorize, primes_up_to
 
 # ---------------------------------------------------------------------------
 # oracles: definitions straight from the divisor/coprimality definitions,
@@ -242,3 +246,99 @@ def test_builtin_names_exported():
         if "<" in name:  # the jordan_<k> family placeholder
             continue
         assert builtin(name).name == name
+
+
+SIGMA_LIKE = ("name = sigma_like\nd = 1\nalpha = 1\ndelta = 1\nK = 1\n"
+              "fp = p + 1\nfpa = (p^(a+1) - 1) / (p - 1)\n")
+DIVISOR_LIKE = ("name = divisor_like\nd = 0\nalpha = 2\ndelta = inf\nK = 0\n"
+                "fp = 2\nfpa = a + 1\n")
+
+
+def test_prime_power_log_ratios_within_form_ulps(tmp_path):
+    # every p^a <= 1e8 with a >= 2, against mpmath; the engine charges each
+    # term FORM_ULPS ulps of formation rounding
+    models = [builtin(name) for name in (
+        "kappa", "two_omega", "euler_phi", "sigma", "divisor_d",
+        "jordan_2", "jordan_3", "jordan_5")]
+    for i, body in enumerate((SIGMA_LIKE, DIVISOR_LIKE)):
+        path = tmp_path / f"m{i}.model"
+        path.write_text(body)
+        models.append(load_model_file(str(path)))
+    powers = [(p, a) for p in primes_up_to(10 ** 4).tolist()
+              for a in range(2, 28) if p ** a <= 10 ** 8]
+    assert len(powers) == 1404
+    with mpmath.workdps(40):
+        for model in models:
+            worst = 0.0
+            for p, a in powers:
+                got = log_ratio_prime_power(model, p, a)
+                q = (Fraction(model.value_at_prime_power(p, a))
+                     / model.value_at_prime_power(p, a - 1))
+                want = mpmath.log(mpmath.mpf(q.numerator) / q.denominator)
+                if want == 0:
+                    assert got == 0.0
+                    continue
+                worst = max(worst, float(abs(got - want)) / math.ulp(float(want)))
+            assert worst <= FORM_ULPS, (model.name, worst)
+
+
+@pytest.mark.parametrize("body,fragment", [
+    ("d = 2\nalpha = 1\ndelta = 1\nK = 1\nfp = p + 1", "expected d = 1"),
+    ("d = 1\nalpha = 2\ndelta = 1\nK = 1\nfp = p + 1", "expected alpha = 1.0"),
+    ("d = 0\nalpha = 0.333\ndelta = 1\nK = 1\nfp = (p + 1) / (3 * p)",
+     "expected alpha = 0.3333333333333333"),
+    ("d = 1\nalpha = 1\ndelta = inf\nK = 0\nfp = p + 1", "expected a finite delta"),
+    ("d = 1000000\nalpha = 1\ndelta = 1\nK = 1\nfp = p^1000000", "MAX_EXPONENT"),
+    ("d = 300\nalpha = 1\ndelta = 1\nK = 1\nfp = (p^150)^2", "MAX_EXPONENT"),
+    ("d = 1\nalpha = 1\ndelta = 1\nK = 1\nfp = 2^p", "must not depend on p"),
+    ("d = 0\nalpha = 1\ndelta = 1\nK = 1\nfp = 1 + 1 / (p - 99991)", "pole"),
+])
+def test_load_model_file_rejects_unmeetable_profiles(tmp_path, body, fragment):
+    path = tmp_path / "bad.model"
+    path.write_text(f"name = x\n{body}\nstrongly_multiplicative = true\n")
+    with pytest.raises(ModelSpecError, match=fragment):
+        load_model_file(str(path))
+
+
+def test_exponent_cap_applies_to_builtins():
+    assert builtin(f"jordan_{MAX_EXPONENT}").d == MAX_EXPONENT
+    with pytest.raises(ModelSpecError, match="MAX_EXPONENT"):
+        builtin(f"jordan_{MAX_EXPONENT + 1}")
+    # jordan_5's f(p^a) at the largest power of 2 below the sieve bound
+    assert builtin("jordan_5").value_at_prime_power(2, 29) == 2 ** 140 * 31
+
+
+def test_hooks_finite_at_degree_cap():
+    # p^256 overflows float64 at every p > 16, so only the 1/p form is finite
+    model = builtin(f"jordan_{MAX_EXPONENT}")
+    p = np.array([2.0, 3.0, 999_999_937.0])
+    logp = np.log(p)
+    q = model.log_q_ratio_vec(p, logp)
+    lf = model.log_at_prime_vec(p, logp)
+    assert np.isfinite(q).all() and np.isfinite(lf).all()
+    assert q[0] == math.log1p(-2.0 ** -MAX_EXPONENT)
+    assert lf[2] == pytest.approx(MAX_EXPONENT * logp[2], rel=1e-15)
+
+
+def test_model_file_with_negative_degree(tmp_path):
+    path = tmp_path / "neg.model"
+    path.write_text("name = neg\nd = -1\nalpha = 1\ndelta = 1\nK = 1\n"
+                    "fp = (p + 1) / p^2\nstrongly_multiplicative = true\n")
+    model = load_model_file(str(path))
+    assert model.value_at_prime(3) == Fraction(4, 9)
+    p = np.array([2.0, 3.0, 1e6 + 3])
+    logp = np.log(p)
+    assert model.log_q_ratio_vec(p, logp).tolist() == np.log1p(1.0 / p).tolist()
+    assert model.log_at_prime_vec(p, logp) == pytest.approx(np.log((p + 1) / p ** 2), rel=1e-15)
+
+
+def test_hooks_reject_a_pole_beyond_the_load_checks(tmp_path):
+    # D(p) vanishes at the prime 100003, above every prime checked at load
+    path = tmp_path / "pole.model"
+    path.write_text("name = pole\nd = 0\nalpha = 1\ndelta = 1\nK = 1e13\n"
+                    "fp = p^2 / (p - 100003)^2\nstrongly_multiplicative = true\n")
+    model = load_model_file(str(path))
+    p = np.array([99991.0, 100003.0])
+    for hook in (model.log_q_ratio_vec, model.log_at_prime_vec):
+        with pytest.raises(ModelSpecError, match="pole at the prime 100003"):
+            hook(p, np.log(p))

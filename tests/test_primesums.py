@@ -7,6 +7,7 @@ batch sweeps are cross-checked against per-integer factorization oracles.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import struct
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from primemean import primesums
 from primemean.errors import CacheFormatError, GridError
-from primemean.multfunc import builtin
+from primemean.multfunc import builtin, load_model_file
 from primemean.primesums import (CheckpointGrid, SumsReport,
                                  bruteforce_prefix, default_cache_path,
                                  identity_prefix, load_report,
@@ -397,3 +398,34 @@ def test_default_cache_path_keys(tmp_path):
     assert len({p_a, p_b, p_c}) == 3
     assert os.path.dirname(p_a) == str(tmp_path)
     assert os.path.basename(p_a).startswith("kappa-")
+
+
+# _model_hash of every built-in as the built-ins were first shipped: cache
+# files written by earlier versions stay valid
+FROZEN_MODEL_HASHES = {
+    "kappa": 0xf3bac9eb0f6fcac2,
+    "two_omega": 0x46581dbc46079760,
+    "euler_phi": 0x90a5889f5ee93e5e,
+    "sigma": 0xeedc8a1558815a93,
+    "divisor_d": 0x8344481592c0b626,
+    "jordan_2": 0xd777e739d475657e,
+    "jordan_3": 0x962185669a67ce17,
+    "jordan_5": 0xc05e1b61413ba9b2,
+}
+
+
+def test_builtin_model_hashes_are_frozen():
+    for name, want in FROZEN_MODEL_HASHES.items():
+        assert primesums._model_hash(builtin(name)) == want, name
+
+
+def test_model_file_spelling_out_euler_phi_sums_bitwise(tmp_path):
+    path = tmp_path / "phi.model"
+    path.write_text("name = phi\nd = 1\nalpha = 1\ndelta = 1\nK = 1\n"
+                    "fp = p - 1\nfpa = p^(a - 1) * (p - 1)\n")
+    grid = CheckpointGrid.log_spaced(10, 10 ** 6, 8)
+    got = sums_stream(load_model_file(str(path)), grid, with_u=False)
+    want = sums_stream(builtin("euler_phi"), grid, with_u=False)
+    for f in dataclasses.fields(SumsReport):
+        if f.name not in ("model_name", "model_hash"):
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
