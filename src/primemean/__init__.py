@@ -74,6 +74,7 @@ from .primesums import (
     save_report,
     sums_stream,
     u_of_x,
+    u_truncation_bound,
 )
 from .series import (
     MAX_ORDER,

@@ -88,20 +88,17 @@ def _partial(terms: np.ndarray, signed: bool) -> tuple[float, float, float]:
     return value, mass, pairwise_error_bound(mass, terms.size) + FORM_ULPS * EPS * mass
 
 
-def _segment_partials(keys, segment_terms, cuts, signed):
+def _segment_partials(primes, segment_terms, cuts, signed):
     """Every cut's partials over one segment, as (cut index, {name: partial})."""
-    size = len(keys)
+    size = len(primes)
     if size == 0:
         return []
-    shared, at_cut = segment_terms(keys)
+    shared, at_cut = segment_terms(primes)
     full = {}
     out = []
-    for i in range(bisect_left(cuts, int(keys[0])), len(cuts)):
+    for i in range(bisect_left(cuts, int(primes[0])), len(cuts)):
         n = cuts[i]
-        if isinstance(keys, range):
-            count = min(n - keys.start + 1, size)
-        else:
-            count = int(np.searchsorted(keys, n, side="right"))
+        count = int(np.searchsorted(primes, n, side="right"))
         parts = {}
         for name, terms in shared.items():
             if count < size:
@@ -120,10 +117,9 @@ def _segment_partials(keys, segment_terms, cuts, signed):
 
 def reduce_primes(
     cuts: Sequence[int],
-    segment_terms: Callable[[np.ndarray | range], SegmentTerms],
+    segment_terms: Callable[[np.ndarray], SegmentTerms],
     *,
     signed: Collection[str] = (),
-    integers: bool = False,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     parallel: bool = False,
     max_workers: int | None = None,
@@ -131,15 +127,14 @@ def reduce_primes(
     """Sum per-segment terms over the primes p <= n at every cut n.
 
     `cuts` must be strictly ascending, with cuts[0] >= 2.  [2, cuts[-1]] is
-    cut into sieve segments, and `segment_terms(keys)` is called once per
-    nonempty segment with its keys in ascending order: its primes as an
-    int64 array, or, with ``integers=True``, its integers as a `range`.  It
+    cut into sieve segments, and `segment_terms(primes)` is called once per
+    nonempty segment with its primes as an ascending int64 array.  It
     returns ``(shared, at_cut)``:
 
-    - `shared` maps a channel name to a term array aligned with `keys`; at
-      cut n the segment contributes the terms of its keys <= n;
+    - `shared` maps a channel name to a term array aligned with the primes;
+      at cut n the segment contributes the terms of its primes <= n;
     - `at_cut(count, n)`, if not None, yields (channel name, terms) pairs for
-      cut n over the first `count` keys; an integer array is summed exactly.
+      cut n over the first `count` primes; an integer array is summed exactly.
       Each array is summed before the next is asked for, so a generator
       keeps only one alive.
 
@@ -151,7 +146,6 @@ def reduce_primes(
     integer channels.
     """
     stream = stream_segmented(2, cuts[-1], segment_size=segment_size)
-    bounds = stream.segment_bounds()
     sums: dict[str, list] = {}
 
     def merge(partials) -> None:
@@ -167,22 +161,21 @@ def reduce_primes(
                     sums[name][i].add(value, abs_x=mass, err_in=err)
 
     if parallel:
-        base = None if integers else stream._base()
+        base = stream._base()
 
         def work(idx: int):
-            keys = range(*bounds[idx]) if integers else stream.segment(idx, base)
-            return _segment_partials(keys, segment_terms, cuts, signed)
+            return _segment_partials(stream.segment(idx, base), segment_terms,
+                                     cuts, signed)
 
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            for partials in pool.map(work, range(len(bounds))):
+            for partials in pool.map(work, range(len(stream.segment_bounds()))):
                 merge(partials)
     else:
-        # `keys` stays alive while the next segment is sieved: freeing it
+        # `primes` stays alive while the next segment is sieved: freeing it
         # first measured ~15% slower on the constants' 2e8 passes (an effect
         # of the allocator, not of the arithmetic).
-        blocks = (range(*b) for b in bounds) if integers else stream.segments()
-        for keys in blocks:
-            merge(_segment_partials(keys, segment_terms, cuts, signed))
+        for primes in stream.segments():
+            merge(_segment_partials(primes, segment_terms, cuts, signed))
     return sums
 
 

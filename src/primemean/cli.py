@@ -87,6 +87,17 @@ def _int_arg(text: str) -> int:
     return value
 
 
+def _precision_arg(text: str) -> float:
+    """Target tail bound: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return value
+
+
 def _resolve_model(spec: str | None) -> PrimeModel | None:
     if spec is None:
         return None
@@ -139,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("constants", help="print certified constants")
     _add_common_flags(sp, model_help="also print this model's constants")
-    sp.add_argument("--precision", type=float, default=None, metavar="EPS",
+    sp.add_argument("--precision", type=_precision_arg, default=None, metavar="EPS",
                     help="target tail bound for the base constants")
     sp.add_argument("--aj", type=int, default=2, metavar="R",
                     help="print tail-integral coefficients a_1..a_R (default 2)")

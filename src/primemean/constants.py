@@ -145,29 +145,33 @@ def euler_gamma(target_precision: float = DEFAULT_GAMMA_PRECISION,
                          method="harmonic-euler-maclaurin", params=(("n", float(n)),))
 
 
-@lru_cache(maxsize=None)
 def meissel_mertens(target_precision: float = DEFAULT_M_PRECISION,
                     truncation_override: int | None = None) -> ConstantValue:
     """M = gamma + sum_p [log(1 - 1/p) + 1/p] with tail bound 1/(2P).
 
     Each prime's term is -sum_{k>=2} 1/(k p^k), so the tail over p > P is
     bounded by sum_{n>P} 1/(2n(n-1)) = 1/(2P), conservatively ignoring that
-    only primes contribute.
+    only primes contribute.  A target looser than 1/4 still sums to P = 2.
     """
     if target_precision < _MIN_M_PRECISION:
         raise PrecisionError(
             f"meissel_mertens certifies at best {_MIN_M_PRECISION:g}",
             achievable=_MIN_M_PRECISION)
-    gamma = euler_gamma(min(DEFAULT_GAMMA_PRECISION, target_precision / 100.0))
     if truncation_override is not None:
         p_cut = int(truncation_override)
     else:
-        p_cut = math.ceil(1.0 / (2.0 * target_precision))
+        p_cut = max(2, math.ceil(1.0 / (2.0 * target_precision)))
     if p_cut > DEFAULT_MAX_BOUND:
         raise PrecisionError(
             f"meissel_mertens needs primes to {p_cut:.3g}, beyond the sieve "
             f"bound {DEFAULT_MAX_BOUND:g}",
             achievable=1.0 / (2.0 * DEFAULT_MAX_BOUND))
+    return _meissel_mertens_at(p_cut)
+
+
+@lru_cache(maxsize=None)
+def _meissel_mertens_at(p_cut: int) -> ConstantValue:
+    gamma = euler_gamma()
     [total] = prime_sums([p_cut], lambda p, logp: np.log1p(-1.0 / p) + 1.0 / p,
                          signed=True)
     tail = 1.0 / (2.0 * p_cut)
@@ -177,7 +181,6 @@ def meissel_mertens(target_precision: float = DEFAULT_M_PRECISION,
         method="prime-sum", params=(("p_cut", float(p_cut)),))
 
 
-@lru_cache(maxsize=None)
 def mertens_e(target_precision: float = DEFAULT_E_PRECISION,
               truncation_override: int | None = None) -> ConstantValue:
     """E = -gamma - sum_p log p / (p (p-1)).
@@ -190,10 +193,6 @@ def mertens_e(target_precision: float = DEFAULT_E_PRECISION,
         raise PrecisionError(
             f"mertens_e certifies at best {_MIN_E_PRECISION:g}",
             achievable=_MIN_E_PRECISION)
-
-    def tail_at(p: float) -> float:
-        return (1.0 + 1.0 / p) * (math.log(p) + 1.0) / p
-
     if truncation_override is not None:
         p_cut = int(truncation_override)
     else:
@@ -208,12 +207,21 @@ def mertens_e(target_precision: float = DEFAULT_E_PRECISION,
         raise PrecisionError(
             f"mertens_e needs primes to {p_cut:.3g}, beyond the sieve bound "
             f"{DEFAULT_MAX_BOUND:g}",
-            achievable=tail_at(DEFAULT_MAX_BOUND))
-    gamma = euler_gamma(min(DEFAULT_GAMMA_PRECISION, target_precision / 100.0))
+            achievable=_mertens_e_tail(DEFAULT_MAX_BOUND))
+    return _mertens_e_at(p_cut)
+
+
+def _mertens_e_tail(p: float) -> float:
+    return (1.0 + 1.0 / p) * (math.log(p) + 1.0) / p
+
+
+@lru_cache(maxsize=None)
+def _mertens_e_at(p_cut: int) -> ConstantValue:
+    gamma = euler_gamma()
     [total] = prime_sums([p_cut], lambda p, logp: logp / (p * (p - 1.0)))
     return ConstantValue(
         value=-gamma.value - total.value,
-        tail_bound=tail_at(p_cut) + gamma.tail_bound + total.error_bound(),
+        tail_bound=_mertens_e_tail(p_cut) + gamma.tail_bound + total.error_bound(),
         method="prime-sum", params=(("p_cut", float(p_cut)),))
 
 
@@ -221,7 +229,6 @@ def mertens_e(target_precision: float = DEFAULT_E_PRECISION,
 # model-dependent constants
 # --------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def c_q(model: PrimeModel, target_precision: float = DEFAULT_CQ_PRECISION,
         truncation_override: int | None = None) -> ConstantValue:
     """C_Q = sum_p (1/p) log(f(p) / (alpha p^d)), absolutely convergent.
@@ -238,10 +245,6 @@ def c_q(model: PrimeModel, target_precision: float = DEFAULT_CQ_PRECISION,
     if model.delta == math.inf:
         return ConstantValue(0.0, 0.0, method="identically-zero")
     k_rel = model.k_bound / model.alpha
-
-    def tail_at(p: float) -> float:
-        return 2.0 * k_rel * p ** (-model.delta) / model.delta
-
     if truncation_override is not None:
         p_cut = int(truncation_override)
     else:
@@ -254,12 +257,30 @@ def c_q(model: PrimeModel, target_precision: float = DEFAULT_CQ_PRECISION,
             raise PrecisionError(
                 f"model {model.name!r} (delta={model.delta:g}) needs primes to "
                 f"{p_cut:.3g}, beyond the sieve bound {DEFAULT_MAX_BOUND:g}",
-                achievable=tail_at(DEFAULT_MAX_BOUND))
+                achievable=_c_q_tail(model, DEFAULT_MAX_BOUND))
+    return _c_q_at(model, p_cut)
+
+
+def _c_q_tail(model: PrimeModel, p: float) -> float:
+    return 2.0 * (model.k_bound / model.alpha) * p ** (-model.delta) / model.delta
+
+
+@lru_cache(maxsize=None)
+def _c_q_at(model: PrimeModel, p_cut: int) -> ConstantValue:
     [total] = prime_sums([p_cut], lambda p, logp: model.log_q_ratio_vec(p, logp) / p,
                          signed=True)
     return ConstantValue(
-        value=total.value, tail_bound=tail_at(p_cut) + total.error_bound(),
+        value=total.value, tail_bound=_c_q_tail(model, p_cut) + total.error_bound(),
         method="prime-sum", params=(("p_cut", float(p_cut)),))
+
+
+# M, E and C_Q are memoised on their resolved truncation point, so every
+# spelling of a target (default, positional, keyword, or another precision
+# with the same P) shares one prime pass; their cache_info counts passes.
+for _fn, _at in ((meissel_mertens, _meissel_mertens_at), (mertens_e, _mertens_e_at),
+                 (c_q, _c_q_at)):
+    _fn.cache_info, _fn.cache_clear = _at.cache_info, _at.cache_clear
+del _fn, _at
 
 
 @lru_cache(maxsize=None)

@@ -338,7 +338,8 @@ def error_profile_check(model: PrimeModel, p_max: int) -> tuple[float, bool]:
         den = abs(P.polyval(pv, dev.den)) * pv ** max(e, 0)
         if not den.all():
             raise ModelSpecError(f"model {model.name!r} has a pole at a prime <= {p_max}")
-        k_hat = float(max(map(Fraction, num, den)))
+        # int / int is correctly rounded, hence monotone: max commutes with it
+        k_hat = max(map(operator.truediv, num, den))
     else:
         pf = primes_up_to(p_max).astype(np.float64)
         u = np.expm1(model.log_q_ratio_vec(pf, np.log(pf)))

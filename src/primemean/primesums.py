@@ -19,10 +19,12 @@ alongside the companion sums F1 (fractional parts), F2 (fractional parts over
 all prime powers), R(n) = sum {n/p} log p, M(x) = sum log p / p, and
 U(x) = sum_{2<=k<=x} log kappa(k) / log k.  `sums_stream` evaluates all of
 them at up to 64 checkpoints in one segmented pass; each prime updates every
-checkpoint >= p, so the pass is O(#primes * #checkpoints-above).  U is the
-exception: it needs a residual sieve over every integer up to the last
-checkpoint (by far the costliest part of a sweep), and n log G_f(n) does not
-read it, so callers that do not read it skip it (`with_u=False`).
+checkpoint >= p, so the pass is O(#primes * #checkpoints-above).  U is a
+prime sum too, U(x) = sum_p log p * sum_{m<=x/p} 1/log(m p): the inner sum
+is added term by term for m < U_M0 and by Euler-Maclaurin above, with the
+truncation bounded by `u_truncation_bound` (below 1.1e-16 * x).  n log G_f(n)
+does not read U, so callers that do not read it skip its terms
+(`with_u=False`).
 
 Determinism contract: every sum here, the streamed ones and the scalar
 `r_sum` and `mertens_m_of_x` alike, goes through `accum.reduce_primes`, which
@@ -35,7 +37,7 @@ Every reported total carries a certified accumulation error bound derived
 only from stored quantities (explicitly *not* from run-time state), so a
 report loaded back from its cache file reproduces the bound bit-for-bit.
 
-Cache format v3 (binary, little-endian): header {magic b"PMSM", version u16,
+Cache format v4 (binary, little-endian): header {magic b"PMSM", version u16,
 model hash u64, checkpoint count u16, flags u8 (bit 0: the file holds
 U)}, then a 16-byte blake2b digest of the header and the records, then one
 record per checkpoint {n u64, s1 u64, then one f64 each for s2, s3, f1, f2,
@@ -86,6 +88,7 @@ __all__ = [
     "bruteforce_prefix",
     "omega_summatory",
     "u_of_x",
+    "u_truncation_bound",
     "r_sum",
     "mertens_m_of_x",
     "rs_inequality_check",
@@ -101,7 +104,7 @@ MAX_CHECKPOINTS = 64
 FLOAT_FIELDS = ("s2", "s3", "f1", "f2", "r_sum", "m_of_x", "u_of_x")
 
 CACHE_MAGIC = b"PMSM"
-CACHE_VERSION = 3
+CACHE_VERSION = 4
 _HEADER = struct.Struct("<4sHQHB")   # magic, version, model hash, count, flags
 _HAS_U = 0x01                        # flags bit: the records hold u_of_x
 _DIGEST_SIZE = 16                    # blake2b of header + payload, after the header
@@ -302,16 +305,19 @@ def _assemble(model: PrimeModel, points, s1, values, pp2):
 # --------------------------------------------------------------------------
 
 
-def _prime_terms(model: PrimeModel, need_s3: bool, seg: np.ndarray) -> SegmentTerms:
+def _prime_terms(model: PrimeModel, need_s3: bool, u_max: int | None,
+                 seg: np.ndarray) -> SegmentTerms:
     """One prime segment's terms of every prime sum, for `reduce_primes`.
 
     `direct` is the straight sum floor(n/p) log f(p) used for the internal
-    cross-check; `s1` is an integer channel, summed exactly.
+    cross-check; `s1` is an integer channel, summed exactly.  With `u_max`
+    set (the largest cut) the segment also yields U's terms.
     """
     pf = seg.astype(np.float64)
     lp = np.log(pf)
     lf = model.log_at_prime_vec(pf, lp)
     qr = model.log_q_ratio_vec(pf, lp) if need_s3 else None
+    u_lo = None if u_max is None else _u_lower_end(seg, lp, u_max)
 
     def at_cut(count: int, n: int) -> Iterator[tuple[str, np.ndarray]]:
         q = n // seg[:count]
@@ -324,43 +330,135 @@ def _prime_terms(model: PrimeModel, need_s3: bool, seg: np.ndarray) -> SegmentTe
         fr = (n - q * seg[:count]).astype(np.float64) / pf[:count]
         yield "f1", fr
         yield "r_sum", fr * lp[:count]
+        if u_lo is not None:
+            yield "u_of_x", _u_cut_terms(seg, pf, lp, u_lo, q, n)
 
     return {"m_of_x": _mertens_terms(pf, lp)}, at_cut
 
 
-def _u_terms(base: np.ndarray, block: range) -> SegmentTerms:
-    """Terms log kappa(k) / log k of U(x) for the integers k in `block`.
+# --------------------------------------------------------------------------
+# U(x) from the prime pass
+# --------------------------------------------------------------------------
+#
+# log kappa(k) = sum_{p | k} log p, so
+#
+#     U(x) = sum_{p<=x} log p * T_p(x // p),   T_p(q) = sum_{m=1}^{q} f_p(m),
+#
+# with f_p(t) = 1/log(t p).  The terms m < U_M0 are added one by one; the
+# rest, for the primes with q >= U_M0, by Euler-Maclaurin:
+#
+#     sum_{m=M0}^{q} f_p(m) = (li(q p) - li(M0 p)) / p + (f_p(M0) + f_p(q)) / 2
+#         + sum_{k=1}^{J} B_2k / (2k)! (f_p^(2k-1)(q) - f_p^(2k-1)(M0)) + R,
+#
+# li(t) = Ei(log t).  With u = log(t p), f_p^(k)(t) = t^-k h_k(1/u), where
+# h_0(v) = v, h_{k+1} = -v^2 h_k'(v) - k h_k: a polynomial in v whose
+# coefficients all have the sign (-1)^k.  So f_p^(2J) > 0, f_p^(2J-1) rises
+# to 0, and |R| <= |B_2J| / (2J)! |f_p^(2J-1)(M0)| (the periodic Bernoulli
+# bound 2 zeta(2J) / (2 pi)^(2J) is exactly |B_2J| / (2J)!).
+# `u_truncation_bound` sums these remainders and the Ei series truncation.
 
-    log kappa(k) (the squarefree kernel's log) is built by a residual sieve:
-    each base prime deposits log p on its multiples once, all its powers are
-    divided out of a residue array, and whatever residue exceeds 1 is a
-    single prime factor > sqrt(hi).
-    """
-    lo, hi = block.start, block.stop
-    size = hi - lo
-    res = np.arange(lo, hi, dtype=np.int64)
-    logkap = np.zeros(size)
-    sq = math.isqrt(hi - 1)
-    for p in base:
-        p = int(p)
-        if p > sq:
+U_M0 = 32           # m < U_M0 summed term by term
+U_EM_TERMS = 4      # J, the Bernoulli corrections
+
+
+def _h_poly(k: int) -> tuple[int, ...]:
+    """Coefficients of h_k(v), ascending from v^0: f_p^(k)(t) = t^-k h_k(1/log(t p))."""
+    c = [0, 1]
+    for i in range(k):
+        nxt = [0] * (len(c) + 1)
+        for j, a in enumerate(c):
+            nxt[j + 1] -= j * a
+            nxt[j] -= i * a
+        c = nxt
+    return tuple(c)
+
+
+# (B_2k / (2k)!, h_{2k-1}) for k = 1..J
+_EM_CORRECTIONS = tuple(
+    (float(b / math.factorial(2 * k)), _h_poly(2 * k - 1))
+    for k, b in enumerate((Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42),
+                           Fraction(-1, 30))[:U_EM_TERMS], start=1))
+
+#: Terms of the series Ei(x) = gamma + log x + sum_{k>=1} x^k / (k k!); the
+#: truncation is bounded in `_ei_tail` for every x up to log of the sieve bound.
+_EI_TERMS = 96
+_EI_COEFFS = tuple(1.0 / (k * math.factorial(k)) for k in range(1, _EI_TERMS + 1))
+
+
+def _ei_series(x: np.ndarray) -> np.ndarray:
+    """sum_{k=1}^{_EI_TERMS} x^k / (k k!) by Horner (all terms positive)."""
+    s = np.full_like(x, _EI_COEFFS[-1])
+    for c in _EI_COEFFS[-2::-1]:
+        s *= x
+        s += c
+    s *= x
+    return s
+
+
+def _ei_tail(x: float) -> float:
+    """Bound on the series terms past _EI_TERMS at 0 < x < _EI_TERMS + 2."""
+    k = _EI_TERMS + 1       # the first term left out; each next is < x/(k+1) of the last
+    first = math.exp(k * math.log(x) - math.lgamma(k + 1)) / k
+    return first * (k + 1) / (k + 1 - x)
+
+
+def _em_corrections(t, v: np.ndarray) -> np.ndarray:
+    """sum_k B_2k / (2k)! f_p^(2k-1)(t), with v = 1/log(t p)."""
+    out = np.zeros_like(v)
+    for b, h in _EM_CORRECTIONS:
+        out += (b * np.polynomial.polynomial.polyval(v, h)) / t ** (len(h) - 2)
+    return out
+
+
+def _u_lower_end(seg: np.ndarray, lp: np.ndarray, u_max: int):
+    """The cut-independent lower-end terms at m = U_M0, for the segment's
+    primes p <= u_max / U_M0: (log(M0 p), Ei series at it, the rest)."""
+    c = int(np.searchsorted(seg, u_max // U_M0, side="right"))
+    ua = math.log(U_M0) + lp[:c]
+    va = 1.0 / ua
+    return ua, _ei_series(ua), 0.5 * va - _em_corrections(float(U_M0), va)
+
+
+def _u_cut_terms(seg, pf, lp, u_lo, q, n: int) -> np.ndarray:
+    """log p * T_p(n // p) for the first q.size primes of the segment."""
+    count = q.size
+    t = 1.0 / lp[:count]                                 # m = 1
+    buf = np.empty(count)
+    for m in range(2, U_M0):
+        c = int(np.searchsorted(seg[:count], n // m, side="right"))   # q >= m
+        if c == 0:
             break
-        start = ((lo + p - 1) // p) * p
-        if start >= hi:
-            continue
-        sl = slice(start - lo, None, p)
-        logkap[sl] += math.log(p)
-        res[sl] //= p
-        q = p * p
-        while q < hi:
-            start = ((lo + q - 1) // q) * q
-            if start < hi:
-                res[slice(start - lo, None, q)] //= p
-            q *= p
-    left = res > 1
-    if left.any():
-        logkap[left] += np.log(res[left].astype(np.float64))
-    return {"u_of_x": logkap / np.log(np.arange(lo, hi, dtype=np.float64))}, None
+        tm = np.add(lp[:c], math.log(m), out=buf[:c])
+        t[:c] += np.reciprocal(tm, out=tm)
+    ua, sa, lo = u_lo
+    c = int(np.searchsorted(seg[:count], n // U_M0, side="right"))
+    if c:
+        qc = q[:c]
+        ub = np.log((qc * seg[:c]).astype(np.float64))
+        vb = 1.0 / ub
+        qf = qc.astype(np.float64)
+        t[:c] += ((_ei_series(ub) - sa[:c] + np.log(ub / ua[:c])) / pf[:c]
+                  + 0.5 * vb + _em_corrections(qf, vb) + lo[:c])
+    t *= lp[:count]
+    return t
+
+
+def u_truncation_bound(n: int) -> float:
+    """Bound on the truncation error of the streamed U(n), rounding aside.
+
+    It sums, over the primes p <= n / U_M0, log p times the Euler-Maclaurin
+    remainder |B_2J| / (2J)! M0^(1-2J) |h_{2J-1}(1/log(M0 p))| and the Ei
+    series truncation at both ends, divided by p.  |h_{2J-1}(v)| grows with
+    v, so v = 1/log(2 M0) majorizes it; theta(y) = sum_{p<=y} log p
+    < 1.01624 y (Rosser and Schoenfeld 1962, Thm 9) and log p / p < 1/2.
+    """
+    y = n // U_M0
+    if y < 2:
+        return 0.0
+    b, h = _EM_CORRECTIONS[-1]
+    h_max = abs(float(np.polynomial.polynomial.polyval(1.0 / math.log(2 * U_M0), h)))
+    em = 1.01624 * y * abs(b) * h_max / float(U_M0) ** (2 * U_EM_TERMS - 1)
+    return em + 2.0 * _ei_tail(math.log(n)) * y / 2.0
 
 
 # --------------------------------------------------------------------------
@@ -379,26 +477,22 @@ def sums_stream(
 ) -> SumsReport:
     """Evaluate every streaming sum at each checkpoint in one sieve pass.
 
-    With ``with_u=False`` the U pass is skipped and the report's `u_of_x` is
+    With ``with_u=False`` U's terms are skipped and the report's `u_of_x` is
     None; every other field is bit-identical to the ``with_u=True`` report.
-    With ``parallel=True`` the prime segments and the integer blocks of the
-    U pass are processed by a thread pool; partials are merged in ascending
-    segment order either way, so the result is bit-identical to the
-    sequential run.
+    With ``parallel=True`` the prime segments are processed by a thread
+    pool; partials are merged in ascending segment order either way, so the
+    result is bit-identical to the sequential run.
     """
     points = grid.points
     m = len(points)
     need_s3 = model.delta != math.inf
     opts = dict(segment_size=segment_size, parallel=parallel, max_workers=max_workers)
 
-    kah = reduce_primes(points, partial(_prime_terms, model, need_s3),
+    kah = reduce_primes(points, partial(_prime_terms, model, need_s3,
+                                        grid.n_max if with_u else None),
                         signed=("s3", "direct"), **opts)
     if not need_s3:
         kah["s3"] = [KahanSum() for _ in range(m)]
-    if with_u:
-        u_base = primes_up_to(math.isqrt(grid.n_max))
-        kah.update(reduce_primes(points, partial(_u_terms, u_base), integers=True,
-                                 **opts))
     s1 = kah.pop("s1")
 
     # prime-power corrections: F2 on top of F1, and the a >= 2 identity term

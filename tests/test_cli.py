@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from primemean import primesums
+from primemean import accum, constants, primesums
 from primemean.cli import main
 from primemean.errors import CacheFormatError
 from primemean.multfunc import builtin
@@ -115,6 +115,45 @@ def test_exit_code_model(capsys):
 def test_exit_code_precision(capsys):
     rc, _, err = run(capsys, "constants", "--precision", "1e-15")
     assert rc == 3 and "euler_gamma" in err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "0", "-1e-3", "x"])
+def test_bad_precision_is_exit_two_naming_the_flag(capsys, bad):
+    with pytest.raises(SystemExit) as exc:
+        main(["constants", f"--precision={bad}"])
+    assert exc.value.code == 2
+    assert "--precision" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("loose", ["0.5", "10"])
+def test_loose_precision_still_certifies(capsys, loose):
+    rc, out, _ = run(capsys, "constants", "--precision", loose, "--format", "json")
+    assert rc == 0
+    rows = {r["constant"]: r for r in json.loads(out)}
+    m = rows["meissel_mertens_M"]
+    assert abs(m["value"] - 0.2614972128476428) <= m["tail_bound"]
+    assert all(math.isfinite(r["tail_bound"]) for r in rows.values())
+
+
+def test_constants_sum_each_prime_pass_once(monkeypatch, capsys):
+    for fn in vars(constants).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+    passes = []
+    reduce_primes = accum.reduce_primes
+
+    def counted(cuts, *args, **kwargs):
+        passes.append(list(cuts))
+        return reduce_primes(cuts, *args, **kwargs)
+
+    monkeypatch.setattr(accum, "reduce_primes", counted)
+    rc, out, _ = run(capsys, "constants", "--model", "euler_phi", "--format", "json")
+    assert rc == 0
+    # M, E and C_Q, whether asked for directly or through rho_f and eta0
+    assert sorted(passes) == [[50_000_000], [200_000_000], [201_198_002]]
+    assert constants.meissel_mertens.cache_info().misses == 1
+    rc, again, _ = run(capsys, "constants", "--model", "euler_phi", "--format", "json")
+    assert rc == 0 and again == out and len(passes) == 3
 
 
 def test_exit_code_unknown_check(capsys):
@@ -260,6 +299,31 @@ def test_v1_cache_file_is_recomputed(tmp_path, monkeypatch, capsys):
     rc, warm, _ = run(capsys, *args)
     assert rc == 0 and warm == cold
     assert primesums.load_report(path, model, grid) == report
+
+
+def test_v3_cache_file_is_recomputed(tmp_path, monkeypatch, capsys):
+    # a v3 file has the v4 layout; only U's last bits differ
+    model = builtin("kappa")
+    grid = CheckpointGrid.log_spaced(100, 20000, 3)
+    path = Path(primesums.default_cache_path(str(tmp_path), model, grid))
+    primesums.save_report(str(path), primesums.sums_stream(model, grid))
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<H", blob, 4, 3)
+    head, size = primesums._HEADER.size, primesums._DIGEST_SIZE
+    blob[head:head + size] = primesums._digest(bytes(blob[:head]),
+                                               bytes(blob[head + size:]))
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CacheFormatError, match="version 3"):
+        primesums.load_report(str(path), model, grid)
+
+    args = ("sums", "--model", "kappa", "--from", "100", "--to", "20000",
+            "--points", "3", "--format", "csv")
+    monkeypatch.delenv("PRIMEMEAN_CACHE", raising=False)
+    rc, cold, _ = run(capsys, *args)
+    assert rc == 0
+    rc, warm, _ = run(capsys, *args, "--cache", str(tmp_path))
+    assert rc == 0 and warm == cold
+    assert struct.unpack_from("<H", path.read_bytes(), 4) == (primesums.CACHE_VERSION,)
 
 
 def _shifted_model(path, shift: int) -> str:

@@ -342,3 +342,29 @@ def test_hooks_reject_a_pole_beyond_the_load_checks(tmp_path):
     for hook in (model.log_q_ratio_vec, model.log_at_prime_vec):
         with pytest.raises(ModelSpecError, match="pole at the prime 100003"):
             hook(p, np.log(p))
+
+
+def _k_hat_by_fractions(model, p_max: int) -> float:
+    """max |f(p) - alpha p^d| / p^(d - delta) over p <= p_max, in Fractions."""
+    alpha = Fraction(model.alpha)
+    return float(max(
+        abs(Fraction(model.value_at_prime(p)) - alpha * Fraction(p) ** int(model.d))
+        / Fraction(p) ** int(model.d - model.delta)
+        for p in map(int, primes_up_to(p_max))))
+
+
+@pytest.mark.parametrize("fp, d, delta, k", [
+    ("p - 1", 1, 1, 1),                     # euler_phi
+    ("p^2 - 1", 2, 2, 1),                   # jordan_2
+    ("(2 * p + 3) * (2 * p - 1) / 4", 2, 1, 9),
+    ("(p + 1) / p^2", -1, 1, 1),            # negative degree
+    ("(p + 1)^256", 256, 1, 1e46),          # the degree cap
+])
+def test_k_hat_matches_exact_fractions(tmp_path, fp, d, delta, k):
+    path = tmp_path / "m.model"
+    path.write_text(f"name = m\nd = {d}\nalpha = 1\ndelta = {delta}\nK = {k}\n"
+                    f"fp = {fp}\nstrongly_multiplicative = true\n")
+    model = load_model_file(str(path))
+    for p_max in (2, 1000):
+        k_hat, ok = error_profile_check(model, p_max)
+        assert k_hat == _k_hat_by_fractions(model, p_max) and ok

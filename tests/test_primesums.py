@@ -27,8 +27,9 @@ from primemean.primesums import (CheckpointGrid, SumsReport,
                                  log_geomean_bruteforce, log_geomean_identity,
                                  mertens_m_of_x, omega_summatory, r_sum,
                                  rs_inequality_check, rs_inequality_sweep,
-                                 save_report, sums_stream, u_of_x)
-from primemean.sieve import factorize
+                                 save_report, sums_stream, u_of_x,
+                                 u_truncation_bound)
+from primemean.sieve import factorize, spf_build
 
 # ---------------------------------------------------------------------------
 # per-integer oracles
@@ -143,6 +144,43 @@ def test_u_matches_oracle(table5k):
     for x in (2, 3, 17, 100, 1234, 5000):
         assert u_of_x(x, table5k) == pytest.approx(u_oracle(x, table5k),
                                                    abs=1e-10)
+
+
+# U from the prime pass: at 62 and 63 the prime 2 reaches the last direct
+# term, m = U_M0 - 1; at 64 and 65 it gets an Euler-Maclaurin part starting
+# and ending at m = U_M0, and at 96 so does 3; then a log grid to 2e6
+_U_GRID = CheckpointGrid.from_points(sorted(
+    {62, 63, 64, 65, 96} | set(CheckpointGrid.log_spaced(2, 2 * 10 ** 6, 9).points)))
+
+
+@pytest.fixture(scope="module")
+def u_spf_oracle():
+    table = spf_build(_U_GRID.n_max)
+    return [u_of_x(n, table) for n in _U_GRID.points]
+
+
+@pytest.mark.parametrize("name", ["kappa", "euler_phi"])
+@pytest.mark.parametrize("parallel", [False, True])
+def test_streamed_u_matches_spf_oracle(u_spf_oracle, name, parallel):
+    rep = sums_stream(builtin(name), _U_GRID, parallel=parallel, max_workers=3,
+                      segment_size=1 << 14)   # Euler-Maclaurin primes span segments
+    for n, got, want in zip(_U_GRID.points, rep.u_of_x, u_spf_oracle):
+        assert abs(got - want) <= 1e-12 * n, n
+
+
+def test_streamed_u_does_not_depend_on_the_model():
+    grid = CheckpointGrid.log_spaced(10, 10 ** 6, 6)
+    want = sums_stream(builtin("kappa"), grid).u_of_x
+    for name in ("sigma", "jordan_2"):
+        assert sums_stream(builtin(name), grid).u_of_x == want
+
+
+def test_u_truncation_bound_on_the_default_grid():
+    for n in CheckpointGrid.log_spaced(10 ** 4, 10 ** 8, 12):
+        assert 0.0 < u_truncation_bound(n) <= 1e-13 * n
+    assert u_truncation_bound(10 ** 9) <= 1e-13 * 10 ** 9
+    # below 2 U_M0 no prime has an Euler-Maclaurin part
+    assert u_truncation_bound(2 * primesums.U_M0 - 1) == 0.0
 
 
 def test_omega_summatory_values(table5k):
