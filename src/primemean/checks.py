@@ -220,28 +220,30 @@ def _check_a1_gamma(ctx: CheckContext, opts: CheckOptions):
 
 
 def _check_constants_stability(ctx: CheckContext, opts: CheckOptions):
-    """Closed-form vs limit-definition agreement for M and E, plus doubling."""
-    m_closed = constants.meissel_mertens()
-    e_closed = constants.mertens_e()
-    m_limit = constants.meissel_mertens_limit()
-    e_limit = constants.mertens_e_limit()
-    dm = abs(m_closed.value - m_limit)
-    de = abs(e_closed.value - e_limit)
+    """M and E: prime-zeta vs limit definition, prime-sum doubling, cross-route.
 
-    m_double = constants.meissel_mertens(
-        truncation_override=2 * int(m_closed.param("p_cut")))
-    move_m = abs(m_double.value - m_closed.value)
-    e_double = constants.mertens_e(
-        truncation_override=2 * int(e_closed.param("p_cut")))
-    move_e = abs(e_double.value - e_closed.value)
-
-    ok = (dm <= 1e-6 and de <= 1e-6
-          and move_m < m_closed.tail_bound and move_e < e_closed.tail_bound)
-    detail = (f"M: closed vs limit {dm:.1e}, doubling moved {move_m:.1e} "
-              f"(tail {m_closed.tail_bound:.1e}); "
-              f"E: closed vs limit {de:.1e}, doubling moved {move_e:.1e} "
-              f"(tail {e_closed.tail_bound:.1e})")
-    return ok, detail, {"dm": dm, "de": de, "move_m": move_m, "move_e": move_e}
+    The doubling clause runs the prime-sum route at explicit cuts (M at 5e7
+    against 1e8, E at 2e8 against 4e8): each move must stay below the
+    smaller cut's tail bound.  The cross-route clause asks the prime-zeta
+    and prime-sum values to agree within the sum of their tail bounds.
+    """
+    ok, details, data = True, [], {}
+    for name, fn, limit, cut in (
+            ("M", constants.meissel_mertens, constants.meissel_mertens_limit, 5 * 10 ** 7),
+            ("E", constants.mertens_e, constants.mertens_e_limit, 2 * 10 ** 8)):
+        closed = fn()
+        base = fn(truncation_override=cut)
+        doubled = fn(truncation_override=2 * cut)
+        dev = abs(closed.value - limit())
+        move = abs(doubled.value - base.value)
+        cross = abs(closed.value - base.value)
+        both = closed.tail_bound + base.tail_bound
+        ok = ok and dev <= 1e-6 and move < base.tail_bound and cross <= both
+        details.append(f"{name}: prime-zeta vs limit {dev:.1e}, doubling {cut:.0e} "
+                       f"moved {move:.1e} (tail {base.tail_bound:.1e}), prime-zeta vs "
+                       f"prime-sum {cross:.1e} (bounds {both:.1e})")
+        data.update({f"d{name}": dev, f"move_{name}": move, f"cross_{name}": cross})
+    return ok, "; ".join(details), data
 
 
 def _check_rs_inequality(ctx: CheckContext, opts: CheckOptions):

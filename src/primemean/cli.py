@@ -187,12 +187,23 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _check_cache_dir(cache_dir: str) -> None:
+    """Reject a cache path that names, or lies under, an existing non-directory."""
+    path = os.path.abspath(cache_dir)
+    while not os.path.exists(path) and os.path.dirname(path) != path:
+        path = os.path.dirname(path)
+    if path == os.path.abspath(cache_dir) and not os.path.isdir(path):
+        raise GridError(f"cache directory {cache_dir!r} is not a directory")
+    if not os.path.isdir(path):
+        raise GridError(f"cache directory {cache_dir!r} cannot be created: "
+                        f"{path!r} is not a directory")
+
+
 def _config_from(args: argparse.Namespace, *, build_grid: bool) -> RunConfig:
     cache_dir = args.cache if args.cache is not None \
         else os.environ.get("PRIMEMEAN_CACHE") or None
-    if cache_dir is not None and os.path.exists(cache_dir) \
-            and not os.path.isdir(cache_dir):
-        raise GridError(f"cache directory {cache_dir!r} is not a directory")
+    if cache_dir is not None:
+        _check_cache_dir(cache_dir)
     model = _resolve_model(args.model)
     grid = None
     if build_grid:

@@ -1,18 +1,10 @@
 """High-precision, tail-bounded constants for the geometric-mean expansions.
 
 Every value ships as a ConstantValue carrying a certified truncation bound
-derived from a stated inequality — never an eyeballed guess.  The closed
-forms are deliberately elementary (direct prime sums; no zeta machinery):
+derived from a stated inequality — never an eyeballed guess.
 
-- gamma:  H_N - log N - 1/(2N) + 1/(12 N^2) - 1/(120 N^4), with the next
-  Euler-Maclaurin term bounding the remainder by 1/(252 N^6).
-- M = gamma + sum_p [log(1 - 1/p) + 1/p]; each term is -sum_{k>=2} 1/(k p^k),
-  so the tail over p > P is below sum_{n>P} 1/(2 n (n-1)) = 1/(2P).
-- E = -gamma - sum_p log p / (p (p-1)); the tail over p > P is below
-  (1 + 1/P) * sum_{n>P} log n / n^2 <= (1 + 1/P)(log P + 1)/P.
-- C_Q = sum_p (1/p) log(f(p) / (alpha p^d)).  With |f(p) - alpha p^d| <=
-  K p^(d-delta) and P large enough that (K/alpha) P^-delta <= 1/2, the
-  inequality |log(1+u)| <= 2|u| bounds the tail by 2(K/alpha) P^-delta/delta.
+- gamma (`euler_gamma`):  H_N - log N - 1/(2N) + 1/(12 N^2) - 1/(120 N^4),
+  with the next Euler-Maclaurin term bounding the remainder by 1/(252 N^6).
 - a_j = -Int_1^oo {t} (log t)^(j-1) t^-2 dt, integrated exactly per unit
   interval (the integrand is polynomial-in-t times smooth there) by
   Gauss-Legendre panels; the tail beyond an integer T uses {t} = 1/2 + P1(t)
@@ -22,11 +14,60 @@ forms are deliberately elementary (direct prime sums; no zeta machinery):
   where g(t) = (log t)^(j-1)/t^2 and Gamma is the (closed-form) upper
   incomplete gamma at integer order.
 
-Every prime sum here goes through `accum.reduce_primes`, the same reducer as
-the streamed identity sums: pairwise per-segment partials merged in
-ascending order by Kahan summation, so each value is deterministic, and each
-tail bound includes the reducer's certified accumulation error (pairwise
-rounding, merge rounding and per-term formation rounding).
+M, E and C_Q come from the prime zeta function by default (Flajolet and
+Vardi, "Zeta function expansions of classical constants", 1996; H. Cohen,
+"High precision computation of Hardy-Littlewood constants", 1998).  The
+primes p <= P (P = ZETA_P = 100, more for C_Q models with large roots) are
+summed directly; the tail over p > P comes from, at integers t >= 2,
+
+    H(t) = log zeta_{>P}(t) = log zeta(t) + sum_{p<=P} log(1 - p^-t),
+    G(t) = (-zeta'/zeta)_{>P}(t) = -zeta'(t)/zeta(t) - sum_{p<=P} log p p^-t / (1 - p^-t),
+
+with zeta(t) and zeta'(t) by Euler-Maclaurin.  Expanding each prime's term
+in powers of 1/p and Moebius-inverting the prime-power sums gives
+
+- M = gamma + sum_{p<=P} [log(1 - 1/p) + 1/p] + sum_{t>=2} mu(t)/t H(t);
+- E = -gamma - sum_{p<=P} log p / (p (p-1)) + sum_{t>=2} mu(t) G(t);
+- C_Q = sum_{p<=P} (1/p) log(f(p) / (alpha p^d)) + sum_{t>=2} w_t H(t) for
+  f(p) = N(p)/D(p) with leading coefficient exactly alpha: above every
+  root, log(f(p) / (alpha p^d)) = sum_k c_k p^-k with c_k = (S_k(D) -
+  S_k(N))/k, S_k the power sums of the roots (Newton's identities on the
+  integer coefficients, exact), so the tail sum_k c_k P_{>P}(k+1), with
+  P_{>P}(s) = sum_n mu(n)/n H(ns), regroups to w_t = sum_{s|t, s>=2}
+  c_{s-1} mu(t/s) s/t.
+
+This runs in stdlib decimal at 40 digits (more when the C_Q weights are
+large), and each tail_bound adds five parts:
+
+1. the Euler-Maclaurin remainders: 2 |B_{2J+2}|/(2J+2)! |f^(2J+1)(N)|
+   for f = x^-t and x^-t log x, whose (2J+2)-th derivatives keep one sign
+   on [N, oo);
+2. the truncation of the t-sums, from |H(t)| <= 1.01 P^(1-t)/(t-1),
+   |G(t)| <= 1.01 P^(1-t) (log P + 1)/(t-1) and, with a root bound R
+   (Fujiwara) and P >= 8R, |w_t H(t)| <= 1.01 deg(N D) (R/P)^(t-1);
+3. an a priori bound on decimal rounding: every decimal operation lands
+   within one unit in its last digit, and each H(t), G(t) is formed by
+   fewer than `_value_ulps` such operations on quantities below 4;
+4. the same two bounds for a decimal gamma (not `euler_gamma`'s float);
+5. the final rounding to double, half an ulp.
+
+So M, E and C_Q are certified to ~1e-16 whatever the target; a target
+below that floor raises PrecisionError.
+
+The prime-sum route sums every prime to a cut P through
+`accum.reduce_primes` (pairwise per-segment partials merged in ascending
+order by Kahan summation, so each value is deterministic, and each tail
+bound includes the reducer's certified accumulation error).  It runs when a
+caller passes ``truncation_override`` (the doubling and cross-route checks
+use it), and for C_Q when the series does not apply: a root bound above
+`_MAX_ROOT_BOUND`, or a leading coefficient that is not exactly alpha.  Its
+tails over p > P:
+
+- M: each term is -sum_{k>=2} 1/(k p^k), so the tail is below
+  sum_{n>P} 1/(2 n (n-1)) = 1/(2P);
+- E: below (1 + 1/P) sum_{n>P} log n / n^2 <= (1 + 1/P)(log P + 1)/P;
+- C_Q: with |f(p) - alpha p^d| <= K p^(d-delta) and (K/alpha) P^-delta <=
+  1/2, |log(1+u)| <= 2|u| bounds the tail by 2(K/alpha) P^-delta/delta.
 
 The limit definitions of M and E converge like 1/log x — useless directly —
 but they make honest *validation oracles* once the known secondary structure
@@ -46,15 +87,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
+from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .accum import EPS, SegmentTerms, prime_sums, reduce_primes
-from .errors import GridError, PrecisionError
+from .errors import GridError, ModelSpecError, PrecisionError
 from .multfunc import PrimeModel
-from .sieve import DEFAULT_MAX_BOUND
+from .sieve import DEFAULT_MAX_BOUND, primes_up_to
 
 __all__ = [
     "ConstantValue",
@@ -71,8 +114,9 @@ __all__ = [
     "ZETA_ZERO_ORDINATES",
 ]
 
-#: Default truncation-error targets; each sits far below the 1/log n
-#: resolution of any feasible expansion check.
+#: Default truncation-error targets.  M, E and (on the prime-zeta route)
+#: C_Q land far below them; the prime-sum fallback of C_Q sizes its cut to
+#: DEFAULT_CQ_PRECISION.
 DEFAULT_GAMMA_PRECISION = 1e-12
 DEFAULT_M_PRECISION = 1e-8
 DEFAULT_E_PRECISION = 1e-7
@@ -80,11 +124,16 @@ DEFAULT_CQ_PRECISION = 1e-8
 DEFAULT_AJ_PRECISION = 1e-8
 
 _MIN_GAMMA_PRECISION = 1e-13
-_MIN_M_PRECISION = 1e-9
-_MIN_E_PRECISION = 1e-7
-_MIN_CQ_PRECISION = 1e-9
 
 _SAFFARI_MAX_J = 8
+
+#: Primes up to ZETA_P are summed directly on the prime-zeta route.
+ZETA_P = 100
+_EM_N = 32              # Euler-Maclaurin: n < N term by term, corrections at N
+_EM_J = 12              # Bernoulli corrections B_2 .. B_2J
+_SERIES_EPS = 1e-30     # each t-sum stops once its tail bound is below this
+_DIGITS = 40            # decimal working precision (C_Q adds digits for large weights)
+_MAX_ROOT_BOUND = 128   # above it C_Q takes the prime-sum route (P = 8R would be > 1024)
 
 
 @dataclass(frozen=True)
@@ -112,6 +161,13 @@ class ConstantValue:
             if k == key:
                 return v
         raise KeyError(key)
+
+
+def _certified(cv: ConstantValue, target_precision: float, name: str) -> ConstantValue:
+    if cv.tail_bound > target_precision:
+        raise PrecisionError(f"{name} certifies at best {cv.tail_bound:.3g}",
+                             achievable=cv.tail_bound)
+    return cv
 
 
 # --------------------------------------------------------------------------
@@ -145,32 +201,298 @@ def euler_gamma(target_precision: float = DEFAULT_GAMMA_PRECISION,
                          method="harmonic-euler-maclaurin", params=(("n", float(n)),))
 
 
-def meissel_mertens(target_precision: float = DEFAULT_M_PRECISION,
-                    truncation_override: int | None = None) -> ConstantValue:
-    """M = gamma + sum_p [log(1 - 1/p) + 1/p] with tail bound 1/(2P).
+# --------------------------------------------------------------------------
+# the prime-zeta route, in decimal
+# --------------------------------------------------------------------------
 
-    Each prime's term is -sum_{k>=2} 1/(k p^k), so the tail over p > P is
-    bounded by sum_{n>P} 1/(2n(n-1)) = 1/(2P), conservatively ignoring that
-    only primes contribute.  A target looser than 1/4 still sums to P = 2.
-    """
-    if target_precision < _MIN_M_PRECISION:
-        raise PrecisionError(
-            f"meissel_mertens certifies at best {_MIN_M_PRECISION:g}",
-            achievable=_MIN_M_PRECISION)
-    if truncation_override is not None:
-        p_cut = int(truncation_override)
-    else:
-        p_cut = max(2, math.ceil(1.0 / (2.0 * target_precision)))
-    if p_cut > DEFAULT_MAX_BOUND:
-        raise PrecisionError(
-            f"meissel_mertens needs primes to {p_cut:.3g}, beyond the sieve "
-            f"bound {DEFAULT_MAX_BOUND:g}",
-            achievable=1.0 / (2.0 * DEFAULT_MAX_BOUND))
-    return _meissel_mertens_at(p_cut)
+@lru_cache(maxsize=None)
+def _bernoulli(m: int) -> Fraction:
+    """B_m exactly, from sum_{k<=m} C(m+1, k) B_k = 0 (B_1 = -1/2)."""
+    if m == 0:
+        return Fraction(1)
+    return -sum(math.comb(m + 1, k) * _bernoulli(k) for k in range(m)) / (m + 1)
+
+
+def _mobius(n: int) -> int:
+    sign, q = 1, 2
+    while q * q <= n:
+        if n % q == 0:
+            n //= q
+            if n % q == 0:
+                return 0
+            sign = -sign
+        q += 1
+    return -sign if n > 1 else sign
+
+
+def _dec(q: Fraction) -> Decimal:
+    """q rounded to the current decimal context."""
+    return Decimal(q.numerator) / q.denominator
 
 
 @lru_cache(maxsize=None)
-def _meissel_mertens_at(p_cut: int) -> ConstantValue:
+def _ln(n: int, digits: int) -> Decimal:
+    with localcontext(Context(prec=digits)):
+        return Decimal(n).ln()
+
+
+def _em_tail(s: int, digits: int) -> Tuple[Decimal, Decimal, float]:
+    """Euler-Maclaurin corrections at N for f = x^-s and f = x^-s log x.
+
+    Returns f(N)/2 - sum_{j<=J} B_2j/(2j)! f^(2j-1)(N) for both f (the
+    integral of f over [N, oo) left to the caller), and the bound
+    2 |B_2J+2|/(2J+2)! (s)_{2J+1} N^(-s-2J-1) on the first one's remainder;
+    the log form's remainder is below that times log N once log N exceeds
+    h_{2J+2}(s) (see `_zeta`).  Here f^(k)(x) = (-1)^k (s)_k x^(-s-k) for
+    x^-s and (-1)^k (s)_k x^(-s-k) (log x - h_k(s)) for x^-s log x, with
+    h_k(s) = sum_{i<k} 1/(s+i).  Runs in the caller's decimal context.
+    """
+    n = Decimal(_EM_N)
+    log_n = _ln(_EM_N, digits)
+    x = n ** -s
+    corr, dcorr = x / 2, log_n * x / 2
+    h = Fraction(0)
+    for j in range(1, _EM_J + 1):
+        k = 2 * j - 1
+        h += sum(Fraction(1, s + i) for i in range(max(0, k - 2), k))
+        term = _dec(_bernoulli(2 * j) * math.prod(range(s, s + k)) / math.factorial(2 * j)) \
+            * x * n ** (1 - 2 * j)
+        corr += term
+        dcorr += term * (log_n - _dec(h))
+    k = 2 * _EM_J + 2
+    rem = (2.0 * float(abs(_bernoulli(k)) * math.prod(range(s, s + k - 1)) / math.factorial(k))
+           * float(_EM_N) ** -(s + k - 1))
+    return corr, dcorr, rem
+
+
+@lru_cache(maxsize=None)
+def _zeta(s: int, digits: int) -> Tuple[Decimal, Decimal, float, float]:
+    """zeta(s), -zeta'(s) for an integer s >= 2, and their remainder bounds."""
+    h_max = sum(Fraction(1, s + i) for i in range(2 * _EM_J + 2))
+    if not float(h_max) < math.log(_EM_N):
+        raise AssertionError("Euler-Maclaurin: the log form changes sign beyond N")
+    with localcontext(Context(prec=digits)):
+        corr, dcorr, rem = _em_tail(s, digits)
+        n = Decimal(_EM_N)
+        zeta = sum(Decimal(k) ** -s for k in range(1, _EM_N)) + n ** (1 - s) / (s - 1) + corr
+        dzeta = (sum(_ln(k, digits) * Decimal(k) ** -s for k in range(2, _EM_N))
+                 + n ** (1 - s) * (_ln(_EM_N, digits) / (s - 1) + Decimal(1) / (s - 1) ** 2)
+                 + dcorr)
+    return zeta, dzeta, rem, rem * math.log(_EM_N)
+
+
+@lru_cache(maxsize=None)
+def _decimal_gamma(digits: int) -> Tuple[Decimal, float]:
+    """gamma = H_{N-1} - log N + [Euler-Maclaurin corrections of sum_{n>=N} 1/n]."""
+    with localcontext(Context(prec=digits)):
+        corr, _, rem = _em_tail(1, digits)
+        gamma = sum(Decimal(1) / k for k in range(1, _EM_N)) - _ln(_EM_N, digits) + corr
+    return gamma, rem
+
+
+@lru_cache(maxsize=None)
+def _small_primes(p_cut: int) -> Tuple[int, ...]:
+    return tuple(primes_up_to(p_cut).tolist())
+
+
+def _value_ulps(p_cut: int) -> float:
+    """Rounding bound, in units of 10^(1-digits), of one H(t), G(t) or gamma.
+
+    At most 4 decimal operations per summand n < N, per correction (two
+    forms) and per prime p <= P, plus 32 more; each lands within one unit in
+    the last digit of a quantity below 4, and later steps amplify an error
+    at most twice (a log of a number >= 1/2, a division by 1 - p^-t >= 1/2).
+    """
+    return 2 * 4 * 4 * (_EM_N + 2 * _EM_J + len(_small_primes(p_cut)) + 8)
+
+
+@lru_cache(maxsize=None)
+def _rough(t: int, p_cut: int, digits: int) -> Tuple[Decimal, Decimal, float, float]:
+    """H(t), G(t) over the primes above p_cut, and their Euler-Maclaurin bounds.
+
+    log is 1-Lipschitz on [1, oo) and |zeta'/zeta| < 1 there, so the bounds
+    carry over from zeta and zeta' with a 1.01 allowance for the divisions.
+    """
+    zeta, dzeta, rem, drem = _zeta(t, digits)
+    with localcontext(Context(prec=digits)):
+        h, g = zeta.ln(), dzeta / zeta
+        for p in _small_primes(p_cut):
+            x = Decimal(p) ** -t
+            h += (1 - x).ln()
+            g -= _ln(p, digits) * x / (1 - x)
+    return h, g, 1.01 * rem, 1.01 * (drem + rem)
+
+
+def _last_t(tail: Callable[[int], float]) -> int:
+    """The smallest t >= 1 whose t-sum tail bound is below _SERIES_EPS."""
+    t = 1
+    while tail(t) > _SERIES_EPS:
+        t += 1
+    return t
+
+
+def _to_double(x: Decimal, bounds: Sequence[float], method: str,
+               params: Tuple[Tuple[str, float], ...]) -> ConstantValue:
+    """x rounded to double; the tail adds its half ulp to `bounds`, rounded up."""
+    value = float(x)
+    tail = math.nextafter(math.fsum([*bounds, math.ulp(value) / 2]), math.inf)
+    return ConstantValue(value=value, tail_bound=tail, method=method, params=params)
+
+
+def _prime_zeta(head: Decimal, head_err: float, weights: Dict[int, Fraction],
+                use_g: bool, p_cut: int, digits: int, truncation: float) -> ConstantValue:
+    """head + sum_t w_t X(t) with X = G or H, certified.
+
+    head_err bounds head's own error (rounding and Euler-Maclaurin); each
+    product and sum adds one unit in the last digit of a partial sum, all of
+    them below `mass`.
+    """
+    eps = 10.0 ** (1 - digits)
+    per_value = _value_ulps(p_cut)
+    total, em, rounding, mass = head, 0.0, 0.0, abs(float(head))
+    with localcontext(Context(prec=digits)):
+        for t, w in weights.items():
+            h, g, em_h, em_g = _rough(t, p_cut, digits)
+            x, em_x = (g, em_g) if use_g else (h, em_h)
+            total += _dec(w) * x
+            weight = abs(float(w))
+            em += weight * em_x
+            rounding += weight * (per_value + 8)
+            mass += weight * abs(float(x))
+    rounding = eps * (rounding + 2 * (len(weights) + 1) * mass)
+    return _to_double(total, [head_err, em, truncation, rounding], "prime-zeta",
+                      (("p_cut", float(p_cut)),))
+
+
+def _gamma_head(digits: int) -> Tuple[Decimal, float]:
+    """The decimal gamma and its error bound (remainder plus rounding)."""
+    gamma, rem = _decimal_gamma(digits)
+    return gamma, rem + 10.0 ** (1 - digits) * _value_ulps(0)
+
+
+@lru_cache(maxsize=None)
+def _gamma_certified() -> ConstantValue:
+    """gamma from the decimal route, for the assembled constants."""
+    gamma, err = _gamma_head(_DIGITS)
+    return _to_double(gamma, [err], "euler-maclaurin-decimal", ())
+
+
+def _meissel_mertens_series(p_cut: int) -> ConstantValue:
+    gamma, err = _gamma_head(_DIGITS)
+    primes = _small_primes(p_cut)
+    with localcontext(Context(prec=_DIGITS)):
+        head = gamma + sum((1 - Decimal(1) / p).ln() + Decimal(1) / p for p in primes)
+    err += 12 * len(primes) * 10.0 ** (1 - _DIGITS)
+    last = _last_t(lambda t: 1.01 * p_cut ** -t / (t * (t + 1) * (1 - 1 / p_cut)))
+    weights = {t: Fraction(_mobius(t), t) for t in range(2, last + 1) if _mobius(t)}
+    return _prime_zeta(head, err, weights, False, p_cut, _DIGITS,
+                       1.01 * p_cut ** -last / (last * (last + 1) * (1 - 1 / p_cut)))
+
+
+def _mertens_e_series(p_cut: int) -> ConstantValue:
+    gamma, err = _gamma_head(_DIGITS)
+    primes = _small_primes(p_cut)
+    with localcontext(Context(prec=_DIGITS)):
+        head = -gamma - sum(_ln(p, _DIGITS) / (p * (p - 1)) for p in primes)
+    err += 6 * len(primes) * 10.0 ** (1 - _DIGITS)
+
+    def tail(t: int) -> float:
+        return 1.01 * (math.log(p_cut) + 1) * p_cut ** -t / (t * (1 - 1 / p_cut))
+
+    last = _last_t(tail)
+    weights = {t: Fraction(_mobius(t)) for t in range(2, last + 1) if _mobius(t)}
+    return _prime_zeta(head, err, weights, True, p_cut, _DIGITS, tail(last))
+
+
+def _root_bound(coeffs: np.ndarray) -> float:
+    """Fujiwara's bound on the roots of sum_i coeffs[i] p^i (0 for a constant):
+    2 max(|a_{n-1}/a_n|, |a_{n-2}/a_n|^(1/2), ..., |a_0/(2 a_n)|^(1/n))."""
+    n = len(coeffs) - 1
+    log_lead = math.log(abs(int(coeffs[n])))
+    logs = [(math.log(abs(int(coeffs[n - i]))) - log_lead - (math.log(2) if i == n else 0.0)) / i
+            for i in range(1, n + 1) if coeffs[n - i]]
+    return 2.0 * math.exp(max(logs)) * (1 + 1e-9) if logs else 0.0
+
+
+def _root_power_sums(coeffs: np.ndarray, count: int) -> List[Fraction]:
+    """S_1 .. S_count of the roots of sum_i coeffs[i] p^i, by Newton's identities."""
+    n = len(coeffs) - 1
+    e = [Fraction(int(coeffs[n - i]), int(coeffs[n])) for i in range(n + 1)]
+    s = [Fraction(0)] * (count + 1)
+    for k in range(1, count + 1):
+        s[k] = (-sum(e[i] * s[k - i] for i in range(1, min(k - 1, n) + 1))
+                - (k * e[k] if k <= n else 0))
+    return s[1:]
+
+
+def _c_q_root_bound(model: PrimeModel) -> Optional[float]:
+    """A bound R >= 1 on the roots of N and D, or None if the series does not apply."""
+    if model.fp.leading() != model.alpha:
+        return None
+    bound = max(1.0, _root_bound(model.fp.num), _root_bound(model.fp.den))
+    return bound if bound <= _MAX_ROOT_BOUND else None
+
+
+def _c_q_series(model: PrimeModel, p_cut: int) -> ConstantValue:
+    num, den = model.fp.num, model.fp.den
+    degree = len(num) + len(den) - 2
+    rho = _c_q_root_bound(model) / p_cut
+
+    def tail(t: int) -> float:
+        return 1.01 * degree * rho ** t / (1 - rho)
+
+    last = _last_t(tail) if degree else 1
+    s_n, s_d = _root_power_sums(num, last - 1), _root_power_sums(den, last - 1)
+    c = [(sd - sn) / k for k, (sn, sd) in enumerate(zip(s_n, s_d), start=1)]
+    weights = {}
+    for t in range(2, last + 1):
+        w = sum(c[s - 2] * _mobius(t // s) * Fraction(s, t)
+                for s in range(2, t + 1) if t % s == 0)
+        if w:
+            weights[t] = w
+    # 40 digits keep the rounding below ~1e-33 while sum |w_t| <= 1e3
+    weight = sum(abs(float(w)) for w in weights.values())
+    digits = _DIGITS + max(0, math.ceil(math.log10(max(weight, 1e3) / 1e3)))
+
+    lead, d = model.fp.leading(), int(model.d)
+    terms, err = [], 0.0
+    with localcontext(Context(prec=digits)):
+        for p in _small_primes(p_cut):
+            q = Fraction(model.value_at_prime(p)) / (lead * Fraction(p) ** d)
+            if q <= 0:
+                raise ModelSpecError(f"model {model.name!r} is not positive at p={p}")
+            log_q = _dec(q).ln()
+            terms.append(log_q / p)
+            err += (3 + 2 * abs(float(log_q))) / p
+        head = sum(terms, Decimal(0))
+    err = 10.0 ** (1 - digits) * (err + len(terms) * sum(abs(float(x)) for x in terms))
+    return _prime_zeta(head, err, weights, False, p_cut, digits, tail(last) if degree else 0.0)
+
+
+# --------------------------------------------------------------------------
+# M and E
+# --------------------------------------------------------------------------
+
+def meissel_mertens(target_precision: float = DEFAULT_M_PRECISION,
+                    truncation_override: int | None = None) -> ConstantValue:
+    """M = gamma + sum_p [log(1 - 1/p) + 1/p].
+
+    By default from the prime zeta function (module docstring), certified
+    to ~3e-17; a target below its tail bound raises PrecisionError.
+    ``truncation_override`` sums every prime to that cut instead, with the
+    tail bound 1/(2P): each prime's term is -sum_{k>=2} 1/(k p^k), and
+    sum_{n>P} 1/(2n(n-1)) = 1/(2P) ignores that only primes contribute.
+    """
+    if truncation_override is not None:
+        return _meissel_mertens_at(int(truncation_override), False)
+    return _certified(_meissel_mertens_at(ZETA_P, True), target_precision,
+                      "meissel_mertens")
+
+
+@lru_cache(maxsize=None)
+def _meissel_mertens_at(p_cut: int, series: bool) -> ConstantValue:
+    if series:
+        return _meissel_mertens_series(p_cut)
     gamma = euler_gamma()
     [total] = prime_sums([p_cut], lambda p, logp: np.log1p(-1.0 / p) + 1.0 / p,
                          signed=True)
@@ -185,43 +507,28 @@ def mertens_e(target_precision: float = DEFAULT_E_PRECISION,
               truncation_override: int | None = None) -> ConstantValue:
     """E = -gamma - sum_p log p / (p (p-1)).
 
-    Tail over p > P: log n/(n(n-1)) = (1 + 1/(n-1)) log n / n^2, and
+    By default from the prime zeta function (module docstring), certified
+    to ~1.1e-16; a target below its tail bound raises PrecisionError.
+    ``truncation_override`` sums every prime to that cut instead.  Tail over
+    p > P: log n/(n(n-1)) = (1 + 1/(n-1)) log n / n^2, and
     sum_{n>P} log n/n^2 <= Int_P^oo log t/t^2 dt = (log P + 1)/P for P >= 3,
     giving the certified bound (1 + 1/P)(log P + 1)/P.
     """
-    if target_precision < _MIN_E_PRECISION:
-        raise PrecisionError(
-            f"mertens_e certifies at best {_MIN_E_PRECISION:g}",
-            achievable=_MIN_E_PRECISION)
     if truncation_override is not None:
-        p_cut = int(truncation_override)
-    else:
-        p_cut = 100
-        for _ in range(60):  # fixed point of P = (1+1/P)(log P + 1)/target
-            nxt = math.ceil((1.0 + 1.0 / p_cut) * (math.log(p_cut) + 1.0)
-                            / target_precision)
-            if nxt <= p_cut:
-                break
-            p_cut = nxt
-    if p_cut > DEFAULT_MAX_BOUND:
-        raise PrecisionError(
-            f"mertens_e needs primes to {p_cut:.3g}, beyond the sieve bound "
-            f"{DEFAULT_MAX_BOUND:g}",
-            achievable=_mertens_e_tail(DEFAULT_MAX_BOUND))
-    return _mertens_e_at(p_cut)
-
-
-def _mertens_e_tail(p: float) -> float:
-    return (1.0 + 1.0 / p) * (math.log(p) + 1.0) / p
+        return _mertens_e_at(int(truncation_override), False)
+    return _certified(_mertens_e_at(ZETA_P, True), target_precision, "mertens_e")
 
 
 @lru_cache(maxsize=None)
-def _mertens_e_at(p_cut: int) -> ConstantValue:
+def _mertens_e_at(p_cut: int, series: bool) -> ConstantValue:
+    if series:
+        return _mertens_e_series(p_cut)
     gamma = euler_gamma()
     [total] = prime_sums([p_cut], lambda p, logp: logp / (p * (p - 1.0)))
+    tail = (1.0 + 1.0 / p_cut) * (math.log(p_cut) + 1.0) / p_cut
     return ConstantValue(
         value=-gamma.value - total.value,
-        tail_bound=_mertens_e_tail(p_cut) + gamma.tail_bound + total.error_bound(),
+        tail_bound=tail + gamma.tail_bound + total.error_bound(),
         method="prime-sum", params=(("p_cut", float(p_cut)),))
 
 
@@ -234,31 +541,37 @@ def c_q(model: PrimeModel, target_precision: float = DEFAULT_CQ_PRECISION,
     """C_Q = sum_p (1/p) log(f(p) / (alpha p^d)), absolutely convergent.
 
     Models with delta = inf declare f(p) = alpha p^d identically (validated
-    by their growth-profile check), so C_Q = 0 exactly.  Otherwise the sum
-    is truncated at P with the tail bound 2 (K/alpha) P^-delta / delta,
-    valid once (K/alpha) P^-delta <= 1/2 so that |log(1+u)| <= 2|u| applies.
+    by their growth-profile check), so C_Q = 0 exactly.  Otherwise the
+    prime-zeta series (module docstring) certifies it to ~1e-16, and a
+    target below its tail bound raises PrecisionError; f(p) <= 0 at a
+    prime p <= P raises ModelSpecError.  The prime-sum route
+    runs for ``truncation_override``, and when the series does not apply (a
+    root bound above _MAX_ROOT_BOUND, or a leading coefficient that is not
+    exactly alpha): it truncates at P with the tail bound 2 (K/alpha)
+    P^-delta / delta, valid once (K/alpha) P^-delta <= 1/2 so that
+    |log(1+u)| <= 2|u| applies; its float accumulation may add up to 1% of
+    the target on top.
     """
-    if target_precision < _MIN_CQ_PRECISION:
-        raise PrecisionError(
-            f"c_q certifies at best {_MIN_CQ_PRECISION:g}",
-            achievable=_MIN_CQ_PRECISION)
     if model.delta == math.inf:
         return ConstantValue(0.0, 0.0, method="identically-zero")
-    k_rel = model.k_bound / model.alpha
     if truncation_override is not None:
-        p_cut = int(truncation_override)
-    else:
-        needed = max(
-            (2.0 * k_rel) ** (1.0 / model.delta),           # (K/alpha) P^-delta <= 1/2
-            (2.0 * k_rel / (model.delta * target_precision)) ** (1.0 / model.delta),
-        )
-        p_cut = max(100, math.ceil(needed))
-        if p_cut > DEFAULT_MAX_BOUND:
-            raise PrecisionError(
-                f"model {model.name!r} (delta={model.delta:g}) needs primes to "
-                f"{p_cut:.3g}, beyond the sieve bound {DEFAULT_MAX_BOUND:g}",
-                achievable=_c_q_tail(model, DEFAULT_MAX_BOUND))
-    return _c_q_at(model, p_cut)
+        return _c_q_at(model, int(truncation_override), False)
+    bound = _c_q_root_bound(model)
+    if bound is not None:
+        return _certified(_c_q_at(model, max(ZETA_P, math.ceil(8 * bound)), True),
+                          target_precision, "c_q")
+    k_rel = model.k_bound / model.alpha
+    needed = max(
+        (2.0 * k_rel) ** (1.0 / model.delta),           # (K/alpha) P^-delta <= 1/2
+        (2.0 * k_rel / (model.delta * target_precision)) ** (1.0 / model.delta),
+    )
+    p_cut = max(100, math.ceil(needed))
+    if p_cut > DEFAULT_MAX_BOUND:
+        raise PrecisionError(
+            f"model {model.name!r} (delta={model.delta:g}) needs primes to "
+            f"{p_cut:.3g}, beyond the sieve bound {DEFAULT_MAX_BOUND:g}",
+            achievable=_c_q_tail(model, DEFAULT_MAX_BOUND))
+    return _certified(_c_q_at(model, p_cut, False), 1.01 * target_precision, "c_q")
 
 
 def _c_q_tail(model: PrimeModel, p: float) -> float:
@@ -266,7 +579,9 @@ def _c_q_tail(model: PrimeModel, p: float) -> float:
 
 
 @lru_cache(maxsize=None)
-def _c_q_at(model: PrimeModel, p_cut: int) -> ConstantValue:
+def _c_q_at(model: PrimeModel, p_cut: int, series: bool) -> ConstantValue:
+    if series:
+        return _c_q_series(model, p_cut)
     [total] = prime_sums([p_cut], lambda p, logp: model.log_q_ratio_vec(p, logp) / p,
                          signed=True)
     return ConstantValue(
@@ -274,9 +589,8 @@ def _c_q_at(model: PrimeModel, p_cut: int) -> ConstantValue:
         method="prime-sum", params=(("p_cut", float(p_cut)),))
 
 
-# M, E and C_Q are memoised on their resolved truncation point, so every
-# spelling of a target (default, positional, keyword, or another precision
-# with the same P) shares one prime pass; their cache_info counts passes.
+# M, E and C_Q are memoised on their route and cut, so every spelling of a
+# target shares one computation; their cache_info counts computations.
 for _fn, _at in ((meissel_mertens, _meissel_mertens_at), (mertens_e, _mertens_e_at),
                  (c_q, _c_q_at)):
     _fn.cache_info, _fn.cache_clear = _at.cache_info, _at.cache_clear
@@ -286,11 +600,17 @@ del _fn, _at
 @lru_cache(maxsize=None)
 def rho_f(model: PrimeModel, target_precision: float = DEFAULT_CQ_PRECISION) -> ConstantValue:
     """rho_f = prod_p (f(p)/(alpha p^d))^(1/p) = exp(C_Q), bound propagated."""
-    base = c_q(model, target_precision)
+    return _exp_of(c_q(model, target_precision), "exp-of-c_q")
+
+
+def _exp_of(base: ConstantValue, method: str) -> ConstantValue:
+    """exp(base), its bound propagated plus an ulp for exp's own rounding
+    (exp(0) = 1 is exact)."""
     value = math.exp(base.value)
+    rounding = math.ulp(value) if base.value else 0.0
     return ConstantValue(
-        value=value, tail_bound=value * math.expm1(base.tail_bound),
-        method="exp-of-c_q", params=base.params)
+        value=value, tail_bound=value * math.expm1(base.tail_bound) + rounding,
+        method=method, params=base.params)
 
 
 # --------------------------------------------------------------------------
@@ -384,15 +704,22 @@ def saffari_a(j: int, target_precision: float = DEFAULT_AJ_PRECISION,
 
 @lru_cache(maxsize=None)
 def eta0(model: PrimeModel, target_precision: float = DEFAULT_CQ_PRECISION) -> ConstantValue:
-    """eta_0 = M log alpha + d (gamma + E - 1) + C_Q, tail bounds summed."""
-    m = meissel_mertens(min(DEFAULT_M_PRECISION, target_precision))
-    gamma = euler_gamma()
-    e = mertens_e(max(min(DEFAULT_E_PRECISION, target_precision), _MIN_E_PRECISION))
+    """eta_0 = M log alpha + d (gamma + E - 1) + C_Q, tail bounds summed.
+
+    gamma is the decimal one of the prime-zeta route; the float assembly
+    adds at most 4 ulps of the summed magnitudes (log alpha, products, sums).
+    """
+    m = meissel_mertens(target_precision)
+    gamma = _gamma_certified()
+    e = mertens_e(target_precision)
     cq = c_q(model, target_precision)
     log_alpha = math.log(model.alpha)
     value = m.value * log_alpha + model.d * (gamma.value + e.value - 1.0) + cq.value
+    mass = (abs(m.value * log_alpha)
+            + abs(model.d) * (gamma.value + abs(e.value) + 1.0) + abs(cq.value))
     tail = (abs(log_alpha) * m.tail_bound
-            + abs(model.d) * (gamma.tail_bound + e.tail_bound) + cq.tail_bound)
+            + abs(model.d) * (gamma.tail_bound + e.tail_bound) + cq.tail_bound
+            + 4 * EPS * mass)
     params = (("m_p_cut", m.param("p_cut")), ("e_p_cut", e.param("p_cut")))
     if cq.params:
         params += (("cq_p_cut", cq.param("p_cut")),)
@@ -404,11 +731,7 @@ def eta0(model: PrimeModel, target_precision: float = DEFAULT_CQ_PRECISION) -> C
 def leading_constant(model: PrimeModel,
                      target_precision: float = DEFAULT_CQ_PRECISION) -> ConstantValue:
     """alpha^M e^(d(gamma+E-1)) rho_f, computed as exp(eta0) exactly."""
-    base = eta0(model, target_precision)
-    value = math.exp(base.value)
-    return ConstantValue(
-        value=value, tail_bound=value * math.expm1(base.tail_bound),
-        method="exp-of-eta0", params=base.params)
+    return _exp_of(eta0(model, target_precision), "exp-of-eta0")
 
 
 # --------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import json
 import math
 import struct
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -131,7 +132,8 @@ def test_loose_precision_still_certifies(capsys, loose):
     assert rc == 0
     rows = {r["constant"]: r for r in json.loads(out)}
     m = rows["meissel_mertens_M"]
-    assert abs(m["value"] - 0.2614972128476428) <= m["tail_bound"]
+    exact = Fraction("0.26149721284764278375542683860869585905156664826120")
+    assert abs(Fraction(m["value"]) - exact) <= m["tail_bound"]
     assert all(math.isfinite(r["tail_bound"]) for r in rows.values())
 
 
@@ -149,11 +151,15 @@ def test_constants_sum_each_prime_pass_once(monkeypatch, capsys):
     monkeypatch.setattr(accum, "reduce_primes", counted)
     rc, out, _ = run(capsys, "constants", "--model", "euler_phi", "--format", "json")
     assert rc == 0
-    # M, E and C_Q, whether asked for directly or through rho_f and eta0
-    assert sorted(passes) == [[50_000_000], [200_000_000], [201_198_002]]
+    # M, E and C_Q come from the prime zeta function: no prime pass at all,
+    # and each is computed once, whether asked for directly or through
+    # rho_f and eta0
+    assert passes == []
     assert constants.meissel_mertens.cache_info().misses == 1
+    assert constants.mertens_e.cache_info().misses == 1
+    assert constants.c_q.cache_info().misses == 1
     rc, again, _ = run(capsys, "constants", "--model", "euler_phi", "--format", "json")
-    assert rc == 0 and again == out and len(passes) == 3
+    assert rc == 0 and again == out and passes == []
 
 
 def test_exit_code_unknown_check(capsys):
@@ -359,6 +365,21 @@ def test_cache_path_naming_a_file_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("PRIMEMEAN_CACHE", str(target))
     rc, out, err = run(capsys, *args)
     assert rc == 2 and str(target) in err and out == ""
+
+
+@pytest.mark.parametrize("below", ["sub", "sub/deeper"])
+def test_cache_path_under_a_file_exits_2(tmp_path, monkeypatch, capsys, below):
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
+    target = blocker / below
+    args = ("sums", "--model", "kappa", "--to", "1000", "--points", "2")
+    rc, out, err = run(capsys, *args, "--cache", str(target))
+    assert rc == 2 and str(target) in err and str(blocker) in err and out == ""
+    assert "Traceback" not in err
+    monkeypatch.setenv("PRIMEMEAN_CACHE", str(target))
+    rc, out, err = run(capsys, *args)
+    assert rc == 2 and str(target) in err and out == ""
+    assert blocker.read_text() == ""
 
 
 def test_no_cache_without_configuration(tmp_path, monkeypatch, capsys):

@@ -2,6 +2,8 @@
 
 Sizes stay small: every grid command gets a `--to` of at most 1e4 (or an
 invalid one), and `verify` runs only checks that are cheap at that size.
+Cache paths (`--cache` and PRIMEMEAN_CACHE) are drawn from a directory, a
+regular file, and paths below that file.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from __future__ import annotations
 import contextlib
 import io
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from primemean.cli import FIT_TARGETS, main
@@ -37,6 +39,9 @@ GRID = [
     _opt("--points", ["1", "3", "12", "64", "65", "0", "-1", "x"]),
     _opt("--spacing", ["log", "linear", "cubic"]),
 ]
+# {dir} and {file} are filled in per test with a directory and a regular file
+CACHE_PATHS = ["{dir}", "{dir}/new/sub", "{file}", "{file}/sub", "{file}/sub/deeper"]
+COMMON.append(_opt("--cache", CACHE_PATHS))
 PRECISIONS = ["1e-3", "0.5", "10", "1e-12", "1e-15", "nan", "inf", "-inf", "0",
               "-1", "x"]
 PER_COMMAND = {
@@ -67,9 +72,18 @@ def argv(draw) -> list[str]:
 
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(args=argv())
-def test_every_argument_vector_ends_in_a_documented_exit_code(args, monkeypatch):
-    monkeypatch.delenv("PRIMEMEAN_CACHE", raising=False)
+@given(args=argv(), env_cache=st.sampled_from([None] + CACHE_PATHS))
+@example(args=["sums", "--to", "1000", "--cache", "{file}/sub"], env_cache=None)
+@example(args=["geomean", "--to", "1000"], env_cache="{file}/sub/deeper")
+def test_every_argument_vector_ends_in_a_documented_exit_code(args, env_cache, monkeypatch,
+                                                             tmp_path):
+    paths = {"dir": str(tmp_path / "cache"), "file": str(tmp_path / "regular")}
+    (tmp_path / "regular").write_text("")
+    args = [a.format(**paths) if a in CACHE_PATHS else a for a in args]
+    if env_cache is None:
+        monkeypatch.delenv("PRIMEMEAN_CACHE", raising=False)
+    else:
+        monkeypatch.setenv("PRIMEMEAN_CACHE", env_cache.format(**paths))
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()) as err:
         try:

@@ -17,15 +17,18 @@ float allowance.  The oracle algebra:
 
 from __future__ import annotations
 
+import functools
 import math
 
 import mpmath
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from primemean import constants
 from primemean.accum import EPS, FORM_ULPS
-from primemean.errors import GridError, PrecisionError
+from primemean.errors import GridError, ModelSpecError, PrecisionError
 from primemean.multfunc import builtin, load_model_file
 
 mp.dps = 30
@@ -41,10 +44,30 @@ def m_ref():
     return float(+mpmath.mertens)
 
 
+# 40-digit references: the prime-zeta values are certified to ~1e-16, below
+# the rounding of a reference to double, so they are compared in mpmath.
 @pytest.fixture(scope="module")
-def e_ref(gamma_ref):
-    b = mpmath.fsum(-mpmath.diff(mpmath.primezeta, k) for k in range(2, 90))
-    return float(-mp.euler - b)
+def m_ref40():
+    with mpmath.workdps(40):
+        return +mpmath.mertens
+
+
+@pytest.fixture(scope="module")
+def e_ref40():
+    # the terms beyond k = 100 add up to less than 1e-30
+    with mpmath.workdps(40):
+        return -mp.euler - mpmath.fsum(-mpmath.diff(mpmath.primezeta, k)
+                                       for k in range(2, 100))
+
+
+@pytest.fixture(scope="module")
+def e_ref(e_ref40):
+    return float(e_ref40)
+
+
+def _within(cv, ref) -> bool:
+    with mpmath.workdps(40):
+        return abs(mpmath.mpf(cv.value) - ref) <= cv.tail_bound
 
 
 def test_euler_gamma_certified(gamma_ref):
@@ -54,36 +77,40 @@ def test_euler_gamma_certified(gamma_ref):
     assert round(g.value, 6) == 0.577216
 
 
-def test_meissel_mertens_certified(m_ref):
+def test_meissel_mertens_certified(m_ref40):
     m = constants.meissel_mertens()
-    assert abs(m.value - m_ref) <= m.tail_bound + 1e-13
-    assert m.tail_bound <= 1.1e-8
+    assert m.method == "prime-zeta" and m.param("p_cut") == constants.ZETA_P
+    assert m.tail_bound <= 1e-14
+    assert _within(m, m_ref40)
     assert round(m.value, 6) == 0.261497
 
 
-def test_mertens_e_certified(e_ref):
+def test_mertens_e_certified(e_ref40):
     e = constants.mertens_e()
-    assert abs(e.value - e_ref) <= e.tail_bound + 1e-13
-    assert e.tail_bound <= 1.1e-7
+    assert e.method == "prime-zeta" and e.param("p_cut") == constants.ZETA_P
+    assert e.tail_bound <= 1e-14
+    assert _within(e, e_ref40)
     assert round(e.value, 6) == -1.332582
 
 
-def test_tighter_precision_tightens_m(m_ref):
+def test_tighter_precision_tightens_m(m_ref40):
     loose = constants.meissel_mertens(1e-6)
     tight = constants.meissel_mertens(1e-8)
-    # the certified bound adds a float-accumulation allowance on top of the
-    # requested analytic tail, so compare against a whisker above the target
-    assert loose.tail_bound <= 1.01e-6 and tight.tail_bound <= 1.01e-8
-    assert tight.param("p_cut") > loose.param("p_cut")
-    assert abs(tight.value - m_ref) <= tight.tail_bound
+    # the prime-zeta route certifies ~1e-16 whatever the target
+    assert loose.tail_bound <= 1e-14 and tight.tail_bound <= 1e-14
+    assert _within(tight, m_ref40) and _within(loose, m_ref40)
 
 
 def test_doubling_moves_less_than_tail():
-    for make in (constants.euler_gamma, constants.meissel_mertens,
-                 constants.mertens_e):
-        base = make()
-        doubled = make(truncation_override=2 * int(base.param(
-            "n" if "harmonic" in base.method else "p_cut")))
+    base = constants.euler_gamma()
+    doubled = constants.euler_gamma(truncation_override=2 * int(base.param("n")))
+    assert abs(doubled.value - base.value) < base.tail_bound
+    # the prime-sum route at the cuts of the constants-stability check
+    for make, cut in ((constants.meissel_mertens, 5 * 10 ** 7),
+                      (constants.mertens_e, 2 * 10 ** 8)):
+        base = make(truncation_override=cut)
+        doubled = make(truncation_override=2 * cut)
+        assert base.method == doubled.method == "prime-sum"
         assert abs(doubled.value - base.value) < base.tail_bound
 
 
@@ -154,10 +181,15 @@ def test_precision_floors_raise():
     with pytest.raises(PrecisionError) as err:
         constants.euler_gamma(1e-14)
     assert err.value.achievable is not None
-    with pytest.raises(PrecisionError, match="meissel_mertens"):
-        constants.meissel_mertens(1e-11)
-    with pytest.raises(PrecisionError, match="mertens_e"):
-        constants.mertens_e(1e-9)
+    # the prime-zeta floor is the tail bound itself (half an ulp and change)
+    for fn, args, name in ((constants.meissel_mertens, (), "meissel_mertens"),
+                           (constants.mertens_e, (), "mertens_e"),
+                           (constants.c_q, (builtin("euler_phi"),), "c_q")):
+        floor = fn(*args).tail_bound
+        assert fn(*args, floor) == fn(*args)
+        with pytest.raises(PrecisionError, match=name) as err:
+            fn(*args, floor / 2)
+        assert err.value.achievable == floor
 
 
 def test_zeta_zero_ordinates_rederived():
@@ -181,25 +213,31 @@ def test_limit_oracles_agree_with_closed_forms(m_ref, e_ref):
 # Values computed before the prime sums moved to the shared reducer in
 # accum: the move must leave each value bit-identical, and a tail bound may
 # only grow, by the per-term formation allowance (every mass here is < 1).
+# The cuts are the ones the prime-sum route used by default.
 _FROZEN_PRIME_SUMS = {
     "M": (constants.meissel_mertens, (),
-          "0x1.0bc5ecede2b41p-2", "0x1.57a04eeddef94p-27"),
+          "0x1.0bc5ecede2b41p-2", "0x1.57a04eeddef94p-27", 50_000_000),
     "E": (constants.mertens_e, (),
-          "-0x1.55241c98273c8p+0", "0x1.ad80165aa9703p-24"),
+          "-0x1.55241c98273c8p+0", "0x1.ad80165aa9703p-24", 201_198_002),
     "C_Q[euler_phi]": (constants.c_q, ("euler_phi",),
-                       "-0x1.28fd6d474160dp-1", "0x1.5798f4ceb9f7fp-27"),
+                       "-0x1.28fd6d474160dp-1", "0x1.5798f4ceb9f7fp-27", 200_000_000),
     "C_Q[sigma]": (constants.c_q, ("sigma",),
-                   "0x1.893f73c97255dp-2", "0x1.5798f28d9f307p-27"),
+                   "0x1.893f73c97255dp-2", "0x1.5798f28d9f307p-27", 200_000_000),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_FROZEN_PRIME_SUMS))
 def test_prime_sum_constants_frozen(name):
-    fn, models, value, tail = _FROZEN_PRIME_SUMS[name]
-    cv = fn(*map(builtin, models))
+    fn, models, value, tail, cut = _FROZEN_PRIME_SUMS[name]
+    cv = fn(*map(builtin, models), truncation_override=cut)
+    assert cv.method == "prime-sum" and cv.param("p_cut") == cut
     assert cv.value == float.fromhex(value)
     growth = cv.tail_bound - float.fromhex(tail)
     assert 0.0 <= growth <= FORM_ULPS * EPS
+    # the prime-zeta value moves only within the prime-sum bound
+    new = fn(*map(builtin, models))
+    assert new.method == "prime-zeta"
+    assert abs(new.value - cv.value) <= cv.tail_bound
 
 
 def test_limit_oracles_frozen():
@@ -231,3 +269,122 @@ def test_cq_model_file_matches_prime_zeta_series(tmp_path):
     assert abs(got.value - want) <= got.tail_bound + 1e-12
     rho = constants.rho_f(model, target_precision=1.2e-5)
     assert abs(rho.value - math.exp(want)) <= rho.tail_bound + 1e-12
+
+
+# --------------------------------------------------------------------------
+# C_Q of rational models against an mpmath prime-zeta oracle
+# --------------------------------------------------------------------------
+
+_ORACLE_P0 = 64
+_ORACLE_PRIMES = [p for p in range(2, _ORACLE_P0 + 1)
+                  if all(p % q for q in range(2, int(p ** 0.5) + 1))]
+
+
+@functools.lru_cache(maxsize=None)
+def _prime_zeta_above(s: int):
+    """sum_{p > 64} p^-s from mpmath's prime zeta function, at 50 digits."""
+    with mpmath.workdps(50):
+        return mpmath.primezeta(s) - mpmath.fsum(mpmath.mpf(p) ** -s for p in _ORACLE_PRIMES)
+
+
+def _cq_oracle(num, den):
+    """C_Q of f(p) = prod_num (c p + b) / prod_den (c p + b), alpha = prod c.
+
+    Primes up to 64 directly; above them each factor contributes
+    (1/p) log(1 + r/p) = sum_k (-1)^(k+1) r^k/k p^-(k+1), r = b/c, |r| < 8.
+    """
+    with mpmath.workdps(50):
+        factors = [(c, b, 1) for c, b in num] + [(c, b, -1) for c, b in den]
+        direct = mpmath.fsum(
+            sign * mpmath.log(1 + mpmath.mpf(b) / (c * p)) / p
+            for p in _ORACLE_PRIMES for c, b, sign in factors)
+        tail = mpmath.fsum(
+            sign * (-1) ** (k + 1) * (mpmath.mpf(b) / c) ** k / k * _prime_zeta_above(k + 1)
+            for c, b, sign in factors for k in range(1, 60))
+        return direct + tail
+
+
+def _factor_text(c: int, b: int) -> str:
+    lead = "p" if c == 1 else f"{c} * p"
+    return f"({lead} {'+' if b >= 0 else '-'} {abs(b)})"
+
+
+def _write_model(path, num, den, k_bound=1e6):
+    alpha = math.prod(c for c, _ in num) / math.prod(c for c, _ in den)
+    fp = " * ".join(_factor_text(c, b) for c, b in num)
+    if den:
+        fp = f"{fp} / ({' * '.join(_factor_text(c, b) for c, b in den)})"
+    path.write_text(f"name = drawn\nd = {len(num) - len(den)}\nalpha = {alpha!r}\n"
+                    f"delta = 1\nK = {k_bound:g}\nfp = {fp}\n"
+                    "strongly_multiplicative = true\n")
+    return str(path)
+
+
+def _phi_sigma_jordan2_refs():
+    with mpmath.workdps(40):
+        pz = [None, None] + [mpmath.primezeta(s) for s in range(2, 200)]
+        return {
+            "euler_phi": -mpmath.fsum(pz[k + 1] / k for k in range(1, 130)),
+            "sigma": mpmath.fsum((-1) ** (k + 1) * pz[k + 1] / k for k in range(1, 130)),
+            "jordan_2": -mpmath.fsum(pz[2 * k + 1] / k for k in range(1, 90)),
+        }
+
+
+def test_cq_builtins_certified_to_40_digits():
+    for name, ref in _phi_sigma_jordan2_refs().items():
+        cv = constants.c_q(builtin(name))
+        assert cv.method == "prime-zeta", name
+        assert cv.tail_bound <= 1e-14, name
+        assert _within(cv, ref), name
+
+
+@pytest.mark.parametrize("a,b", [(5, 5), (-3, 5), (-3, -3), (1, -1), (3, -1)])
+def test_cq_benchmark_model_certified(tmp_path, a, b):
+    # the benchmark's (2p + a)(2p + b)/4
+    model = load_model_file(_write_model(tmp_path / "bench.model",
+                                         [(2, a), (2, b)], [(4, 0)], k_bound=9))
+    cv = constants.c_q(model)
+    assert cv.method == "prime-zeta" and cv.tail_bound <= 1e-14
+    assert _within(cv, _cq_oracle([(2, a), (2, b)], [(4, 0)]))
+
+
+_FACTOR = st.one_of(st.tuples(st.just(1), st.integers(-3, 6)),
+                    st.tuples(st.sampled_from([2, 4]), st.integers(-5, 7)))
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(num=st.lists(_FACTOR, min_size=1, max_size=3),
+       den=st.lists(_FACTOR, max_size=2))
+def test_cq_drawn_model_files_match_prime_zeta_oracle(tmp_path, num, den):
+    # repeated and negative roots come from repeated draws and negative b
+    try:
+        model = load_model_file(_write_model(tmp_path / "drawn.model", num, den))
+    except ModelSpecError:
+        return                                  # exit 2 at load
+    cv = constants.c_q(model)
+    assert cv.method == "prime-zeta"
+    assert _within(cv, _cq_oracle(num, den)), (num, den, cv)
+
+
+def test_cq_falls_back_to_prime_sums(tmp_path):
+    # a leading coefficient that is not a double: alpha is only its rounding
+    third = tmp_path / "third.model"
+    third.write_text("name = third\nd = 1\nalpha = 0.3333333333333333\ndelta = 1\n"
+                     "K = 1\nfp = p / 3\nstrongly_multiplicative = true\n")
+    cv = constants.c_q(load_model_file(str(third)), 1e-3)
+    assert cv.method == "prime-sum" and cv.tail_bound <= 1.01e-3
+    # roots far out: Fujiwara's bound 2000 is above _MAX_ROOT_BOUND
+    far = load_model_file(_write_model(tmp_path / "far.model", [(1, 1000)], [], 1000))
+    cv = constants.c_q(far, 1e-2)
+    assert cv.method == "prime-sum" and cv.param("p_cut") == 200_000
+
+
+def test_cq_rejects_a_model_negative_at_a_small_prime(tmp_path, capsys):
+    # (p - 16)(p - 18) < 0 at p = 17, positive at every prime the loader checks
+    path = _write_model(tmp_path / "dip.model", [(1, -16), (1, -18)], [], 200)
+    with pytest.raises(ModelSpecError, match="not positive at p=17"):
+        constants.c_q(load_model_file(path))
+    from primemean.cli import main
+    assert main(["constants", "--model", path]) == 2
+    assert "not positive at p=17" in capsys.readouterr().err
