@@ -188,13 +188,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_cache_dir(cache_dir: str) -> None:
-    """Reject a cache path that names, or lies under, an existing non-directory."""
-    path = os.path.abspath(cache_dir)
-    while not os.path.exists(path) and os.path.dirname(path) != path:
+    """Reject a cache path that names, or lies under, an existing non-directory.
+
+    The path is walked up as written, not normalised, so the OS resolves
+    every `..` as `os.makedirs` will (`<file>/../new` fails at `<file>`).
+    """
+    path = cache_dir
+    while path and not os.path.exists(path):
         path = os.path.dirname(path)
-    if path == os.path.abspath(cache_dir) and not os.path.isdir(path):
+    if path == cache_dir and not os.path.isdir(path):
         raise GridError(f"cache directory {cache_dir!r} is not a directory")
-    if not os.path.isdir(path):
+    if not os.path.isdir(path or os.curdir):
         raise GridError(f"cache directory {cache_dir!r} cannot be created: "
                         f"{path!r} is not a directory")
 
@@ -283,8 +287,11 @@ def cached_report(model: PrimeModel, grid: CheckpointGrid,
             if report.u_of_x is not None or not with_u:
                 return report
     report = primesums.sums_stream(model, grid, parallel=parallel, with_u=with_u)
-    os.makedirs(cache_dir, exist_ok=True)
-    primesums.save_report(path, report)
+    try:
+        os.makedirs(cache_dir, exist_ok=True)
+        primesums.save_report(path, report)
+    except OSError as exc:
+        raise GridError(f"cache directory {cache_dir!r} cannot be written: {exc}") from exc
     return report
 
 

@@ -3,8 +3,11 @@
 Every value ships as a ConstantValue carrying a certified truncation bound
 derived from a stated inequality — never an eyeballed guess.
 
-- gamma (`euler_gamma`):  H_N - log N - 1/(2N) + 1/(12 N^2) - 1/(120 N^4),
-  with the next Euler-Maclaurin term bounding the remainder by 1/(252 N^6).
+- gamma (`euler_gamma`): H_{N-1} - log N plus the Euler-Maclaurin
+  corrections of sum_{n>=N} 1/n at N = 32, in decimal and certified like M
+  and E below.  The prime-sum route keeps the float harmonic sum H_N - log N
+  - 1/(2N) + 1/(12 N^2) - 1/(120 N^4), with the next Euler-Maclaurin term
+  bounding the remainder by 1/(252 N^6).
 - a_j = -Int_1^oo {t} (log t)^(j-1) t^-2 dt, integrated exactly per unit
   interval (the integrand is polynomial-in-t times smooth there) by
   Gauss-Legendre panels; the tail beyond an integer T uses {t} = 1/2 + P1(t)
@@ -23,7 +26,8 @@ summed directly; the tail over p > P comes from, at integers t >= 2,
     H(t) = log zeta_{>P}(t) = log zeta(t) + sum_{p<=P} log(1 - p^-t),
     G(t) = (-zeta'/zeta)_{>P}(t) = -zeta'(t)/zeta(t) - sum_{p<=P} log p p^-t / (1 - p^-t),
 
-with zeta(t) and zeta'(t) by Euler-Maclaurin.  Expanding each prime's term
+with zeta(t) and zeta'(t) by Euler-Maclaurin: the terms n < N summed
+directly, N = max(32, P/4).  Expanding each prime's term
 in powers of 1/p and Moebius-inverting the prime-power sums gives
 
 - M = gamma + sum_{p<=P} [log(1 - 1/p) + 1/p] + sum_{t>=2} mu(t)/t H(t);
@@ -41,14 +45,15 @@ large), and each tail_bound adds five parts:
 
 1. the Euler-Maclaurin remainders: 2 |B_{2J+2}|/(2J+2)! |f^(2J+1)(N)|
    for f = x^-t and x^-t log x, whose (2J+2)-th derivatives keep one sign
-   on [N, oo);
+   on [N, oo); each is ~N^-t, so with N >= 2R it falls faster than the
+   C_Q weights grow (like R^t);
 2. the truncation of the t-sums, from |H(t)| <= 1.01 P^(1-t)/(t-1),
    |G(t)| <= 1.01 P^(1-t) (log P + 1)/(t-1) and, with a root bound R
    (Fujiwara) and P >= 8R, |w_t H(t)| <= 1.01 deg(N D) (R/P)^(t-1);
 3. an a priori bound on decimal rounding: every decimal operation lands
    within one unit in its last digit, and each H(t), G(t) is formed by
    fewer than `_value_ulps` such operations on quantities below 4;
-4. the same two bounds for a decimal gamma (not `euler_gamma`'s float);
+4. the same two bounds for gamma (`euler_gamma`);
 5. the final rounding to double, half an ulp.
 
 So M, E and C_Q are certified to ~1e-16 whatever the target; a target
@@ -123,17 +128,16 @@ DEFAULT_E_PRECISION = 1e-7
 DEFAULT_CQ_PRECISION = 1e-8
 DEFAULT_AJ_PRECISION = 1e-8
 
-_MIN_GAMMA_PRECISION = 1e-13
-
 _SAFFARI_MAX_J = 8
 
 #: Primes up to ZETA_P are summed directly on the prime-zeta route.
 ZETA_P = 100
-_EM_N = 32              # Euler-Maclaurin: n < N term by term, corrections at N
+_EM_N = 32              # Euler-Maclaurin: n < N term by term, corrections at N (see _em_n)
 _EM_J = 12              # Bernoulli corrections B_2 .. B_2J
 _SERIES_EPS = 1e-30     # each t-sum stops once its tail bound is below this
 _DIGITS = 40            # decimal working precision (C_Q adds digits for large weights)
 _MAX_ROOT_BOUND = 128   # above it C_Q takes the prime-sum route (P = 8R would be > 1024)
+_PRIME_SUM_GAMMA_N = 41  # the float harmonic sum's N on the prime-sum route
 
 
 @dataclass(frozen=True)
@@ -177,26 +181,24 @@ def _certified(cv: ConstantValue, target_precision: float, name: str) -> Constan
 @lru_cache(maxsize=None)
 def euler_gamma(target_precision: float = DEFAULT_GAMMA_PRECISION,
                 truncation_override: int | None = None) -> ConstantValue:
-    """Euler's constant via the harmonic sum with Euler-Maclaurin terms.
+    """Euler's constant.
 
-    gamma = H_N - log N - 1/(2N) + 1/(12 N^2) - 1/(120 N^4) + theta/(252 N^6)
-    with |theta| <= 1.  ``truncation_override`` substitutes N directly (used
-    by the doubled-truncation stability checks).
+    By default in decimal (module docstring), certified to ~6e-17; a target
+    below its tail bound raises PrecisionError.  ``truncation_override``
+    takes the float harmonic sum at that N instead (the prime-sum route's
+    gamma): gamma = H_N - log N - 1/(2N) + 1/(12 N^2) - 1/(120 N^4) +
+    theta/(252 N^6) with |theta| <= 1, plus 8 ulps for fsum and log.
     """
-    if target_precision < _MIN_GAMMA_PRECISION:
-        raise PrecisionError(
-            f"euler_gamma cannot certify below {_MIN_GAMMA_PRECISION:g} in double "
-            f"precision", achievable=_MIN_GAMMA_PRECISION)
-    if truncation_override is not None:
-        n = int(truncation_override)
-    else:
-        n = max(10, math.ceil((1.0 / (252.0 * 0.9 * target_precision)) ** (1.0 / 6.0)))
+    if truncation_override is None:
+        gamma, err = _gamma_head(_DIGITS)
+        return _certified(_to_double(gamma, [err], "euler-maclaurin-decimal",
+                                     (("n", float(_EM_N)),)),
+                          target_precision, "euler_gamma")
+    n = int(truncation_override)
     harmonic = math.fsum(1.0 / k for k in range(1, n + 1))
     value = (harmonic - math.log(n) - 1.0 / (2.0 * n)
              + 1.0 / (12.0 * n * n) - 1.0 / (120.0 * n ** 4))
     tail = 1.0 / (252.0 * n ** 6) + 8 * EPS  # + float allowance for fsum/log
-    if truncation_override is None and tail > target_precision:
-        raise PrecisionError("internal: N selection missed the target", achievable=tail)
     return ConstantValue(value=value, tail_bound=tail,
                          method="harmonic-euler-maclaurin", params=(("n", float(n)),))
 
@@ -236,8 +238,18 @@ def _ln(n: int, digits: int) -> Decimal:
         return Decimal(n).ln()
 
 
-def _em_tail(s: int, digits: int) -> Tuple[Decimal, Decimal, float]:
-    """Euler-Maclaurin corrections at N for f = x^-s and f = x^-s log x.
+def _em_n(p_cut: int) -> int:
+    """The Euler-Maclaurin N for a direct-sum cut P: max(32, P/4).
+
+    Each zeta(t) keeps an absolute remainder ~ N^-t; a C_Q weight w_t grows
+    like R^t with P >= 8R, so N >= 2R makes every w_t-weighted remainder
+    shrink like 2^-t.
+    """
+    return max(_EM_N, p_cut // 4)
+
+
+def _em_tail(s: int, digits: int, big_n: int) -> Tuple[Decimal, Decimal, float]:
+    """Euler-Maclaurin corrections at N = big_n for f = x^-s and x^-s log x.
 
     Returns f(N)/2 - sum_{j<=J} B_2j/(2j)! f^(2j-1)(N) for both f (the
     integral of f over [N, oo) left to the caller), and the bound
@@ -247,8 +259,8 @@ def _em_tail(s: int, digits: int) -> Tuple[Decimal, Decimal, float]:
     x^-s and (-1)^k (s)_k x^(-s-k) (log x - h_k(s)) for x^-s log x, with
     h_k(s) = sum_{i<k} 1/(s+i).  Runs in the caller's decimal context.
     """
-    n = Decimal(_EM_N)
-    log_n = _ln(_EM_N, digits)
+    n = Decimal(big_n)
+    log_n = _ln(big_n, digits)
     x = n ** -s
     corr, dcorr = x / 2, log_n * x / 2
     h = Fraction(0)
@@ -261,31 +273,32 @@ def _em_tail(s: int, digits: int) -> Tuple[Decimal, Decimal, float]:
         dcorr += term * (log_n - _dec(h))
     k = 2 * _EM_J + 2
     rem = (2.0 * float(abs(_bernoulli(k)) * math.prod(range(s, s + k - 1)) / math.factorial(k))
-           * float(_EM_N) ** -(s + k - 1))
+           * float(big_n) ** -(s + k - 1))
     return corr, dcorr, rem
 
 
 @lru_cache(maxsize=None)
-def _zeta(s: int, digits: int) -> Tuple[Decimal, Decimal, float, float]:
+def _zeta(s: int, digits: int, big_n: int) -> Tuple[Decimal, Decimal, float, float]:
     """zeta(s), -zeta'(s) for an integer s >= 2, and their remainder bounds."""
     h_max = sum(Fraction(1, s + i) for i in range(2 * _EM_J + 2))
-    if not float(h_max) < math.log(_EM_N):
+    if not float(h_max) < math.log(big_n):
         raise AssertionError("Euler-Maclaurin: the log form changes sign beyond N")
     with localcontext(Context(prec=digits)):
-        corr, dcorr, rem = _em_tail(s, digits)
-        n = Decimal(_EM_N)
-        zeta = sum(Decimal(k) ** -s for k in range(1, _EM_N)) + n ** (1 - s) / (s - 1) + corr
-        dzeta = (sum(_ln(k, digits) * Decimal(k) ** -s for k in range(2, _EM_N))
-                 + n ** (1 - s) * (_ln(_EM_N, digits) / (s - 1) + Decimal(1) / (s - 1) ** 2)
+        corr, dcorr, rem = _em_tail(s, digits, big_n)
+        n = Decimal(big_n)
+        powers = [Decimal(k) ** -s for k in range(1, big_n)]
+        zeta = sum(powers) + n ** (1 - s) / (s - 1) + corr
+        dzeta = (sum(_ln(k, digits) * x for k, x in enumerate(powers[1:], start=2))
+                 + n ** (1 - s) * (_ln(big_n, digits) / (s - 1) + Decimal(1) / (s - 1) ** 2)
                  + dcorr)
-    return zeta, dzeta, rem, rem * math.log(_EM_N)
+    return zeta, dzeta, rem, rem * math.log(big_n)
 
 
 @lru_cache(maxsize=None)
 def _decimal_gamma(digits: int) -> Tuple[Decimal, float]:
     """gamma = H_{N-1} - log N + [Euler-Maclaurin corrections of sum_{n>=N} 1/n]."""
     with localcontext(Context(prec=digits)):
-        corr, _, rem = _em_tail(1, digits)
+        corr, _, rem = _em_tail(1, digits, _EM_N)
         gamma = sum(Decimal(1) / k for k in range(1, _EM_N)) - _ln(_EM_N, digits) + corr
     return gamma, rem
 
@@ -303,7 +316,7 @@ def _value_ulps(p_cut: int) -> float:
     the last digit of a quantity below 4, and later steps amplify an error
     at most twice (a log of a number >= 1/2, a division by 1 - p^-t >= 1/2).
     """
-    return 2 * 4 * 4 * (_EM_N + 2 * _EM_J + len(_small_primes(p_cut)) + 8)
+    return 2 * 4 * 4 * (_em_n(p_cut) + 2 * _EM_J + len(_small_primes(p_cut)) + 8)
 
 
 @lru_cache(maxsize=None)
@@ -313,7 +326,7 @@ def _rough(t: int, p_cut: int, digits: int) -> Tuple[Decimal, Decimal, float, fl
     log is 1-Lipschitz on [1, oo) and |zeta'/zeta| < 1 there, so the bounds
     carry over from zeta and zeta' with a 1.01 allowance for the divisions.
     """
-    zeta, dzeta, rem, drem = _zeta(t, digits)
+    zeta, dzeta, rem, drem = _zeta(t, digits, _em_n(p_cut))
     with localcontext(Context(prec=digits)):
         h, g = zeta.ln(), dzeta / zeta
         for p in _small_primes(p_cut):
@@ -368,13 +381,6 @@ def _gamma_head(digits: int) -> Tuple[Decimal, float]:
     """The decimal gamma and its error bound (remainder plus rounding)."""
     gamma, rem = _decimal_gamma(digits)
     return gamma, rem + 10.0 ** (1 - digits) * _value_ulps(0)
-
-
-@lru_cache(maxsize=None)
-def _gamma_certified() -> ConstantValue:
-    """gamma from the decimal route, for the assembled constants."""
-    gamma, err = _gamma_head(_DIGITS)
-    return _to_double(gamma, [err], "euler-maclaurin-decimal", ())
 
 
 def _meissel_mertens_series(p_cut: int) -> ConstantValue:
@@ -493,7 +499,7 @@ def meissel_mertens(target_precision: float = DEFAULT_M_PRECISION,
 def _meissel_mertens_at(p_cut: int, series: bool) -> ConstantValue:
     if series:
         return _meissel_mertens_series(p_cut)
-    gamma = euler_gamma()
+    gamma = euler_gamma(truncation_override=_PRIME_SUM_GAMMA_N)
     [total] = prime_sums([p_cut], lambda p, logp: np.log1p(-1.0 / p) + 1.0 / p,
                          signed=True)
     tail = 1.0 / (2.0 * p_cut)
@@ -523,7 +529,7 @@ def mertens_e(target_precision: float = DEFAULT_E_PRECISION,
 def _mertens_e_at(p_cut: int, series: bool) -> ConstantValue:
     if series:
         return _mertens_e_series(p_cut)
-    gamma = euler_gamma()
+    gamma = euler_gamma(truncation_override=_PRIME_SUM_GAMMA_N)
     [total] = prime_sums([p_cut], lambda p, logp: logp / (p * (p - 1.0)))
     tail = (1.0 + 1.0 / p_cut) * (math.log(p_cut) + 1.0) / p_cut
     return ConstantValue(
@@ -706,11 +712,11 @@ def saffari_a(j: int, target_precision: float = DEFAULT_AJ_PRECISION,
 def eta0(model: PrimeModel, target_precision: float = DEFAULT_CQ_PRECISION) -> ConstantValue:
     """eta_0 = M log alpha + d (gamma + E - 1) + C_Q, tail bounds summed.
 
-    gamma is the decimal one of the prime-zeta route; the float assembly
-    adds at most 4 ulps of the summed magnitudes (log alpha, products, sums).
+    The float assembly adds at most 4 ulps of the summed magnitudes
+    (log alpha, products, sums).
     """
     m = meissel_mertens(target_precision)
-    gamma = _gamma_certified()
+    gamma = euler_gamma(target_precision)
     e = mertens_e(target_precision)
     cq = c_q(model, target_precision)
     log_alpha = math.log(model.alpha)

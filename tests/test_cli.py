@@ -114,7 +114,7 @@ def test_exit_code_model(capsys):
 
 
 def test_exit_code_precision(capsys):
-    rc, _, err = run(capsys, "constants", "--precision", "1e-15")
+    rc, _, err = run(capsys, "constants", "--precision", "1e-17")
     assert rc == 3 and "euler_gamma" in err
 
 
@@ -367,11 +367,12 @@ def test_cache_path_naming_a_file_exits_2(tmp_path, monkeypatch, capsys):
     assert rc == 2 and str(target) in err and out == ""
 
 
-@pytest.mark.parametrize("below", ["sub", "sub/deeper"])
+@pytest.mark.parametrize("below", ["sub", "sub/deeper", "../new"])
 def test_cache_path_under_a_file_exits_2(tmp_path, monkeypatch, capsys, below):
+    # `<file>/../new` names no directory: the OS resolves `..` after `<file>`
     blocker = tmp_path / "not-a-dir"
     blocker.write_text("")
-    target = blocker / below
+    target = f"{blocker}/{below}"
     args = ("sums", "--model", "kappa", "--to", "1000", "--points", "2")
     rc, out, err = run(capsys, *args, "--cache", str(target))
     assert rc == 2 and str(target) in err and str(blocker) in err and out == ""
@@ -380,6 +381,18 @@ def test_cache_path_under_a_file_exits_2(tmp_path, monkeypatch, capsys, below):
     rc, out, err = run(capsys, *args)
     assert rc == 2 and str(target) in err and out == ""
     assert blocker.read_text() == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["not-a-dir"]
+
+
+def test_cache_write_failure_exits_2(tmp_path, monkeypatch, capsys):
+    def full(path, report):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(primesums, "save_report", full)
+    rc, out, err = run(capsys, "sums", "--model", "kappa", "--to", "1000", "--points", "2",
+                       "--cache", str(tmp_path / "cache"))
+    assert rc == 2 and "cannot be written" in err and "No space left" in err
+    assert "Traceback" not in err
 
 
 def test_no_cache_without_configuration(tmp_path, monkeypatch, capsys):

@@ -3,7 +3,7 @@
 Sizes stay small: every grid command gets a `--to` of at most 1e4 (or an
 invalid one), and `verify` runs only checks that are cheap at that size.
 Cache paths (`--cache` and PRIMEMEAN_CACHE) are drawn from a directory, a
-regular file, and paths below that file.
+regular file, and paths below or through that file.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ GRID = [
     _opt("--spacing", ["log", "linear", "cubic"]),
 ]
 # {dir} and {file} are filled in per test with a directory and a regular file
-CACHE_PATHS = ["{dir}", "{dir}/new/sub", "{file}", "{file}/sub", "{file}/sub/deeper"]
+CACHE_PATHS = ["{dir}", "{dir}/new/sub", "{file}", "{file}/sub", "{file}/sub/deeper",
+               "{file}/../new"]
 COMMON.append(_opt("--cache", CACHE_PATHS))
 PRECISIONS = ["1e-3", "0.5", "10", "1e-12", "1e-15", "nan", "inf", "-inf", "0",
               "-1", "x"]
@@ -75,6 +76,7 @@ def argv(draw) -> list[str]:
 @given(args=argv(), env_cache=st.sampled_from([None] + CACHE_PATHS))
 @example(args=["sums", "--to", "1000", "--cache", "{file}/sub"], env_cache=None)
 @example(args=["geomean", "--to", "1000"], env_cache="{file}/sub/deeper")
+@example(args=["sums", "--to", "1000", "--cache", "{file}/../new"], env_cache=None)
 def test_every_argument_vector_ends_in_a_documented_exit_code(args, env_cache, monkeypatch,
                                                              tmp_path):
     paths = {"dir": str(tmp_path / "cache"), "file": str(tmp_path / "regular")}

@@ -73,8 +73,13 @@ def _within(cv, ref) -> bool:
 def test_euler_gamma_certified(gamma_ref):
     g = constants.euler_gamma()
     assert abs(g.value - gamma_ref) <= g.tail_bound + 1e-15
-    assert g.tail_bound <= 1e-12
+    assert g.tail_bound <= 1e-16
+    with mpmath.workdps(40):
+        assert _within(g, +mp.euler)
     assert round(g.value, 6) == 0.577216
+    # eta0 assembles the same gamma that `constants` prints
+    kappa = constants.eta0(builtin("kappa"))
+    assert kappa.value == g.value + constants.mertens_e().value - 1.0
 
 
 def test_meissel_mertens_certified(m_ref40):
@@ -102,8 +107,9 @@ def test_tighter_precision_tightens_m(m_ref40):
 
 
 def test_doubling_moves_less_than_tail():
-    base = constants.euler_gamma()
-    doubled = constants.euler_gamma(truncation_override=2 * int(base.param("n")))
+    # the float harmonic sum at the prime-sum route's N = 41
+    base = constants.euler_gamma(truncation_override=41)
+    doubled = constants.euler_gamma(truncation_override=82)
     assert abs(doubled.value - base.value) < base.tail_bound
     # the prime-sum route at the cuts of the constants-stability check
     for make, cut in ((constants.meissel_mertens, 5 * 10 ** 7),
@@ -178,11 +184,9 @@ def test_eta0_assemblies(gamma_ref, e_ref, m_ref):
 
 
 def test_precision_floors_raise():
-    with pytest.raises(PrecisionError) as err:
-        constants.euler_gamma(1e-14)
-    assert err.value.achievable is not None
-    # the prime-zeta floor is the tail bound itself (half an ulp and change)
-    for fn, args, name in ((constants.meissel_mertens, (), "meissel_mertens"),
+    # the floor is the tail bound itself (half an ulp and change)
+    for fn, args, name in ((constants.euler_gamma, (), "euler_gamma"),
+                           (constants.meissel_mertens, (), "meissel_mertens"),
                            (constants.mertens_e, (), "mertens_e"),
                            (constants.c_q, (builtin("euler_phi"),), "c_q")):
         floor = fn(*args).tail_bound
@@ -365,6 +369,55 @@ def test_cq_drawn_model_files_match_prime_zeta_oracle(tmp_path, num, den):
     cv = constants.c_q(model)
     assert cv.method == "prime-zeta"
     assert _within(cv, _cq_oracle(num, den)), (num, den, cv)
+
+
+def _cq_oracle_far(log_ratio, coeff, kmax):
+    """C_Q = sum_{p<=1024} log_ratio(p)/p + sum_{k<=kmax} coeff(k) P_{>1024}(k+1).
+
+    For roots of N and D up to 128: coeff(k) p^-k is the expansion of
+    log_ratio(p) above them, and its terms fall like 8^-k at p > 1024.
+    """
+    with mpmath.workdps(120):
+        primes = [p for p in range(2, 1025) if all(p % q for q in range(2, int(p ** .5) + 1))]
+        direct = mpmath.fsum(log_ratio(mpmath.mpf(p)) / p for p in primes)
+        tail = mpmath.fsum(
+            coeff(k) * (mpmath.primezeta(k + 1)
+                        - mpmath.fsum(mpmath.mpf(p) ** -(k + 1) for p in primes))
+            for k in range(1, kmax + 1))
+        return direct + tail
+
+
+_FAR_ROOTS = {
+    # name: (d, delta, K, fp, log(f(p)/p^d), its k-th coefficient)
+    "p+13": (1, 1, 13, "p + 13", lambda p: mpmath.log(1 + 13 / p),
+             lambda k: (-1) ** (k + 1) * mpmath.mpf(13) ** k / k),
+    "p+100": (1, 1, 100, "p + 100", lambda p: mpmath.log(1 + 100 / p),
+              lambda k: (-1) ** (k + 1) * mpmath.mpf(100) ** k / k),
+    "p+127": (1, 1, 127, "p + 127", lambda p: mpmath.log(1 + 127 / p),
+              lambda k: (-1) ** (k + 1) * mpmath.mpf(127) ** k / k),
+    "(p+15)^4": (4, 1, 2e5, "(p + 15)^4", lambda p: 4 * mpmath.log(1 + 15 / p),
+                 lambda k: 4 * (-1) ** (k + 1) * mpmath.mpf(15) ** k / k),
+    # Fujiwara bound 126.5: the largest root bound of a model taking the series
+    "p^2+8000": (2, 2, 8000, "p^2 + 8000", lambda p: mpmath.log(1 + 8000 / p ** 2),
+                 lambda k: 0 if k % 2 else (-1) ** (k // 2 + 1) * mpmath.mpf(8000) ** (k // 2)
+                 / (k // 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FAR_ROOTS))
+def test_cq_large_roots_certified(tmp_path, name):
+    # root bounds from 13 to 126.5 take the series with P = 8R up to 1012;
+    # each zeta(t) then sums n < P/4 directly, so its Euler-Maclaurin
+    # remainder, weighted by w_t ~ R^t, still falls like 2^-t
+    d, delta, k_bound, fp, log_ratio, coeff = _FAR_ROOTS[name]
+    path = tmp_path / "far.model"
+    path.write_text(f"name = far\nd = {d}\nalpha = 1\ndelta = {delta}\nK = {k_bound:g}\n"
+                    f"fp = {fp}\nstrongly_multiplicative = true\n")
+    model = load_model_file(str(path))
+    cv = constants.c_q(model)
+    assert cv.method == "prime-zeta" and cv.param("p_cut") > constants.ZETA_P
+    assert cv.tail_bound <= 1e-14
+    assert _within(cv, _cq_oracle_far(log_ratio, coeff, 60))
 
 
 def test_cq_falls_back_to_prime_sums(tmp_path):
