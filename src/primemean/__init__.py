@@ -83,7 +83,6 @@ from .series import (
     fit_coefficients,
     geomean_expansion_eval,
     geomean_expansion_log,
-    li_coeffs,
     lj_coeffs,
     lj_recurrence_check,
     s2_coeffs_from_d,

@@ -49,6 +49,8 @@ class CheckOptions:
     def __post_init__(self):
         if self.points is not None and self.points < 1:
             raise GridError(f"need at least one checkpoint, got {self.points}")
+        if self.lo is not None and self.hi is not None and self.lo > self.hi:
+            raise GridError(f"grid needs lo <= hi, got [{self.lo}, {self.hi}]")
 
     def grid(self, default_lo: int, default_hi: int,
              default_points: int) -> CheckpointGrid:
@@ -63,7 +65,6 @@ class CheckResult:
     passed: bool
     detail: str
     elapsed: float
-    data: dict = field(default_factory=dict)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -128,7 +129,7 @@ def _check_identity_oracle(ctx: CheckContext, opts: CheckOptions):
     tol = 1e-9
     worst = 0.0
     worst_at = ("", 0)
-    spots = tuple(sorted({1, 2, 3, 10, min(100, n_max), n_max - 1, n_max}))
+    spots = sorted({n for n in (1, 2, 3, 10, 100, n_max - 1, n_max) if 1 <= n <= n_max})
     for name in ACCEPTANCE_MODELS:
         model = builtin(name)
         ident = primesums.identity_prefix(model, n_max)
@@ -144,12 +145,12 @@ def _check_identity_oracle(ctx: CheckContext, opts: CheckOptions):
             b = primesums.log_geomean_bruteforce(model, n, table)
             if abs(a - ident[n]) > 1e-10 * max(1, n) or \
                abs(b - brute[n]) > 1e-10 * max(1, n):
-                return False, f"scalar op disagrees with sweep at {name}, n={n}", {}
+                return False, f"scalar op disagrees with sweep at {name}, n={n}"
     ok = worst <= tol
     detail = (f"max |identity - bruteforce| / max(1,n) = {worst:.2e} over "
               f"{len(ACCEPTANCE_MODELS)} models, n <= {n_max} "
               f"(model {worst_at[0]}, n={worst_at[1]}; tolerance {tol:.0e})")
-    return ok, detail, {"worst": worst}
+    return ok, detail
 
 
 def _identity_grid(ctx: CheckContext, opts: CheckOptions):
@@ -172,7 +173,7 @@ def _check_omega_identity(ctx: CheckContext, opts: CheckOptions):
     worst = max(abs(primesums.omega_summatory(n, table) - rep.s1[i])
                 for i, n in enumerate(grid.points))
     detail = f"{len(grid)} checkpoints <= {grid.n_max}: max deviation {worst}"
-    return worst == 0, detail, {"worst": worst}
+    return worst == 0, detail
 
 
 def _check_logkappa_identity(ctx: CheckContext, opts: CheckOptions):
@@ -182,7 +183,7 @@ def _check_logkappa_identity(ctx: CheckContext, opts: CheckOptions):
     worst = max(abs(_logkappa_summatory(n, table) - rep.s2[i]) / n
                 for i, n in enumerate(grid.points))
     detail = f"{len(grid)} checkpoints <= {grid.n_max}: max deviation {worst:.2e}/n"
-    return worst <= 1e-9, detail, {"worst": worst}
+    return worst <= 1e-9, detail
 
 
 def _check_smr_identity(ctx: CheckContext, opts: CheckOptions):
@@ -191,7 +192,7 @@ def _check_smr_identity(ctx: CheckContext, opts: CheckOptions):
     worst = max(abs(rep.s2[i] - (n * rep.m_of_x[i] - rep.r_sum[i])) / n
                 for i, n in enumerate(grid.points))
     detail = f"{len(grid)} checkpoints <= {grid.n_max}: max deviation {worst:.2e}/n"
-    return worst <= 1e-9, detail, {"worst": worst}
+    return worst <= 1e-9, detail
 
 
 def _check_exact_identities(ctx: CheckContext, opts: CheckOptions):
@@ -205,7 +206,7 @@ def _check_exact_identities(ctx: CheckContext, opts: CheckOptions):
     detail = ("omega: " + results[0][1].split(": ")[-1]
               + "; log-kappa: " + results[1][1].split(": ")[-1]
               + "; S2=nM-R: " + results[2][1].split(": ")[-1])
-    return ok, detail, {}
+    return ok, detail
 
 
 def _check_a1_gamma(ctx: CheckContext, opts: CheckOptions):
@@ -216,7 +217,7 @@ def _check_a1_gamma(ctx: CheckContext, opts: CheckOptions):
     ok = dev <= 1e-8
     detail = (f"|a_1 + 1 - gamma| = {dev:.2e} (tolerance 1e-8; "
               f"tail bounds {a1.tail_bound:.1e}, {gam.tail_bound:.1e})")
-    return ok, detail, {"dev": dev}
+    return ok, detail
 
 
 def _check_constants_stability(ctx: CheckContext, opts: CheckOptions):
@@ -225,9 +226,12 @@ def _check_constants_stability(ctx: CheckContext, opts: CheckOptions):
     The doubling clause runs the prime-sum route at explicit cuts (M at 5e7
     against 1e8, E at 2e8 against 4e8): each move must stay below the
     smaller cut's tail bound.  The cross-route clause asks the prime-zeta
-    and prime-sum values to agree within the sum of their tail bounds.
+    and prime-sum values to agree within the sum of their tail bounds; both
+    routes add the same gamma, so it tests the prime-zeta tail against
+    direct prime sums (gamma has its own checks: a1-gamma, and the 40-digit
+    reference in the tests).
     """
-    ok, details, data = True, [], {}
+    ok, details = True, []
     for name, fn, limit, cut in (
             ("M", constants.meissel_mertens, constants.meissel_mertens_limit, 5 * 10 ** 7),
             ("E", constants.mertens_e, constants.mertens_e_limit, 2 * 10 ** 8)):
@@ -242,8 +246,7 @@ def _check_constants_stability(ctx: CheckContext, opts: CheckOptions):
         details.append(f"{name}: prime-zeta vs limit {dev:.1e}, doubling {cut:.0e} "
                        f"moved {move:.1e} (tail {base.tail_bound:.1e}), prime-zeta vs "
                        f"prime-sum {cross:.1e} (bounds {both:.1e})")
-        data.update({f"d{name}": dev, f"move_{name}": move, f"cross_{name}": cross})
-    return ok, "; ".join(details), data
+    return ok, "; ".join(details)
 
 
 def _check_rs_inequality(ctx: CheckContext, opts: CheckOptions):
@@ -261,7 +264,7 @@ def _check_rs_inequality(ctx: CheckContext, opts: CheckOptions):
     detail = (f"{two_sided} two-sided points up to {hi} and "
               f"{len(xs) - two_sided} left-side points: "
               + ("all hold" if ok else f"failures at {bad[:5]}"))
-    return ok, detail, {"failures": bad}
+    return ok, detail
 
 
 def _check_omega_mean_trend(ctx: CheckContext, opts: CheckOptions):
@@ -277,7 +280,7 @@ def _check_omega_mean_trend(ctx: CheckContext, opts: CheckOptions):
     ok = d_hi <= 0.1 and d_hi < d_lo
     detail = (f"|eps({points[-1]:.0e}) - (gamma-1)| = {d_hi:.4f} (<= 0.1), "
               f"improving from {d_lo:.4f} at {points[0]:.0e}")
-    return ok, detail, {"eps": eps}
+    return ok, detail
 
 
 def _scaled_residual_stabilization(resid_by_n: dict, points):
@@ -311,7 +314,7 @@ def _check_s2_constant(ctx: CheckContext, opts: CheckOptions):
               f", relative variation {var:.0%} (< 25% required); "
               f"sqrt(n)-scaled = ["
               + ", ".join(f"{s:.2f}" for s in sqrt_scaled) + "]")
-    return ok, detail, {"resid": resid, "var": var, "scaled": scaled}
+    return ok, detail
 
 
 def _check_kappa_corollary(ctx: CheckContext, opts: CheckOptions):
@@ -329,7 +332,7 @@ def _check_kappa_corollary(ctx: CheckContext, opts: CheckOptions):
               f"{target.value:.10f} (tail {target.tail_bound:.1e}); scaled "
               f"residuals = [" + ", ".join(f"{s:.2e}" for s in scaled) + "]"
               f", relative variation {var:.0%} (< 25% required)")
-    return ok, detail, {"resid": resid, "var": var}
+    return ok, detail
 
 
 def _check_phi_geomean(ctx: CheckContext, opts: CheckOptions):
@@ -342,7 +345,7 @@ def _check_phi_geomean(ctx: CheckContext, opts: CheckOptions):
     ok = dev <= 1e-4
     detail = (f"|log G_phi({n:.0e}) - log {n:.0e} - log C| = {dev:.2e} "
               f"(tolerance 1e-4; rho_phi = {rho.value:.12f})")
-    return ok, detail, {"dev": dev, "rho": rho.value}
+    return ok, detail
 
 
 def _check_qsum_eta0(ctx: CheckContext, opts: CheckOptions):
@@ -362,7 +365,7 @@ def _check_qsum_eta0(ctx: CheckContext, opts: CheckOptions):
     detail = (f"fitted constant {fit.constant:.6f} vs eta0 {e0.value:.6f} "
               f"(|diff| = {dev:.2e} <= 0.1; fit residual "
               f"{fit.residual_norm:.1e})")
-    return ok, detail, {"fitted": fit.constant, "eta0": e0.value}
+    return ok, detail
 
 
 def _series_log(g: list) -> list:
@@ -387,12 +390,12 @@ def _check_series_algebra(ctx: CheckContext, opts: CheckOptions):
         g = series.series_exp(e)
         back = _series_log(list(g))
         if back[1:] != e:
-            return False, f"exp/log round-trip failed on trial {trial}", {}
+            return False, f"exp/log round-trip failed on trial {trial}"
 
     for r in range(2, 13):
         for j in range(2, r + 1):
             if not series.lj_recurrence_check(j, r):
-                return False, f"L_j recurrence failed at j={j}, r={r}", {}
+                return False, f"L_j recurrence failed at j={j}, r={r}"
 
     # s2 coefficients vs independent reassembly: collect the 1/log^i terms
     # of sum_j (d_{j+1} x^j - d_j L_j) using the L_j expansion coefficients
@@ -406,11 +409,11 @@ def _check_series_algebra(ctx: CheckContext, opts: CheckOptions):
             for idx, a in enumerate(series.lj_coeffs(j, order)):
                 want[j + idx - 1] -= a * d[j - 1]
         if list(got) != want:
-            return False, f"s2 coefficient reassembly failed on trial {trial}", {}
+            return False, f"s2 coefficient reassembly failed on trial {trial}"
 
     return True, ("exp/log round-trip (order 12), L_j recurrences "
                   "(2 <= j <= r <= 12), and S2-coefficient reassembly all "
-                  "exact"), {}
+                  "exact")
 
 
 def _check_determinism(ctx: CheckContext, opts: CheckOptions):
@@ -432,7 +435,7 @@ def _check_determinism(ctx: CheckContext, opts: CheckOptions):
     detail = (f"sequential vs parallel sweep over {len(grid)} checkpoints "
               f"<= {grid.n_max}: "
               + ("byte-identical report files" if ok else "files differ"))
-    return ok, detail, {}
+    return ok, detail
 
 
 _REGISTRY = {
@@ -474,8 +477,8 @@ def run_check(name: str, ctx: CheckContext | None = None,
     if opts is None:
         opts = CheckOptions()
     start = time.perf_counter()
-    passed, detail, data = _REGISTRY[name](ctx, opts)
-    return CheckResult(name, passed, detail, time.perf_counter() - start, data)
+    passed, detail = _REGISTRY[name](ctx, opts)
+    return CheckResult(name, passed, detail, time.perf_counter() - start)
 
 
 def run_all(ctx: CheckContext | None = None, names=None,

@@ -151,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("constants", help="print certified constants")
     _add_common_flags(sp, model_help="also print this model's constants")
     sp.add_argument("--precision", type=_precision_arg, default=None, metavar="EPS",
-                    help="target tail bound for the base constants")
+                    help="bound every printed tail bound must meet (exit 3 otherwise)")
     sp.add_argument("--aj", type=int, default=2, metavar="R",
                     help="print tail-integral coefficients a_1..a_R (default 2)")
 
@@ -301,15 +301,20 @@ def cached_report(model: PrimeModel, grid: CheckpointGrid,
 
 
 def cmd_constants(cfg: RunConfig, aj: int) -> int:
+    """Print the constants; with --precision, every row's bound must meet it."""
     kw = {} if cfg.precision is None else {"target_precision": cfg.precision}
     rows = []
 
     def put(name: str, cv: constants.ConstantValue) -> None:
+        if cfg.precision is not None and cv.tail_bound > cfg.precision:
+            raise PrecisionError(
+                f"{name} has tail bound {cv.tail_bound:.3g}, above --precision "
+                f"{cfg.precision:.3g}", achievable=cv.tail_bound)
         rows.append((name, cv.value, cv.tail_bound, cv.method))
 
-    put("gamma", constants.euler_gamma(**kw))
-    put("meissel_mertens_M", constants.meissel_mertens(**kw))
-    put("mertens_E", constants.mertens_e(**kw))
+    put("gamma", constants.euler_gamma())
+    put("meissel_mertens_M", constants.meissel_mertens())
+    put("mertens_E", constants.mertens_e())
     for j in range(1, aj + 1):
         put(f"a_{j}", constants.saffari_a(j, **kw))
     if cfg.model is not None:

@@ -1,13 +1,14 @@
 """High-precision, tail-bounded constants for the geometric-mean expansions.
 
 Every value ships as a ConstantValue carrying a certified truncation bound
-derived from a stated inequality — never an eyeballed guess.
+derived from a stated inequality — never an eyeballed guess.  gamma, M and E
+take no target: each is certified to ~1e-16.  A target sizes work only where
+there is work to size, the a_j integrals and the prime-sum fallback of C_Q;
+the CLI checks every printed bound against `--precision` in one place.
 
 - gamma (`euler_gamma`): H_{N-1} - log N plus the Euler-Maclaurin
   corrections of sum_{n>=N} 1/n at N = 32, in decimal and certified like M
-  and E below.  The prime-sum route keeps the float harmonic sum H_N - log N
-  - 1/(2N) + 1/(12 N^2) - 1/(120 N^4), with the next Euler-Maclaurin term
-  bounding the remainder by 1/(252 N^6).
+  and E below.
 - a_j = -Int_1^oo {t} (log t)^(j-1) t^-2 dt, integrated exactly per unit
   interval (the integrand is polynomial-in-t times smooth there) by
   Gauss-Legendre panels; the tail beyond an integer T uses {t} = 1/2 + P1(t)
@@ -27,46 +28,48 @@ summed directly; the tail over p > P comes from, at integers t >= 2,
     G(t) = (-zeta'/zeta)_{>P}(t) = -zeta'(t)/zeta(t) - sum_{p<=P} log p p^-t / (1 - p^-t),
 
 with zeta(t) and zeta'(t) by Euler-Maclaurin: the terms n < N summed
-directly, N = max(32, P/4).  Expanding each prime's term
-in powers of 1/p and Moebius-inverting the prime-power sums gives
+directly, N = max(32, P/4).  Each constant's term at a prime p > P expands
+as sum_{s>=2} b_s p^-s (times log p for G), and Moebius inversion gives
+sum_{p>P} p^-s = sum_n mu(n)/n H(ns) and sum_{p>P} log p p^-s =
+sum_n mu(n) G(ns), so the tail is sum_{t>=2} w_t X(t) with
 
-- M = gamma + sum_{p<=P} [log(1 - 1/p) + 1/p] + sum_{t>=2} mu(t)/t H(t);
-- E = -gamma - sum_{p<=P} log p / (p (p-1)) + sum_{t>=2} mu(t) G(t);
-- C_Q = sum_{p<=P} (1/p) log(f(p) / (alpha p^d)) + sum_{t>=2} w_t H(t) for
-  f(p) = N(p)/D(p) with leading coefficient exactly alpha: above every
-  root, log(f(p) / (alpha p^d)) = sum_k c_k p^-k with c_k = (S_k(D) -
-  S_k(N))/k, S_k the power sums of the roots (Newton's identities on the
-  integer coefficients, exact), so the tail sum_k c_k P_{>P}(k+1), with
-  P_{>P}(s) = sum_n mu(n)/n H(ns), regroups to w_t = sum_{s|t, s>=2}
-  c_{s-1} mu(t/s) s/t.
+    w_t = sum_{s|t, s>=2} b_s mu(t/s) s/t  (X = H),  or without s/t  (X = G):
 
-This runs in stdlib decimal at 40 digits (more when the C_Q weights are
+- M = gamma + sum_{p<=P} [log(1 - 1/p) + 1/p] + tail, b_s = -1/s, X = H;
+- E = -gamma - sum_{p<=P} log p / (p (p-1)) + tail, b_s = -1, X = G;
+- C_Q = sum_{p<=P} (1/p) log(f(p) / (alpha p^d)) + tail, b_s = c_{s-1},
+  X = H, for f(p) = N(p)/D(p) with leading coefficient exactly alpha:
+  above every root, log(f(p) / (alpha p^d)) = sum_k c_k p^-k with c_k =
+  (S_k(D) - S_k(N))/k, S_k the power sums of the roots (Newton's
+  identities on the integer coefficients, exact).
+
+This runs in stdlib decimal at 40 digits (more when the weights are
 large), and each tail_bound adds five parts:
 
 1. the Euler-Maclaurin remainders: 2 |B_{2J+2}|/(2J+2)! |f^(2J+1)(N)|
    for f = x^-t and x^-t log x, whose (2J+2)-th derivatives keep one sign
    on [N, oo); each is ~N^-t, so with N >= 2R it falls faster than the
    C_Q weights grow (like R^t);
-2. the truncation of the t-sums, from |H(t)| <= 1.01 P^(1-t)/(t-1),
-   |G(t)| <= 1.01 P^(1-t) (log P + 1)/(t-1) and, with a root bound R
-   (Fujiwara) and P >= 8R, |w_t H(t)| <= 1.01 deg(N D) (R/P)^(t-1);
+2. the truncation of the t-sum after T: |b_s| <= B R^(s-1) (M: B = 1/2,
+   E: B = 1, both with R = 1; C_Q: B = deg N + deg D and R >= 1 a Fujiwara
+   root bound with P >= 8R), so |w_t| <= tau(t) B R^(t-1) <= 2(t-1) B
+   R^(t-1); with |H(t)| <= 1.01 P^(1-t)/(t-1) and |G(t)| <= 1.01 P^(1-t)
+   (log P + 1)/(t-1) the terms past T add up to at most
+   2.02 B c (R/P)^T / (1 - R/P), c = log P + 1 for G and 1 for H;
 3. an a priori bound on decimal rounding: every decimal operation lands
    within one unit in its last digit, and each H(t), G(t) is formed by
    fewer than `_value_ulps` such operations on quantities below 4;
 4. the same two bounds for gamma (`euler_gamma`);
 5. the final rounding to double, half an ulp.
 
-So M, E and C_Q are certified to ~1e-16 whatever the target; a target
-below that floor raises PrecisionError.
-
 The prime-sum route sums every prime to a cut P through
 `accum.reduce_primes` (pairwise per-segment partials merged in ascending
 order by Kahan summation, so each value is deterministic, and each tail
-bound includes the reducer's certified accumulation error).  It runs when a
-caller passes ``truncation_override`` (the doubling and cross-route checks
-use it), and for C_Q when the series does not apply: a root bound above
-`_MAX_ROOT_BOUND`, or a leading coefficient that is not exactly alpha.  Its
-tails over p > P:
+bound includes the reducer's certified accumulation error); M and E add
+the decimal gamma.  It runs when a caller passes ``truncation_override``
+(the doubling and cross-route checks use it), and for C_Q when the series
+does not apply: a root bound above `_MAX_ROOT_BOUND`, or a leading
+coefficient that is not exactly alpha.  Its tails over p > P:
 
 - M: each term is -sum_{k>=2} 1/(k p^k), so the tail is below
   sum_{n>P} 1/(2 n (n-1)) = 1/(2P);
@@ -95,7 +98,7 @@ from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -104,27 +107,8 @@ from .errors import GridError, ModelSpecError, PrecisionError
 from .multfunc import PrimeModel
 from .sieve import DEFAULT_MAX_BOUND, primes_up_to
 
-__all__ = [
-    "ConstantValue",
-    "euler_gamma",
-    "meissel_mertens",
-    "mertens_e",
-    "c_q",
-    "rho_f",
-    "saffari_a",
-    "eta0",
-    "leading_constant",
-    "meissel_mertens_limit",
-    "mertens_e_limit",
-    "ZETA_ZERO_ORDINATES",
-]
-
-#: Default truncation-error targets.  M, E and (on the prime-zeta route)
-#: C_Q land far below them; the prime-sum fallback of C_Q sizes its cut to
-#: DEFAULT_CQ_PRECISION.
-DEFAULT_GAMMA_PRECISION = 1e-12
-DEFAULT_M_PRECISION = 1e-8
-DEFAULT_E_PRECISION = 1e-7
+#: Default truncation-error targets: the prime-sum fallback of C_Q and the
+#: a_j integrals size their cuts to them.
 DEFAULT_CQ_PRECISION = 1e-8
 DEFAULT_AJ_PRECISION = 1e-8
 
@@ -135,9 +119,8 @@ ZETA_P = 100
 _EM_N = 32              # Euler-Maclaurin: n < N term by term, corrections at N (see _em_n)
 _EM_J = 12              # Bernoulli corrections B_2 .. B_2J
 _SERIES_EPS = 1e-30     # each t-sum stops once its tail bound is below this
-_DIGITS = 40            # decimal working precision (C_Q adds digits for large weights)
+_DIGITS = 40            # decimal working precision (more for large weights)
 _MAX_ROOT_BOUND = 128   # above it C_Q takes the prime-sum route (P = 8R would be > 1024)
-_PRIME_SUM_GAMMA_N = 41  # the float harmonic sum's N on the prime-sum route
 
 
 @dataclass(frozen=True)
@@ -167,40 +150,15 @@ class ConstantValue:
         raise KeyError(key)
 
 
-def _certified(cv: ConstantValue, target_precision: float, name: str) -> ConstantValue:
-    if cv.tail_bound > target_precision:
-        raise PrecisionError(f"{name} certifies at best {cv.tail_bound:.3g}",
-                             achievable=cv.tail_bound)
-    return cv
-
-
 # --------------------------------------------------------------------------
 # Euler's constant
 # --------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def euler_gamma(target_precision: float = DEFAULT_GAMMA_PRECISION,
-                truncation_override: int | None = None) -> ConstantValue:
-    """Euler's constant.
-
-    By default in decimal (module docstring), certified to ~6e-17; a target
-    below its tail bound raises PrecisionError.  ``truncation_override``
-    takes the float harmonic sum at that N instead (the prime-sum route's
-    gamma): gamma = H_N - log N - 1/(2N) + 1/(12 N^2) - 1/(120 N^4) +
-    theta/(252 N^6) with |theta| <= 1, plus 8 ulps for fsum and log.
-    """
-    if truncation_override is None:
-        gamma, err = _gamma_head(_DIGITS)
-        return _certified(_to_double(gamma, [err], "euler-maclaurin-decimal",
-                                     (("n", float(_EM_N)),)),
-                          target_precision, "euler_gamma")
-    n = int(truncation_override)
-    harmonic = math.fsum(1.0 / k for k in range(1, n + 1))
-    value = (harmonic - math.log(n) - 1.0 / (2.0 * n)
-             + 1.0 / (12.0 * n * n) - 1.0 / (120.0 * n ** 4))
-    tail = 1.0 / (252.0 * n ** 6) + 8 * EPS  # + float allowance for fsum/log
-    return ConstantValue(value=value, tail_bound=tail,
-                         method="harmonic-euler-maclaurin", params=(("n", float(n)),))
+def euler_gamma() -> ConstantValue:
+    """Euler's constant, in decimal (module docstring), certified to ~6e-17."""
+    gamma, err = _gamma_head(_DIGITS)
+    return _to_double(gamma, [err], "euler-maclaurin-decimal", (("n", float(_EM_N)),))
 
 
 # --------------------------------------------------------------------------
@@ -336,14 +294,6 @@ def _rough(t: int, p_cut: int, digits: int) -> Tuple[Decimal, Decimal, float, fl
     return h, g, 1.01 * rem, 1.01 * (drem + rem)
 
 
-def _last_t(tail: Callable[[int], float]) -> int:
-    """The smallest t >= 1 whose t-sum tail bound is below _SERIES_EPS."""
-    t = 1
-    while tail(t) > _SERIES_EPS:
-        t += 1
-    return t
-
-
 def _to_double(x: Decimal, bounds: Sequence[float], method: str,
                params: Tuple[Tuple[str, float], ...]) -> ConstantValue:
     """x rounded to double; the tail adds its half ulp to `bounds`, rounded up."""
@@ -352,28 +302,52 @@ def _to_double(x: Decimal, bounds: Sequence[float], method: str,
     return ConstantValue(value=value, tail_bound=tail, method=method, params=params)
 
 
-def _prime_zeta(head: Decimal, head_err: float, weights: Dict[int, Fraction],
-                use_g: bool, p_cut: int, digits: int, truncation: float) -> ConstantValue:
-    """head + sum_t w_t X(t) with X = G or H, certified.
+def _prime_zeta(head: Callable[[int], Tuple[Decimal, float]],
+                coeffs: Callable[[int], Sequence[Fraction]], big_b: float, r: float,
+                use_g: bool, p_cut: int) -> ConstantValue:
+    """head + sum_{p>P} sum_{s>=2} b_s p^-s (times log p for G), certified.
 
-    head_err bounds head's own error (rounding and Euler-Maclaurin); each
-    product and sum adds one unit in the last digit of a partial sum, all of
-    them below `mass`.
+    `coeffs(T)` gives b_2 .. b_T, with |b_s| <= big_b r^(s-1) and r >= 1;
+    the t-sum stops at the first T whose truncation bound (module docstring)
+    is below _SERIES_EPS.  The working precision grows with sum |w_t|, and
+    `head(digits)` gives the direct part over p <= P in that precision with
+    its own error bound.  Each product and sum adds one unit in the last
+    digit of a partial sum, all of them below `mass`.
     """
-    eps = 10.0 ** (1 - digits)
+    rho = r / p_cut
+    c = math.log(p_cut) + 1 if use_g else 1.0
+
+    def truncation(t: int) -> float:
+        return 2.02 * big_b * c * rho ** t / (1 - rho)
+
+    last = 1
+    while truncation(last) > _SERIES_EPS:
+        last += 1
+    b = coeffs(last)
+    weights = {}
+    for t in range(2, last + 1):
+        w = sum(b[s - 2] * _mobius(t // s) * (1 if use_g else Fraction(s, t))
+                for s in range(2, t + 1) if t % s == 0)
+        if w:
+            weights[t] = w
+    # 40 digits keep the rounding below ~1e-33 while sum |w_t| <= 1e3
+    weight = sum(abs(float(w)) for w in weights.values())
+    digits = _DIGITS + max(0, math.ceil(math.log10(max(weight, 1e3) / 1e3)))
+
+    total, head_err = head(digits)
     per_value = _value_ulps(p_cut)
-    total, em, rounding, mass = head, 0.0, 0.0, abs(float(head))
+    em, rounding, mass = 0.0, 0.0, abs(float(total))
     with localcontext(Context(prec=digits)):
         for t, w in weights.items():
             h, g, em_h, em_g = _rough(t, p_cut, digits)
             x, em_x = (g, em_g) if use_g else (h, em_h)
             total += _dec(w) * x
-            weight = abs(float(w))
-            em += weight * em_x
-            rounding += weight * (per_value + 8)
-            mass += weight * abs(float(x))
-    rounding = eps * (rounding + 2 * (len(weights) + 1) * mass)
-    return _to_double(total, [head_err, em, truncation, rounding], "prime-zeta",
+            size = abs(float(w))
+            em += size * em_x
+            rounding += size * (per_value + 8)
+            mass += size * abs(float(x))
+    rounding = 10.0 ** (1 - digits) * (rounding + 2 * (len(weights) + 1) * mass)
+    return _to_double(total, [head_err, em, truncation(last), rounding], "prime-zeta",
                       (("p_cut", float(p_cut)),))
 
 
@@ -384,30 +358,28 @@ def _gamma_head(digits: int) -> Tuple[Decimal, float]:
 
 
 def _meissel_mertens_series(p_cut: int) -> ConstantValue:
-    gamma, err = _gamma_head(_DIGITS)
     primes = _small_primes(p_cut)
-    with localcontext(Context(prec=_DIGITS)):
-        head = gamma + sum((1 - Decimal(1) / p).ln() + Decimal(1) / p for p in primes)
-    err += 12 * len(primes) * 10.0 ** (1 - _DIGITS)
-    last = _last_t(lambda t: 1.01 * p_cut ** -t / (t * (t + 1) * (1 - 1 / p_cut)))
-    weights = {t: Fraction(_mobius(t), t) for t in range(2, last + 1) if _mobius(t)}
-    return _prime_zeta(head, err, weights, False, p_cut, _DIGITS,
-                       1.01 * p_cut ** -last / (last * (last + 1) * (1 - 1 / p_cut)))
+
+    def head(digits: int) -> Tuple[Decimal, float]:
+        gamma, err = _gamma_head(digits)
+        with localcontext(Context(prec=digits)):
+            total = gamma + sum((1 - Decimal(1) / p).ln() + Decimal(1) / p for p in primes)
+        return total, err + 12 * len(primes) * 10.0 ** (1 - digits)
+
+    return _prime_zeta(head, lambda last: [Fraction(-1, s) for s in range(2, last + 1)],
+                       0.5, 1.0, False, p_cut)
 
 
 def _mertens_e_series(p_cut: int) -> ConstantValue:
-    gamma, err = _gamma_head(_DIGITS)
     primes = _small_primes(p_cut)
-    with localcontext(Context(prec=_DIGITS)):
-        head = -gamma - sum(_ln(p, _DIGITS) / (p * (p - 1)) for p in primes)
-    err += 6 * len(primes) * 10.0 ** (1 - _DIGITS)
 
-    def tail(t: int) -> float:
-        return 1.01 * (math.log(p_cut) + 1) * p_cut ** -t / (t * (1 - 1 / p_cut))
+    def head(digits: int) -> Tuple[Decimal, float]:
+        gamma, err = _gamma_head(digits)
+        with localcontext(Context(prec=digits)):
+            total = -gamma - sum(_ln(p, digits) / (p * (p - 1)) for p in primes)
+        return total, err + 6 * len(primes) * 10.0 ** (1 - digits)
 
-    last = _last_t(tail)
-    weights = {t: Fraction(_mobius(t)) for t in range(2, last + 1) if _mobius(t)}
-    return _prime_zeta(head, err, weights, True, p_cut, _DIGITS, tail(last))
+    return _prime_zeta(head, lambda last: [Fraction(-1)] * (last - 1), 1.0, 1.0, True, p_cut)
 
 
 def _root_bound(coeffs: np.ndarray) -> float:
@@ -441,101 +413,88 @@ def _c_q_root_bound(model: PrimeModel) -> Optional[float]:
 
 def _c_q_series(model: PrimeModel, p_cut: int) -> ConstantValue:
     num, den = model.fp.num, model.fp.den
-    degree = len(num) + len(den) - 2
-    rho = _c_q_root_bound(model) / p_cut
-
-    def tail(t: int) -> float:
-        return 1.01 * degree * rho ** t / (1 - rho)
-
-    last = _last_t(tail) if degree else 1
-    s_n, s_d = _root_power_sums(num, last - 1), _root_power_sums(den, last - 1)
-    c = [(sd - sn) / k for k, (sn, sd) in enumerate(zip(s_n, s_d), start=1)]
-    weights = {}
-    for t in range(2, last + 1):
-        w = sum(c[s - 2] * _mobius(t // s) * Fraction(s, t)
-                for s in range(2, t + 1) if t % s == 0)
-        if w:
-            weights[t] = w
-    # 40 digits keep the rounding below ~1e-33 while sum |w_t| <= 1e3
-    weight = sum(abs(float(w)) for w in weights.values())
-    digits = _DIGITS + max(0, math.ceil(math.log10(max(weight, 1e3) / 1e3)))
-
     lead, d = model.fp.leading(), int(model.d)
-    terms, err = [], 0.0
-    with localcontext(Context(prec=digits)):
-        for p in _small_primes(p_cut):
-            q = Fraction(model.value_at_prime(p)) / (lead * Fraction(p) ** d)
-            if q <= 0:
-                raise ModelSpecError(f"model {model.name!r} is not positive at p={p}")
-            log_q = _dec(q).ln()
-            terms.append(log_q / p)
-            err += (3 + 2 * abs(float(log_q))) / p
-        head = sum(terms, Decimal(0))
-    err = 10.0 ** (1 - digits) * (err + len(terms) * sum(abs(float(x)) for x in terms))
-    return _prime_zeta(head, err, weights, False, p_cut, digits, tail(last) if degree else 0.0)
+
+    def coeffs(last: int) -> List[Fraction]:
+        s_n, s_d = _root_power_sums(num, last - 1), _root_power_sums(den, last - 1)
+        return [(sd - sn) / k for k, (sn, sd) in enumerate(zip(s_n, s_d), start=1)]
+
+    def head(digits: int) -> Tuple[Decimal, float]:
+        terms, err = [], 0.0
+        with localcontext(Context(prec=digits)):
+            for p in _small_primes(p_cut):
+                q = Fraction(model.value_at_prime(p)) / (lead * Fraction(p) ** d)
+                if q <= 0:
+                    raise ModelSpecError(f"model {model.name!r} is not positive at p={p}")
+                log_q = _dec(q).ln()
+                terms.append(log_q / p)
+                err += (3 + 2 * abs(float(log_q))) / p
+            total = sum(terms, Decimal(0))
+        return total, 10.0 ** (1 - digits) * (err + len(terms) * sum(abs(float(x)) for x in terms))
+
+    return _prime_zeta(head, coeffs, len(num) + len(den) - 2, _c_q_root_bound(model),
+                       False, p_cut)
+
+
+def _prime_sum(p_cut: int, term_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+               head: float, head_err: float, tail: float) -> ConstantValue:
+    """head + sum_{p<=P} term_fn(p, log p); the bound adds head_err, the tail
+    over p > P and the reducer's accumulation error."""
+    [total] = prime_sums([p_cut], term_fn, signed=True)
+    return ConstantValue(value=head + total.value,
+                         tail_bound=tail + head_err + total.error_bound(),
+                         method="prime-sum", params=(("p_cut", float(p_cut)),))
 
 
 # --------------------------------------------------------------------------
 # M and E
 # --------------------------------------------------------------------------
 
-def meissel_mertens(target_precision: float = DEFAULT_M_PRECISION,
-                    truncation_override: int | None = None) -> ConstantValue:
+def meissel_mertens(truncation_override: int | None = None) -> ConstantValue:
     """M = gamma + sum_p [log(1 - 1/p) + 1/p].
 
     By default from the prime zeta function (module docstring), certified
-    to ~3e-17; a target below its tail bound raises PrecisionError.
-    ``truncation_override`` sums every prime to that cut instead, with the
-    tail bound 1/(2P): each prime's term is -sum_{k>=2} 1/(k p^k), and
-    sum_{n>P} 1/(2n(n-1)) = 1/(2P) ignores that only primes contribute.
+    to ~3e-17.  ``truncation_override`` sums every prime to that cut
+    instead, with the tail bound 1/(2P): each prime's term is
+    -sum_{k>=2} 1/(k p^k), and sum_{n>P} 1/(2n(n-1)) = 1/(2P) ignores that
+    only primes contribute.
     """
-    if truncation_override is not None:
-        return _meissel_mertens_at(int(truncation_override), False)
-    return _certified(_meissel_mertens_at(ZETA_P, True), target_precision,
-                      "meissel_mertens")
+    if truncation_override is None:
+        return _meissel_mertens_at(ZETA_P, True)
+    return _meissel_mertens_at(int(truncation_override), False)
 
 
 @lru_cache(maxsize=None)
 def _meissel_mertens_at(p_cut: int, series: bool) -> ConstantValue:
     if series:
         return _meissel_mertens_series(p_cut)
-    gamma = euler_gamma(truncation_override=_PRIME_SUM_GAMMA_N)
-    [total] = prime_sums([p_cut], lambda p, logp: np.log1p(-1.0 / p) + 1.0 / p,
-                         signed=True)
-    tail = 1.0 / (2.0 * p_cut)
-    return ConstantValue(
-        value=gamma.value + total.value,
-        tail_bound=tail + gamma.tail_bound + total.error_bound(),
-        method="prime-sum", params=(("p_cut", float(p_cut)),))
+    gamma = euler_gamma()
+    return _prime_sum(p_cut, lambda p, logp: np.log1p(-1.0 / p) + 1.0 / p,
+                      gamma.value, gamma.tail_bound, 1.0 / (2.0 * p_cut))
 
 
-def mertens_e(target_precision: float = DEFAULT_E_PRECISION,
-              truncation_override: int | None = None) -> ConstantValue:
+def mertens_e(truncation_override: int | None = None) -> ConstantValue:
     """E = -gamma - sum_p log p / (p (p-1)).
 
     By default from the prime zeta function (module docstring), certified
-    to ~1.1e-16; a target below its tail bound raises PrecisionError.
-    ``truncation_override`` sums every prime to that cut instead.  Tail over
-    p > P: log n/(n(n-1)) = (1 + 1/(n-1)) log n / n^2, and
-    sum_{n>P} log n/n^2 <= Int_P^oo log t/t^2 dt = (log P + 1)/P for P >= 3,
-    giving the certified bound (1 + 1/P)(log P + 1)/P.
+    to ~1.1e-16.  ``truncation_override`` sums every prime to that cut
+    instead.  Tail over p > P: log n/(n(n-1)) = (1 + 1/(n-1)) log n / n^2,
+    and sum_{n>P} log n/n^2 <= Int_P^oo log t/t^2 dt = (log P + 1)/P for
+    P >= 3, giving the certified bound (1 + 1/P)(log P + 1)/P.
     """
-    if truncation_override is not None:
-        return _mertens_e_at(int(truncation_override), False)
-    return _certified(_mertens_e_at(ZETA_P, True), target_precision, "mertens_e")
+    if truncation_override is None:
+        return _mertens_e_at(ZETA_P, True)
+    return _mertens_e_at(int(truncation_override), False)
 
 
 @lru_cache(maxsize=None)
 def _mertens_e_at(p_cut: int, series: bool) -> ConstantValue:
     if series:
         return _mertens_e_series(p_cut)
-    gamma = euler_gamma(truncation_override=_PRIME_SUM_GAMMA_N)
-    [total] = prime_sums([p_cut], lambda p, logp: logp / (p * (p - 1.0)))
-    tail = (1.0 + 1.0 / p_cut) * (math.log(p_cut) + 1.0) / p_cut
-    return ConstantValue(
-        value=-gamma.value - total.value,
-        tail_bound=tail + gamma.tail_bound + total.error_bound(),
-        method="prime-sum", params=(("p_cut", float(p_cut)),))
+    gamma = euler_gamma()
+    return _prime_sum(p_cut, lambda p, logp: -logp / (p * (p - 1.0)),
+                      -gamma.value, gamma.tail_bound,
+                      (1.0 + 1.0 / p_cut) * (math.log(p_cut) + 1.0) / p_cut)
 
 
 # --------------------------------------------------------------------------
@@ -548,15 +507,15 @@ def c_q(model: PrimeModel, target_precision: float = DEFAULT_CQ_PRECISION,
 
     Models with delta = inf declare f(p) = alpha p^d identically (validated
     by their growth-profile check), so C_Q = 0 exactly.  Otherwise the
-    prime-zeta series (module docstring) certifies it to ~1e-16, and a
-    target below its tail bound raises PrecisionError; f(p) <= 0 at a
-    prime p <= P raises ModelSpecError.  The prime-sum route
-    runs for ``truncation_override``, and when the series does not apply (a
-    root bound above _MAX_ROOT_BOUND, or a leading coefficient that is not
-    exactly alpha): it truncates at P with the tail bound 2 (K/alpha)
-    P^-delta / delta, valid once (K/alpha) P^-delta <= 1/2 so that
-    |log(1+u)| <= 2|u| applies; its float accumulation may add up to 1% of
-    the target on top.
+    prime-zeta series (module docstring) certifies it to ~1e-16, whatever
+    the target; f(p) <= 0 at a prime p <= P raises ModelSpecError.  The
+    prime-sum route runs for ``truncation_override``, and when the series
+    does not apply (a root bound above _MAX_ROOT_BOUND, or a leading
+    coefficient that is not exactly alpha).  Only there does the target
+    size the work: the cut P makes the tail bound 2 (K/alpha) P^-delta /
+    delta at most 99% of it, leaving 1% to the float accumulation, and
+    (K/alpha) P^-delta <= 1/2 so that |log(1+u)| <= 2|u| applies.  A cut
+    beyond the sieve bound raises PrecisionError.
     """
     if model.delta == math.inf:
         return ConstantValue(0.0, 0.0, method="identically-zero")
@@ -564,12 +523,11 @@ def c_q(model: PrimeModel, target_precision: float = DEFAULT_CQ_PRECISION,
         return _c_q_at(model, int(truncation_override), False)
     bound = _c_q_root_bound(model)
     if bound is not None:
-        return _certified(_c_q_at(model, max(ZETA_P, math.ceil(8 * bound)), True),
-                          target_precision, "c_q")
+        return _c_q_at(model, max(ZETA_P, math.ceil(8 * bound)), True)
     k_rel = model.k_bound / model.alpha
     needed = max(
         (2.0 * k_rel) ** (1.0 / model.delta),           # (K/alpha) P^-delta <= 1/2
-        (2.0 * k_rel / (model.delta * target_precision)) ** (1.0 / model.delta),
+        (2.0 * k_rel / (model.delta * 0.99 * target_precision)) ** (1.0 / model.delta),
     )
     p_cut = max(100, math.ceil(needed))
     if p_cut > DEFAULT_MAX_BOUND:
@@ -577,7 +535,7 @@ def c_q(model: PrimeModel, target_precision: float = DEFAULT_CQ_PRECISION,
             f"model {model.name!r} (delta={model.delta:g}) needs primes to "
             f"{p_cut:.3g}, beyond the sieve bound {DEFAULT_MAX_BOUND:g}",
             achievable=_c_q_tail(model, DEFAULT_MAX_BOUND))
-    return _certified(_c_q_at(model, p_cut, False), 1.01 * target_precision, "c_q")
+    return _c_q_at(model, p_cut, False)
 
 
 def _c_q_tail(model: PrimeModel, p: float) -> float:
@@ -588,15 +546,12 @@ def _c_q_tail(model: PrimeModel, p: float) -> float:
 def _c_q_at(model: PrimeModel, p_cut: int, series: bool) -> ConstantValue:
     if series:
         return _c_q_series(model, p_cut)
-    [total] = prime_sums([p_cut], lambda p, logp: model.log_q_ratio_vec(p, logp) / p,
-                         signed=True)
-    return ConstantValue(
-        value=total.value, tail_bound=_c_q_tail(model, p_cut) + total.error_bound(),
-        method="prime-sum", params=(("p_cut", float(p_cut)),))
+    return _prime_sum(p_cut, lambda p, logp: model.log_q_ratio_vec(p, logp) / p,
+                      0.0, 0.0, _c_q_tail(model, p_cut))
 
 
-# M, E and C_Q are memoised on their route and cut, so every spelling of a
-# target shares one computation; their cache_info counts computations.
+# M, E and C_Q are memoised on their route and cut, so every target that
+# leads to one cut shares one computation; their cache_info counts computations.
 for _fn, _at in ((meissel_mertens, _meissel_mertens_at), (mertens_e, _mertens_e_at),
                  (c_q, _c_q_at)):
     _fn.cache_info, _fn.cache_clear = _at.cache_info, _at.cache_clear
@@ -712,12 +667,13 @@ def saffari_a(j: int, target_precision: float = DEFAULT_AJ_PRECISION,
 def eta0(model: PrimeModel, target_precision: float = DEFAULT_CQ_PRECISION) -> ConstantValue:
     """eta_0 = M log alpha + d (gamma + E - 1) + C_Q, tail bounds summed.
 
-    The float assembly adds at most 4 ulps of the summed magnitudes
-    (log alpha, products, sums).
+    The target reaches only C_Q (`c_q`); the float assembly adds at most 4
+    ulps of the summed magnitudes (log alpha, products, sums), so the bound
+    can exceed every part's bound.
     """
-    m = meissel_mertens(target_precision)
-    gamma = euler_gamma(target_precision)
-    e = mertens_e(target_precision)
+    m = meissel_mertens()
+    gamma = euler_gamma()
+    e = mertens_e()
     cq = c_q(model, target_precision)
     log_alpha = math.log(model.alpha)
     value = m.value * log_alpha + model.d * (gamma.value + e.value - 1.0) + cq.value
@@ -857,10 +813,11 @@ def _window_prime_averages(windows: Sequence[Tuple[float, float]]
             for k in range(len(windows))]
 
 
-def _check_window(x_hi: float, window_ratio: float) -> None:
+def _check_window(x_hi: float, window_ratio: float, windows: int) -> None:
+    """Check `windows` adjacent windows, each a factor window_ratio wide, ending at x_hi."""
     if window_ratio < 2.0:
         raise GridError("limit oracle needs window_ratio >= 2")
-    if x_hi / window_ratio ** 2 < 1e5:
+    if x_hi / window_ratio ** windows < 1e5:
         raise GridError("limit oracle windows must start at 1e5 or above")
     if x_hi > DEFAULT_MAX_BOUND:
         raise GridError(f"limit oracle cannot stream past {DEFAULT_MAX_BOUND:g}")
@@ -874,7 +831,7 @@ def meissel_mertens_limit(x_hi: float = 1e8, window_ratio: float = 10.0) -> floa
     mean x^(-1/2), a factor sqrt(r) between the two, and the Richardson
     step eliminates it.  Measured accuracy ~1e-8 at the default anchor.
     """
-    _check_window(x_hi, window_ratio)
+    _check_window(x_hi, window_ratio, 2)
     w1 = (x_hi / window_ratio ** 2, x_hi / window_ratio)
     w2 = (x_hi / window_ratio, x_hi)
     (a1, _), (a2, _) = _window_prime_averages([w1, w2])
@@ -893,12 +850,7 @@ def mertens_e_limit(x_hi: float = 1e8, window_ratio: float = 10.0) -> float:
     Measured accuracy a few 1e-9 at the default anchor — the corrected
     continuous average sidesteps the 1/log x convergence of raw sampling.
     """
-    if window_ratio < 2.0:
-        raise GridError("limit oracle needs window_ratio >= 2")
-    if x_hi / window_ratio < 1e5:
-        raise GridError("limit oracle windows must start at 1e5 or above")
-    if x_hi > DEFAULT_MAX_BOUND:
-        raise GridError(f"limit oracle cannot stream past {DEFAULT_MAX_BOUND:g}")
+    _check_window(x_hi, window_ratio, 1)
     x0, x1 = x_hi / window_ratio, x_hi
     u0, u1 = math.log(x0), math.log(x1)
     (_, a_e), = _window_prime_averages([(x0, x1)])

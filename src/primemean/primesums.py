@@ -76,28 +76,6 @@ from .sieve import (
     primes_up_to,
 )
 
-__all__ = [
-    "MAX_CHECKPOINTS",
-    "CACHE_VERSION",
-    "CheckpointGrid",
-    "SumsReport",
-    "sums_stream",
-    "log_geomean_identity",
-    "log_geomean_bruteforce",
-    "identity_prefix",
-    "bruteforce_prefix",
-    "omega_summatory",
-    "u_of_x",
-    "u_truncation_bound",
-    "r_sum",
-    "mertens_m_of_x",
-    "rs_inequality_check",
-    "rs_inequality_sweep",
-    "save_report",
-    "load_report",
-    "default_cache_path",
-]
-
 MAX_CHECKPOINTS = 64
 
 # Ordering of the float-valued accumulators, fixed by the cache layout.
@@ -540,8 +518,7 @@ def sums_stream(
 # --------------------------------------------------------------------------
 
 
-def log_geomean_identity(model: PrimeModel, n: int, *,
-                         segment_size: int = DEFAULT_SEGMENT_SIZE) -> float:
+def log_geomean_identity(model: PrimeModel, n: int) -> float:
     """n * log G_f(n) via the prime-sum identity (exact floor sums).
 
     The accumulation error is certified to stay within
@@ -551,8 +528,7 @@ def log_geomean_identity(model: PrimeModel, n: int, *,
         raise GridError(f"log_geomean_identity needs n >= 1, got {n}")
     if n == 1:
         return 0.0
-    report = sums_stream(model, CheckpointGrid((n,)), segment_size=segment_size,
-                         with_u=False)
+    report = sums_stream(model, CheckpointGrid((n,)), with_u=False)
     result = report.n_log_g[0]
     if report.err_bound[0] > 1e-12 * abs(result) + 1e-12 * n:
         raise AccumulationError(

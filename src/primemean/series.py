@@ -28,20 +28,6 @@ import numpy as np
 
 from .errors import GridError, IllConditionedFitError
 
-__all__ = [
-    "MAX_ORDER",
-    "Expansion",
-    "FitResult",
-    "li_coeffs",
-    "lj_coeffs",
-    "lj_recurrence_check",
-    "series_exp",
-    "s2_coeffs_from_d",
-    "geomean_expansion_eval",
-    "geomean_expansion_log",
-    "fit_coefficients",
-]
-
 MAX_ORDER = 12
 
 Number = Union[int, float, Fraction]
@@ -95,12 +81,6 @@ class FitResult:
 def _check_order(r: int) -> None:
     if not 1 <= r <= MAX_ORDER:
         raise GridError(f"order must be in 1..{MAX_ORDER}, got {r}")
-
-
-def li_coeffs(r: int) -> list:
-    """[(i-1)! for i = 1..r]: the tail coefficients of li(t) against t/log^i t."""
-    _check_order(r)
-    return [math.factorial(i - 1) for i in range(1, r + 1)]
 
 
 def lj_coeffs(j: int, r: int) -> list:

@@ -102,6 +102,21 @@ def test_verify_failing_check_exits_one(capsys):
     assert "FAIL s2-constant" in out
 
 
+@pytest.mark.parametrize("hi", ["1", "2", "5", "150"])
+def test_identity_oracle_spots_stay_in_range(capsys, hi):
+    rc, out, err = run(capsys, "verify", "--check", "identity-oracle", "--to", hi)
+    assert rc == 0 and out.startswith("PASS identity-oracle"), err
+    assert f"n <= {hi} " in out
+
+
+@pytest.mark.parametrize("check", ["rs-inequality", "identity-oracle", "exact-identities",
+                                   "determinism"])
+def test_verify_inverted_range_exits_2(capsys, check):
+    rc, out, err = run(capsys, "verify", "--check", check, "--from", "5", "--to", "2")
+    assert rc == 2 and out == ""
+    assert "grid needs lo <= hi, got [5, 2]" in err
+
+
 def test_exit_code_grid(capsys):
     rc, _, err = run(capsys, "sums", "--model", "kappa",
                      "--from", "100", "--to", "10")
@@ -115,7 +130,7 @@ def test_exit_code_model(capsys):
 
 def test_exit_code_precision(capsys):
     rc, _, err = run(capsys, "constants", "--precision", "1e-17")
-    assert rc == 3 and "euler_gamma" in err
+    assert rc == 3 and err.startswith("error: gamma has tail bound")
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "0", "-1e-3", "x"])

@@ -3,13 +3,16 @@
 Sizes stay small: every grid command gets a `--to` of at most 1e4 (or an
 invalid one), and `verify` runs only checks that are cheap at that size.
 Cache paths (`--cache` and PRIMEMEAN_CACHE) are drawn from a directory, a
-regular file, and paths below or through that file.
+regular file, and paths below or through that file.  A second property
+draws `constants --precision` runs: exit 0 means every printed bound meets
+the target.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -94,3 +97,23 @@ def test_every_argument_vector_ends_in_a_documented_exit_code(args, env_cache, m
             rc = exc.code
     assert rc in range(6), (args, rc, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=st.sampled_from(["kappa", "euler_phi", "sigma", "two_omega", "jordan_2"]),
+       aj=st.sampled_from(["0", "1", "2"]),
+       exponent=st.floats(-16.0, -3.0))
+@example(model="euler_phi", aj="0", exponent=-15.0)
+def test_constants_exit_zero_means_every_bound_meets_the_precision(model, aj, exponent):
+    precision = 10.0 ** exponent
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        rc = main(["constants", "--model", model, "--aj", aj,
+                   "--precision", repr(precision), "--format", "json"])
+    assert rc in (0, 3), err.getvalue()
+    if rc == 0:
+        rows = json.loads(out.getvalue())
+        assert len(rows) == 7 + int(aj)
+        assert all(r["tail_bound"] <= precision for r in rows), (precision, rows)
+    else:
+        assert out.getvalue() == "" and "(achievable: " in err.getvalue()

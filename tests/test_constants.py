@@ -18,6 +18,7 @@ float allowance.  The oracle algebra:
 from __future__ import annotations
 
 import functools
+import json
 import math
 
 import mpmath
@@ -98,19 +99,7 @@ def test_mertens_e_certified(e_ref40):
     assert round(e.value, 6) == -1.332582
 
 
-def test_tighter_precision_tightens_m(m_ref40):
-    loose = constants.meissel_mertens(1e-6)
-    tight = constants.meissel_mertens(1e-8)
-    # the prime-zeta route certifies ~1e-16 whatever the target
-    assert loose.tail_bound <= 1e-14 and tight.tail_bound <= 1e-14
-    assert _within(tight, m_ref40) and _within(loose, m_ref40)
-
-
 def test_doubling_moves_less_than_tail():
-    # the float harmonic sum at the prime-sum route's N = 41
-    base = constants.euler_gamma(truncation_override=41)
-    doubled = constants.euler_gamma(truncation_override=82)
-    assert abs(doubled.value - base.value) < base.tail_bound
     # the prime-sum route at the cuts of the constants-stability check
     for make, cut in ((constants.meissel_mertens, 5 * 10 ** 7),
                       (constants.mertens_e, 2 * 10 ** 8)):
@@ -183,17 +172,31 @@ def test_eta0_assemblies(gamma_ref, e_ref, m_ref):
     assert abs(lead.value - math.exp(want_kappa)) <= lead.tail_bound + 1e-12
 
 
-def test_precision_floors_raise():
-    # the floor is the tail bound itself (half an ulp and change)
-    for fn, args, name in ((constants.euler_gamma, (), "euler_gamma"),
-                           (constants.meissel_mertens, (), "meissel_mertens"),
-                           (constants.mertens_e, (), "mertens_e"),
-                           (constants.c_q, (builtin("euler_phi"),), "c_q")):
-        floor = fn(*args).tail_bound
-        assert fn(*args, floor) == fn(*args)
-        with pytest.raises(PrecisionError, match=name) as err:
-            fn(*args, floor / 2)
-        assert err.value.achievable == floor
+def test_precision_floors_raise(capsys):
+    # `constants --precision` checks every printed row, the assembled ones
+    # included: just below one row's bound, and at or above the bound of
+    # every row before it, the command exits 3 naming that row
+    from primemean.cli import main
+    argv = ["constants", "--model", "euler_phi", "--aj", "0", "--format", "json"]
+    assert main(argv) == 0
+    rows = json.loads(capsys.readouterr().out)
+    bounds = {r["constant"]: r["tail_bound"] for r in rows}
+    for name in ("gamma", "mertens_E", "rho_f[euler_phi]", "eta0[euler_phi]"):
+        floor = bounds[name]
+        below = math.nextafter(floor, 0.0)
+        before = [r["tail_bound"] for r in rows[:list(bounds).index(name)]]
+        assert all(b <= below for b in before), name
+        assert main([*argv, "--precision", repr(below)]) == 3, name
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {name} has tail bound"), captured.err
+        assert f"(achievable: {floor:.3g})" in captured.err
+    assert main([*argv, "--precision", repr(max(bounds.values()))]) == 0
+    assert json.loads(capsys.readouterr().out) == rows
+    # the library's gamma, M and E take no target; C_Q's reaches only its
+    # prime-sum fallback, so the series value is the same at any target
+    cq = constants.c_q(builtin("euler_phi"))
+    assert constants.c_q(builtin("euler_phi"), cq.tail_bound / 2) == cq
 
 
 def test_zeta_zero_ordinates_rederived():
@@ -217,12 +220,15 @@ def test_limit_oracles_agree_with_closed_forms(m_ref, e_ref):
 # Values computed before the prime sums moved to the shared reducer in
 # accum: the move must leave each value bit-identical, and a tail bound may
 # only grow, by the per-term formation allowance (every mass here is < 1).
-# The cuts are the ones the prime-sum route used by default.
+# The cuts are the ones the prime-sum route used by default.  M and E were
+# frozen again when their prime-sum route took the decimal gamma in place
+# of a float harmonic sum: each value moved by 8.35e-13, inside the old
+# bound (1.0e-8 and 1.0e-7), and each bound shrank by that sum's 8.4e-13.
 _FROZEN_PRIME_SUMS = {
     "M": (constants.meissel_mertens, (),
-          "0x1.0bc5ecede2b41p-2", "0x1.57a04eeddef94p-27", 50_000_000),
+          "0x1.0bc5ecede6605p-2", "0x1.5798f286283e7p-27", 50_000_000),
     "E": (constants.mertens_e, (),
-          "-0x1.55241c98273c8p+0", "0x1.ad80165aa9703p-24", 201_198_002),
+          "-0x1.55241c9828278p+0", "0x1.ad7f2ae9d5caep-24", 201_198_002),
     "C_Q[euler_phi]": (constants.c_q, ("euler_phi",),
                        "-0x1.28fd6d474160dp-1", "0x1.5798f4ceb9f7fp-27", 200_000_000),
     "C_Q[sigma]": (constants.c_q, ("sigma",),
@@ -426,11 +432,17 @@ def test_cq_falls_back_to_prime_sums(tmp_path):
     third.write_text("name = third\nd = 1\nalpha = 0.3333333333333333\ndelta = 1\n"
                      "K = 1\nfp = p / 3\nstrongly_multiplicative = true\n")
     cv = constants.c_q(load_model_file(str(third)), 1e-3)
-    assert cv.method == "prime-sum" and cv.tail_bound <= 1.01e-3
-    # roots far out: Fujiwara's bound 2000 is above _MAX_ROOT_BOUND
+    assert cv.method == "prime-sum" and cv.tail_bound <= 1e-3
+    # roots far out: Fujiwara's bound 2000 is above _MAX_ROOT_BOUND; the cut
+    # makes the tail 2K/P at most 99% of the target
     far = load_model_file(_write_model(tmp_path / "far.model", [(1, 1000)], [], 1000))
     cv = constants.c_q(far, 1e-2)
-    assert cv.method == "prime-sum" and cv.param("p_cut") == 200_000
+    assert cv.method == "prime-sum" and cv.param("p_cut") == 202_021
+    assert cv.tail_bound <= 1e-2
+    # a cut beyond the sieve bound raises before any prime is summed
+    with pytest.raises(PrecisionError, match="beyond the sieve bound") as err:
+        constants.c_q(far, 1e-9)
+    assert err.value.achievable == pytest.approx(2e-6)
 
 
 def test_cq_rejects_a_model_negative_at_a_small_prime(tmp_path, capsys):
