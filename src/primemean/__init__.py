@@ -69,7 +69,6 @@ from .primesums import (
     mertens_m_of_x,
     omega_summatory,
     r_sum,
-    rs_inequality_check,
     rs_inequality_sweep,
     save_report,
     sums_stream,
@@ -78,11 +77,8 @@ from .primesums import (
 )
 from .series import (
     MAX_ORDER,
-    Expansion,
     FitResult,
     fit_coefficients,
-    geomean_expansion_eval,
-    geomean_expansion_log,
     lj_coeffs,
     lj_recurrence_check,
     s2_coeffs_from_d,

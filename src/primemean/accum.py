@@ -12,13 +12,15 @@ measure.  Two devices keep that under control:
   bounded by 2 * eps * sum|x| independent of the number of merges.
 
 `reduce_primes` owns the whole reduction: it cuts [2, max cut] into sieve
-segments, optionally spreads them over a thread pool, forms every partial
-by pairwise reduction, charges each partial
+segments, forms every partial by pairwise reduction, charges each partial
 pairwise_error_bound(mass, count) + FORM_ULPS * eps * mass (the second term
 is the formation rounding of the individual terms), and merges the partials
-into per-cut Kahan accumulators in ascending segment order.  The merge order
-never depends on the pool, so threaded runs are bit-identical to sequential
-ones, and every total carries a certified accumulation error bound.
+into per-cut Kahan accumulators in ascending segment order, so every total
+carries a certified accumulation error bound.  Every command runs the
+segments in order on one thread.  The thread pool behind ``parallel=True``
+serves only the `determinism` check and the benchmark's per-layer probe:
+the merge order never depends on it, so its runs are bit-identical to
+sequential ones.
 """
 
 from __future__ import annotations
@@ -122,7 +124,6 @@ def reduce_primes(
     signed: Collection[str] = (),
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     parallel: bool = False,
-    max_workers: int | None = None,
 ) -> dict[str, list]:
     """Sum per-segment terms over the primes p <= n at every cut n.
 
@@ -140,7 +141,8 @@ def reduce_primes(
 
     A channel named in `signed` takes its mass from sum|terms|; any other
     channel must have nonnegative terms and takes its mass from their sum.
-    With ``parallel=True`` the segments run on a thread pool.
+    With ``parallel=True`` the segments run on a thread pool (see the module
+    docstring for who asks for it).
 
     Returns, per channel, one entry per cut: a KahanSum, or a Python int for
     integer channels.
@@ -167,7 +169,7 @@ def reduce_primes(
             return _segment_partials(stream.segment(idx, base), segment_terms,
                                      cuts, signed)
 
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
+        with ThreadPoolExecutor() as pool:
             for partials in pool.map(work, range(len(stream.segment_bounds()))):
                 merge(partials)
     else:

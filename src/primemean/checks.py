@@ -52,10 +52,16 @@ class CheckOptions:
         if self.lo is not None and self.hi is not None and self.lo > self.hi:
             raise GridError(f"grid needs lo <= hi, got [{self.lo}, {self.hi}]")
 
+    def bounds(self, default_lo: int, default_hi: int) -> tuple[int, int]:
+        """(lo, hi) with a check's defaults filled in; lo > hi is a GridError."""
+        lo, hi = self.lo or default_lo, self.hi or default_hi
+        if lo > hi:
+            raise GridError(f"grid needs lo <= hi, got [{lo}, {hi}]")
+        return lo, hi
+
     def grid(self, default_lo: int, default_hi: int,
              default_points: int) -> CheckpointGrid:
-        return CheckpointGrid.log_spaced(self.lo or default_lo,
-                                         self.hi or default_hi,
+        return CheckpointGrid.log_spaced(*self.bounds(default_lo, default_hi),
                                          self.points or default_points)
 
 
@@ -75,7 +81,6 @@ class CheckResult:
 class CheckContext:
     """Memo of expensive intermediates shared between checks."""
 
-    parallel: bool = True
     _tables: dict = field(default_factory=dict)
     _reports: dict = field(default_factory=dict)
 
@@ -91,19 +96,8 @@ class CheckContext:
         """The model's checkpoint report on `grid`, without U (no check reads it)."""
         key = (model_name, grid.points)
         if key not in self._reports:
-            self._reports[key] = sums_stream(
-                builtin(model_name), grid, parallel=self.parallel, with_u=False)
+            self._reports[key] = sums_stream(builtin(model_name), grid, with_u=False)
         return self._reports[key]
-
-
-_DEFAULT_CONTEXT: CheckContext | None = None
-
-
-def default_context() -> CheckContext:
-    global _DEFAULT_CONTEXT
-    if _DEFAULT_CONTEXT is None:
-        _DEFAULT_CONTEXT = CheckContext()
-    return _DEFAULT_CONTEXT
 
 
 def _trend_points(opts: CheckOptions) -> tuple[int, ...]:
@@ -128,7 +122,7 @@ def _check_identity_oracle(ctx: CheckContext, opts: CheckOptions):
     table = ctx.table(n_max)
     tol = 1e-9
     worst = 0.0
-    worst_at = ("", 0)
+    worst_at = None     # (model, n) of the largest deviation, if any is nonzero
     spots = sorted({n for n in (1, 2, 3, 10, 100, n_max - 1, n_max) if 1 <= n <= n_max})
     for name in ACCEPTANCE_MODELS:
         model = builtin(name)
@@ -147,9 +141,10 @@ def _check_identity_oracle(ctx: CheckContext, opts: CheckOptions):
                abs(b - brute[n]) > 1e-10 * max(1, n):
                 return False, f"scalar op disagrees with sweep at {name}, n={n}"
     ok = worst <= tol
+    where = "" if worst_at is None else f"model {worst_at[0]}, n={worst_at[1]}; "
     detail = (f"max |identity - bruteforce| / max(1,n) = {worst:.2e} over "
               f"{len(ACCEPTANCE_MODELS)} models, n <= {n_max} "
-              f"(model {worst_at[0]}, n={worst_at[1]}; tolerance {tol:.0e})")
+              f"({where}tolerance {tol:.0e})")
     return ok, detail
 
 
@@ -251,8 +246,7 @@ def _check_constants_stability(ctx: CheckContext, opts: CheckOptions):
 
 def _check_rs_inequality(ctx: CheckContext, opts: CheckOptions):
     """Two-sided Mertens-sum inequality sweep (left side only below 319)."""
-    lo = opts.lo or 319
-    hi = opts.hi or 10 ** 7
+    lo, hi = opts.bounds(319, 10 ** 7)
     count = opts.points or 1000
     xs = sorted({int(round(x)) for x in np.geomspace(lo, hi, count)})
     if opts.lo is None:
@@ -473,7 +467,7 @@ def run_check(name: str, ctx: CheckContext | None = None,
         raise UnknownCheckError(
             f"unknown check {name!r}; available: {', '.join(CHECK_NAMES)}")
     if ctx is None:
-        ctx = default_context()
+        ctx = CheckContext()
     if opts is None:
         opts = CheckOptions()
     start = time.perf_counter()
@@ -483,4 +477,8 @@ def run_check(name: str, ctx: CheckContext | None = None,
 
 def run_all(ctx: CheckContext | None = None, names=None,
             opts: CheckOptions | None = None) -> list[CheckResult]:
+    """Run the named checks (default: the acceptance registry) on one context;
+    without `ctx` a fresh one is built, which the checks of this run share."""
+    if ctx is None:
+        ctx = CheckContext()
     return [run_check(name, ctx, opts) for name in (names or ACCEPTANCE_CHECKS)]

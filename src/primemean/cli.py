@@ -60,7 +60,6 @@ class RunConfig:
     grid: CheckpointGrid | None
     fmt: str
     cache_dir: str | None
-    parallel: bool
     precision: float | None
     order: int
 
@@ -137,8 +136,6 @@ def _add_common_flags(sp: argparse.ArgumentParser, *, model_help: str) -> None:
     sp.add_argument("--cache", default=None, metavar="DIR",
                     help="checkpoint-report cache directory "
                     "(default: $PRIMEMEAN_CACHE; unset means no persistence)")
-    sp.add_argument("--parallel", action=argparse.BooleanOptionalAction,
-                    default=True, help="thread the segment sweep")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -221,7 +218,6 @@ def _config_from(args: argparse.Namespace, *, build_grid: bool) -> RunConfig:
         grid=grid,
         fmt=args.fmt,
         cache_dir=cache_dir,
-        parallel=args.parallel,
         precision=getattr(args, "precision", None),
         order=getattr(args, "order", 1),
     )
@@ -266,8 +262,7 @@ def emit_rows(fmt: str, header: tuple, rows: list, out=None) -> None:
 
 
 def cached_report(model: PrimeModel, grid: CheckpointGrid,
-                  cache_dir: str | None, parallel: bool, *,
-                  with_u: bool) -> primesums.SumsReport:
+                  cache_dir: str | None, *, with_u: bool) -> primesums.SumsReport:
     """Compute or reload a checkpoint report, persisting when caching is on.
 
     `with_u` says whether the caller reads U.  A malformed or mismatched
@@ -276,7 +271,7 @@ def cached_report(model: PrimeModel, grid: CheckpointGrid,
     bit-identical to fresh runs by construction.
     """
     if cache_dir is None:
-        return primesums.sums_stream(model, grid, parallel=parallel, with_u=with_u)
+        return primesums.sums_stream(model, grid, with_u=with_u)
     path = primesums.default_cache_path(cache_dir, model, grid)
     if os.path.exists(path):
         try:
@@ -286,7 +281,7 @@ def cached_report(model: PrimeModel, grid: CheckpointGrid,
         else:
             if report.u_of_x is not None or not with_u:
                 return report
-    report = primesums.sums_stream(model, grid, parallel=parallel, with_u=with_u)
+    report = primesums.sums_stream(model, grid, with_u=with_u)
     try:
         os.makedirs(cache_dir, exist_ok=True)
         primesums.save_report(path, report)
@@ -348,8 +343,7 @@ def cmd_geomean(cfg: RunConfig, n: int | None, oracle: bool) -> int:
     if grid is None:   # the trivial n = 1 point: empty product, G = 1
         points, log_means = [1], [0.0]
     else:
-        report = cached_report(model, grid, cfg.cache_dir, cfg.parallel,
-                               with_u=False)
+        report = cached_report(model, grid, cfg.cache_dir, with_u=False)
         points = list(grid.points)
         log_means = [report.n_log_g[i] / p for i, p in enumerate(points)]
 
@@ -390,12 +384,12 @@ def cmd_geomean(cfg: RunConfig, n: int | None, oracle: bool) -> int:
 def cmd_sums(cfg: RunConfig) -> int:
     model = cfg.require_model
     grid = cfg.grid
-    report = cached_report(model, grid, cfg.cache_dir, cfg.parallel, with_u=True)
+    report = cached_report(model, grid, cfg.cache_dir, with_u=True)
     header = ("n", "s1") + primesums.FLOAT_FIELDS + ("n_log_g", "err_bound")
     rows = []
     for i, n in enumerate(grid.points):
         rows.append((n, report.s1[i])
-                    + tuple(report.field(f)[i] for f in primesums.FLOAT_FIELDS)
+                    + tuple(getattr(report, f)[i] for f in primesums.FLOAT_FIELDS)
                     + (report.n_log_g[i], report.err_bound[i]))
     emit_rows(cfg.fmt, header, rows)
     return 0
@@ -403,8 +397,7 @@ def cmd_sums(cfg: RunConfig) -> int:
 
 def cmd_verify(cfg: RunConfig, names, args) -> int:
     opts = checks.CheckOptions(lo=args.lo, hi=args.hi, points=args.points)
-    ctx = checks.CheckContext(parallel=cfg.parallel)
-    results = checks.run_all(ctx, names, opts)
+    results = checks.run_all(checks.CheckContext(), names, opts)
     if cfg.fmt == "table":
         for r in results:
             print(r.line())
@@ -440,7 +433,7 @@ def cmd_fit(cfg: RunConfig, target: str) -> int:
     # any model's report carries them; qsum-residual uses the chosen model.
     model = cfg.model if cfg.model is not None else builtin("kappa")
     grid = cfg.grid
-    report = cached_report(model, grid, cfg.cache_dir, cfg.parallel,
+    report = cached_report(model, grid, cfg.cache_dir,
                            with_u=target == "u-residual")
     samples = _fit_samples(target, model, report, grid.points)
     with_constant = target in ("s2-residual", "qsum-residual")

@@ -374,9 +374,6 @@ class _Expr:
         """The expression as N(p)/D(p), with 'a' bound to `a`."""
         return _rational(self.node, a)
 
-    def eval(self, p: int, a: Optional[int]) -> Exact:
-        return self.rational(a)(p)
-
 
 def _rational(node: ast.expr, a: Optional[int]) -> _Rat:
     if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:

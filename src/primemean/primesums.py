@@ -29,9 +29,11 @@ does not read U, so callers that do not read it skip its terms
 Determinism contract: every sum here, the streamed ones and the scalar
 `r_sum` and `mertens_m_of_x` alike, goes through `accum.reduce_primes`, which
 forms per-segment partials by numpy's pairwise reduction and merges them
-into Kahan accumulators in ascending segment order, threaded or not.  So
-concurrent runs are bit-identical to sequential ones, and a scalar sum
-equals the streamed one at the same point bit for bit.
+into Kahan accumulators in ascending segment order, so a scalar sum equals
+the streamed one at the same point bit for bit.  Every command streams on
+one thread; only the `determinism` check and the benchmark's per-layer
+probe ask `sums_stream(parallel=True)` for the thread pool, whose runs are
+bit-identical to sequential ones.
 
 Every reported total carries a certified accumulation error bound derived
 only from stored quantities (explicitly *not* from run-time state), so a
@@ -184,23 +186,6 @@ class SumsReport:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def field(self, name: str) -> tuple:
-        if name == "s1":
-            return self.s1
-        if name in FLOAT_FIELDS or name in ("n_log_g", "err_bound"):
-            return getattr(self, name)
-        raise KeyError(name)
-
-    def checkpoint(self, i: int) -> dict:
-        """One checkpoint row as a plain dict (CLI/reporting convenience)."""
-        row = {"n": self.points[i], "s1": self.s1[i]}
-        for name in FLOAT_FIELDS:
-            column = getattr(self, name)
-            row[name] = None if column is None else column[i]
-        row["n_log_g"] = self.n_log_g[i]
-        row["err_bound"] = self.err_bound[i]
-        return row
 
 
 # --------------------------------------------------------------------------
@@ -450,7 +435,6 @@ def sums_stream(
     *,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     parallel: bool = False,
-    max_workers: int | None = None,
     with_u: bool = True,
 ) -> SumsReport:
     """Evaluate every streaming sum at each checkpoint in one sieve pass.
@@ -458,17 +442,18 @@ def sums_stream(
     With ``with_u=False`` U's terms are skipped and the report's `u_of_x` is
     None; every other field is bit-identical to the ``with_u=True`` report.
     With ``parallel=True`` the prime segments are processed by a thread
-    pool; partials are merged in ascending segment order either way, so the
-    result is bit-identical to the sequential run.
+    pool (see the module docstring for who asks for it); partials are merged
+    in ascending segment order either way, so the result is bit-identical to
+    the sequential run.
     """
     points = grid.points
     m = len(points)
     need_s3 = model.delta != math.inf
-    opts = dict(segment_size=segment_size, parallel=parallel, max_workers=max_workers)
 
     kah = reduce_primes(points, partial(_prime_terms, model, need_s3,
                                         grid.n_max if with_u else None),
-                        signed=("s3", "direct"), **opts)
+                        signed=("s3", "direct"), segment_size=segment_size,
+                        parallel=parallel)
     if not need_s3:
         kah["s3"] = [KahanSum() for _ in range(m)]
     s1 = kah.pop("s1")
@@ -689,11 +674,6 @@ def rs_inequality_sweep(xs) -> list[bool]:
             right_ok = (lx + e.value + band) - mx > unc
         out[i] = bool(left_ok and right_ok)
     return out
-
-
-def rs_inequality_check(x: int) -> bool:
-    """Two-sided Mertens-sum inequality at one x (left side only for x < 319)."""
-    return rs_inequality_sweep([x])[0]
 
 
 # --------------------------------------------------------------------------

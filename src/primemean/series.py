@@ -34,36 +34,6 @@ Number = Union[int, float, Fraction]
 
 
 @dataclass(frozen=True)
-class Expansion:
-    """A truncated expansion t_logn*log n + t_loglogn*loglog n + sum e_j/log^j n.
-
-    ``e[0]`` is the constant term; the order r is len(e) - 1.
-    """
-
-    t_logn: float = 0.0
-    t_loglogn: float = 0.0
-    e: tuple = (0.0,)
-
-    def __post_init__(self) -> None:
-        if len(self.e) == 0:
-            raise GridError("Expansion needs at least the constant coefficient e_0")
-        if len(self.e) - 1 > MAX_ORDER:
-            raise GridError(f"expansion order {len(self.e) - 1} exceeds {MAX_ORDER}")
-
-    @property
-    def order(self) -> int:
-        return len(self.e) - 1
-
-    def evaluate(self, n: float) -> float:
-        """Value at n >= 3 (uses natural logs)."""
-        if n < 3:
-            raise GridError(f"expansion evaluation needs n >= 3, got {n}")
-        u = math.log(n)
-        acc = self.t_logn * u + self.t_loglogn * math.log(u)
-        return acc + math.fsum(c / u ** j for j, c in enumerate(self.e))
-
-
-@dataclass(frozen=True)
 class FitResult:
     """Least-squares coefficients over the basis {1/log^j n, j = 1..order}.
 
@@ -158,38 +128,6 @@ def s2_coeffs_from_d(d_coeffs: Sequence[Number]) -> list:
             acc -= w * (Fraction(d_coeffs[j - 1]) if exact else float(d_coeffs[j - 1]))
         out.append(acc)
     return out
-
-
-def geomean_expansion_log(model, exp: Expansion, n: int,
-                          target_precision: float = 1e-8) -> float:
-    """log of the predicted geometric mean at n for the given model.
-
-    log G = log leading_constant + d log n + (log alpha) loglog n
-            + log(sum_j e_j / log^j n), with e_0 = 1 required.
-    """
-    if n < 3:
-        raise GridError(f"prediction needs n >= 3, got {n}")
-    if exp.e[0] != 1:
-        raise GridError("the multiplicative correction series must start at 1")
-    from .constants import leading_constant  # runtime import keeps layering acyclic
-
-    u = math.log(n)
-    series = math.fsum(c / u ** j for j, c in enumerate(exp.e))
-    if series <= 0:
-        raise GridError(f"correction series is non-positive at n={n}")
-    lead = leading_constant(model, target_precision)
-    return (math.log(lead.value) + model.d * u
-            + math.log(model.alpha) * math.log(u) + math.log(series))
-
-
-def geomean_expansion_eval(model, exp: Expansion, n: int,
-                           target_precision: float = 1e-8) -> float:
-    """Predicted geometric mean G_f(n); ``inf`` if it overflows float range."""
-    lg = geomean_expansion_log(model, exp, n, target_precision)
-    try:
-        return math.exp(lg)
-    except OverflowError:
-        return math.inf
 
 
 def fit_coefficients(samples: Sequence[tuple], order: int,

@@ -119,15 +119,11 @@ class PrimeStream:
             yield from (int(p) for p in seg)
 
 
-def stream_segmented(
-    lo: int,
-    hi: int,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    max_bound: int = DEFAULT_MAX_BOUND,
-) -> PrimeStream:
-    """Segmented prime stream over [lo, hi] with a hard address budget."""
-    if hi > max_bound:
-        raise GridError(f"hi={hi} exceeds the sieve bound {max_bound}")
+def stream_segmented(lo: int, hi: int,
+                     segment_size: int = DEFAULT_SEGMENT_SIZE) -> PrimeStream:
+    """Segmented prime stream over [lo, hi], hi at most DEFAULT_MAX_BOUND."""
+    if hi > DEFAULT_MAX_BOUND:
+        raise GridError(f"hi={hi} exceeds the sieve bound {DEFAULT_MAX_BOUND}")
     return PrimeStream(int(lo), int(hi), int(segment_size))
 
 
@@ -138,15 +134,12 @@ class SpfTable:
     limit: int
     spf: np.ndarray
 
-    def is_prime(self, k: int) -> bool:
-        return k >= 2 and int(self.spf[k]) == k
 
-
-def spf_build(limit: int, cap: int = SPF_CAP) -> SpfTable:
-    """Build the SPF table for 0..limit (spf[0] = spf[1] = 0)."""
+def spf_build(limit: int) -> SpfTable:
+    """Build the SPF table for 0..limit <= SPF_CAP (spf[0] = spf[1] = 0)."""
     limit = int(limit)
-    if limit > cap:
-        raise GridError(f"SPF table limit {limit} exceeds cap {cap}")
+    if limit > SPF_CAP:
+        raise GridError(f"SPF table limit {limit} exceeds cap {SPF_CAP}")
     if limit < 2:
         return SpfTable(limit, np.zeros(limit + 1, dtype=np.int32))
     spf = np.zeros(limit + 1, dtype=np.int32)

@@ -25,4 +25,4 @@ def table100k():
 @pytest.fixture(scope="session")
 def ctx():
     """Check context shared across the whole run (tables + reports memo)."""
-    return checks.CheckContext(parallel=True)
+    return checks.CheckContext()

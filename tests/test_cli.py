@@ -107,6 +107,7 @@ def test_identity_oracle_spots_stay_in_range(capsys, hi):
     rc, out, err = run(capsys, "verify", "--check", "identity-oracle", "--to", hi)
     assert rc == 0 and out.startswith("PASS identity-oracle"), err
     assert f"n <= {hi} " in out
+    assert "(model , n=0;" not in out   # no location when nothing deviates
 
 
 @pytest.mark.parametrize("check", ["rs-inequality", "identity-oracle", "exact-identities",
@@ -115,6 +116,11 @@ def test_verify_inverted_range_exits_2(capsys, check):
     rc, out, err = run(capsys, "verify", "--check", check, "--from", "5", "--to", "2")
     assert rc == 2 and out == ""
     assert "grid needs lo <= hi, got [5, 2]" in err
+    if check != "identity-oracle":      # the one of these that reads no --from
+        # --from above the check's default --to inverts the range too
+        rc, out, err = run(capsys, "verify", "--check", check, "--from", "1e8")
+        assert rc == 2 and out == ""
+        assert "grid needs lo <= hi, got [100000000, " in err
 
 
 def test_exit_code_grid(capsys):
@@ -213,6 +219,13 @@ def test_points_below_one_is_exit_two(capsys, spacing, points):
     rc, _, err = run(capsys, "verify", "--check", "rs-inequality",
                      "--points", points)
     assert rc == 2 and "at least one checkpoint" in err
+
+
+@pytest.mark.parametrize("flag", ["--parallel", "--no-parallel"])
+def test_thread_flags_are_usage_errors(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["sums", "--model", "kappa", "--to", "100", flag])
+    assert exc.value.code == 2
 
 
 def test_usage_error_is_exit_two(capsys):

@@ -35,7 +35,6 @@ COMMON = [
     _opt("--model", ["kappa", "euler_phi", "two_omega", "nope", "jordan_0",
                      "missing.model", ""]),
     _opt("--format", ["table", "csv", "json", "xml"]),
-    st.just(["--no-parallel"]),
 ]
 GRID = [
     _opt("--from", BOUNDS + BAD_NUMBERS),

@@ -302,11 +302,13 @@ def _cq_oracle(num, den):
 
     Primes up to 64 directly; above them each factor contributes
     (1/p) log(1 + r/p) = sum_k (-1)^(k+1) r^k/k p^-(k+1), r = b/c, |r| < 8.
+    A factor may be negative at a small prime while f(p) > 0, so the direct
+    part sums log|1 + r/p|.
     """
     with mpmath.workdps(50):
         factors = [(c, b, 1) for c, b in num] + [(c, b, -1) for c, b in den]
         direct = mpmath.fsum(
-            sign * mpmath.log(1 + mpmath.mpf(b) / (c * p)) / p
+            sign * mpmath.log(abs(1 + mpmath.mpf(b) / (c * p))) / p
             for p in _ORACLE_PRIMES for c, b, sign in factors)
         tail = mpmath.fsum(
             sign * (-1) ** (k + 1) * (mpmath.mpf(b) / c) ** k / k * _prime_zeta_above(k + 1)

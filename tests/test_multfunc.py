@@ -232,9 +232,9 @@ def test_load_model_file_rejects(tmp_path, body, fragment):
 
 def test_expression_grammar_exact():
     expr = parse_expression("(p^2 - 1) / (p - 1)")
-    assert expr.eval(7, None) == Fraction(48, 6) == 8
-    assert parse_expression("2^3^2").eval(2, None) == 2 ** 9  # right-assoc
-    assert parse_expression("-p + 10").eval(3, None) == 7
+    assert expr.rational(None)(7) == Fraction(48, 6) == 8
+    assert parse_expression("2^3^2").rational(None)(2) == 2 ** 9  # right-assoc
+    assert parse_expression("-p + 10").rational(None)(3) == 7
     with pytest.raises(ModelSpecError):
         parse_expression("p ** 2")
     with pytest.raises(ModelSpecError):

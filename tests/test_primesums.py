@@ -26,9 +26,8 @@ from primemean.primesums import (CheckpointGrid, SumsReport,
                                  identity_prefix, load_report,
                                  log_geomean_bruteforce, log_geomean_identity,
                                  mertens_m_of_x, omega_summatory, r_sum,
-                                 rs_inequality_check, rs_inequality_sweep,
-                                 save_report, sums_stream, u_of_x,
-                                 u_truncation_bound)
+                                 rs_inequality_sweep, save_report, sums_stream,
+                                 u_of_x, u_truncation_bound)
 from primemean.sieve import factorize, spf_build
 
 # ---------------------------------------------------------------------------
@@ -162,7 +161,7 @@ def u_spf_oracle():
 @pytest.mark.parametrize("name", ["kappa", "euler_phi"])
 @pytest.mark.parametrize("parallel", [False, True])
 def test_streamed_u_matches_spf_oracle(u_spf_oracle, name, parallel):
-    rep = sums_stream(builtin(name), _U_GRID, parallel=parallel, max_workers=3,
+    rep = sums_stream(builtin(name), _U_GRID, parallel=parallel,
                       segment_size=1 << 14)   # Euler-Maclaurin primes span segments
     for n, got, want in zip(_U_GRID.points, rep.u_of_x, u_spf_oracle):
         assert abs(got - want) <= 1e-12 * n, n
@@ -287,12 +286,7 @@ def test_smr_identity_small_grid(table5k):
 
 
 def test_report_field_access(kappa10):
-    assert kappa10.field("s2") == kappa10.s2
-    with pytest.raises(KeyError):
-        kappa10.field("nope")
-    row = kappa10.checkpoint(0)
-    assert row["n"] == 10 and row["s1"] == 11
-    assert len(kappa10) == 1
+    assert kappa10.points == (10,) and len(kappa10) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -309,15 +303,14 @@ def test_scalar_sums_equal_streamed_report_bitwise():
 
 
 def test_rs_inequality_spot_points():
-    assert rs_inequality_check(319)
-    assert rs_inequality_check(10 ** 6)
-    assert rs_inequality_check(10)  # left side only below the threshold
+    # 10: left side only below the threshold 319
+    assert rs_inequality_sweep([319, 10 ** 6, 10]) == [True, True, True]
 
 
 def test_rs_sweep_matches_scalar():
     xs = [2, 10, 318, 319, 1000, 12345]
     sweep = rs_inequality_sweep(xs)
-    assert sweep == [rs_inequality_check(x) for x in xs]
+    assert sweep == [rs_inequality_sweep([x])[0] for x in xs]
     with pytest.raises(GridError):
         rs_inequality_sweep([1, 10])
 
@@ -331,7 +324,7 @@ def test_parallel_matches_sequential_exactly():
     grid = CheckpointGrid.log_spaced(100, 2 * 10 ** 6, 9)
     model = builtin("sigma")
     seq = sums_stream(model, grid, parallel=False)
-    par = sums_stream(model, grid, parallel=True, max_workers=5)
+    par = sums_stream(model, grid, parallel=True)
     assert seq == par
 
 
@@ -346,7 +339,7 @@ def test_report_without_u_matches_full_report(name):
     model = builtin(name)
     full = sums_stream(model, grid)
     lazy = sums_stream(model, grid, with_u=False)
-    lazy_par = sums_stream(model, grid, parallel=True, max_workers=3, with_u=False)
+    lazy_par = sums_stream(model, grid, parallel=True, with_u=False)
     assert full.u_of_x is not None
     for rep in (lazy, lazy_par):
         assert rep.u_of_x is None

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from primemean import series
 from primemean.errors import GridError, IllConditionedFitError
-from primemean.multfunc import builtin
 
 
 def series_log_oracle(g):
@@ -86,22 +85,6 @@ def test_s2_coeffs_closed_form_small():
         series.s2_coeffs_from_d([F(1)])
 
 
-def test_geomean_expansion_eval():
-    exp = series.Expansion(e=(F(1), F(1, 2), F(-1, 3)))
-    model = builtin("kappa")
-    n = 10 ** 4
-    u = math.log(n)
-    want = (math.log(constants_leading(model)) + 1.0 * u
-            + math.log(1.0 + 0.5 / u - (1.0 / 3.0) / u ** 2))
-    got = series.geomean_expansion_log(model, exp, n)
-    assert got == pytest.approx(want, rel=1e-12)
-
-
-def constants_leading(model):
-    from primemean.constants import leading_constant
-    return leading_constant(model).value
-
-
 def test_fit_recovers_synthetic_coefficients():
     ns = [int(10 ** (4 + 0.3 * i)) for i in range(10)]
     samples = [(n, 0.25 + 0.7 / math.log(n) - 0.2 / math.log(n) ** 2)
@@ -139,12 +122,3 @@ def test_fit_refuses_collinear_basis():
     with pytest.raises(IllConditionedFitError) as exc:
         series.fit_coefficients(samples, order=8)
     assert exc.value.condition is None or exc.value.condition > 1e12
-
-
-def test_expansion_validation():
-    with pytest.raises(GridError):
-        series.geomean_expansion_log(builtin("kappa"),
-                                     series.Expansion(e=(F(2),)), 100)
-    with pytest.raises(GridError):
-        series.geomean_expansion_log(builtin("kappa"),
-                                     series.Expansion(e=(F(1),)), 2)

@@ -83,7 +83,7 @@ def test_spf_table_is_smallest_factor(table5k: SpfTable):
 def test_spf_prime_flag(table5k: SpfTable):
     primes = set(trial_division_primes(5000))
     for k in (0, 1, 2, 3, 4, 91, 97, 4999, 5000):
-        assert table5k.is_prime(k) == (k in primes)
+        assert (k >= 2 and int(table5k.spf[k]) == k) == (k in primes)
 
 
 def test_factorize_roundtrip(table5k: SpfTable):
@@ -91,7 +91,7 @@ def test_factorize_roundtrip(table5k: SpfTable):
         fac = factorize(k, table5k)
         prod = 1
         for p, a in fac:
-            assert table5k.is_prime(p) and a >= 1
+            assert int(table5k.spf[p]) == p and a >= 1
             prod *= p ** a
         assert prod == k
         assert [p for p, _ in fac] == sorted(p for p, _ in fac)
