@@ -90,7 +90,7 @@ def _partial(terms: np.ndarray, signed: bool) -> tuple[float, float, float]:
     return value, mass, pairwise_error_bound(mass, terms.size) + FORM_ULPS * EPS * mass
 
 
-def _segment_partials(primes, segment_terms, cuts, signed):
+def _segment_partials(primes, segment_terms, cuts, signed, integers):
     """Every cut's partials over one segment, as (cut index, {name: partial})."""
     size = len(primes)
     if size == 0:
@@ -111,7 +111,7 @@ def _segment_partials(primes, segment_terms, cuts, signed):
                 parts[name] = full[name]
         if at_cut is not None:
             for name, terms in at_cut(count, n):
-                parts[name] = (int(terms.sum()) if terms.dtype.kind == "i"
+                parts[name] = (int(terms.sum()) if name in integers
                                else _partial(terms, name in signed))
         out.append((i, parts))
     return out
@@ -122,6 +122,7 @@ def reduce_primes(
     segment_terms: Callable[[np.ndarray], SegmentTerms],
     *,
     signed: Collection[str] = (),
+    integers: Collection[str] = (),
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     parallel: bool = False,
 ) -> dict[str, list]:
@@ -135,12 +136,16 @@ def reduce_primes(
     - `shared` maps a channel name to a term array aligned with the primes;
       at cut n the segment contributes the terms of its primes <= n;
     - `at_cut(count, n)`, if not None, yields (channel name, terms) pairs for
-      cut n over the first `count` primes; an integer array is summed exactly.
+      cut n over the first `count` primes.
       Each array is summed before the next is asked for, so a generator
       keeps only one alive.
 
-    A channel named in `signed` takes its mass from sum|terms|; any other
-    channel must have nonnegative terms and takes its mass from their sum.
+    A channel named in `integers` has nonnegative integer-valued terms, int
+    or float, and is summed exactly into a Python int (a float partial is
+    exact while its total stays below 2^53: every pairwise partial is then
+    an integer no larger than the total).  A channel named in `signed` takes
+    its mass from sum|terms|; any other channel must have nonnegative terms
+    and takes its mass from their sum.
     With ``parallel=True`` the segments run on a thread pool (see the module
     docstring for who asks for it).
 
@@ -167,7 +172,7 @@ def reduce_primes(
 
         def work(idx: int):
             return _segment_partials(stream.segment(idx, base), segment_terms,
-                                     cuts, signed)
+                                     cuts, signed, integers)
 
         with ThreadPoolExecutor() as pool:
             for partials in pool.map(work, range(len(stream.segment_bounds()))):
@@ -177,7 +182,7 @@ def reduce_primes(
         # first measured ~15% slower on the constants' 2e8 passes (an effect
         # of the allocator, not of the arithmetic).
         for primes in stream.segments():
-            merge(_segment_partials(primes, segment_terms, cuts, signed))
+            merge(_segment_partials(primes, segment_terms, cuts, signed, integers))
     return sums
 
 

@@ -91,12 +91,15 @@ class CheckContext:
         self._tables[limit] = spf_build(limit)
         return self._tables[limit]
 
-    def report(self, model_name: str,
-               grid: CheckpointGrid) -> primesums.SumsReport:
-        """The model's checkpoint report on `grid`, without U (no check reads it)."""
+    def report(self, model_name: str, grid: CheckpointGrid, *,
+               companions: bool = False) -> primesums.SumsReport:
+        """The model's checkpoint report on `grid`; with `companions` it
+        holds F1, F2, R, M and U too (only the S2 = n M - R check reads them)."""
         key = (model_name, grid.points)
-        if key not in self._reports:
-            self._reports[key] = sums_stream(builtin(model_name), grid, with_u=False)
+        have = self._reports.get(key)
+        if have is None or (companions and not have.has_companions):
+            self._reports[key] = sums_stream(builtin(model_name), grid,
+                                             companions=companions)
         return self._reports[key]
 
 
@@ -149,8 +152,10 @@ def _check_identity_oracle(ctx: CheckContext, opts: CheckOptions):
 
 
 def _identity_grid(ctx: CheckContext, opts: CheckOptions):
+    """The exact-identities grid and its report; the three identity checks
+    share it, and the S2 = n M - R one reads the companions."""
     grid = opts.grid(100, 10 ** 6, 20)
-    return grid, ctx.report("kappa", grid)
+    return grid, ctx.report("kappa", grid, companions=True)
 
 
 def _logkappa_summatory(n: int, table: SpfTable) -> float:
@@ -460,16 +465,27 @@ ACCEPTANCE_CHECKS = (
 
 CHECK_NAMES = tuple(_REGISTRY)
 
+# The checks that read --to and no --from: a --from would be ignored, so it
+# is refused.
+_TO_ONLY = frozenset({"identity-oracle", "omega-mean-trend", "s2-constant",
+                      "kappa-corollary", "phi-geomean"})
 
-def run_check(name: str, ctx: CheckContext | None = None,
-              opts: CheckOptions | None = None) -> CheckResult:
+
+def _validate(name: str, opts: CheckOptions) -> None:
     if name not in _REGISTRY:
         raise UnknownCheckError(
             f"unknown check {name!r}; available: {', '.join(CHECK_NAMES)}")
-    if ctx is None:
-        ctx = CheckContext()
+    if name in _TO_ONLY and opts.lo is not None:
+        raise GridError(f"check {name} reads only --to; it takes no --from")
+
+
+def run_check(name: str, ctx: CheckContext | None = None,
+              opts: CheckOptions | None = None) -> CheckResult:
     if opts is None:
         opts = CheckOptions()
+    _validate(name, opts)
+    if ctx is None:
+        ctx = CheckContext()
     start = time.perf_counter()
     passed, detail = _REGISTRY[name](ctx, opts)
     return CheckResult(name, passed, detail, time.perf_counter() - start)
@@ -479,6 +495,9 @@ def run_all(ctx: CheckContext | None = None, names=None,
             opts: CheckOptions | None = None) -> list[CheckResult]:
     """Run the named checks (default: the acceptance registry) on one context;
     without `ctx` a fresh one is built, which the checks of this run share."""
+    names, opts = names or ACCEPTANCE_CHECKS, opts or CheckOptions()
+    for name in names:      # refuse a bad name or option before any check runs
+        _validate(name, opts)
     if ctx is None:
         ctx = CheckContext()
-    return [run_check(name, ctx, opts) for name in (names or ACCEPTANCE_CHECKS)]
+    return [run_check(name, ctx, opts) for name in names]

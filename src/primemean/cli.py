@@ -262,16 +262,16 @@ def emit_rows(fmt: str, header: tuple, rows: list, out=None) -> None:
 
 
 def cached_report(model: PrimeModel, grid: CheckpointGrid,
-                  cache_dir: str | None, *, with_u: bool) -> primesums.SumsReport:
+                  cache_dir: str | None, *, companions: bool) -> primesums.SumsReport:
     """Compute or reload a checkpoint report, persisting when caching is on.
 
-    `with_u` says whether the caller reads U.  A malformed or mismatched
-    cache file, or one without U for a caller that reads U, is a miss: the
-    report is recomputed and the file overwritten.  Reloads are
-    bit-identical to fresh runs by construction.
+    `companions` says whether the caller reads F1, F2, R, M or U.  A
+    malformed or mismatched cache file, or one without the companions for a
+    caller that reads them, is a miss: the report is recomputed and the file
+    overwritten.  Reloads are bit-identical to fresh runs by construction.
     """
     if cache_dir is None:
-        return primesums.sums_stream(model, grid, with_u=with_u)
+        return primesums.sums_stream(model, grid, companions=companions)
     path = primesums.default_cache_path(cache_dir, model, grid)
     if os.path.exists(path):
         try:
@@ -279,9 +279,9 @@ def cached_report(model: PrimeModel, grid: CheckpointGrid,
         except CacheFormatError:
             pass
         else:
-            if report.u_of_x is not None or not with_u:
+            if report.has_companions or not companions:
                 return report
-    report = primesums.sums_stream(model, grid, with_u=with_u)
+    report = primesums.sums_stream(model, grid, companions=companions)
     try:
         os.makedirs(cache_dir, exist_ok=True)
         primesums.save_report(path, report)
@@ -343,7 +343,7 @@ def cmd_geomean(cfg: RunConfig, n: int | None, oracle: bool) -> int:
     if grid is None:   # the trivial n = 1 point: empty product, G = 1
         points, log_means = [1], [0.0]
     else:
-        report = cached_report(model, grid, cfg.cache_dir, with_u=False)
+        report = cached_report(model, grid, cfg.cache_dir, companions=False)
         points = list(grid.points)
         log_means = [report.n_log_g[i] / p for i, p in enumerate(points)]
 
@@ -384,7 +384,7 @@ def cmd_geomean(cfg: RunConfig, n: int | None, oracle: bool) -> int:
 def cmd_sums(cfg: RunConfig) -> int:
     model = cfg.require_model
     grid = cfg.grid
-    report = cached_report(model, grid, cfg.cache_dir, with_u=True)
+    report = cached_report(model, grid, cfg.cache_dir, companions=True)
     header = ("n", "s1") + primesums.FLOAT_FIELDS + ("n_log_g", "err_bound")
     rows = []
     for i, n in enumerate(grid.points):
@@ -434,7 +434,7 @@ def cmd_fit(cfg: RunConfig, target: str) -> int:
     model = cfg.model if cfg.model is not None else builtin("kappa")
     grid = cfg.grid
     report = cached_report(model, grid, cfg.cache_dir,
-                           with_u=target == "u-residual")
+                           companions=target == "u-residual")
     samples = _fit_samples(target, model, report, grid.points)
     with_constant = target in ("s2-residual", "qsum-residual")
     fit = series.fit_coefficients(samples, order=cfg.order,

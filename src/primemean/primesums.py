@@ -22,9 +22,17 @@ them at up to 64 checkpoints in one segmented pass; each prime updates every
 checkpoint >= p, so the pass is O(#primes * #checkpoints-above).  U is a
 prime sum too, U(x) = sum_p log p * sum_{m<=x/p} 1/log(m p): the inner sum
 is added term by term for m < U_M0 and by Euler-Maclaurin above, with the
-truncation bounded by `u_truncation_bound` (below 1.1e-16 * x).  n log G_f(n)
-does not read U, so callers that do not read it skip its terms
-(`with_u=False`).
+truncation bounded by `u_truncation_bound` (below 1.1e-16 * x).
+
+n log G_f(n) reads none of the companions.  Only `sums`, `fit --target
+u-residual` and the S2 = n M - R check read them; every other command and
+check streams with ``companions=False`` and skips their terms.
+
+floor(n/p) is formed as floor(n / p) in float64, and the remainder as
+n - floor(n/p) p.  Both are exact because every checkpoint is at most the
+sieve bound 1e9 < 2^52: n / p is then within half an ulp < 1/p of the true
+quotient, so its floor is floor(n/p), and every product and difference is an
+integer below 2^53.
 
 Determinism contract: every sum here, the streamed ones and the scalar
 `r_sum` and `mertens_m_of_x` alike, goes through `accum.reduce_primes`, which
@@ -39,13 +47,15 @@ Every reported total carries a certified accumulation error bound derived
 only from stored quantities (explicitly *not* from run-time state), so a
 report loaded back from its cache file reproduces the bound bit-for-bit.
 
-Cache format v4 (binary, little-endian): header {magic b"PMSM", version u16,
-model hash u64, checkpoint count u16, flags u8 (bit 0: the file holds
-U)}, then a 16-byte blake2b digest of the header and the records, then one
-record per checkpoint {n u64, s1 u64, then one f64 each for s2, s3, f1, f2,
-r_sum, m_of_x and, when the file holds U, u_of_x}.  `n_log_g` and
-`err_bound` are deliberately not stored: both are reassembled
-deterministically on load.  A file whose digest does not match is rejected.
+Cache format v5 (binary, little-endian): header {magic b"PMSM", version u16,
+model hash u64, checkpoint count u16, flags u8 (bit 0: the file holds the
+companions)}, then a 16-byte blake2b digest of the header and the records,
+then one record per checkpoint {n u64, s1 u64, one f64 each for s2 and s3,
+and, when the file holds the companions, one f64 each for f1, f2, r_sum,
+m_of_x and u_of_x} (32 or 72 bytes).  A file without the companions is a
+miss for a caller that reads them.  `n_log_g` and `err_bound` are
+deliberately not stored: both are reassembled deterministically on load.  A
+file whose digest does not match is rejected.
 The model hash fingerprints the model itself (see `_model_hash`), not only
 its name, so two models that share a name never share a cache file.
 """
@@ -81,12 +91,13 @@ from .sieve import (
 MAX_CHECKPOINTS = 64
 
 # Ordering of the float-valued accumulators, fixed by the cache layout.
-FLOAT_FIELDS = ("s2", "s3", "f1", "f2", "r_sum", "m_of_x", "u_of_x")
+COMPANION_FIELDS = ("f1", "f2", "r_sum", "m_of_x", "u_of_x")
+FLOAT_FIELDS = ("s2", "s3") + COMPANION_FIELDS
 
 CACHE_MAGIC = b"PMSM"
-CACHE_VERSION = 4
+CACHE_VERSION = 5
 _HEADER = struct.Struct("<4sHQHB")   # magic, version, model hash, count, flags
-_HAS_U = 0x01                        # flags bit: the records hold u_of_x
+_HAS_COMPANIONS = 0x01               # flags bit: the records hold the companions
 _DIGEST_SIZE = 16                    # blake2b of header + payload, after the header
 
 
@@ -161,9 +172,10 @@ class SumsReport:
     """All streaming sums at each checkpoint, with certified error bounds.
 
     `model_hash` fingerprints the model (the cache key; see `_model_hash`).
-    `s1` entries are exact integers.  `u_of_x` is None when the report was
-    streamed without the U pass (`sums_stream(..., with_u=False)`); every
-    other field is the same, bit for bit, either way.
+    `s1` entries are exact integers.  The companion fields f1, f2, r_sum,
+    m_of_x and u_of_x are all None when the report was streamed without
+    them (`sums_stream(..., companions=False)`); every other field is the
+    same, bit for bit, either way.
     `n_log_g` is the assembled identity value
     (log alpha) * s1 + d * s2 + s3 + [prime-power correction]; `err_bound`
     bounds its accumulation error.  Both are functions of the stored data
@@ -186,6 +198,10 @@ class SumsReport:
 
     def __len__(self) -> int:
         return len(self.points)
+
+    @property
+    def has_companions(self) -> bool:
+        return self.f1 is not None
 
 
 # --------------------------------------------------------------------------
@@ -274,7 +290,9 @@ def _prime_terms(model: PrimeModel, need_s3: bool, u_max: int | None,
 
     `direct` is the straight sum floor(n/p) log f(p) used for the internal
     cross-check; `s1` is an integer channel, summed exactly.  With `u_max`
-    set (the largest cut) the segment also yields U's terms.
+    set (the largest cut) the segment also yields the companions' terms.
+    floor(n/p) and the remainder n - floor(n/p) p are formed in float64,
+    exactly because n < 2^52 (see the module docstring).
     """
     pf = seg.astype(np.float64)
     lp = np.log(pf)
@@ -283,20 +301,20 @@ def _prime_terms(model: PrimeModel, need_s3: bool, u_max: int | None,
     u_lo = None if u_max is None else _u_lower_end(seg, lp, u_max)
 
     def at_cut(count: int, n: int) -> Iterator[tuple[str, np.ndarray]]:
-        q = n // seg[:count]
+        pc = pf[:count]
+        q = np.floor(n / pc)
         yield "s1", q
-        qf = q.astype(np.float64)
-        yield "s2", qf * lp[:count]
+        yield "s2", q * lp[:count]
         if need_s3:
-            yield "s3", qf * qr[:count]
-        yield "direct", qf * lf[:count]
-        fr = (n - q * seg[:count]).astype(np.float64) / pf[:count]
-        yield "f1", fr
-        yield "r_sum", fr * lp[:count]
+            yield "s3", q * qr[:count]
+        yield "direct", q * lf[:count]
         if u_lo is not None:
+            fr = (n - q * pc) / pc
+            yield "f1", fr
+            yield "r_sum", fr * lp[:count]
             yield "u_of_x", _u_cut_terms(seg, pf, lp, u_lo, q, n)
 
-    return {"m_of_x": _mertens_terms(pf, lp)}, at_cut
+    return ({} if u_lo is None else {"m_of_x": _mertens_terms(pf, lp)}), at_cut
 
 
 # --------------------------------------------------------------------------
@@ -377,13 +395,16 @@ def _u_lower_end(seg: np.ndarray, lp: np.ndarray, u_max: int):
     """The cut-independent lower-end terms at m = U_M0, for the segment's
     primes p <= u_max / U_M0: (log(M0 p), Ei series at it, the rest)."""
     c = int(np.searchsorted(seg, u_max // U_M0, side="right"))
+    if c == 0:      # no cut reaches the Euler-Maclaurin part in this segment
+        return lp[:0], lp[:0], lp[:0]
     ua = math.log(U_M0) + lp[:c]
     va = 1.0 / ua
     return ua, _ei_series(ua), 0.5 * va - _em_corrections(float(U_M0), va)
 
 
 def _u_cut_terms(seg, pf, lp, u_lo, q, n: int) -> np.ndarray:
-    """log p * T_p(n // p) for the first q.size primes of the segment."""
+    """log p * T_p(n // p) for the first q.size primes of the segment;
+    q holds n // p as floats."""
     count = q.size
     t = 1.0 / lp[:count]                                 # m = 1
     buf = np.empty(count)
@@ -397,11 +418,10 @@ def _u_cut_terms(seg, pf, lp, u_lo, q, n: int) -> np.ndarray:
     c = int(np.searchsorted(seg[:count], n // U_M0, side="right"))
     if c:
         qc = q[:c]
-        ub = np.log((qc * seg[:c]).astype(np.float64))
+        ub = np.log(qc * pf[:c])
         vb = 1.0 / ub
-        qf = qc.astype(np.float64)
         t[:c] += ((_ei_series(ub) - sa[:c] + np.log(ub / ua[:c])) / pf[:c]
-                  + 0.5 * vb + _em_corrections(qf, vb) + lo[:c])
+                  + 0.5 * vb + _em_corrections(qc, vb) + lo[:c])
     t *= lp[:count]
     return t
 
@@ -435,39 +455,42 @@ def sums_stream(
     *,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     parallel: bool = False,
-    with_u: bool = True,
+    companions: bool = True,
 ) -> SumsReport:
     """Evaluate every streaming sum at each checkpoint in one sieve pass.
 
-    With ``with_u=False`` U's terms are skipped and the report's `u_of_x` is
-    None; every other field is bit-identical to the ``with_u=True`` report.
-    With ``parallel=True`` the prime segments are processed by a thread
-    pool (see the module docstring for who asks for it); partials are merged
-    in ascending segment order either way, so the result is bit-identical to
-    the sequential run.
+    With ``companions=False`` the terms of F1, F2, R, M and U are skipped and
+    those fields of the report are None; s1, s2, s3, `n_log_g` and
+    `err_bound` are bit-identical to the ``companions=True`` report.  Only
+    `sums`, `fit --target u-residual` and the S2 = n M - R check read the
+    companions.  With ``parallel=True`` the prime segments are processed by
+    a thread pool (see the module docstring for who asks for it); partials
+    are merged in ascending segment order either way, so the result is
+    bit-identical to the sequential run.
     """
     points = grid.points
     m = len(points)
     need_s3 = model.delta != math.inf
 
     kah = reduce_primes(points, partial(_prime_terms, model, need_s3,
-                                        grid.n_max if with_u else None),
-                        signed=("s3", "direct"), segment_size=segment_size,
-                        parallel=parallel)
+                                        grid.n_max if companions else None),
+                        signed=("s3", "direct"), integers=("s1",),
+                        segment_size=segment_size, parallel=parallel)
     if not need_s3:
         kah["s3"] = [KahanSum() for _ in range(m)]
     s1 = kah.pop("s1")
 
     # prime-power corrections: F2 on top of F1, and the a >= 2 identity term
     frac, pp2 = _prime_power_pass(model, points)
-    f2 = []
-    for i in range(m):
-        acc = kah["f1"][i]
-        tot = KahanSum(acc.value, acc.comp, acc.absmass, acc.inherited)
-        src = frac[i]
-        tot.add(src.value, abs_x=src.absmass, err_in=src.error_bound())
-        f2.append(tot)
-    kah["f2"] = f2
+    if companions:
+        f2 = []
+        for i in range(m):
+            acc = kah["f1"][i]
+            tot = KahanSum(acc.value, acc.comp, acc.absmass, acc.inherited)
+            src = frac[i]
+            tot.add(src.value, abs_x=src.absmass, err_in=src.error_bound())
+            f2.append(tot)
+        kah["f2"] = f2
 
     values = {name: tuple(acc.value for acc in kah[name]) if name in kah else None
               for name in FLOAT_FIELDS}
@@ -513,7 +536,7 @@ def log_geomean_identity(model: PrimeModel, n: int) -> float:
         raise GridError(f"log_geomean_identity needs n >= 1, got {n}")
     if n == 1:
         return 0.0
-    report = sums_stream(model, CheckpointGrid((n,)), with_u=False)
+    report = sums_stream(model, CheckpointGrid((n,)), companions=False)
     result = report.n_log_g[0]
     if report.err_bound[0] > 1e-12 * abs(result) + 1e-12 * n:
         raise AccumulationError(
@@ -697,9 +720,9 @@ def _model_hash(model: PrimeModel) -> int:
     return int.from_bytes(digest, "little")
 
 
-def _record_layout(has_u: bool) -> tuple[tuple[str, ...], struct.Struct]:
+def _record_layout(companions: bool) -> tuple[tuple[str, ...], struct.Struct]:
     """The float fields a record stores, in order, and the record struct."""
-    names = FLOAT_FIELDS if has_u else tuple(f for f in FLOAT_FIELDS if f != "u_of_x")
+    names = FLOAT_FIELDS if companions else ("s2", "s3")
     return names, struct.Struct(f"<QQ{len(names)}d")
 
 
@@ -711,15 +734,14 @@ def _digest(header: bytes, payload: bytes) -> bytes:
 
 def save_report(path: str, report: SumsReport) -> None:
     """Serialize a report (atomic replace; see module docstring for layout)."""
-    has_u = report.u_of_x is not None
-    names, record = _record_layout(has_u)
+    names, record = _record_layout(report.has_companions)
     columns = [getattr(report, name) for name in names]
     payload = b"".join(
         record.pack(n, report.s1[i], *(col[i] for col in columns))
         for i, n in enumerate(report.points))
     header = _HEADER.pack(CACHE_MAGIC, CACHE_VERSION,
                           report.model_hash, len(report),
-                          _HAS_U if has_u else 0)
+                          _HAS_COMPANIONS if report.has_companions else 0)
     data = header + _digest(header, payload) + payload
 
     directory = os.path.dirname(os.path.abspath(path))
@@ -738,7 +760,8 @@ def load_report(path: str, model: PrimeModel,
                 grid: CheckpointGrid | None = None) -> SumsReport:
     """Load a cached report for (model, grid); n_log_g/err_bound reassembled.
 
-    The report's `u_of_x` is None when the file does not hold U.  Raises
+    The report's companion fields are None when the file does not hold
+    them.  Raises
     CacheFormatError on any mismatch: magic, version, unknown flags, invalid
     checkpoint count, payload size, digest, model-name hash, non-ascending
     checkpoints, or (when `grid` is given) a different checkpoint set.
@@ -754,11 +777,11 @@ def load_report(path: str, model: PrimeModel,
     if version != CACHE_VERSION:
         raise CacheFormatError(
             f"{path}: cache version {version} != supported {CACHE_VERSION}")
-    if flags & ~_HAS_U:
+    if flags & ~_HAS_COMPANIONS:
         raise CacheFormatError(f"{path}: unknown flags {flags:#04x}")
     if not (1 <= count <= MAX_CHECKPOINTS):
         raise CacheFormatError(f"{path}: invalid checkpoint count {count}")
-    names, record = _record_layout(bool(flags & _HAS_U))
+    names, record = _record_layout(bool(flags & _HAS_COMPANIONS))
     expected = start + count * record.size
     if len(data) != expected:
         raise CacheFormatError(

@@ -19,6 +19,7 @@ from .errors import GridError
 
 DEFAULT_SEGMENT_SIZE = 1 << 20  # numbers per segment
 DEFAULT_MAX_BOUND = 10 ** 9     # address budget for sieving
+SEGMENTS_PER_BLOCK = 2          # segments sieved together by PrimeStream.segments
 SPF_CAP = 10 ** 7               # SPF tables stay oracle-sized
 
 
@@ -54,19 +55,13 @@ def _segment_primes(lo: int, hi: int, base_odd: np.ndarray) -> np.ndarray:
     out_two = lo <= 2 < hi
     if first_odd >= hi:
         return np.array([2], dtype=np.int64) if out_two else np.empty(0, dtype=np.int64)
-    size = (hi - first_odd + 1) // 2
-    mask = np.ones(size, dtype=bool)
-    top = math.isqrt(hi - 1)
-    for p in base_odd:
-        p = int(p)
-        if p > top:
-            break
-        start = max(p * p, ((first_odd + p - 1) // p) * p)
-        if start % 2 == 0:
-            start += p
-        if start >= hi:
-            continue
-        mask[(start - first_odd) // 2:: p] = False
+    mask = np.ones((hi - first_odd + 1) // 2, dtype=bool)
+    base = base_odd[:np.searchsorted(base_odd, math.isqrt(hi - 1), side="right")]
+    # each base prime's first odd multiple >= max(p^2, first_odd), as a mask index
+    start = np.maximum(base * base, -(-first_odd // base) * base)
+    start += base * (start % 2 == 0)
+    for i, p in zip(((start - first_odd) // 2).tolist(), base.tolist()):
+        mask[i::p] = False      # empty when the multiple lies past the window
     primes = first_odd + 2 * np.flatnonzero(mask).astype(np.int64)
     if out_two:
         return np.concatenate((np.array([2], dtype=np.int64), primes))
@@ -110,9 +105,18 @@ class PrimeStream:
         return _segment_primes(lo, hi, self._base() if base_odd is None else base_odd)
 
     def segments(self) -> Iterator[np.ndarray]:
+        """The segments in ascending order, sieved SEGMENTS_PER_BLOCK at a time.
+
+        Each block is split at the segment edges, so every segment is the
+        same array that `segment(i)` returns.
+        """
         base = self._base()
-        for lo, hi in self.segment_bounds():
-            yield _segment_primes(lo, hi, base)
+        bounds = self.segment_bounds()
+        for b in range(0, len(bounds), SEGMENTS_PER_BLOCK):
+            block = bounds[b:b + SEGMENTS_PER_BLOCK]
+            primes = _segment_primes(block[0][0], block[-1][1], base)
+            edges = np.searchsorted(primes, [lo for lo, _ in block[1:]])
+            yield from np.split(primes, edges)
 
     def __iter__(self) -> Iterator[int]:
         for seg in self.segments():

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from primemean import accum, constants, primesums
+from primemean import accum, checks, constants, primesums
 from primemean.cli import main
 from primemean.errors import CacheFormatError
 from primemean.multfunc import builtin
@@ -110,17 +110,35 @@ def test_identity_oracle_spots_stay_in_range(capsys, hi):
     assert "(model , n=0;" not in out   # no location when nothing deviates
 
 
-@pytest.mark.parametrize("check", ["rs-inequality", "identity-oracle", "exact-identities",
-                                   "determinism"])
+TO_ONLY_CHECKS = ["identity-oracle", "phi-geomean", "omega-mean-trend", "s2-constant",
+                  "kappa-corollary"]
+
+
+@pytest.mark.parametrize("check", ["rs-inequality", "exact-identities", "determinism"]
+                         + TO_ONLY_CHECKS)
 def test_verify_inverted_range_exits_2(capsys, check):
     rc, out, err = run(capsys, "verify", "--check", check, "--from", "5", "--to", "2")
     assert rc == 2 and out == ""
     assert "grid needs lo <= hi, got [5, 2]" in err
-    if check != "identity-oracle":      # the one of these that reads no --from
-        # --from above the check's default --to inverts the range too
-        rc, out, err = run(capsys, "verify", "--check", check, "--from", "1e8")
-        assert rc == 2 and out == ""
+    rc, out, err = run(capsys, "verify", "--check", check, "--from", "1e8")
+    assert rc == 2 and out == ""
+    if check in TO_ONLY_CHECKS:
+        # these read only --to, so any --from is refused, naming the check
+        assert f"check {check} reads only --to; it takes no --from" in err
+    else:
+        # --from above the check's default --to inverts the range
         assert "grid needs lo <= hi, got [100000000, " in err
+
+
+def test_verify_refuses_from_before_any_check_runs(capsys, monkeypatch):
+    def must_not_run(ctx, opts):
+        raise AssertionError("a check ran before the options were refused")
+
+    monkeypatch.setitem(checks._REGISTRY, "series-algebra", must_not_run)
+    rc, out, err = run(capsys, "verify", "--check", "series-algebra",
+                       "--check", "phi-geomean", "--from", "10")
+    assert rc == 2 and out == ""
+    assert "check phi-geomean reads only --to" in err
 
 
 def test_exit_code_grid(capsys):
@@ -273,9 +291,15 @@ def test_cache_roundtrip(tmp_path, monkeypatch, capsys):
 
 
 def test_cache_without_u_is_refilled_for_sums(tmp_path, monkeypatch, capsys):
+    # a geomean-written file holds no companions: it serves fit --target
+    # s2-residual as it is, and sums refills it
     grid = ("--to", "20000", "--points", "3")
+    fit = ("fit", "--model", "sigma", "--target", "s2-residual", "--order", "1",
+           *grid, "--format", "json")
     monkeypatch.delenv("PRIMEMEAN_CACHE", raising=False)
     rc, cold, _ = run(capsys, "sums", "--model", "sigma", *grid, "--format", "json")
+    assert rc == 0
+    rc, cold_fit, _ = run(capsys, *fit)
     assert rc == 0
 
     monkeypatch.setenv("PRIMEMEAN_CACHE", str(tmp_path))
@@ -283,10 +307,21 @@ def test_cache_without_u_is_refilled_for_sums(tmp_path, monkeypatch, capsys):
     assert rc == 0
     [path] = tmp_path.glob("*.pmsm")
     model = builtin("sigma")
-    assert primesums.load_report(str(path), model).u_of_x is None
+    assert not primesums.load_report(str(path), model).has_companions
+    written = path.read_bytes()
+
+    def no_stream(*args, **kwargs):
+        raise AssertionError("the cached report was not served")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(primesums, "sums_stream", no_stream)
+        rc, warm_fit, _ = run(capsys, *fit)
+    assert rc == 0 and warm_fit == cold_fit
+    assert path.read_bytes() == written
+
     rc, warm, _ = run(capsys, "sums", "--model", "sigma", *grid, "--format", "json")
     assert rc == 0 and warm == cold
-    assert primesums.load_report(str(path), model).u_of_x is not None
+    assert primesums.load_report(str(path), model).has_companions
 
 
 def test_fit_u_residual_after_geomean(tmp_path, monkeypatch, capsys):
@@ -335,21 +370,18 @@ def test_v1_cache_file_is_recomputed(tmp_path, monkeypatch, capsys):
     assert primesums.load_report(path, model, grid) == report
 
 
-def test_v3_cache_file_is_recomputed(tmp_path, monkeypatch, capsys):
-    # a v3 file has the v4 layout; only U's last bits differ
-    model = builtin("kappa")
-    grid = CheckpointGrid.log_spaced(100, 20000, 3)
-    path = Path(primesums.default_cache_path(str(tmp_path), model, grid))
-    primesums.save_report(str(path), primesums.sums_stream(model, grid))
+def _rewrite_version(path: Path, version: int) -> None:
+    """Stamp `version` into a cache file's header and re-sign it."""
     blob = bytearray(path.read_bytes())
-    struct.pack_into("<H", blob, 4, 3)
+    struct.pack_into("<H", blob, 4, version)
     head, size = primesums._HEADER.size, primesums._DIGEST_SIZE
     blob[head:head + size] = primesums._digest(bytes(blob[:head]),
                                                bytes(blob[head + size:]))
     path.write_bytes(bytes(blob))
-    with pytest.raises(CacheFormatError, match="version 3"):
-        primesums.load_report(str(path), model, grid)
 
+
+def _assert_recomputed(path: Path, tmp_path, monkeypatch, capsys) -> None:
+    """`sums` treats the file at `path` as a miss and rewrites it as current."""
     args = ("sums", "--model", "kappa", "--from", "100", "--to", "20000",
             "--points", "3", "--format", "csv")
     monkeypatch.delenv("PRIMEMEAN_CACHE", raising=False)
@@ -358,6 +390,36 @@ def test_v3_cache_file_is_recomputed(tmp_path, monkeypatch, capsys):
     rc, warm, _ = run(capsys, *args, "--cache", str(tmp_path))
     assert rc == 0 and warm == cold
     assert struct.unpack_from("<H", path.read_bytes(), 4) == (primesums.CACHE_VERSION,)
+
+
+def test_v3_cache_file_is_recomputed(tmp_path, monkeypatch, capsys):
+    # a v3 file has the v4 layout with U; only U's last bits differ
+    model = builtin("kappa")
+    grid = CheckpointGrid.log_spaced(100, 20000, 3)
+    path = Path(primesums.default_cache_path(str(tmp_path), model, grid))
+    primesums.save_report(str(path), primesums.sums_stream(model, grid))
+    _rewrite_version(path, 3)
+    with pytest.raises(CacheFormatError, match="version 3"):
+        primesums.load_report(str(path), model, grid)
+    _assert_recomputed(path, tmp_path, monkeypatch, capsys)
+
+
+def test_v4_cache_file_is_recomputed(tmp_path, monkeypatch, capsys):
+    # a v4 file without U: flags 0, records of n, s1 and six floats (64
+    # bytes), where v5 reads flags 0 as records of 32 bytes
+    model = builtin("kappa")
+    grid = CheckpointGrid.log_spaced(100, 20000, 3)
+    report = primesums.sums_stream(model, grid)
+    names = primesums.FLOAT_FIELDS[:-1]
+    payload = b"".join(
+        struct.pack("<QQ6d", n, report.s1[i], *(getattr(report, f)[i] for f in names))
+        for i, n in enumerate(report.points))
+    header = primesums._HEADER.pack(b"PMSM", 4, report.model_hash, len(report), 0)
+    path = Path(primesums.default_cache_path(str(tmp_path), model, grid))
+    path.write_bytes(header + primesums._digest(header, payload) + payload)
+    with pytest.raises(CacheFormatError, match="version 4"):
+        primesums.load_report(str(path), model, grid)
+    _assert_recomputed(path, tmp_path, monkeypatch, capsys)
 
 
 def _shifted_model(path, shift: int) -> str:

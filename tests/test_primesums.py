@@ -28,7 +28,8 @@ from primemean.primesums import (CheckpointGrid, SumsReport,
                                  mertens_m_of_x, omega_summatory, r_sum,
                                  rs_inequality_sweep, save_report, sums_stream,
                                  u_of_x, u_truncation_bound)
-from primemean.sieve import factorize, spf_build
+from primemean.sieve import (DEFAULT_MAX_BOUND, factorize, spf_build,
+                             stream_segmented)
 
 # ---------------------------------------------------------------------------
 # per-integer oracles
@@ -249,6 +250,36 @@ def test_error_bound_certifies_identity(table5k):
 
 
 # ---------------------------------------------------------------------------
+# the segment kernel's float quotients
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("lo,hi", [(DEFAULT_MAX_BOUND - 20000, DEFAULT_MAX_BOUND),
+                                   (30000, 33000), (2, 2000)])
+def test_float_quotients_are_exact_near_the_sieve_bound(lo, hi):
+    # the kernel forms floor(n/p) and n - floor(n/p) p in float64, exact
+    # for every n below 2^52; n runs up to the sieve bound, and p over
+    # windows where floor(n/p) is ~1, ~3e4 and up to 5e8
+    assert DEFAULT_MAX_BOUND < 2 ** 52
+    top = DEFAULT_MAX_BOUND
+    seg = stream_segmented(lo, hi, segment_size=1 << 15).segment(0)
+    assert seg.size > 250
+    _, at_cut = primesums._prime_terms(builtin("kappa"), False, top, seg)
+    pf = seg.astype(np.float64)
+    cuts = {top}
+    for p in seg.tolist():
+        k = top // p
+        cuts |= {k * p, k * p - 1}
+    for n in sorted(cuts):
+        count = int(np.searchsorted(seg, n, side="right"))
+        terms = dict(at_cut(count, n))
+        q = n // seg[:count]
+        assert terms["s1"].tolist() == q.tolist(), n
+        want_f1 = (n - q * seg[:count]).astype(np.float64) / pf[:count]
+        assert _bits(terms["f1"]) == _bits(want_f1), n
+
+
+# ---------------------------------------------------------------------------
 # decomposition structure
 # ---------------------------------------------------------------------------
 
@@ -296,7 +327,7 @@ def test_report_field_access(kappa10):
 
 def test_scalar_sums_equal_streamed_report_bitwise():
     grid = CheckpointGrid.log_spaced(100, 3 * 10 ** 6, 9)
-    rep = sums_stream(builtin("kappa"), grid, with_u=False)
+    rep = sums_stream(builtin("kappa"), grid, companions=True)
     for i, n in enumerate(grid.points):
         assert r_sum(n) == rep.r_sum[i]
         assert mertens_m_of_x(n) == rep.m_of_x[i]
@@ -338,13 +369,17 @@ def test_report_without_u_matches_full_report(name):
     grid = CheckpointGrid.log_spaced(100, 2 * 10 ** 6, 7)
     model = builtin(name)
     full = sums_stream(model, grid)
-    lazy = sums_stream(model, grid, with_u=False)
-    lazy_par = sums_stream(model, grid, parallel=True, with_u=False)
-    assert full.u_of_x is not None
+    lazy = sums_stream(model, grid, companions=False)
+    lazy_par = sums_stream(model, grid, parallel=True, companions=False)
+    assert full.has_companions
+    for field in primesums.COMPANION_FIELDS:
+        assert getattr(full, field) is not None, field
     for rep in (lazy, lazy_par):
-        assert rep.u_of_x is None
+        assert not rep.has_companions
+        for field in primesums.COMPANION_FIELDS:
+            assert getattr(rep, field) is None, field
         assert rep.s1 == full.s1
-        for field in ("s2", "s3", "f1", "f2", "r_sum", "m_of_x", "n_log_g", "err_bound"):
+        for field in ("s2", "s3", "n_log_g", "err_bound"):
             assert _bits(getattr(rep, field)) == _bits(getattr(full, field)), field
 
 
@@ -364,11 +399,12 @@ def test_report_roundtrip_bitwise(tmp_path):
     with pytest.raises(CacheFormatError):
         load_report(str(path), builtin("kappa"), grid)
 
-    lazy = sums_stream(model, grid, with_u=False)
+    lazy = sums_stream(model, grid, companions=False)
     lazy_path = tmp_path / "jordan-lazy.pmsm"
     save_report(str(lazy_path), lazy)
     assert load_report(str(lazy_path), model, grid) == lazy
-    assert lazy_path.stat().st_size == path.stat().st_size - 8 * len(grid)
+    # records of 72 and 32 bytes
+    assert path.stat().st_size - lazy_path.stat().st_size == 40 * len(grid)
 
 
 def test_cache_rejects_corruption(tmp_path):
@@ -393,18 +429,19 @@ def test_cache_rejects_corruption(tmp_path):
 
 @pytest.fixture(scope="module")
 def saved_sigma(tmp_path_factory):
+    """sigma's report with and without the companions: both record layouts."""
     grid = CheckpointGrid.from_points([10, 100, 1000])
     model = builtin("sigma")
-    rep = sums_stream(model, grid)
     path = tmp_path_factory.mktemp("cache") / "sigma.pmsm"
-    save_report(str(path), rep)
-    return model, grid, rep, path
+    return model, grid, path, {companions: sums_stream(model, grid, companions=companions)
+                               for companions in (True, False)}
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_cache_single_byte_mutation_is_caught(saved_sigma, data):
-    model, grid, rep, path = saved_sigma
+    model, grid, path, reports = saved_sigma
+    rep = reports[data.draw(st.booleans(), label="companions")]
     save_report(str(path), rep)
     mutant = bytearray(path.read_bytes())
     at = data.draw(st.integers(0, len(mutant) - 1), label="offset")
@@ -415,8 +452,10 @@ def test_cache_single_byte_mutation_is_caught(saved_sigma, data):
     except CacheFormatError:
         return
     assert back.s1 == rep.s1 and back.points == rep.points
+    assert back.has_companions == rep.has_companions
     for field in primesums.FLOAT_FIELDS + ("n_log_g", "err_bound"):
-        assert _bits(getattr(back, field)) == _bits(getattr(rep, field)), field
+        if getattr(rep, field) is not None:
+            assert _bits(getattr(back, field)) == _bits(getattr(rep, field)), field
 
 
 def test_default_cache_path_keys(tmp_path):
@@ -455,8 +494,8 @@ def test_model_file_spelling_out_euler_phi_sums_bitwise(tmp_path):
     path.write_text("name = phi\nd = 1\nalpha = 1\ndelta = 1\nK = 1\n"
                     "fp = p - 1\nfpa = p^(a - 1) * (p - 1)\n")
     grid = CheckpointGrid.log_spaced(10, 10 ** 6, 8)
-    got = sums_stream(load_model_file(str(path)), grid, with_u=False)
-    want = sums_stream(builtin("euler_phi"), grid, with_u=False)
+    got = sums_stream(load_model_file(str(path)), grid, companions=False)
+    want = sums_stream(builtin("euler_phi"), grid, companions=False)
     for f in dataclasses.fields(SumsReport):
         if f.name not in ("model_name", "model_hash"):
             assert getattr(got, f.name) == getattr(want, f.name), f.name

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from primemean.errors import GridError
-from primemean.sieve import (DEFAULT_MAX_BOUND, SpfTable,
+from primemean.sieve import (DEFAULT_MAX_BOUND, SEGMENTS_PER_BLOCK, SpfTable,
                              distinct_prime_factors, factorize, primes_up_to,
                              spf_build, stream_segmented)
 
@@ -50,14 +50,30 @@ def test_segmented_stream_partial_window():
     assert list(stream) == expect
 
 
-def test_stream_segments_are_disjoint_and_ordered():
-    stream = stream_segmented(2, 5000, segment_size=997)
+# `segments()` sieves SEGMENTS_PER_BLOCK segments at a time; a block of
+# segment size 997 from lo = 2 ends at 2 + BLOCK
+BLOCK = SEGMENTS_PER_BLOCK * 997
+
+
+@pytest.mark.parametrize("lo,hi,size", [
+    (2, 5000, 997),
+    (2, 1 + BLOCK, 997),        # the last segment ends on a block edge
+    (2, 2 + BLOCK, 997),        # one number past it
+    (1000, 20000, 997),
+    (2, 5000, 64),
+], ids=["misaligned", "block-edge", "past-block-edge", "lo-above-2", "size-64"])
+def test_stream_segments_are_disjoint_and_ordered(lo, hi, size):
+    stream = stream_segmented(lo, hi, segment_size=size)
     bounds = stream.segment_bounds()
-    assert bounds[0][0] == 2 and bounds[-1][1] == 5001
+    assert bounds[0][0] == lo and bounds[-1][1] == hi + 1
     for (a_lo, a_hi), (b_lo, b_hi) in zip(bounds, bounds[1:]):
         assert a_hi == b_lo
-    # random-access segments agree with the ordered walk
-    for i, seg in enumerate(stream.segments()):
+    segments = list(stream.segments())
+    assert len(segments) == len(bounds)
+    want = primes_up_to(hi)
+    for i, ((s_lo, s_hi), seg) in enumerate(zip(bounds, segments)):
+        assert seg.tolist() == want[(want >= s_lo) & (want < s_hi)].tolist()
+        # random-access segments agree with the ordered walk
         assert stream.segment(i).tolist() == seg.tolist()
 
 
