@@ -403,8 +403,12 @@ def test_report_roundtrip_bitwise(tmp_path):
     lazy_path = tmp_path / "jordan-lazy.pmsm"
     save_report(str(lazy_path), lazy)
     assert load_report(str(lazy_path), model, grid) == lazy
-    # records of 72 and 32 bytes
+    # records of 72 and 32 bytes: n, s1, s2, s3 (then the companions)
     assert path.stat().st_size - lazy_path.stat().st_size == 40 * len(grid)
+    start = primesums._HEADER.size + primesums._DIGEST_SIZE
+    for blob, rec in ((path.read_bytes(), rep), (lazy_path.read_bytes(), lazy)):
+        assert struct.unpack_from("<QQ2d", blob, start) == (
+            rec.points[0], rec.s1[0], rec.s2[0], rec.s3[0])
 
 
 def test_cache_rejects_corruption(tmp_path):
