@@ -32,7 +32,6 @@ from .checks import (
     ACCEPTANCE_CHECKS,
     CHECK_NAMES,
     CheckContext,
-    CheckOptions,
     CheckResult,
     run_all,
     run_check,

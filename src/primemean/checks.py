@@ -9,8 +9,8 @@ pass in one harness and silently rot in the other.
 
 Heavy intermediates (factor tables, checkpoint reports) are memoized on a
 `CheckContext`, letting related checks share one sieve pass.  Checks that
-sweep a range accept an optional grid override; with no override every check
-runs at its registered acceptance scale.
+sweep a range take an optional cap `hi` on it (the `--to` of `verify`); with
+no cap every check runs at its registered acceptance scale.
 """
 
 from __future__ import annotations
@@ -36,33 +36,6 @@ ACCEPTANCE_MODELS = ("kappa", "two_omega", "euler_phi", "sigma",
 # Checkpoints shared by the convergence-trend checks: the last three drive
 # the stabilization probes, the first supplies the "improves since" baseline.
 TREND_POINTS = (10 ** 4, 10 ** 6, 10 ** 7, 10 ** 8)
-
-
-@dataclass(frozen=True)
-class CheckOptions:
-    """Optional grid override for the sweep-style checks."""
-
-    lo: int | None = None
-    hi: int | None = None
-    points: int | None = None
-
-    def __post_init__(self):
-        if self.points is not None and self.points < 1:
-            raise GridError(f"need at least one checkpoint, got {self.points}")
-        if self.lo is not None and self.hi is not None and self.lo > self.hi:
-            raise GridError(f"grid needs lo <= hi, got [{self.lo}, {self.hi}]")
-
-    def bounds(self, default_lo: int, default_hi: int) -> tuple[int, int]:
-        """(lo, hi) with a check's defaults filled in; lo > hi is a GridError."""
-        lo, hi = self.lo or default_lo, self.hi or default_hi
-        if lo > hi:
-            raise GridError(f"grid needs lo <= hi, got [{lo}, {hi}]")
-        return lo, hi
-
-    def grid(self, default_lo: int, default_hi: int,
-             default_points: int) -> CheckpointGrid:
-        return CheckpointGrid.log_spaced(*self.bounds(default_lo, default_hi),
-                                         self.points or default_points)
 
 
 @dataclass
@@ -103,11 +76,18 @@ class CheckContext:
         return self._reports[key]
 
 
-def _trend_points(opts: CheckOptions) -> tuple[int, ...]:
+def _grid(hi: int | None, lo: int, default_hi: int, points: int) -> CheckpointGrid:
+    """`points` log-spaced checkpoints from `lo` to the cap (default `default_hi`)."""
+    hi = hi or default_hi
+    if lo > hi:
+        raise GridError(f"grid needs lo <= hi, got [{lo}, {hi}]")
+    return CheckpointGrid.log_spaced(lo, hi, points)
+
+
+def _trend_points(hi: int | None) -> tuple[int, ...]:
     """The four-point convergence ladder, scaled down if a cap is given."""
-    if opts.hi is None or opts.hi >= TREND_POINTS[-1]:
+    if hi is None or hi >= TREND_POINTS[-1]:
         return TREND_POINTS
-    hi = opts.hi
     pts = sorted({max(100, hi // 10 ** 4), hi // 100, hi // 10, hi})
     if len(pts) < 4:
         raise GridError(f"trend checks need a range above 1e4, got hi={hi}")
@@ -119,9 +99,9 @@ def _trend_points(opts: CheckOptions) -> tuple[int, ...]:
 # --------------------------------------------------------------------------
 
 
-def _check_identity_oracle(ctx: CheckContext, opts: CheckOptions):
+def _check_identity_oracle(ctx: CheckContext, hi: int | None):
     """Prime-sum identity vs. per-integer factorization, all n <= 5000."""
-    n_max = opts.hi or 5000
+    n_max = hi or 5000
     table = ctx.table(n_max)
     tol = 1e-9
     worst = 0.0
@@ -151,10 +131,10 @@ def _check_identity_oracle(ctx: CheckContext, opts: CheckOptions):
     return ok, detail
 
 
-def _identity_grid(ctx: CheckContext, opts: CheckOptions):
+def _identity_grid(ctx: CheckContext, hi: int | None):
     """The exact-identities grid and its report; the three identity checks
     share it, and the S2 = n M - R one reads the companions."""
-    grid = opts.grid(100, 10 ** 6, 20)
+    grid = _grid(hi, 100, 10 ** 6, 20)
     return grid, ctx.report("kappa", grid, companions=True)
 
 
@@ -166,9 +146,9 @@ def _logkappa_summatory(n: int, table: SpfTable) -> float:
     return acc
 
 
-def _check_omega_identity(ctx: CheckContext, opts: CheckOptions):
+def _check_omega_identity(ctx: CheckContext, hi: int | None):
     """omega_summatory(n) equals the streamed floor sum S1(n) exactly."""
-    grid, rep = _identity_grid(ctx, opts)
+    grid, rep = _identity_grid(ctx, hi)
     table = ctx.table(grid.n_max)
     worst = max(abs(primesums.omega_summatory(n, table) - rep.s1[i])
                 for i, n in enumerate(grid.points))
@@ -176,9 +156,9 @@ def _check_omega_identity(ctx: CheckContext, opts: CheckOptions):
     return worst == 0, detail
 
 
-def _check_logkappa_identity(ctx: CheckContext, opts: CheckOptions):
+def _check_logkappa_identity(ctx: CheckContext, hi: int | None):
     """sum_{k<=n} log kappa(k) equals the streamed S2(n) within 1e-9 n."""
-    grid, rep = _identity_grid(ctx, opts)
+    grid, rep = _identity_grid(ctx, hi)
     table = ctx.table(grid.n_max)
     worst = max(abs(_logkappa_summatory(n, table) - rep.s2[i]) / n
                 for i, n in enumerate(grid.points))
@@ -186,21 +166,21 @@ def _check_logkappa_identity(ctx: CheckContext, opts: CheckOptions):
     return worst <= 1e-9, detail
 
 
-def _check_smr_identity(ctx: CheckContext, opts: CheckOptions):
+def _check_smr_identity(ctx: CheckContext, hi: int | None):
     """S2(n) = n M(n) - R(n) within 1e-9 n at every checkpoint."""
-    grid, rep = _identity_grid(ctx, opts)
+    grid, rep = _identity_grid(ctx, hi)
     worst = max(abs(rep.s2[i] - (n * rep.m_of_x[i] - rep.r_sum[i])) / n
                 for i, n in enumerate(grid.points))
     detail = f"{len(grid)} checkpoints <= {grid.n_max}: max deviation {worst:.2e}/n"
     return worst <= 1e-9, detail
 
 
-def _check_exact_identities(ctx: CheckContext, opts: CheckOptions):
+def _check_exact_identities(ctx: CheckContext, hi: int | None):
     """All three at-scale identities: omega = S1, sum log kappa = S2, SMR."""
     results = [
-        _check_omega_identity(ctx, opts),
-        _check_logkappa_identity(ctx, opts),
-        _check_smr_identity(ctx, opts),
+        _check_omega_identity(ctx, hi),
+        _check_logkappa_identity(ctx, hi),
+        _check_smr_identity(ctx, hi),
     ]
     ok = all(r[0] for r in results)
     detail = ("omega: " + results[0][1].split(": ")[-1]
@@ -209,7 +189,7 @@ def _check_exact_identities(ctx: CheckContext, opts: CheckOptions):
     return ok, detail
 
 
-def _check_a1_gamma(ctx: CheckContext, opts: CheckOptions):
+def _check_a1_gamma(ctx: CheckContext, hi: int | None):
     """First tail-integral coefficient: a_1 = gamma - 1, independent routes."""
     a1 = constants.saffari_a(1)
     gam = constants.euler_gamma()
@@ -220,7 +200,7 @@ def _check_a1_gamma(ctx: CheckContext, opts: CheckOptions):
     return ok, detail
 
 
-def _check_constants_stability(ctx: CheckContext, opts: CheckOptions):
+def _check_constants_stability(ctx: CheckContext, hi: int | None):
     """M and E: prime-zeta vs limit definition, prime-sum doubling, cross-route.
 
     The doubling clause runs the prime-sum route at explicit cuts (M at 5e7
@@ -249,13 +229,12 @@ def _check_constants_stability(ctx: CheckContext, opts: CheckOptions):
     return ok, "; ".join(details)
 
 
-def _check_rs_inequality(ctx: CheckContext, opts: CheckOptions):
+def _check_rs_inequality(ctx: CheckContext, hi: int | None):
     """Two-sided Mertens-sum inequality sweep (left side only below 319)."""
-    lo, hi = opts.bounds(319, 10 ** 7)
-    count = opts.points or 1000
-    xs = sorted({int(round(x)) for x in np.geomspace(lo, hi, count)})
-    if opts.lo is None:
-        xs = list(range(2, 319)) + xs
+    hi = hi or 10 ** 7
+    if hi < 319:
+        raise GridError(f"grid needs lo <= hi, got [319, {hi}]")
+    xs = list(range(2, 319)) + sorted({int(round(x)) for x in np.geomspace(319, hi, 1000)})
     verdicts = primesums.rs_inequality_sweep(xs)
     bad = [x for x, v in zip(xs, verdicts) if not v]
     two_sided = sum(1 for x in xs if x >= 319)
@@ -266,9 +245,9 @@ def _check_rs_inequality(ctx: CheckContext, opts: CheckOptions):
     return ok, detail
 
 
-def _check_omega_mean_trend(ctx: CheckContext, opts: CheckOptions):
+def _check_omega_mean_trend(ctx: CheckContext, hi: int | None):
     """(S1/n - log log n - M) log n approaches gamma - 1."""
-    points = _trend_points(opts)
+    points = _trend_points(hi)
     rep = ctx.report("kappa", CheckpointGrid.from_points(points))
     gam = constants.euler_gamma().value
     m_const = constants.meissel_mertens().value
@@ -296,9 +275,9 @@ def _scaled_residual_stabilization(resid_by_n: dict, points):
     return var < 0.25, var, scaled
 
 
-def _check_s2_constant(ctx: CheckContext, opts: CheckOptions):
+def _check_s2_constant(ctx: CheckContext, hi: int | None):
     """S2(n)/n - log n approaches gamma + E - 1, with c_1 stabilization probe."""
-    points = _trend_points(opts)
+    points = _trend_points(hi)
     rep = ctx.report("kappa", CheckpointGrid.from_points(points))
     c = constants.euler_gamma().value + constants.mertens_e().value - 1.0
     resid = {n: rep.s2[i] / n - math.log(n) - c for i, n in enumerate(points)}
@@ -316,9 +295,9 @@ def _check_s2_constant(ctx: CheckContext, opts: CheckOptions):
     return ok, detail
 
 
-def _check_kappa_corollary(ctx: CheckContext, opts: CheckOptions):
+def _check_kappa_corollary(ctx: CheckContext, hi: int | None):
     """G_kappa(n)/n converges to e^(gamma+E-1); same stabilization probe."""
-    points = _trend_points(opts)
+    points = _trend_points(hi)
     rep = ctx.report("kappa", CheckpointGrid.from_points(points))
     target = constants.leading_constant(builtin("kappa"))
     resid = {n: math.exp(rep.n_log_g[i] / n) / n - target.value
@@ -334,9 +313,9 @@ def _check_kappa_corollary(ctx: CheckContext, opts: CheckOptions):
     return ok, detail
 
 
-def _check_phi_geomean(ctx: CheckContext, opts: CheckOptions):
+def _check_phi_geomean(ctx: CheckContext, hi: int | None):
     """log G_phi(1e6) - log 1e6 agrees with log(e^-1 rho_phi) to 1e-4."""
-    n = opts.hi or 10 ** 6
+    n = hi or 10 ** 6
     model = builtin("euler_phi")
     lg = primesums.log_geomean_identity(model, n) / n
     rho = constants.rho_f(model)
@@ -347,10 +326,10 @@ def _check_phi_geomean(ctx: CheckContext, opts: CheckOptions):
     return ok, detail
 
 
-def _check_qsum_eta0(ctx: CheckContext, opts: CheckOptions):
+def _check_qsum_eta0(ctx: CheckContext, hi: int | None):
     """Fitted constant of the jordan_2 prime Q-sum matches eta0(jordan_2)."""
     model = builtin("jordan_2")
-    grid = opts.grid(10 ** 6, 10 ** 8, 12)
+    grid = _grid(hi, 10 ** 6, 10 ** 8, 12)
     rep = ctx.report("jordan_2", grid)
     la = math.log(model.alpha)
     samples = []
@@ -379,7 +358,7 @@ def _series_log(g: list) -> list:
     return e
 
 
-def _check_series_algebra(ctx: CheckContext, opts: CheckOptions):
+def _check_series_algebra(ctx: CheckContext, hi: int | None):
     """Exact round-trips for the truncated-series helpers to order 12."""
     import random
 
@@ -415,9 +394,9 @@ def _check_series_algebra(ctx: CheckContext, opts: CheckOptions):
                   "exact")
 
 
-def _check_determinism(ctx: CheckContext, opts: CheckOptions):
+def _check_determinism(ctx: CheckContext, hi: int | None):
     """Sequential and parallel sweeps serialize to byte-identical files."""
-    grid = opts.grid(100, 10 ** 6, 20)
+    grid = _grid(hi, 100, 10 ** 6, 20)
     model = builtin("kappa")
     rep_seq = sums_stream(model, grid, parallel=False)
     rep_par = sums_stream(model, grid, parallel=True)
@@ -465,39 +444,32 @@ ACCEPTANCE_CHECKS = (
 
 CHECK_NAMES = tuple(_REGISTRY)
 
-# The checks that read --to and no --from: a --from would be ignored, so it
-# is refused.
-_TO_ONLY = frozenset({"identity-oracle", "omega-mean-trend", "s2-constant",
-                      "kappa-corollary", "phi-geomean"})
-
-
-def _validate(name: str, opts: CheckOptions) -> None:
+def _lookup(name: str):
     if name not in _REGISTRY:
         raise UnknownCheckError(
             f"unknown check {name!r}; available: {', '.join(CHECK_NAMES)}")
-    if name in _TO_ONLY and opts.lo is not None:
-        raise GridError(f"check {name} reads only --to; it takes no --from")
+    return _REGISTRY[name]
 
 
 def run_check(name: str, ctx: CheckContext | None = None,
-              opts: CheckOptions | None = None) -> CheckResult:
-    if opts is None:
-        opts = CheckOptions()
-    _validate(name, opts)
+              hi: int | None = None) -> CheckResult:
+    """Run one check; `hi` caps its sweep.  a1-gamma, constants-stability and
+    series-algebra sweep nothing and ignore it, so one cap serves a whole run."""
+    check = _lookup(name)
     if ctx is None:
         ctx = CheckContext()
     start = time.perf_counter()
-    passed, detail = _REGISTRY[name](ctx, opts)
+    passed, detail = check(ctx, hi)
     return CheckResult(name, passed, detail, time.perf_counter() - start)
 
 
 def run_all(ctx: CheckContext | None = None, names=None,
-            opts: CheckOptions | None = None) -> list[CheckResult]:
+            hi: int | None = None) -> list[CheckResult]:
     """Run the named checks (default: the acceptance registry) on one context;
     without `ctx` a fresh one is built, which the checks of this run share."""
-    names, opts = names or ACCEPTANCE_CHECKS, opts or CheckOptions()
-    for name in names:      # refuse a bad name or option before any check runs
-        _validate(name, opts)
+    names = names or ACCEPTANCE_CHECKS
+    for name in names:      # refuse a bad name before any check runs
+        _lookup(name)
     if ctx is None:
         ctx = CheckContext()
-    return [run_check(name, ctx, opts) for name in names]
+    return [run_check(name, ctx, hi) for name in names]

@@ -10,6 +10,13 @@ sums        the full streamed checkpoint report (S1, S2, S3, F1, F2, R, M, U)
 verify      named verification checks (the acceptance criteria registry)
 fit         least-squares extraction of expansion coefficients from residuals
 
+Each command accepts exactly the flags it reads: `constants` takes --model,
+--format, --precision and --aj; `geomean`, `sums` and `fit` take --model,
+--format, --cache and the grid flags --from, --to, --points and --spacing
+(`geomean` adds --n, a single checkpoint that excludes the grid flags, and
+--oracle; `fit` adds --target and --order); `verify` takes --format, --check
+and --to, one cap for every check of the run.
+
 Exit codes: 0 success; 1 failed check or cross-check; 2 malformed grid,
 model, or arguments; 3 unreachable precision target (the message names the
 constant); 4 unknown check name; 5 ill-conditioned fit basis (the message
@@ -17,12 +24,12 @@ carries the condition estimate).
 
 All floats print as %.15g and every certified constant is accompanied by its
 tail bound.  CSV output follows RFC 4180 (CRLF records).  Checkpoint reports
-persist to the directory named by --cache or the PRIMEMEAN_CACHE environment
-variable; with neither set, nothing is written to disk.  A cached report is
-reused only when its model fingerprint and grid hash match, its integrity digest
-checks out, and it holds every field the command reads; reloading one is
-bit-identical to recomputation.  A corrupt, truncated or outdated file is
-detected and silently recomputed.
+of `geomean`, `sums` and `fit` persist to the directory named by --cache or
+the PRIMEMEAN_CACHE environment variable; with neither set, nothing is
+written to disk.  A cached report is reused only when its model fingerprint
+and grid hash match, its integrity digest checks out, and it holds every
+field the command reads; reloading one is bit-identical to recomputation.  A
+corrupt, truncated or outdated file is detected and silently recomputed.
 """
 
 from __future__ import annotations
@@ -33,7 +40,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,24 +56,6 @@ ORACLE_TABLE_CAP = 10 ** 7
 FIT_TARGETS = ("s1-residual", "s2-residual", "qsum-residual", "u-residual")
 
 _DEFAULT_GRID = (10 ** 4, 10 ** 8, 12)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed, validated invocation shared by the subcommands."""
-
-    model: PrimeModel | None
-    grid: CheckpointGrid | None
-    fmt: str
-    cache_dir: str | None
-    precision: float | None
-    order: int
-
-    @property
-    def require_model(self) -> PrimeModel:
-        if self.model is None:
-            raise GridError("this command needs --model")
-        return self.model
 
 
 # --------------------------------------------------------------------------
@@ -97,45 +85,32 @@ def _precision_arg(text: str) -> float:
     return value
 
 
-def _resolve_model(spec: str | None) -> PrimeModel | None:
-    if spec is None:
-        return None
-    if os.path.exists(spec) or os.sep in spec or spec.endswith(".model"):
-        return load_model_file(spec)
-    return builtin(spec)
+def _add_model_format_flags(sp: argparse.ArgumentParser, *, model_help: str) -> None:
+    sp.add_argument("--model", default=None, metavar="NAME|FILE",
+                    help=model_help + f" (built-ins: {', '.join(BUILTIN_NAMES)};"
+                    " or a path to a model file)")
+    _add_format_flag(sp)
 
 
-def _build_grid(lo: int, hi: int, points: int, spacing: str) -> CheckpointGrid:
-    if spacing == "log":
-        return CheckpointGrid.log_spaced(lo, hi, points)
-    if lo > hi:
-        raise GridError(f"grid needs lo <= hi, got [{lo}, {hi}]")
-    if points < 1:
-        raise GridError(f"need at least one checkpoint, got {points}")
-    pts = sorted({int(round(x)) for x in np.linspace(lo, hi, points)})
-    return CheckpointGrid.from_points(pts)
+def _add_format_flag(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--format", dest="fmt", choices=("table", "csv", "json"),
+                    default="table", help="output format (default table)")
 
 
-def _add_grid_flags(sp: argparse.ArgumentParser) -> None:
+def _add_report_flags(sp: argparse.ArgumentParser) -> None:
+    """--cache and the checkpoint grid: the flags of the commands that read a
+    checkpoint report."""
+    sp.add_argument("--cache", default=None, metavar="DIR",
+                    help="checkpoint-report cache directory "
+                    "(default: $PRIMEMEAN_CACHE; unset means no persistence)")
     sp.add_argument("--from", dest="lo", type=_int_arg, default=None,
                     metavar="N", help="first checkpoint (accepts 1e4 forms)")
     sp.add_argument("--to", dest="hi", type=_int_arg, default=None,
                     metavar="N", help="last checkpoint")
     sp.add_argument("--points", type=int, default=None, metavar="K",
                     help="number of checkpoints")
-    sp.add_argument("--spacing", choices=("log", "linear"), default="log",
+    sp.add_argument("--spacing", choices=("log", "linear"), default=None,
                     help="checkpoint spacing (default log)")
-
-
-def _add_common_flags(sp: argparse.ArgumentParser, *, model_help: str) -> None:
-    sp.add_argument("--model", default=None, metavar="NAME|FILE",
-                    help=model_help + f" (built-ins: {', '.join(BUILTIN_NAMES)};"
-                    " or a path to a model file)")
-    sp.add_argument("--format", dest="fmt", choices=("table", "csv", "json"),
-                    default="table", help="output format (default table)")
-    sp.add_argument("--cache", default=None, metavar="DIR",
-                    help="checkpoint-report cache directory "
-                    "(default: $PRIMEMEAN_CACHE; unset means no persistence)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -146,50 +121,62 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("constants", help="print certified constants")
-    _add_common_flags(sp, model_help="also print this model's constants")
+    _add_model_format_flags(sp, model_help="also print this model's constants")
     sp.add_argument("--precision", type=_precision_arg, default=None, metavar="EPS",
                     help="bound every printed tail bound must meet (exit 3 otherwise)")
     sp.add_argument("--aj", type=int, default=2, metavar="R",
                     help="print tail-integral coefficients a_1..a_R (default 2)")
+    sp.set_defaults(run=cmd_constants)
 
     sp = sub.add_parser("geomean", help="log G_f(n) over a checkpoint grid")
-    _add_common_flags(sp, model_help="multiplicative function (required)")
-    _add_grid_flags(sp)
+    _add_model_format_flags(sp, model_help="multiplicative function (required)")
+    _add_report_flags(sp)
     sp.add_argument("--n", type=_int_arg, default=None,
-                    help="single checkpoint instead of a grid")
+                    help="single checkpoint instead of a grid (takes no grid flags)")
     sp.add_argument("--oracle", action="store_true",
                     help="add a per-integer brute-force column and require "
                     f"agreement (grids up to {ORACLE_TABLE_CAP:.0e})")
+    sp.set_defaults(run=cmd_geomean)
 
     sp = sub.add_parser("sums", help="streamed checkpoint report")
-    _add_common_flags(sp, model_help="multiplicative function (required)")
-    _add_grid_flags(sp)
+    _add_model_format_flags(sp, model_help="multiplicative function (required)")
+    _add_report_flags(sp)
+    sp.set_defaults(run=cmd_sums)
 
     sp = sub.add_parser("verify", help="run named verification checks")
-    _add_common_flags(sp, model_help="(unused; checks fix their own models)")
-    _add_grid_flags(sp)
+    _add_format_flag(sp)
     sp.add_argument("--check", action="append", default=None,
                     metavar="NAME", help="check to run (repeatable; default: "
                     "all acceptance checks). Names: "
                     + ", ".join(checks.CHECK_NAMES))
+    sp.add_argument("--to", dest="hi", type=_int_arg, default=None, metavar="N",
+                    help="cap on every check's sweep (a1-gamma, "
+                    "constants-stability and series-algebra sweep nothing)")
+    sp.set_defaults(run=cmd_verify)
 
     sp = sub.add_parser("fit", help="fit expansion coefficients to residuals")
-    _add_common_flags(sp, model_help="model for qsum-residual (default kappa)")
-    _add_grid_flags(sp)
+    _add_model_format_flags(sp, model_help="model for qsum-residual (default kappa)")
+    _add_report_flags(sp)
     sp.add_argument("--target", required=True, choices=FIT_TARGETS,
                     help="which residual series to fit")
     sp.add_argument("--order", type=int, default=1,
                     help="number of 1/log^j basis terms (default 1)")
+    sp.set_defaults(run=cmd_fit)
 
     return p
 
 
-def _check_cache_dir(cache_dir: str) -> None:
-    """Reject a cache path that names, or lies under, an existing non-directory.
+def _cache_dir(args: argparse.Namespace) -> str | None:
+    """--cache, else $PRIMEMEAN_CACHE; a path that names, or lies under, an
+    existing non-directory is refused.
 
     The path is walked up as written, not normalised, so the OS resolves
     every `..` as `os.makedirs` will (`<file>/../new` fails at `<file>`).
     """
+    cache_dir = args.cache if args.cache is not None \
+        else os.environ.get("PRIMEMEAN_CACHE") or None
+    if cache_dir is None:
+        return None
     path = cache_dir
     while path and not os.path.exists(path):
         path = os.path.dirname(path)
@@ -198,29 +185,38 @@ def _check_cache_dir(cache_dir: str) -> None:
     if not os.path.isdir(path or os.curdir):
         raise GridError(f"cache directory {cache_dir!r} cannot be created: "
                         f"{path!r} is not a directory")
+    return cache_dir
 
 
-def _config_from(args: argparse.Namespace, *, build_grid: bool) -> RunConfig:
-    cache_dir = args.cache if args.cache is not None \
-        else os.environ.get("PRIMEMEAN_CACHE") or None
-    if cache_dir is not None:
-        _check_cache_dir(cache_dir)
-    model = _resolve_model(args.model)
-    grid = None
-    if build_grid:
-        lo_def, hi_def, pts_def = _DEFAULT_GRID
-        hi = args.hi or max(hi_def, args.lo or 0)
-        lo = args.lo or (lo_def if lo_def <= hi else max(2, hi // 100))
-        points = pts_def if args.points is None else args.points
-        grid = _build_grid(lo, hi, points, args.spacing)
-    return RunConfig(
-        model=model,
-        grid=grid,
-        fmt=args.fmt,
-        cache_dir=cache_dir,
-        precision=getattr(args, "precision", None),
-        order=getattr(args, "order", 1),
-    )
+def _model(args: argparse.Namespace) -> PrimeModel | None:
+    spec = args.model
+    if spec is None:
+        return None
+    if os.path.exists(spec) or os.sep in spec or spec.endswith(".model"):
+        return load_model_file(spec)
+    return builtin(spec)
+
+
+def _require_model(args: argparse.Namespace) -> PrimeModel:
+    model = _model(args)
+    if model is None:
+        raise GridError("this command needs --model")
+    return model
+
+
+def _grid(args: argparse.Namespace) -> CheckpointGrid:
+    lo_def, hi_def, pts_def = _DEFAULT_GRID
+    hi = args.hi or max(hi_def, args.lo or 0)
+    lo = args.lo or (lo_def if lo_def <= hi else max(2, hi // 100))
+    points = pts_def if args.points is None else args.points
+    if args.spacing in (None, "log"):
+        return CheckpointGrid.log_spaced(lo, hi, points)
+    if lo > hi:
+        raise GridError(f"grid needs lo <= hi, got [{lo}, {hi}]")
+    if points < 1:
+        raise GridError(f"need at least one checkpoint, got {points}")
+    return CheckpointGrid.from_points(
+        sorted({int(round(x)) for x in np.linspace(lo, hi, points)}))
 
 
 # --------------------------------------------------------------------------
@@ -295,31 +291,31 @@ def cached_report(model: PrimeModel, grid: CheckpointGrid,
 # --------------------------------------------------------------------------
 
 
-def cmd_constants(cfg: RunConfig, aj: int) -> int:
+def cmd_constants(args: argparse.Namespace) -> int:
     """Print the constants; with --precision, every row's bound must meet it."""
-    kw = {} if cfg.precision is None else {"target_precision": cfg.precision}
+    model, precision = _model(args), args.precision
+    kw = {} if precision is None else {"target_precision": precision}
     rows = []
 
     def put(name: str, cv: constants.ConstantValue) -> None:
-        if cfg.precision is not None and cv.tail_bound > cfg.precision:
+        if precision is not None and cv.tail_bound > precision:
             raise PrecisionError(
                 f"{name} has tail bound {cv.tail_bound:.3g}, above --precision "
-                f"{cfg.precision:.3g}", achievable=cv.tail_bound)
+                f"{precision:.3g}", achievable=cv.tail_bound)
         rows.append((name, cv.value, cv.tail_bound, cv.method))
 
     put("gamma", constants.euler_gamma())
     put("meissel_mertens_M", constants.meissel_mertens())
     put("mertens_E", constants.mertens_e())
-    for j in range(1, aj + 1):
+    for j in range(1, args.aj + 1):
         put(f"a_{j}", constants.saffari_a(j, **kw))
-    if cfg.model is not None:
-        model = cfg.model
+    if model is not None:
         put(f"C_Q[{model.name}]", constants.c_q(model, **kw))
         put(f"rho_f[{model.name}]", constants.rho_f(model, **kw))
         put(f"eta0[{model.name}]", constants.eta0(model, **kw))
         put(f"leading_constant[{model.name}]",
             constants.leading_constant(model, **kw))
-    emit_rows(cfg.fmt, ("constant", "value", "tail_bound", "method"), rows)
+    emit_rows(args.fmt, ("constant", "value", "tail_bound", "method"), rows)
     return 0
 
 
@@ -332,23 +328,29 @@ def _scaled_ratio(model: PrimeModel, n: int, log_gmean: float) -> float:
                     - la * math.log(math.log(n)))
 
 
-def cmd_geomean(cfg: RunConfig, n: int | None, oracle: bool) -> int:
-    model = cfg.require_model
-    if n is not None:
-        grid = CheckpointGrid.from_points([n]) if n > 1 else None
+def cmd_geomean(args: argparse.Namespace) -> int:
+    cache_dir, model, n = _cache_dir(args), _require_model(args), args.n
+    if n is None:
+        grid = _grid(args)
     else:
-        grid = cfg.grid
+        given = [flag for flag, value in (("--from", args.lo), ("--to", args.hi),
+                                          ("--points", args.points),
+                                          ("--spacing", args.spacing))
+                 if value is not None]
+        if given:
+            raise GridError(f"--n is a single checkpoint; it takes no {', '.join(given)}")
+        grid = CheckpointGrid.from_points([n]) if n > 1 else None
     predicted = constants.leading_constant(model)
 
     if grid is None:   # the trivial n = 1 point: empty product, G = 1
         points, log_means = [1], [0.0]
     else:
-        report = cached_report(model, grid, cfg.cache_dir, companions=False)
+        report = cached_report(model, grid, cache_dir, companions=False)
         points = list(grid.points)
         log_means = [report.n_log_g[i] / p for i, p in enumerate(points)]
 
     oracle_means = None
-    if oracle:
+    if args.oracle:
         n_max = points[-1]
         if n_max > ORACLE_TABLE_CAP:
             raise GridError(
@@ -367,44 +369,42 @@ def cmd_geomean(cfg: RunConfig, n: int | None, oracle: bool) -> int:
 
     header = ["n", "log_geomean", "scaled_ratio", "predicted", "abs_diff",
               "predicted_tail"]
-    if oracle:
+    if args.oracle:
         header.insert(2, "log_geomean_bruteforce")
     rows = []
     for i, p in enumerate(points):
         ratio = _scaled_ratio(model, p, log_means[i])
         row = [p, log_means[i], ratio, predicted.value,
                abs(ratio - predicted.value), predicted.tail_bound]
-        if oracle:
+        if args.oracle:
             row.insert(2, oracle_means[i])
         rows.append(tuple(row))
-    emit_rows(cfg.fmt, tuple(header), rows)
+    emit_rows(args.fmt, tuple(header), rows)
     return 0
 
 
-def cmd_sums(cfg: RunConfig) -> int:
-    model = cfg.require_model
-    grid = cfg.grid
-    report = cached_report(model, grid, cfg.cache_dir, companions=True)
+def cmd_sums(args: argparse.Namespace) -> int:
+    cache_dir, model, grid = _cache_dir(args), _require_model(args), _grid(args)
+    report = cached_report(model, grid, cache_dir, companions=True)
     header = ("n", "s1") + primesums.FLOAT_FIELDS + ("n_log_g", "err_bound")
     rows = []
     for i, n in enumerate(grid.points):
         rows.append((n, report.s1[i])
                     + tuple(getattr(report, f)[i] for f in primesums.FLOAT_FIELDS)
                     + (report.n_log_g[i], report.err_bound[i]))
-    emit_rows(cfg.fmt, header, rows)
+    emit_rows(args.fmt, header, rows)
     return 0
 
 
-def cmd_verify(cfg: RunConfig, names, args) -> int:
-    opts = checks.CheckOptions(lo=args.lo, hi=args.hi, points=args.points)
-    results = checks.run_all(checks.CheckContext(), names, opts)
-    if cfg.fmt == "table":
+def cmd_verify(args: argparse.Namespace) -> int:
+    results = checks.run_all(names=args.check, hi=args.hi)
+    if args.fmt == "table":
         for r in results:
             print(r.line())
     else:
         header = ("check", "passed", "elapsed_s", "detail")
         rows = [(r.name, r.passed, r.elapsed, r.detail) for r in results]
-        emit_rows(cfg.fmt, header, rows)
+        emit_rows(args.fmt, header, rows)
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -428,16 +428,17 @@ def _fit_samples(target: str, model: PrimeModel,
     return samples
 
 
-def cmd_fit(cfg: RunConfig, target: str) -> int:
+def cmd_fit(args: argparse.Namespace) -> int:
     # s1/s2/u residuals are model-independent facts about the integers, so
     # any model's report carries them; qsum-residual uses the chosen model.
-    model = cfg.model if cfg.model is not None else builtin("kappa")
-    grid = cfg.grid
-    report = cached_report(model, grid, cfg.cache_dir,
+    cache_dir = _cache_dir(args)
+    model = builtin("kappa") if args.model is None else _model(args)
+    grid, target = _grid(args), args.target
+    report = cached_report(model, grid, cache_dir,
                            companions=target == "u-residual")
     samples = _fit_samples(target, model, report, grid.points)
     with_constant = target in ("s2-residual", "qsum-residual")
-    fit = series.fit_coefficients(samples, order=cfg.order,
+    fit = series.fit_coefficients(samples, order=args.order,
                                   include_constant=with_constant)
     rows = []
     if fit.constant is not None:
@@ -449,7 +450,7 @@ def cmd_fit(cfg: RunConfig, target: str) -> int:
     rows.append(("window_lo", fit.window[0]))
     rows.append(("window_hi", fit.window[1]))
     rows.append(("window_points", float(fit.window[2])))
-    emit_rows(cfg.fmt, ("term", "value"), rows)
+    emit_rows(args.fmt, ("term", "value"), rows)
     return 0
 
 
@@ -461,19 +462,7 @@ def cmd_fit(cfg: RunConfig, target: str) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from(
-            args, build_grid=args.command in ("geomean", "sums", "fit"))
-        if args.command == "constants":
-            return cmd_constants(cfg, args.aj)
-        if args.command == "geomean":
-            return cmd_geomean(cfg, args.n, args.oracle)
-        if args.command == "sums":
-            return cmd_sums(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg, args.check, args)
-        if args.command == "fit":
-            return cmd_fit(cfg, args.target)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        return args.run(args)
     except (GridError, ModelSpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -209,41 +209,52 @@ class SumsReport:
 # --------------------------------------------------------------------------
 
 
-def _prime_power_pass(model: PrimeModel, points: tuple[int, ...]):
-    """Accumulate the a >= 2 contributions at every checkpoint.
-
-    Returns (frac, pp2): per-checkpoint Kahan sums of {n/p^a} (model
-    independent, feeds F2) and of floor(n/p^a) * log(f(p^a)/f(p^(a-1)))
-    (exactly zero for strongly multiplicative models).  Iteration order is
-    ascending p, then ascending a — fixed, hence deterministic.
-    """
-    m = len(points)
-    frac = [KahanSum() for _ in range(m)]
-    pp2 = [KahanSum() for _ in range(m)]
-    n_max = points[-1]
+def _prime_powers(n_max: int) -> Iterator[tuple[int, int, int]]:
+    """(p^a, p, a) for every prime power p^a <= n_max with a >= 2, in
+    ascending p, then ascending a: a fixed order, hence deterministic."""
     for p in primes_up_to(math.isqrt(n_max)):
         p = int(p)
-        pa = p * p
-        a = 2
+        pa, a = p * p, 2
         while pa <= n_max:
-            lr = log_ratio_prime_power(model, p, a)
-            for i in range(bisect_left(points, pa), m):
-                q, rm = divmod(points[i], pa)
-                fr = rm / pa
-                frac[i].add(fr, err_in=EPS * fr)
-                if lr != 0.0:
-                    t = q * lr
-                    pp2[i].add(t, err_in=FORM_ULPS * EPS * abs(t))
+            yield pa, p, a
             pa *= p
             a += 1
-    return frac, pp2
+
+
+def _prime_power_identity(model: PrimeModel, points: tuple[int, ...]) -> list[KahanSum]:
+    """Per-checkpoint Kahan sums of floor(n/p^a) log(f(p^a)/f(p^(a-1))),
+    a >= 2: the identity's prime-power term, exactly zero (and not summed)
+    for strongly multiplicative models."""
+    m = len(points)
+    pp2 = [KahanSum() for _ in range(m)]
+    if model.strongly_multiplicative:
+        return pp2
+    for pa, p, a in _prime_powers(points[-1]):
+        lr = log_ratio_prime_power(model, p, a)
+        if lr != 0.0:
+            for i in range(bisect_left(points, pa), m):
+                t = points[i] // pa * lr
+                pp2[i].add(t, err_in=FORM_ULPS * EPS * abs(t))
+    return pp2
+
+
+def _prime_power_fractions(points: tuple[int, ...]) -> list[KahanSum]:
+    """Per-checkpoint Kahan sums of {n/p^a}, a >= 2: F2's part on top of F1
+    (model independent)."""
+    m = len(points)
+    frac = [KahanSum() for _ in range(m)]
+    for pa, _, _ in _prime_powers(points[-1]):
+        for i in range(bisect_left(points, pa), m):
+            fr = points[i] % pa / pa
+            frac[i].add(fr, err_in=EPS * fr)
+    return frac
 
 
 def _assemble(model: PrimeModel, points, s1, values, pp2):
     """Recompute (n_log_g, err_bound) from checkpointed sums.
 
     `values` maps "s2" and "s3" to their per-checkpoint value lists; `pp2`
-    is the second result of `_prime_power_pass(model, points)`.  Everything
+    is `_prime_power_identity(model, points)`.  Everything
     here is a deterministic function of (model, points, s1, values): running
     it on a freshly streamed report and on one re-loaded from cache yields
     bit-identical outputs.
@@ -480,10 +491,10 @@ def sums_stream(
         kah["s3"] = [KahanSum() for _ in range(m)]
     s1 = kah.pop("s1")
 
-    # prime-power corrections: F2 on top of F1, and the a >= 2 identity term
-    frac, pp2 = _prime_power_pass(model, points)
+    # prime-power corrections: the a >= 2 identity term, and F2 on top of F1
+    pp2 = _prime_power_identity(model, points)
     if companions:
-        f2 = []
+        frac, f2 = _prime_power_fractions(points), []
         for i in range(m):
             acc = kah["f1"][i]
             tot = KahanSum(acc.value, acc.comp, acc.absmass, acc.inherited)
@@ -805,7 +816,7 @@ def load_report(path: str, model: PrimeModel,
     values.update((name, tuple(row[2 + j] for row in rows))
                   for j, name in enumerate(names))
 
-    _, pp2 = _prime_power_pass(model, points)
+    pp2 = _prime_power_identity(model, points)
     n_log_g, err_bound = _assemble(model, points, s1, values, pp2)
     return SumsReport(
         model_name=model.name,

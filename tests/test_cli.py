@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import struct
 import time
 from fractions import Fraction
@@ -110,35 +111,96 @@ def test_identity_oracle_spots_stay_in_range(capsys, hi):
     assert "(model , n=0;" not in out   # no location when nothing deviates
 
 
-TO_ONLY_CHECKS = ["identity-oracle", "phi-geomean", "omega-mean-trend", "s2-constant",
-                  "kappa-corollary"]
+# --to below a check's smallest range: the grid checks' first default point,
+# or too narrow a span for the four-point trend ladder
+CAPS_BELOW_RANGE = {
+    "exact-identities": ("50", "grid needs lo <= hi, got [100, 50]"),
+    "determinism": ("50", "grid needs lo <= hi, got [100, 50]"),
+    "rs-inequality": ("100", "grid needs lo <= hi, got [319, 100]"),
+    "qsum-eta0": ("1e5", "grid needs lo <= hi, got [1000000, 100000]"),
+    "omega-mean-trend": ("1000", "trend checks need a range above 1e4, got hi=1000"),
+    "s2-constant": ("1000", "trend checks need a range above 1e4, got hi=1000"),
+    "kappa-corollary": ("1000", "trend checks need a range above 1e4, got hi=1000"),
+}
 
 
-@pytest.mark.parametrize("check", ["rs-inequality", "exact-identities", "determinism"]
-                         + TO_ONLY_CHECKS)
+@pytest.mark.parametrize("check", sorted(CAPS_BELOW_RANGE))
 def test_verify_inverted_range_exits_2(capsys, check):
-    rc, out, err = run(capsys, "verify", "--check", check, "--from", "5", "--to", "2")
+    to, message = CAPS_BELOW_RANGE[check]
+    rc, out, err = run(capsys, "verify", "--check", check, "--to", to)
     assert rc == 2 and out == ""
-    assert "grid needs lo <= hi, got [5, 2]" in err
-    rc, out, err = run(capsys, "verify", "--check", check, "--from", "1e8")
-    assert rc == 2 and out == ""
-    if check in TO_ONLY_CHECKS:
-        # these read only --to, so any --from is refused, naming the check
-        assert f"check {check} reads only --to; it takes no --from" in err
-    else:
-        # --from above the check's default --to inverts the range
-        assert "grid needs lo <= hi, got [100000000, " in err
+    assert message in err
 
 
-def test_verify_refuses_from_before_any_check_runs(capsys, monkeypatch):
-    def must_not_run(ctx, opts):
-        raise AssertionError("a check ran before the options were refused")
+def test_verify_refuses_unknown_check_before_any_check_runs(capsys, monkeypatch):
+    def must_not_run(ctx, hi):
+        raise AssertionError("a check ran before the unknown name was refused")
 
     monkeypatch.setitem(checks._REGISTRY, "series-algebra", must_not_run)
     rc, out, err = run(capsys, "verify", "--check", "series-algebra",
-                       "--check", "phi-geomean", "--from", "10")
+                       "--check", "bogus")
+    assert rc == 4 and out == ""
+    assert "unknown check 'bogus'" in err
+
+
+# the flags each command reads, and nothing else
+COMMAND_FLAGS = {
+    "constants": ["--model", "--format", "--precision", "--aj"],
+    "geomean": ["--model", "--format", "--cache", "--from", "--to", "--points",
+                "--spacing", "--n", "--oracle"],
+    "sums": ["--model", "--format", "--cache", "--from", "--to", "--points",
+             "--spacing"],
+    "fit": ["--model", "--format", "--cache", "--from", "--to", "--points",
+            "--spacing", "--target", "--order"],
+    "verify": ["--format", "--check", "--to"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_help_lists_exactly_the_flags_a_command_reads(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = re.findall(r"^  (--?[a-z]+)", capsys.readouterr().out, re.M)
+    assert listed == ["-h"] + COMMAND_FLAGS[command]
+
+
+@pytest.mark.parametrize("argv", [
+    ("constants", "--cache", "."),
+    ("verify", "--check", "a1-gamma", "--model", "kappa"),
+    ("verify", "--check", "a1-gamma", "--cache", "."),
+    ("verify", "--check", "a1-gamma", "--spacing", "log"),
+    ("verify", "--check", "a1-gamma", "--from", "5"),
+    ("verify", "--check", "a1-gamma", "--points", "3"),
+])
+def test_removed_flags_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [("--from", "5"), ("--to", "10"), ("--points", "3"),
+                                  ("--spacing", "log")])
+def test_n_takes_no_grid_flags(capsys, flag):
+    rc, out, err = run(capsys, "geomean", "--model", "kappa", "--n", "10", *flag)
     assert rc == 2 and out == ""
-    assert "check phi-geomean reads only --to" in err
+    assert f"--n is a single checkpoint; it takes no {flag[0]}" in err
+
+
+def test_constants_reads_no_cache(tmp_path, monkeypatch, capsys):
+    regular = tmp_path / "regular"
+    regular.write_text("")
+    monkeypatch.setenv("PRIMEMEAN_CACHE", str(regular))
+    rc, out, _ = run(capsys, "constants", "--format", "json")
+    assert rc == 0 and json.loads(out)[0]["constant"] == "gamma"
+
+
+def test_verify_cap_serves_checks_that_sweep_nothing(capsys):
+    # the verify-oracles benchmark workload runs exactly this
+    rc, out, _ = run(capsys, "verify", "--to", "20000", "--format", "json",
+                     "--check", "a1-gamma")
+    assert rc == 0 and json.loads(out)[0]["passed"] is True
 
 
 def test_exit_code_grid(capsys):
@@ -233,9 +295,6 @@ def test_missing_model_file_is_exit_two(tmp_path, capsys):
 def test_points_below_one_is_exit_two(capsys, spacing, points):
     rc, _, err = run(capsys, "geomean", "--model", "kappa", "--to", "1000",
                      "--points", points, "--spacing", spacing)
-    assert rc == 2 and "at least one checkpoint" in err
-    rc, _, err = run(capsys, "verify", "--check", "rs-inequality",
-                     "--points", points)
     assert rc == 2 and "at least one checkpoint" in err
 
 

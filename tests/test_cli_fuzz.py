@@ -2,8 +2,9 @@
 
 Sizes stay small: every grid command gets a `--to` of at most 1e4 (or an
 invalid one), and `verify` runs only checks that are cheap at that size.
-Cache paths (`--cache` and PRIMEMEAN_CACHE) are drawn from a directory, a
-regular file, and paths below or through that file.  A second property
+Each command draws the flags it takes and one that it refuses.  Cache paths
+(`--cache` and PRIMEMEAN_CACHE) are drawn from a directory, a regular file,
+and paths below or through that file.  A second property
 draws `constants --precision` runs: exit 0 means every printed bound meets
 the target.
 """
@@ -31,29 +32,34 @@ def _opt(flag: str, values) -> st.SearchStrategy:
     return st.sampled_from(values).map(lambda v: [flag, v])
 
 
-COMMON = [
+MODEL_FORMAT = [
     _opt("--model", ["kappa", "euler_phi", "two_omega", "nope", "jordan_0",
                      "missing.model", ""]),
     _opt("--format", ["table", "csv", "json", "xml"]),
 ]
-GRID = [
+# {dir} and {file} are filled in per test with a directory and a regular file
+CACHE_PATHS = ["{dir}", "{dir}/new/sub", "{file}", "{file}/sub", "{file}/sub/deeper",
+               "{file}/../new"]
+REPORT = [
+    _opt("--cache", CACHE_PATHS),
     _opt("--from", BOUNDS + BAD_NUMBERS),
     _opt("--points", ["1", "3", "12", "64", "65", "0", "-1", "x"]),
     _opt("--spacing", ["log", "linear", "cubic"]),
 ]
-# {dir} and {file} are filled in per test with a directory and a regular file
-CACHE_PATHS = ["{dir}", "{dir}/new/sub", "{file}", "{file}/sub", "{file}/sub/deeper",
-               "{file}/../new"]
-COMMON.append(_opt("--cache", CACHE_PATHS))
 PRECISIONS = ["1e-3", "0.5", "10", "1e-12", "1e-15", "nan", "inf", "-inf", "0",
               "-1", "x"]
+# each command's own flags, plus the last entry: one flag it refuses
 PER_COMMAND = {
-    "constants": [_opt("--aj", ["0", "1", "3", "8", "9", "-1", "x"])],
-    "geomean": GRID + [_opt("--n", BOUNDS + BAD_NUMBERS), st.just(["--oracle"])],
-    "sums": GRID,
-    "verify": GRID + [_opt("--check", CHEAP_CHECKS)],
-    "fit": GRID + [_opt("--target", list(FIT_TARGETS) + ["bogus"]),
-                   _opt("--order", ["1", "2", "3", "0", "9", "x"])],
+    "constants": MODEL_FORMAT + [_opt("--aj", ["0", "1", "3", "8", "9", "-1", "x"]),
+                                 _opt("--cache", CACHE_PATHS)],
+    "geomean": MODEL_FORMAT + REPORT + [_opt("--n", BOUNDS + BAD_NUMBERS),
+                                        st.just(["--oracle"]), _opt("--aj", ["2"])],
+    "sums": MODEL_FORMAT + REPORT + [_opt("--n", ["10"])],
+    "verify": [MODEL_FORMAT[1], _opt("--check", CHEAP_CHECKS),
+               _opt("--from", BOUNDS)],
+    "fit": MODEL_FORMAT + REPORT + [_opt("--target", list(FIT_TARGETS) + ["bogus"]),
+                                    _opt("--order", ["1", "2", "3", "0", "9", "x"]),
+                                    st.just(["--oracle"])],
 }
 
 
@@ -68,7 +74,7 @@ def argv(draw) -> list[str]:
         args += ["--check", draw(st.sampled_from(CHEAP_CHECKS))]
     if command == "fit" and draw(st.booleans()):
         args += ["--target", draw(st.sampled_from(FIT_TARGETS))]
-    for extra in draw(st.lists(st.one_of(COMMON + PER_COMMAND[command]), max_size=4)):
+    for extra in draw(st.lists(st.one_of(PER_COMMAND[command]), max_size=4)):
         args += extra
     return args
 

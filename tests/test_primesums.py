@@ -168,6 +168,18 @@ def test_streamed_u_matches_spf_oracle(u_spf_oracle, name, parallel):
         assert abs(got - want) <= 1e-12 * n, n
 
 
+def test_streamed_u_with_one_euler_maclaurin_prime_in_a_segment():
+    # segment_size 1 << 14 puts the third segment at [32770, 49154); with
+    # u_max // U_M0 = 32771 only its first prime (the next is 32779) gets an
+    # Euler-Maclaurin part
+    u_max = primesums.U_M0 * 32771 + 5
+    grid = CheckpointGrid.from_points([10 ** 5, u_max])
+    rep = sums_stream(builtin("kappa"), grid, segment_size=1 << 14)
+    table = spf_build(u_max)
+    for n, got in zip(grid.points, rep.u_of_x):
+        assert abs(got - u_of_x(n, table)) <= 1e-12 * n, n
+
+
 def test_streamed_u_does_not_depend_on_the_model():
     grid = CheckpointGrid.log_spaced(10, 10 ** 6, 6)
     want = sums_stream(builtin("kappa"), grid).u_of_x
