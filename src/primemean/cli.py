@@ -40,15 +40,16 @@ import json
 import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import checks, constants, primesums, series
+from . import constants
 from .errors import (AccumulationError, CacheFormatError, GridError,
                      IllConditionedFitError, ModelSpecError, PrecisionError,
                      PrimemeanError, UnknownCheckError)
 from .multfunc import BUILTIN_NAMES, PrimeModel, builtin, load_model_file
-from .primesums import CheckpointGrid
+
+if TYPE_CHECKING:
+    from .primesums import CheckpointGrid, SumsReport
 
 # Brute-force oracle columns need a per-integer factor table.
 ORACLE_TABLE_CAP = 10 ** 7
@@ -113,6 +114,16 @@ def _add_report_flags(sp: argparse.ArgumentParser) -> None:
                     help="checkpoint spacing (default log)")
 
 
+class _CheckNamesHelp(argparse.HelpFormatter):
+    """Lists the check names in `verify --help`, importing `checks` only then."""
+
+    def _get_help_string(self, action: argparse.Action) -> str:
+        if action.dest != "check":
+            return action.help
+        from .checks import CHECK_NAMES
+        return action.help + ", ".join(CHECK_NAMES)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="primemean",
@@ -143,12 +154,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_report_flags(sp)
     sp.set_defaults(run=cmd_sums)
 
-    sp = sub.add_parser("verify", help="run named verification checks")
+    sp = sub.add_parser("verify", help="run named verification checks",
+                        formatter_class=_CheckNamesHelp)
     _add_format_flag(sp)
     sp.add_argument("--check", action="append", default=None,
                     metavar="NAME", help="check to run (repeatable; default: "
-                    "all acceptance checks). Names: "
-                    + ", ".join(checks.CHECK_NAMES))
+                    "all acceptance checks). Names: ")
     sp.add_argument("--to", dest="hi", type=_int_arg, default=None, metavar="N",
                     help="cap on every check's sweep (a1-gamma, "
                     "constants-stability and series-algebra sweep nothing)")
@@ -205,6 +216,8 @@ def _require_model(args: argparse.Namespace) -> PrimeModel:
 
 
 def _grid(args: argparse.Namespace) -> CheckpointGrid:
+    from .primesums import CheckpointGrid
+
     lo_def, hi_def, pts_def = _DEFAULT_GRID
     hi = args.hi or max(hi_def, args.lo or 0)
     lo = args.lo or (lo_def if lo_def <= hi else max(2, hi // 100))
@@ -215,6 +228,8 @@ def _grid(args: argparse.Namespace) -> CheckpointGrid:
         raise GridError(f"grid needs lo <= hi, got [{lo}, {hi}]")
     if points < 1:
         raise GridError(f"need at least one checkpoint, got {points}")
+    import numpy as np
+
     return CheckpointGrid.from_points(
         sorted({int(round(x)) for x in np.linspace(lo, hi, points)}))
 
@@ -258,7 +273,7 @@ def emit_rows(fmt: str, header: tuple, rows: list, out=None) -> None:
 
 
 def cached_report(model: PrimeModel, grid: CheckpointGrid,
-                  cache_dir: str | None, *, companions: bool) -> primesums.SumsReport:
+                  cache_dir: str | None, *, companions: bool) -> SumsReport:
     """Compute or reload a checkpoint report, persisting when caching is on.
 
     `companions` says whether the caller reads F1, F2, R, M or U.  A
@@ -266,6 +281,8 @@ def cached_report(model: PrimeModel, grid: CheckpointGrid,
     caller that reads them, is a miss: the report is recomputed and the file
     overwritten.  Reloads are bit-identical to fresh runs by construction.
     """
+    from . import primesums
+
     if cache_dir is None:
         return primesums.sums_stream(model, grid, companions=companions)
     path = primesums.default_cache_path(cache_dir, model, grid)
@@ -308,7 +325,7 @@ def cmd_constants(args: argparse.Namespace) -> int:
     put("meissel_mertens_M", constants.meissel_mertens())
     put("mertens_E", constants.mertens_e())
     for j in range(1, args.aj + 1):
-        put(f"a_{j}", constants.saffari_a(j, **kw))
+        put(f"a_{j}", constants.saffari_a(j))
     if model is not None:
         put(f"C_Q[{model.name}]", constants.c_q(model, **kw))
         put(f"rho_f[{model.name}]", constants.rho_f(model, **kw))
@@ -329,6 +346,8 @@ def _scaled_ratio(model: PrimeModel, n: int, log_gmean: float) -> float:
 
 
 def cmd_geomean(args: argparse.Namespace) -> int:
+    from . import primesums
+
     cache_dir, model, n = _cache_dir(args), _require_model(args), args.n
     if n is None:
         grid = _grid(args)
@@ -339,7 +358,7 @@ def cmd_geomean(args: argparse.Namespace) -> int:
                  if value is not None]
         if given:
             raise GridError(f"--n is a single checkpoint; it takes no {', '.join(given)}")
-        grid = CheckpointGrid.from_points([n]) if n > 1 else None
+        grid = primesums.CheckpointGrid.from_points([n]) if n > 1 else None
     predicted = constants.leading_constant(model)
 
     if grid is None:   # the trivial n = 1 point: empty product, G = 1
@@ -384,6 +403,8 @@ def cmd_geomean(args: argparse.Namespace) -> int:
 
 
 def cmd_sums(args: argparse.Namespace) -> int:
+    from . import primesums
+
     cache_dir, model, grid = _cache_dir(args), _require_model(args), _grid(args)
     report = cached_report(model, grid, cache_dir, companions=True)
     header = ("n", "s1") + primesums.FLOAT_FIELDS + ("n_log_g", "err_bound")
@@ -397,6 +418,8 @@ def cmd_sums(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import checks
+
     results = checks.run_all(names=args.check, hi=args.hi)
     if args.fmt == "table":
         for r in results:
@@ -408,8 +431,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def _fit_samples(target: str, model: PrimeModel,
-                 report: primesums.SumsReport, points) -> list:
+def _fit_samples(target: str, model: PrimeModel, report: SumsReport, points) -> list:
     m_const = constants.meissel_mertens().value
     la = math.log(model.alpha)
     samples = []
@@ -429,6 +451,8 @@ def _fit_samples(target: str, model: PrimeModel,
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
+    from . import series
+
     # s1/s2/u residuals are model-independent facts about the integers, so
     # any model's report carries them; qsum-residual uses the chosen model.
     cache_dir = _cache_dir(args)

@@ -1,22 +1,21 @@
 """High-precision, tail-bounded constants for the geometric-mean expansions.
 
 Every value ships as a ConstantValue carrying a certified truncation bound
-derived from a stated inequality — never an eyeballed guess.  gamma, M and E
-take no target: each is certified to ~1e-16.  A target sizes work only where
-there is work to size, the a_j integrals and the prime-sum fallback of C_Q;
-the CLI checks every printed bound against `--precision` in one place.
+derived from a stated inequality — never an eyeballed guess.  gamma, M, E
+and the a_j take no target: each is certified to ~1e-16 (relative, for
+the a_j).  A target sizes work only where there is work to size, the
+prime-sum fallback of C_Q; the CLI checks every printed bound against
+`--precision` in one place.  Everything but the prime-sum routes and the
+limit oracles runs in stdlib decimal and fractions, so `constants` never
+imports numpy; those routes import it (and the prime stream) when they run.
 
-- gamma (`euler_gamma`): H_{N-1} - log N plus the Euler-Maclaurin
-  corrections of sum_{n>=N} 1/n at N = 32, in decimal and certified like M
-  and E below.
-- a_j = -Int_1^oo {t} (log t)^(j-1) t^-2 dt, integrated exactly per unit
-  interval (the integrand is polynomial-in-t times smooth there) by
-  Gauss-Legendre panels; the tail beyond an integer T uses {t} = 1/2 + P1(t)
-  and two integrations by parts against periodized Bernoulli polynomials:
-  Int_T^oo {t} g = Gamma(j, log T)/2 - g(T)/12 + err, |err| <= 0.00802 *
-  Int_T^oo |g''| = 0.00802 (2 log T - (j-1)) (log T)^(j-2) / T^3 (T >= 1024),
-  where g(t) = (log t)^(j-1)/t^2 and Gamma is the (closed-form) upper
-  incomplete gamma at integer order.
+- gamma_k, the Stieltjes constants (`_stieltjes`): sum_{n<N} (log n)^k / n
+  - (log N)^(k+1)/(k+1) plus the Euler-Maclaurin corrections of
+  f = (log x)^k / x at N = 32, in decimal; the remainder is bounded by a
+  closed-form majorant of Int_N^oo |f^(2J+2)| that needs no sign.
+  gamma (`euler_gamma`) is gamma_0.
+- a_j = -Int_1^oo {t} (log t)^(j-1) t^-2 dt = (j-1)! (sum_{i<j} gamma_i / i!
+  - 1) (`saffari_a`), from zeta(s) = s/(s-1) - s Int_1^oo {t} t^(-s-1) dt.
 
 M, E and C_Q come from the prime zeta function by default (Flajolet and
 Vardi, "Zeta function expansions of classical constants", 1996; H. Cohen,
@@ -59,7 +58,7 @@ large), and each tail_bound adds five parts:
 3. an a priori bound on decimal rounding: every decimal operation lands
    within one unit in its last digit, and each H(t), G(t) is formed by
    fewer than `_value_ulps` such operations on quantities below 4;
-4. the same two bounds for gamma (`euler_gamma`);
+4. the same two bounds for gamma (`_stieltjes`);
 5. the final rounding to double, half an ulp.
 
 The prime-sum route sums every prime to a cut P through
@@ -98,19 +97,19 @@ from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from .accum import EPS, SegmentTerms, prime_sums, reduce_primes
 from .errors import GridError, ModelSpecError, PrecisionError
-from .multfunc import PrimeModel
-from .sieve import DEFAULT_MAX_BOUND, primes_up_to
+from .multfunc import PrimeModel, small_primes
 
-#: Default truncation-error targets: the prime-sum fallback of C_Q and the
-#: a_j integrals size their cuts to them.
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .accum import SegmentTerms
+
+#: Default truncation-error target: the prime-sum fallback of C_Q sizes its
+#: cut to it.
 DEFAULT_CQ_PRECISION = 1e-8
-DEFAULT_AJ_PRECISION = 1e-8
 
 _SAFFARI_MAX_J = 8
 
@@ -156,8 +155,8 @@ class ConstantValue:
 
 @lru_cache(maxsize=None)
 def euler_gamma() -> ConstantValue:
-    """Euler's constant, in decimal (module docstring), certified to ~6e-17."""
-    gamma, err = _gamma_head(_DIGITS)
+    """Euler's constant gamma_0, in decimal (`_stieltjes`), certified to ~6e-17."""
+    gamma, err = _stieltjes(0, _EM_N)
     return _to_double(gamma, [err], "euler-maclaurin-decimal", (("n", float(_EM_N)),))
 
 
@@ -253,17 +252,8 @@ def _zeta(s: int, digits: int, big_n: int) -> Tuple[Decimal, Decimal, float, flo
 
 
 @lru_cache(maxsize=None)
-def _decimal_gamma(digits: int) -> Tuple[Decimal, float]:
-    """gamma = H_{N-1} - log N + [Euler-Maclaurin corrections of sum_{n>=N} 1/n]."""
-    with localcontext(Context(prec=digits)):
-        corr, _, rem = _em_tail(1, digits, _EM_N)
-        gamma = sum(Decimal(1) / k for k in range(1, _EM_N)) - _ln(_EM_N, digits) + corr
-    return gamma, rem
-
-
-@lru_cache(maxsize=None)
 def _small_primes(p_cut: int) -> Tuple[int, ...]:
-    return tuple(primes_up_to(p_cut).tolist())
+    return tuple(small_primes(p_cut))
 
 
 def _value_ulps(p_cut: int) -> float:
@@ -351,17 +341,11 @@ def _prime_zeta(head: Callable[[int], Tuple[Decimal, float]],
                       (("p_cut", float(p_cut)),))
 
 
-def _gamma_head(digits: int) -> Tuple[Decimal, float]:
-    """The decimal gamma and its error bound (remainder plus rounding)."""
-    gamma, rem = _decimal_gamma(digits)
-    return gamma, rem + 10.0 ** (1 - digits) * _value_ulps(0)
-
-
 def _meissel_mertens_series(p_cut: int) -> ConstantValue:
     primes = _small_primes(p_cut)
 
     def head(digits: int) -> Tuple[Decimal, float]:
-        gamma, err = _gamma_head(digits)
+        gamma, err = _stieltjes(0, _EM_N, digits)
         with localcontext(Context(prec=digits)):
             total = gamma + sum((1 - Decimal(1) / p).ln() + Decimal(1) / p for p in primes)
         return total, err + 12 * len(primes) * 10.0 ** (1 - digits)
@@ -374,7 +358,7 @@ def _mertens_e_series(p_cut: int) -> ConstantValue:
     primes = _small_primes(p_cut)
 
     def head(digits: int) -> Tuple[Decimal, float]:
-        gamma, err = _gamma_head(digits)
+        gamma, err = _stieltjes(0, _EM_N, digits)
         with localcontext(Context(prec=digits)):
             total = -gamma - sum(_ln(p, digits) / (p * (p - 1)) for p in primes)
         return total, err + 6 * len(primes) * 10.0 ** (1 - digits)
@@ -382,7 +366,7 @@ def _mertens_e_series(p_cut: int) -> ConstantValue:
     return _prime_zeta(head, lambda last: [Fraction(-1)] * (last - 1), 1.0, 1.0, True, p_cut)
 
 
-def _root_bound(coeffs: np.ndarray) -> float:
+def _root_bound(coeffs: Sequence[int]) -> float:
     """Fujiwara's bound on the roots of sum_i coeffs[i] p^i (0 for a constant):
     2 max(|a_{n-1}/a_n|, |a_{n-2}/a_n|^(1/2), ..., |a_0/(2 a_n)|^(1/n))."""
     n = len(coeffs) - 1
@@ -392,7 +376,7 @@ def _root_bound(coeffs: np.ndarray) -> float:
     return 2.0 * math.exp(max(logs)) * (1 + 1e-9) if logs else 0.0
 
 
-def _root_power_sums(coeffs: np.ndarray, count: int) -> List[Fraction]:
+def _root_power_sums(coeffs: Sequence[int], count: int) -> List[Fraction]:
     """S_1 .. S_count of the roots of sum_i coeffs[i] p^i, by Newton's identities."""
     n = len(coeffs) - 1
     e = [Fraction(int(coeffs[n - i]), int(coeffs[n])) for i in range(n + 1)]
@@ -440,6 +424,8 @@ def _prime_sum(p_cut: int, term_fn: Callable[[np.ndarray, np.ndarray], np.ndarra
                head: float, head_err: float, tail: float) -> ConstantValue:
     """head + sum_{p<=P} term_fn(p, log p); the bound adds head_err, the tail
     over p > P and the reducer's accumulation error."""
+    from .accum import prime_sums
+
     [total] = prime_sums([p_cut], term_fn, signed=True)
     return ConstantValue(value=head + total.value,
                          tail_bound=tail + head_err + total.error_bound(),
@@ -468,6 +454,8 @@ def meissel_mertens(truncation_override: int | None = None) -> ConstantValue:
 def _meissel_mertens_at(p_cut: int, series: bool) -> ConstantValue:
     if series:
         return _meissel_mertens_series(p_cut)
+    import numpy as np
+
     gamma = euler_gamma()
     return _prime_sum(p_cut, lambda p, logp: np.log1p(-1.0 / p) + 1.0 / p,
                       gamma.value, gamma.tail_bound, 1.0 / (2.0 * p_cut))
@@ -524,6 +512,8 @@ def c_q(model: PrimeModel, target_precision: float = DEFAULT_CQ_PRECISION,
     bound = _c_q_root_bound(model)
     if bound is not None:
         return _c_q_at(model, max(ZETA_P, math.ceil(8 * bound)), True)
+    from .sieve import DEFAULT_MAX_BOUND
+
     k_rel = model.k_bound / model.alpha
     needed = max(
         (2.0 * k_rel) ** (1.0 / model.delta),           # (K/alpha) P^-delta <= 1/2
@@ -575,88 +565,95 @@ def _exp_of(base: ConstantValue, method: str) -> ConstantValue:
 
 
 # --------------------------------------------------------------------------
-# remainder-integral coefficients a_j
+# Stieltjes constants and the remainder-integral coefficients a_j
 # --------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+def _log_power_derivatives(k: int, order: int) -> List[Tuple[int, ...]]:
+    """P_0 .. P_order, with f^(m)(x) = x^(-m-1) P_m(log x) for f = (log x)^k / x.
+
+    P_0 = L^k and P_(m+1) = P_m' - (m+1) P_m: exact integer coefficients,
+    ascending in L = log x, of degree k.
+    """
+    polys = [(0,) * k + (1,)]
+    for m in range(order):
+        c = polys[-1] + (0,)
+        polys.append(tuple((i + 1) * c[i + 1] - (m + 1) * c[i] for i in range(k + 1)))
+    return polys
 
 
-def _gl_sum(fn: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
-            hi: np.ndarray) -> float:
-    """Gauss-Legendre (12-node) integral of fn summed over [lo_i, hi_i]."""
-    mid = 0.5 * (lo + hi)[:, None]
-    half = 0.5 * (hi - lo)[:, None]
-    t = mid + half * _GL_NODES[None, :]
-    return float(np.sum(half * _GL_WEIGHTS[None, :] * fn(t)))
-
-
-def _upper_gamma_int(j: int, x: float) -> float:
-    """Gamma(j, x) = (j-1)! e^-x sum_{k<j} x^k/k! for integer j >= 1."""
-    s = 0.0
-    term = 1.0
-    for k in range(j):
-        if k:
-            term *= x / k
-        s += term
-    return math.factorial(j - 1) * math.exp(-x) * s
-
-
-def _saffari_panels(j: int, m_lo: int, m_hi: int, panels: int) -> float:
-    """Integral of (t - m)(log t)^(j-1)/t^2 over [m, m+1) for m in [m_lo, m_hi)."""
-    if m_hi <= m_lo:
-        return 0.0
-    ms = np.arange(m_lo, m_hi, dtype=np.float64)
-    total = 0.0
-    for k in range(panels):
-        lo = ms + k / panels
-        hi = ms + (k + 1) / panels
-        total += _gl_sum(
-            lambda t: (t - np.floor(t)) * np.log(t) ** (j - 1) / t ** 2, lo, hi)
-    return total
+def _log_moment(i: int, a: int, big_n: int) -> float:
+    """Int_N^oo x^-a (log x)^i dx = N^(1-a) sum_{l<=i} i!/(i-l)! (log N)^(i-l) / (a-1)^(l+1)."""
+    log_n = math.log(big_n)
+    return float(big_n) ** (1 - a) * math.fsum(
+        math.perm(i, l) * log_n ** (i - l) / (a - 1) ** (l + 1) for l in range(i + 1))
 
 
 @lru_cache(maxsize=None)
-def saffari_a(j: int, target_precision: float = DEFAULT_AJ_PRECISION,
-              truncation_override: int | None = None) -> ConstantValue:
-    """a_j = -Int_1^oo {t} (log t)^(j-1) t^-2 dt for 1 <= j <= 8.
+def _stieltjes(k: int, big_n: int, digits: int = _DIGITS) -> Tuple[Decimal, float]:
+    """gamma_k = lim_M [sum_{n<=M} (log n)^k / n - (log M)^(k+1)/(k+1)], and its bound.
 
-    The integrand is analytic on every [m, m+1), so per-unit-interval
-    Gauss-Legendre panels (denser near t = 1 where curvature concentrates)
-    integrate [1, T] essentially exactly; the tail beyond integer T is
-    Gamma(j, log T)/2 - g(T)/12 + err with the |err| bound derived in the
-    module docstring (valid for T >= 1024).  tail_bound combines that err
-    bound with an a-posteriori panel-refinement estimate of the quadrature.
+    Euler-Maclaurin at N = big_n for f(x) = (log x)^k / x, in decimal:
+
+        gamma_k = sum_{n<N} f(n) - (log N)^(k+1)/(k+1) + f(N)/2
+                  - sum_{j<=J} B_2j/(2j)! f^(2j-1)(N) + R,
+
+    f^(m)(x) = x^(-m-1) P_m(log x) (`_log_power_derivatives`).  With the
+    periodic Bernoulli function, |R| <= 2 |B_2J+2|/(2J+2)! Int_N^oo |f^(2J+2)|,
+    and |f^(2J+2)(x)| <= x^(-2J-3) sum_i |c_i| (log x)^i for c = P_2J+2,
+    integrated in closed form (`_log_moment`): a majorant that needs no
+    sign of f's derivatives.  Rounding: each summand is formed by at most
+    2k + 16 correctly rounded decimal operations, each within one unit in
+    the last digit relative, and each addition adds one unit of a partial
+    sum below `mass`, the sum of the summands' magnitudes.
+    """
+    polys = _log_power_derivatives(k, 2 * _EM_J + 2)
+    with localcontext(Context(prec=digits)):
+        log_n, n = _ln(big_n, digits), Decimal(big_n)
+        terms = [Decimal(1 if k == 0 else 0)]                 # n = 1
+        terms += [_ln(m, digits) ** k / m for m in range(2, big_n)]
+        terms += [-log_n ** (k + 1) / (k + 1), log_n ** k / n / 2]
+        for j in range(1, _EM_J + 1):
+            scale = _bernoulli(2 * j) / math.factorial(2 * j)
+            terms += [-_dec(scale * c) * log_n ** i * n ** (-2 * j)
+                      for i, c in enumerate(polys[2 * j - 1]) if c]
+        total = sum(terms, Decimal(0))
+    top = 2 * _EM_J + 2
+    rem = (2.0 * float(abs(_bernoulli(top)) / math.factorial(top))
+           * math.fsum(abs(c) * _log_moment(i, top + 1, big_n) for i, c in enumerate(polys[top])))
+    mass = math.fsum(abs(float(t)) for t in terms)
+    rounding = 10.0 ** (1 - digits) * mass * (2 * k + 16 + len(terms))
+    return total, rem + rounding
+
+
+@lru_cache(maxsize=None)
+def saffari_a(j: int) -> ConstantValue:
+    """a_j = -Int_1^oo {t} (log t)^(j-1) t^-2 dt for 1 <= j <= 8, certified to ~1e-16 relative.
+
+    zeta(s) = s/(s-1) - s I(s) with I(s) = Int_1^oo {t} t^(-s-1) dt, and the
+    Laurent series zeta(s) = 1/(s-1) + sum_k (-1)^k gamma_k (s-1)^k / k! give
+    s I(s) = 1 - sum_k (-1)^k gamma_k (s-1)^k / k!.  So a_(k+1) =
+    -(-1)^k I^(k)(1) = k! (sum_{i<=k} gamma_i / i! - 1), an exact integer
+    combination of the Stieltjes constants (`_stieltjes`, Euler-Maclaurin at
+    N = 32): a_1 = gamma - 1, a_2 = gamma_1 + gamma - 1.  The bound adds
+    sum_i k!/i! |d gamma_i|, the decimal rounding of the combination and
+    half an ulp for the final rounding to double; it takes no target.
     """
     if not 1 <= j <= _SAFFARI_MAX_J:
         raise GridError(f"saffari_a supports 1 <= j <= {_SAFFARI_MAX_J}, got {j}")
-    if target_precision < 1e-11:
-        raise PrecisionError("saffari_a certifies at best 1e-11", achievable=1e-11)
+    return _saffari_at(j, _EM_N)
 
-    def em_err(t_cut: float) -> float:
-        lg = math.log(t_cut)
-        return 0.00802 * (2.0 * lg - (j - 1)) * lg ** (j - 2) / t_cut ** 3
 
-    if truncation_override is not None:
-        t_cut = int(truncation_override)
-    else:
-        t_cut = 1024
-        while em_err(t_cut) > target_precision / 2.0 and t_cut < 2 ** 24:
-            t_cut *= 2
-
-    head = _saffari_panels(j, 1, 8, 32) + _saffari_panels(j, 8, 64, 8)
-    main = (head + _saffari_panels(j, 64, 1024, 2) + _saffari_panels(j, 1024, t_cut, 1))
-    # a-posteriori quadrature estimate: double the panels where it matters
-    refined_head = _saffari_panels(j, 1, 8, 64) + _saffari_panels(j, 8, 64, 16)
-    quad_est = abs(refined_head - head) + 64 * EPS
-
-    lg = math.log(t_cut)
-    g_at_cut = lg ** (j - 1) / float(t_cut) ** 2
-    tail_integral = 0.5 * _upper_gamma_int(j, lg) - g_at_cut / 12.0
-    value = -(main + tail_integral)
-    return ConstantValue(
-        value=value, tail_bound=em_err(t_cut) + quad_est,
-        method="unit-interval-gauss-legendre",
-        params=(("t_cut", float(t_cut)),))
+def _saffari_at(j: int, big_n: int) -> ConstantValue:
+    """a_j from the Stieltjes constants at the Euler-Maclaurin point N = big_n."""
+    k = j - 1
+    weights = [math.factorial(k) // math.factorial(i) for i in range(j)]
+    gammas = [_stieltjes(i, big_n) for i in range(j)]
+    with localcontext(Context(prec=_DIGITS)):
+        total = sum((w * g for w, (g, _) in zip(weights, gammas)), Decimal(0)) - weights[0]
+    mass = math.fsum(w * abs(float(g)) for w, (g, _) in zip(weights, gammas)) + weights[0]
+    bounds = [w * err for w, (_, err) in zip(weights, gammas)]
+    bounds.append(10.0 ** (1 - _DIGITS) * mass * (j + 2))
+    return _to_double(total, bounds, "stieltjes-euler-maclaurin", (("n", float(big_n)),))
 
 
 # --------------------------------------------------------------------------
@@ -681,7 +678,7 @@ def eta0(model: PrimeModel, target_precision: float = DEFAULT_CQ_PRECISION) -> C
             + abs(model.d) * (gamma.value + abs(e.value) + 1.0) + abs(cq.value))
     tail = (abs(log_alpha) * m.tail_bound
             + abs(model.d) * (gamma.tail_bound + e.tail_bound) + cq.tail_bound
-            + 4 * EPS * mass)
+            + 4 * math.ulp(1.0) * mass)
     params = (("m_p_cut", m.param("p_cut")), ("e_p_cut", e.param("p_cut")))
     if cq.params:
         params += (("cq_p_cut", cq.param("p_cut")),)
@@ -735,6 +732,8 @@ def _e1_continued_fraction(x: float) -> float:
 
 def _e1_asymptotic(z: complex) -> complex:
     """E1(z) ~ e^-z/z (1 - 1/z + 2/z^2 - ...) for |z| >> 1 (6 terms)."""
+    import numpy as np
+
     s = 1.0 + 0.0j
     term = 1.0 + 0.0j
     for k in range(1, 7):
@@ -745,6 +744,8 @@ def _e1_asymptotic(z: complex) -> complex:
 
 def _limit_correction_e(u: np.ndarray) -> np.ndarray:
     """Secondary terms of sum_{p<=x} log p/p - log x - E at x = e^u."""
+    import numpy as np
+
     x = np.exp(u)
     c = np.zeros_like(u)
     for k, mu in _MOEBIUS_K:
@@ -756,6 +757,8 @@ def _limit_correction_e(u: np.ndarray) -> np.ndarray:
 
 def _limit_correction_m(u: np.ndarray) -> np.ndarray:
     """Secondary terms of sum_{p<=x} 1/p - loglog x - M at x = e^u."""
+    import numpy as np
+
     c = np.array([math.fsum((-mu / k) * _e1_continued_fraction(v * (k - 1.0) / k)
                             for k, mu in _MOEBIUS_K)
                   for v in np.atleast_1d(u)])
@@ -768,15 +771,18 @@ def _limit_correction_m(u: np.ndarray) -> np.ndarray:
 def _hann_average(fn: Callable[[np.ndarray], np.ndarray], u0: float, u1: float,
                   panels: int = 64) -> float:
     """Hann-weighted average of fn over [u0, u1] by composite Gauss-Legendre."""
+    import numpy as np
+
+    nodes, weights = np.polynomial.legendre.leggauss(12)
     du = u1 - u0
     edges = np.linspace(u0, u1, panels + 1)
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
-        uu = mid + half * _GL_NODES
+        uu = mid + half * nodes
         w = 0.5 * (1.0 - np.cos(2.0 * np.pi * (uu - u0) / du))
-        total += half * float(np.sum(_GL_WEIGHTS * w * fn(uu)))
+        total += half * float(np.sum(weights * w * fn(uu)))
     return total / (du / 2.0)
 
 
@@ -787,6 +793,10 @@ def _window_prime_averages(windows: Sequence[Tuple[float, float]]
     One streaming pass to the largest window edge; each prime contributes
     its term times the closed-form Hann mass above log p.
     """
+    import numpy as np
+
+    from .accum import reduce_primes
+
     bounds = [(math.log(x0), math.log(x1)) for x0, x1 in windows]
     x_hi = max(int(x1) for _, x1 in windows)
 
@@ -815,6 +825,8 @@ def _window_prime_averages(windows: Sequence[Tuple[float, float]]
 
 def _check_window(x_hi: float, window_ratio: float, windows: int) -> None:
     """Check `windows` adjacent windows, each a factor window_ratio wide, ending at x_hi."""
+    from .sieve import DEFAULT_MAX_BOUND
+
     if window_ratio < 2.0:
         raise GridError("limit oracle needs window_ratio >= 2")
     if x_hi / window_ratio ** windows < 1e5:
@@ -831,6 +843,8 @@ def meissel_mertens_limit(x_hi: float = 1e8, window_ratio: float = 10.0) -> floa
     mean x^(-1/2), a factor sqrt(r) between the two, and the Richardson
     step eliminates it.  Measured accuracy ~1e-8 at the default anchor.
     """
+    import numpy as np
+
     _check_window(x_hi, window_ratio, 2)
     w1 = (x_hi / window_ratio ** 2, x_hi / window_ratio)
     w2 = (x_hi / window_ratio, x_hi)

@@ -15,24 +15,31 @@ and alpha = lc(N)/lc(D) rounded to double.  `error_profile_check` measures
 max |f(p) - alpha*p**d| / p**(d-delta) over an initial prime range against
 the declared K (files are checked at load; the built-ins are trusted).
 Exact values are Python integers / fractions, memoised per model.
+
+The polynomials are tuples of Python ints, so compiling a model, and
+loading a file at integer delta, needs no numpy.  It is imported only by the
+float hooks, which receive numpy arrays of primes from the prime pass, by
+`value_at`, and by the profile check at a non-integer delta.
 """
 
 from __future__ import annotations
 
 import ast
+import itertools
 import math
 import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Union
-
-import numpy as np
-from numpy.polynomial import polynomial as P
+from typing import TYPE_CHECKING, Optional, Union
 
 from .errors import GridError, ModelSpecError
-from .sieve import SpfTable, factorize, primes_up_to
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .sieve import SpfTable
 
 Exact = Union[int, Fraction]
 
@@ -70,9 +77,42 @@ def _horner(coeffs, x):
     return acc
 
 
-def _poly(*coeffs: int) -> np.ndarray:
-    """Integer polynomial coefficients, ascending, as an exact object array."""
-    return np.array(coeffs, dtype=object)
+Poly = tuple  # integer coefficients, ascending, no trailing zeros (at least one)
+
+
+def _poly(*coeffs: int) -> Poly:
+    """Integer polynomial coefficients, ascending, trailing zeros dropped."""
+    n = len(coeffs)
+    while n > 1 and not coeffs[n - 1]:
+        n -= 1
+    return tuple(coeffs[:n])
+
+
+def _add(a: Poly, b: Poly) -> Poly:
+    if len(a) < len(b):
+        a, b = b, a
+    return _poly(*(x + y for x, y in zip(a, b)), *a[len(b):])
+
+
+def _mul(a: Poly, b: Poly) -> Poly:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _poly(*out)
+
+
+def _pow(a: Poly, e: int) -> Poly:
+    out = (1,)
+    for _ in range(e):
+        out = _mul(out, a)
+    return out
+
+
+def _eval(c: Poly, x: int) -> int:
+    """c(x) exactly, for an integer x."""
+    return _horner(c[::-1], x)
 
 
 def _check_degree(degree: int) -> None:
@@ -86,7 +126,7 @@ class _Rat:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: np.ndarray, den: np.ndarray = _poly(1)):
+    def __init__(self, num: Poly, den: Poly = _poly(1)):
         _check_degree(max(len(num), len(den)) - 1)
         self.num, self.den = num, den
 
@@ -94,22 +134,22 @@ class _Rat:
         return any(self.num)
 
     def __neg__(self) -> _Rat:
-        return _Rat(-self.num, self.den)
+        return _Rat(tuple(-c for c in self.num), self.den)
 
     def __add__(self, other: _Rat) -> _Rat:
-        return _Rat(P.polyadd(P.polymul(self.num, other.den), P.polymul(other.num, self.den)),
-                    P.polymul(self.den, other.den))
+        return _Rat(_add(_mul(self.num, other.den), _mul(other.num, self.den)),
+                    _mul(self.den, other.den))
 
     def __sub__(self, other: _Rat) -> _Rat:
         return self + -other
 
     def __mul__(self, other: _Rat) -> _Rat:
-        return _Rat(P.polymul(self.num, other.num), P.polymul(self.den, other.den))
+        return _Rat(_mul(self.num, other.num), _mul(self.den, other.den))
 
     def __truediv__(self, other: _Rat) -> _Rat:
         if not other:
             raise ModelSpecError("division by zero in model expression")
-        return _Rat(P.polymul(self.num, other.den), P.polymul(self.den, other.num))
+        return _Rat(_mul(self.num, other.den), _mul(self.den, other.num))
 
     def __pow__(self, exponent: _Rat) -> _Rat:
         if len(exponent.num) > 1 or len(exponent.den) > 1:
@@ -121,7 +161,7 @@ class _Rat:
             raise ModelSpecError(f"exponent {e} exceeds MAX_EXPONENT = {MAX_EXPONENT}")
         base = self if e >= 0 else _Rat(_poly(1)) / self
         _check_degree(abs(e) * (max(len(base.num), len(base.den)) - 1))
-        return _Rat(*(P.polypow(c, abs(e.numerator), MAX_EXPONENT) for c in (base.num, base.den)))
+        return _Rat(*(_pow(c, abs(e.numerator)) for c in (base.num, base.den)))
 
     def degree(self) -> int:
         return len(self.num) - len(self.den)
@@ -131,7 +171,7 @@ class _Rat:
 
     def __call__(self, p: int) -> Exact:
         """The exact value at the integer p."""
-        num, den = P.polyval(p, self.num), P.polyval(p, self.den)
+        num, den = _eval(self.num, p), _eval(self.den, p)
         if den == 0:
             raise ModelSpecError("division by zero in model expression")
         q = Fraction(num, den)
@@ -143,6 +183,8 @@ class _Rat:
         Evaluated as p^-k hn(x) / hd(x), Horner forms in x = 1/p: no positive
         power of p is formed, so it is finite at every p >= 2 whatever the degree.
         """
+        import numpy as np
+
         hn, hd = (_x_form(c, self.den[-1]) for c in (self.num, self.den))
         x = 1.0 / p
         k = -self.degree()
@@ -151,18 +193,20 @@ class _Rat:
         return np.log1p(u, out=u)  # in place: a segment-sized temporary costs page faults
 
 
-def _x_form(c: np.ndarray, scale: int) -> np.ndarray:
+def _x_form(c: Poly, scale: int) -> list[float]:
     """Horner coefficients in x = 1/p of p^-deg c(p) / scale, zeros in front dropped."""
     try:
-        return np.trim_zeros(np.array([float(Fraction(ci, scale)) for ci in c]), "f")
+        x = [float(Fraction(ci, scale)) for ci in c]
     except OverflowError:
         raise ModelSpecError("model coefficients overflow float64") from None
+    first = next(i for i, xi in enumerate(x) if xi)
+    return x[first:]
 
 
 _P = _Rat(_poly(0, 1))
 
 
-def _relative_to_leading(c: np.ndarray) -> _Rat:
+def _relative_to_leading(c: Poly) -> _Rat:
     """c(p) / (c_n p^n) - 1 for the polynomial c of degree n."""
     lead = _Rat(_poly(*[0] * (len(c) - 1), c[-1]))
     return (_Rat(c) - lead) / lead
@@ -223,7 +267,8 @@ class PrimeModel:
         set_(self, "_log_c", _log_exact(self.fp.leading()))
         set_(self, "_log_terms", tuple(
             (op, _relative_to_leading(c))
-            for op, c in ((np.add, self.fp.num), (np.subtract, self.fp.den)) if any(c[:-1])))
+            for op, c in ((operator.iadd, self.fp.num), (operator.isub, self.fp.den))
+            if any(c[:-1])))
 
     def __repr__(self) -> str:  # keep float spam out of tracebacks
         return f"PrimeModel({self.name!r}, d={self.d:g}, alpha={self.alpha:g})"
@@ -246,24 +291,30 @@ class PrimeModel:
     def _check_no_pole(self, p: np.ndarray) -> None:
         """Raise if D vanishes at a prime of p: an exact test, residues mod 2^31 - 1 first."""
         if any(self.fp.den[:-1]):
+            import numpy as np
+
             q, acc = p.astype(np.int64), 0
             for c in self.fp.den[::-1]:
-                acc = (acc * q + int(c) % _M31) % _M31
+                acc = (acc * q + c % _M31) % _M31
             for pole in q[acc == 0].tolist():
-                if P.polyval(pole, self.fp.den) == 0:
+                if _eval(self.fp.den, pole) == 0:
                     raise ModelSpecError(f"model {self.name!r} has a pole at the prime {pole}")
 
     def log_at_prime_vec(self, p: np.ndarray, logp: np.ndarray) -> np.ndarray:
         self._check_no_pole(p)
         out = self.d * logp
         for op, rel in self._log_terms:
-            op(out, rel.log1p_vec(p), out=out)
+            out = op(out, rel.log1p_vec(p))   # in place
         out += self._log_c
         return out
 
     def log_q_ratio_vec(self, p: np.ndarray, logp: np.ndarray) -> np.ndarray:
         self._check_no_pole(p)
-        return self._q.log1p_vec(p) if self._q else np.zeros_like(logp)
+        if self._q:
+            return self._q.log1p_vec(p)
+        import numpy as np
+
+        return np.zeros_like(logp)
 
 
 @dataclass(frozen=True)
@@ -284,6 +335,8 @@ def value_at(model: PrimeModel, k: int, table: SpfTable) -> FunctionValue:
     Returns the value as a float (``inf`` if it exceeds float range; the
     log is always finite) together with a compensated log.
     """
+    from .sieve import factorize
+
     if k < 1:
         raise GridError(f"value_at needs k >= 1, got {k}")
     exact: Exact = 1
@@ -318,6 +371,27 @@ def log_ratio_prime_power(model: PrimeModel, p: int, a: int) -> float:
 # growth-profile verification
 # --------------------------------------------------------------------------
 
+def small_primes(limit: int) -> list[int]:
+    """All primes p <= limit, ascending: a stdlib sieve for the load check and
+    the decimal constants (the prime pass streams with `sieve`)."""
+    if limit < 2:
+        return []
+    mask = bytearray([1]) * (limit + 1)
+    mask[:2] = b"\0\0"
+    for p in range(2, math.isqrt(limit) + 1):
+        if mask[p]:
+            mask[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
+    return list(itertools.compress(range(limit + 1), mask))
+
+
+def _eval_at(c: Poly, xs: list[int]) -> list[int]:
+    """c(x) exactly at every x of xs: Horner with the coefficients outside."""
+    acc = [c[-1]] * len(xs)
+    for ci in c[-2::-1]:
+        acc = [a * x + ci for a, x in zip(acc, xs)]
+    return acc
+
+
 def error_profile_check(model: PrimeModel, p_max: int) -> tuple[float, bool]:
     """Measure K_hat = max_{p <= p_max} |f(p) - alpha p^d| / p^(d-delta).
 
@@ -332,15 +406,24 @@ def error_profile_check(model: PrimeModel, p_max: int) -> tuple[float, bool]:
     if model.delta == math.inf or not dev:
         k_hat = math.inf if dev else 0.0
     elif float(model.delta).is_integer():
-        pv = primes_up_to(p_max).astype(object)
-        e = int(model.d - model.delta)
-        num = abs(P.polyval(pv, dev.num)) * pv ** max(-e, 0)
-        den = abs(P.polyval(pv, dev.den)) * pv ** max(e, 0)
-        if not den.all():
+        ps = small_primes(p_max)
+        num, den = _eval_at(dev.num, ps), _eval_at(dev.den, ps)
+        if not all(den):
             raise ModelSpecError(f"model {model.name!r} has a pole at a prime <= {p_max}")
-        # int / int is correctly rounded, hence monotone: max commutes with it
-        k_hat = max(map(operator.truediv, num, den))
+        e = int(model.d - model.delta)
+        if e:   # p^(d - delta) joins the side where its exponent is positive
+            powers = [p ** abs(e) for p in ps]
+            if e > 0:
+                den = list(map(operator.mul, den, powers))
+            else:
+                num = list(map(operator.mul, num, powers))
+        # int / int is correctly rounded, hence odd and monotone: max commutes with it
+        k_hat = max(map(abs, map(operator.truediv, num, den)))
     else:
+        import numpy as np
+
+        from .sieve import primes_up_to
+
         pf = primes_up_to(p_max).astype(np.float64)
         u = np.expm1(model.log_q_ratio_vec(pf, np.log(pf)))
         k_hat = float(np.max(model.alpha * np.abs(u) * pf ** model.delta))

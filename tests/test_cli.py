@@ -14,7 +14,7 @@ import pytest
 
 from primemean import accum, checks, constants, primesums
 from primemean.cli import main
-from primemean.errors import CacheFormatError
+from primemean.errors import CacheFormatError, GridError
 from primemean.multfunc import builtin
 from primemean.primesums import CheckpointGrid
 
@@ -132,6 +132,28 @@ def test_verify_inverted_range_exits_2(capsys, check):
     assert message in err
 
 
+# caps the four-point trend ladder cannot serve: a point below 100 (150,
+# 500, 9999) or two equal points (10000)
+@pytest.mark.parametrize("to", ["150", "500", "9999", "10000"])
+def test_trend_ladder_refuses_caps_below_its_range(capsys, to):
+    rc, out, err = run(capsys, "verify", "--check", "omega-mean-trend", "--to", to)
+    assert rc == 2 and out == ""
+    assert f"trend checks need a range above 1e4, got hi={to}" in err
+
+
+def test_every_accepted_trend_cap_gives_four_points_from_100():
+    accepted = []
+    for hi in [*range(2, 20001), 10 ** 5, 10 ** 6 + 7, 10 ** 7, 10 ** 8 - 1]:
+        try:
+            points = checks._trend_points(hi)
+        except GridError:
+            continue
+        assert len(points) == 4 and list(points) == sorted(set(points)), hi
+        assert points[0] >= 100 and points[-1] == hi, hi
+        accepted.append(hi)
+    assert accepted[0] == 10100
+
+
 def test_verify_refuses_unknown_check_before_any_check_runs(capsys, monkeypatch):
     def must_not_run(ctx, hi):
         raise AssertionError("a check ran before the unknown name was refused")
@@ -217,6 +239,19 @@ def test_exit_code_model(capsys):
 def test_exit_code_precision(capsys):
     rc, _, err = run(capsys, "constants", "--precision", "1e-17")
     assert rc == 3 and err.startswith("error: gamma has tail bound")
+
+
+def test_aj_certify_below_the_old_1e_11_floor(capsys):
+    rc, out, err = run(capsys, "constants", "--model", "euler_phi",
+                       "--precision", "1e-13", "--format", "json")
+    assert rc == 0, err
+    rows = {r["constant"]: r for r in json.loads(out)}
+    assert rows["a_2"]["tail_bound"] <= 1e-16
+    # the loosest row is still eta0's float assembly
+    rc, out, err = run(capsys, "constants", "--model", "euler_phi", "--aj", "0",
+                       "--precision", "1e-15")
+    assert rc == 3 and out == ""
+    assert err.startswith("error: eta0[euler_phi] has tail bound")
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "0", "-1e-3", "x"])

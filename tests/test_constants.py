@@ -27,7 +27,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from primemean import constants
+from primemean import checks, constants
 from primemean.accum import EPS, FORM_ULPS
 from primemean.errors import GridError, ModelSpecError, PrecisionError
 from primemean.multfunc import builtin, load_model_file
@@ -123,17 +123,50 @@ def test_saffari_a1_is_gamma_minus_one(gamma_ref):
     assert abs(a1.value + 1.0 - constants.euler_gamma().value) <= 1e-8
 
 
+def test_saffari_a_certified_against_stieltjes_oracle():
+    # 40-digit reference; each bound is the double rounding plus a remainder
+    # far below it: within one ulp, and within 1e-15 while |a_j| < 16
+    with mpmath.workdps(40):
+        gammas = [mpmath.stieltjes(k) for k in range(8)]
+        for j in range(1, 9):
+            ref = math.factorial(j - 1) * (mpmath.fsum(
+                g / math.factorial(k) for k, g in enumerate(gammas[:j])) - 1)
+            got = constants.saffari_a(j)
+            assert got.method == "stieltjes-euler-maclaurin", j
+            assert got.param("n") == constants._EM_N
+            assert abs(mpmath.mpf(got.value) - ref) <= got.tail_bound, f"a_{j}"
+            assert got.tail_bound <= math.ulp(float(ref)), f"a_{j}"
+            if abs(ref) < 16:
+                assert got.tail_bound <= 1e-15, f"a_{j}"
+
+
 def test_saffari_a_doubling_stability():
+    # doubling the Euler-Maclaurin N moves every Stieltjes constant less than
+    # the two bounds together, and no a_j by more than its bound
+    for k in range(8):
+        base, base_err = constants._stieltjes(k, constants._EM_N)
+        doubled, doubled_err = constants._stieltjes(k, 2 * constants._EM_N)
+        assert abs(float(doubled - base)) <= base_err + doubled_err, k
     for j in (1, 4, 8):
         base = constants.saffari_a(j)
-        doubled = constants.saffari_a(
-            j, truncation_override=2 * int(base.param("t_cut")))
+        doubled = constants._saffari_at(j, 2 * int(base.param("n")))
+        assert doubled.param("n") == 2 * constants._EM_N
         assert abs(doubled.value - base.value) < base.tail_bound
 
     with pytest.raises(GridError):
         constants.saffari_a(0)
     with pytest.raises(GridError):
         constants.saffari_a(9)
+
+
+def test_a1_quadrature_doubling_and_gamma(gamma_ref):
+    # the a1-gamma check's own route: Gauss-Legendre panels and a
+    # Bernoulli tail beyond T, stable when T doubles
+    value, bound = checks._a1_quadrature()
+    doubled, _ = checks._a1_quadrature(2 * 1024)
+    assert abs(doubled - value) < bound
+    assert abs(value + 1.0 - gamma_ref) <= bound + 1e-15
+    assert bound <= 1e-10
 
 
 def test_cq_zero_for_exact_growth_models():

@@ -344,6 +344,16 @@ def test_hooks_reject_a_pole_beyond_the_load_checks(tmp_path):
             hook(p, np.log(p))
 
 
+def test_cancelled_leading_terms_leave_the_degree(tmp_path):
+    # the exact polynomials drop the zero coefficients a cancellation leaves
+    path = tmp_path / "c.model"
+    path.write_text("name = c\nd = 1\nalpha = 2\ndelta = 1\nK = 1\n"
+                    "fp = (p + 1)^2 - p^2\nstrongly_multiplicative = true\n")
+    model = load_model_file(str(path))
+    assert model.fp.num == (1, 2) and model.fp.den == (1,)
+    assert model.value_at_prime(7) == 15 and error_profile_check(model, 1000) == (1.0, True)
+
+
 def _k_hat_by_fractions(model, p_max: int) -> float:
     """max |f(p) - alpha p^d| / p^(d - delta) over p <= p_max, in Fractions."""
     alpha = Fraction(model.alpha)
