@@ -9,11 +9,11 @@ prime-sum fallback of C_Q; the CLI checks every printed bound against
 limit oracles runs in stdlib decimal and fractions, so `constants` never
 imports numpy; those routes import it (and the prime stream) when they run.
 
-- gamma_k, the Stieltjes constants (`_stieltjes`): sum_{n<N} (log n)^k / n
+- gamma_k, the Stieltjes constants: sum_{n<N} (log n)^k / n
   - (log N)^(k+1)/(k+1) plus the Euler-Maclaurin corrections of
-  f = (log x)^k / x at N = 32, in decimal; the remainder is bounded by a
-  closed-form majorant of Int_N^oo |f^(2J+2)| that needs no sign.
-  gamma (`euler_gamma`) is gamma_0.
+  f = (log x)^k / x at N = 32, in decimal (`_em_sum` at s = 1); the
+  remainder is bounded by a closed-form majorant of Int_N^oo |f^(2J+2)|
+  that needs no sign.  gamma (`euler_gamma`) is gamma_0.
 - a_j = -Int_1^oo {t} (log t)^(j-1) t^-2 dt = (j-1)! (sum_{i<j} gamma_i / i!
   - 1) (`saffari_a`), from zeta(s) = s/(s-1) - s Int_1^oo {t} t^(-s-1) dt.
 
@@ -26,8 +26,9 @@ summed directly; the tail over p > P comes from, at integers t >= 2,
     H(t) = log zeta_{>P}(t) = log zeta(t) + sum_{p<=P} log(1 - p^-t),
     G(t) = (-zeta'/zeta)_{>P}(t) = -zeta'(t)/zeta(t) - sum_{p<=P} log p p^-t / (1 - p^-t),
 
-with zeta(t) and zeta'(t) by Euler-Maclaurin: the terms n < N summed
-directly, N = max(32, P/4).  Each constant's term at a prime p > P expands
+with zeta(t) and -zeta'(t) from the same Euler-Maclaurin sum as gamma_k
+(`_em_sum` at s = t, k = 0 and 1): the terms n < N summed directly,
+N = max(32, P/4).  Each constant's term at a prime p > P expands
 as sum_{s>=2} b_s p^-s (times log p for G), and Moebius inversion gives
 sum_{p>P} p^-s = sum_n mu(n)/n H(ns) and sum_{p>P} log p p^-s =
 sum_n mu(n) G(ns), so the tail is sum_{t>=2} w_t X(t) with
@@ -45,20 +46,22 @@ sum_n mu(n) G(ns), so the tail is sum_{t>=2} w_t X(t) with
 This runs in stdlib decimal at 40 digits (more when the weights are
 large), and each tail_bound adds five parts:
 
-1. the Euler-Maclaurin remainders: 2 |B_{2J+2}|/(2J+2)! |f^(2J+1)(N)|
-   for f = x^-t and x^-t log x, whose (2J+2)-th derivatives keep one sign
-   on [N, oo); each is ~N^-t, so with N >= 2R it falls faster than the
-   C_Q weights grow (like R^t);
+1. the bounds `_em_sum` certifies for zeta(t) and -zeta'(t): the
+   remainder by the one sign-free majorant, for f = x^-t and x^-t log x
+   alike, plus their decimal rounding, bounded from the summands' mass;
+   each remainder is ~N^-t, so with N >= 2R it falls faster than the C_Q
+   weights grow (like R^t);
 2. the truncation of the t-sum after T: |b_s| <= B R^(s-1) (M: B = 1/2,
    E: B = 1, both with R = 1; C_Q: B = deg N + deg D and R >= 1 a Fujiwara
    root bound with P >= 8R), so |w_t| <= tau(t) B R^(t-1) <= 2(t-1) B
    R^(t-1); with |H(t)| <= 1.01 P^(1-t)/(t-1) and |G(t)| <= 1.01 P^(1-t)
    (log P + 1)/(t-1) the terms past T add up to at most
    2.02 B c (R/P)^T / (1 - R/P), c = log P + 1 for G and 1 for H;
-3. an a priori bound on decimal rounding: every decimal operation lands
-   within one unit in its last digit, and each H(t), G(t) is formed by
-   fewer than `_value_ulps` such operations on quantities below 4;
-4. the same two bounds for gamma (`_stieltjes`);
+3. the rest of the decimal rounding: every decimal operation lands within
+   one unit in its last digit, and each H(t), G(t) is formed from zeta(t)
+   and -zeta'(t) by fewer than `_value_ulps` such operations (per prime
+   p <= P) on quantities below 4;
+4. gamma's bound from the same sum (`_em_sum` at s = 1);
 5. the final rounding to double, half an ulp.
 
 The prime-sum route sums every prime to a cut P through
@@ -155,8 +158,8 @@ class ConstantValue:
 
 @lru_cache(maxsize=None)
 def euler_gamma() -> ConstantValue:
-    """Euler's constant gamma_0, in decimal (`_stieltjes`), certified to ~6e-17."""
-    gamma, err = _stieltjes(0, _EM_N)
+    """Euler's constant gamma_0, in decimal (`_em_sum` at s = 1), certified to ~6e-17."""
+    gamma, err = _em_sum(1, 0, _EM_N)
     return _to_double(gamma, [err], "euler-maclaurin-decimal", (("n", float(_EM_N)),))
 
 
@@ -205,50 +208,70 @@ def _em_n(p_cut: int) -> int:
     return max(_EM_N, p_cut // 4)
 
 
-def _em_tail(s: int, digits: int, big_n: int) -> Tuple[Decimal, Decimal, float]:
-    """Euler-Maclaurin corrections at N = big_n for f = x^-s and x^-s log x.
+def _log_power_derivatives(s: int, k: int, order: int) -> List[Tuple[int, ...]]:
+    """P_0 .. P_order, with f^(m)(x) = x^(-s-m) P_m(log x) for f = x^-s (log x)^k.
 
-    Returns f(N)/2 - sum_{j<=J} B_2j/(2j)! f^(2j-1)(N) for both f (the
-    integral of f over [N, oo) left to the caller), and the bound
-    2 |B_2J+2|/(2J+2)! (s)_{2J+1} N^(-s-2J-1) on the first one's remainder;
-    the log form's remainder is below that times log N once log N exceeds
-    h_{2J+2}(s) (see `_zeta`).  Here f^(k)(x) = (-1)^k (s)_k x^(-s-k) for
-    x^-s and (-1)^k (s)_k x^(-s-k) (log x - h_k(s)) for x^-s log x, with
-    h_k(s) = sum_{i<k} 1/(s+i).  Runs in the caller's decimal context.
+    P_0 = L^k and P_(m+1) = P_m' - (s+m) P_m: exact integer coefficients,
+    ascending in L = log x, of degree k.
     """
-    n = Decimal(big_n)
-    log_n = _ln(big_n, digits)
-    x = n ** -s
-    corr, dcorr = x / 2, log_n * x / 2
-    h = Fraction(0)
-    for j in range(1, _EM_J + 1):
-        k = 2 * j - 1
-        h += sum(Fraction(1, s + i) for i in range(max(0, k - 2), k))
-        term = _dec(_bernoulli(2 * j) * math.prod(range(s, s + k)) / math.factorial(2 * j)) \
-            * x * n ** (1 - 2 * j)
-        corr += term
-        dcorr += term * (log_n - _dec(h))
-    k = 2 * _EM_J + 2
-    rem = (2.0 * float(abs(_bernoulli(k)) * math.prod(range(s, s + k - 1)) / math.factorial(k))
-           * float(big_n) ** -(s + k - 1))
-    return corr, dcorr, rem
+    polys = [(0,) * k + (1,)]
+    for m in range(order):
+        c = polys[-1] + (0,)
+        polys.append(tuple((i + 1) * c[i + 1] - (s + m) * c[i] for i in range(k + 1)))
+    return polys
+
+
+def _log_moment(i: int, a: int, big_n: int) -> float:
+    """Int_N^oo x^-a (log x)^i dx = N^(1-a) sum_{l<=i} i!/(i-l)! (log N)^(i-l) / (a-1)^(l+1)."""
+    log_n = math.log(big_n)
+    return float(big_n) ** (1 - a) * math.fsum(
+        math.perm(i, l) * log_n ** (i - l) / (a - 1) ** (l + 1) for l in range(i + 1))
 
 
 @lru_cache(maxsize=None)
-def _zeta(s: int, digits: int, big_n: int) -> Tuple[Decimal, Decimal, float, float]:
-    """zeta(s), -zeta'(s) for an integer s >= 2, and their remainder bounds."""
-    h_max = sum(Fraction(1, s + i) for i in range(2 * _EM_J + 2))
-    if not float(h_max) < math.log(big_n):
-        raise AssertionError("Euler-Maclaurin: the log form changes sign beyond N")
+def _em_sum(s: int, k: int, big_n: int, digits: int = _DIGITS) -> Tuple[Decimal, float]:
+    """sum_n n^-s (log n)^k for s >= 2, gamma_k for s = 1, and its bound.
+
+    So zeta(s) at k = 0 and -zeta'(s) at k = 1; the Stieltjes constant
+    gamma_k = lim_M [sum_{n<=M} (log n)^k / n - (log M)^(k+1)/(k+1)].
+    Euler-Maclaurin at N = big_n for f(x) = x^-s (log x)^k, in decimal:
+
+        sum_{n<N} f(n) + I + f(N)/2 - sum_{j<=J} B_2j/(2j)! f^(2j-1)(N) + R,
+
+    with I = -(log N)^(k+1)/(k+1) at s = 1, and I = Int_N^oo f =
+    N^(1-s) sum_{l<=k} k!/(k-l)! (log N)^(k-l) / (s-1)^(l+1) for s >= 2.
+    f^(m)(x) = x^(-s-m) P_m(log x) (`_log_power_derivatives`).  With the
+    periodic Bernoulli function, |R| <= 2 |B_2J+2|/(2J+2)! Int_N^oo |f^(2J+2)|,
+    and |f^(2J+2)(x)| <= x^(-s-2J-2) sum_i |c_i| (log x)^i for c = P_2J+2,
+    integrated in closed form (`_log_moment`): a majorant that needs no
+    sign of f's derivatives.  Rounding: each summand is formed by at most
+    2k + 16 correctly rounded decimal operations, each within one unit in
+    the last digit relative, and each addition adds one unit of a partial
+    sum below `mass`, the sum of the summands' magnitudes.
+    """
+    polys = _log_power_derivatives(s, k, 2 * _EM_J + 2)
     with localcontext(Context(prec=digits)):
-        corr, dcorr, rem = _em_tail(s, digits, big_n)
-        n = Decimal(big_n)
-        powers = [Decimal(k) ** -s for k in range(1, big_n)]
-        zeta = sum(powers) + n ** (1 - s) / (s - 1) + corr
-        dzeta = (sum(_ln(k, digits) * x for k, x in enumerate(powers[1:], start=2))
-                 + n ** (1 - s) * (_ln(big_n, digits) / (s - 1) + Decimal(1) / (s - 1) ** 2)
-                 + dcorr)
-    return zeta, dzeta, rem, rem * math.log(big_n)
+        log_n, n = _ln(big_n, digits), Decimal(big_n)
+        terms = [Decimal(1 if k == 0 else 0)]                 # n = 1
+        terms += [_ln(m, digits) ** k / m ** s for m in range(2, big_n)]
+        if s == 1:
+            terms.append(-log_n ** (k + 1) / (k + 1))
+        else:
+            terms += [math.perm(k, l) * log_n ** (k - l) / (s - 1) ** (l + 1) * n ** (1 - s)
+                      for l in range(k + 1)]
+        terms.append(log_n ** k / big_n ** s / 2)
+        for j in range(1, _EM_J + 1):   # B_2j c / (2j)!, rounded once
+            b, x = _bernoulli(2 * j), n ** (1 - s - 2 * j)
+            den = b.denominator * math.factorial(2 * j)
+            terms += [Decimal(-b.numerator * c) / den * log_n ** i * x
+                      for i, c in enumerate(polys[2 * j - 1]) if c]
+        total = sum(terms, Decimal(0))
+    top = 2 * _EM_J + 2
+    rem = (2.0 * float(abs(_bernoulli(top)) / math.factorial(top))
+           * math.fsum(abs(c) * _log_moment(i, s + top, big_n) for i, c in enumerate(polys[top])))
+    mass = math.fsum(abs(float(t)) for t in terms)
+    rounding = 10.0 ** (1 - digits) * mass * (2 * k + 16 + len(terms))
+    return total, rem + rounding
 
 
 @lru_cache(maxsize=None)
@@ -257,31 +280,33 @@ def _small_primes(p_cut: int) -> Tuple[int, ...]:
 
 
 def _value_ulps(p_cut: int) -> float:
-    """Rounding bound, in units of 10^(1-digits), of one H(t), G(t) or gamma.
+    """Rounding bound, in units of 10^(1-digits), of one H(t) or G(t) beyond
+    zeta's own (which `_em_sum` bounds).
 
-    At most 4 decimal operations per summand n < N, per correction (two
-    forms) and per prime p <= P, plus 32 more; each lands within one unit in
-    the last digit of a quantity below 4, and later steps amplify an error
-    at most twice (a log of a number >= 1/2, a division by 1 - p^-t >= 1/2).
+    At most 4 decimal operations per prime p <= P, plus 32 more; each lands
+    within one unit in the last digit of a quantity below 4, and later steps
+    amplify an error at most twice (a log of a number >= 1/2, a division by
+    1 - p^-t >= 1/2).
     """
-    return 2 * 4 * 4 * (_em_n(p_cut) + 2 * _EM_J + len(_small_primes(p_cut)) + 8)
+    return 2 * 4 * 4 * (len(_small_primes(p_cut)) + 8)
 
 
 @lru_cache(maxsize=None)
 def _rough(t: int, p_cut: int, digits: int) -> Tuple[Decimal, Decimal, float, float]:
-    """H(t), G(t) over the primes above p_cut, and their Euler-Maclaurin bounds.
+    """H(t), G(t) over the primes above p_cut, and the bounds zeta carries in.
 
     log is 1-Lipschitz on [1, oo) and |zeta'/zeta| < 1 there, so the bounds
     carry over from zeta and zeta' with a 1.01 allowance for the divisions.
     """
-    zeta, dzeta, rem, drem = _zeta(t, digits, _em_n(p_cut))
+    zeta, err = _em_sum(t, 0, _em_n(p_cut), digits)
+    dzeta, derr = _em_sum(t, 1, _em_n(p_cut), digits)
     with localcontext(Context(prec=digits)):
         h, g = zeta.ln(), dzeta / zeta
         for p in _small_primes(p_cut):
             x = Decimal(p) ** -t
             h += (1 - x).ln()
             g -= _ln(p, digits) * x / (1 - x)
-    return h, g, 1.01 * rem, 1.01 * (drem + rem)
+    return h, g, 1.01 * err, 1.01 * (derr + err)
 
 
 def _to_double(x: Decimal, bounds: Sequence[float], method: str,
@@ -345,7 +370,7 @@ def _meissel_mertens_series(p_cut: int) -> ConstantValue:
     primes = _small_primes(p_cut)
 
     def head(digits: int) -> Tuple[Decimal, float]:
-        gamma, err = _stieltjes(0, _EM_N, digits)
+        gamma, err = _em_sum(1, 0, _EM_N, digits)
         with localcontext(Context(prec=digits)):
             total = gamma + sum((1 - Decimal(1) / p).ln() + Decimal(1) / p for p in primes)
         return total, err + 12 * len(primes) * 10.0 ** (1 - digits)
@@ -358,7 +383,7 @@ def _mertens_e_series(p_cut: int) -> ConstantValue:
     primes = _small_primes(p_cut)
 
     def head(digits: int) -> Tuple[Decimal, float]:
-        gamma, err = _stieltjes(0, _EM_N, digits)
+        gamma, err = _em_sum(1, 0, _EM_N, digits)
         with localcontext(Context(prec=digits)):
             total = -gamma - sum(_ln(p, digits) / (p * (p - 1)) for p in primes)
         return total, err + 6 * len(primes) * 10.0 ** (1 - digits)
@@ -436,6 +461,7 @@ def _prime_sum(p_cut: int, term_fn: Callable[[np.ndarray, np.ndarray], np.ndarra
 # M and E
 # --------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def meissel_mertens(truncation_override: int | None = None) -> ConstantValue:
     """M = gamma + sum_p [log(1 - 1/p) + 1/p].
 
@@ -446,21 +472,15 @@ def meissel_mertens(truncation_override: int | None = None) -> ConstantValue:
     only primes contribute.
     """
     if truncation_override is None:
-        return _meissel_mertens_at(ZETA_P, True)
-    return _meissel_mertens_at(int(truncation_override), False)
-
-
-@lru_cache(maxsize=None)
-def _meissel_mertens_at(p_cut: int, series: bool) -> ConstantValue:
-    if series:
-        return _meissel_mertens_series(p_cut)
+        return _meissel_mertens_series(ZETA_P)
     import numpy as np
 
-    gamma = euler_gamma()
+    p_cut, gamma = int(truncation_override), euler_gamma()
     return _prime_sum(p_cut, lambda p, logp: np.log1p(-1.0 / p) + 1.0 / p,
                       gamma.value, gamma.tail_bound, 1.0 / (2.0 * p_cut))
 
 
+@lru_cache(maxsize=None)
 def mertens_e(truncation_override: int | None = None) -> ConstantValue:
     """E = -gamma - sum_p log p / (p (p-1)).
 
@@ -471,15 +491,8 @@ def mertens_e(truncation_override: int | None = None) -> ConstantValue:
     P >= 3, giving the certified bound (1 + 1/P)(log P + 1)/P.
     """
     if truncation_override is None:
-        return _mertens_e_at(ZETA_P, True)
-    return _mertens_e_at(int(truncation_override), False)
-
-
-@lru_cache(maxsize=None)
-def _mertens_e_at(p_cut: int, series: bool) -> ConstantValue:
-    if series:
-        return _mertens_e_series(p_cut)
-    gamma = euler_gamma()
+        return _mertens_e_series(ZETA_P)
+    p_cut, gamma = int(truncation_override), euler_gamma()
     return _prime_sum(p_cut, lambda p, logp: -logp / (p * (p - 1.0)),
                       -gamma.value, gamma.tail_bound,
                       (1.0 + 1.0 / p_cut) * (math.log(p_cut) + 1.0) / p_cut)
@@ -540,12 +553,9 @@ def _c_q_at(model: PrimeModel, p_cut: int, series: bool) -> ConstantValue:
                       0.0, 0.0, _c_q_tail(model, p_cut))
 
 
-# M, E and C_Q are memoised on their route and cut, so every target that
-# leads to one cut shares one computation; their cache_info counts computations.
-for _fn, _at in ((meissel_mertens, _meissel_mertens_at), (mertens_e, _mertens_e_at),
-                 (c_q, _c_q_at)):
-    _fn.cache_info, _fn.cache_clear = _at.cache_info, _at.cache_clear
-del _fn, _at
+# C_Q is memoised on its route and cut, so every target that leads to one cut
+# shares one computation; like M's and E's, its cache_info counts computations.
+c_q.cache_info, c_q.cache_clear = _c_q_at.cache_info, _c_q_at.cache_clear
 
 
 @lru_cache(maxsize=None)
@@ -565,65 +575,8 @@ def _exp_of(base: ConstantValue, method: str) -> ConstantValue:
 
 
 # --------------------------------------------------------------------------
-# Stieltjes constants and the remainder-integral coefficients a_j
+# the remainder-integral coefficients a_j
 # --------------------------------------------------------------------------
-
-def _log_power_derivatives(k: int, order: int) -> List[Tuple[int, ...]]:
-    """P_0 .. P_order, with f^(m)(x) = x^(-m-1) P_m(log x) for f = (log x)^k / x.
-
-    P_0 = L^k and P_(m+1) = P_m' - (m+1) P_m: exact integer coefficients,
-    ascending in L = log x, of degree k.
-    """
-    polys = [(0,) * k + (1,)]
-    for m in range(order):
-        c = polys[-1] + (0,)
-        polys.append(tuple((i + 1) * c[i + 1] - (m + 1) * c[i] for i in range(k + 1)))
-    return polys
-
-
-def _log_moment(i: int, a: int, big_n: int) -> float:
-    """Int_N^oo x^-a (log x)^i dx = N^(1-a) sum_{l<=i} i!/(i-l)! (log N)^(i-l) / (a-1)^(l+1)."""
-    log_n = math.log(big_n)
-    return float(big_n) ** (1 - a) * math.fsum(
-        math.perm(i, l) * log_n ** (i - l) / (a - 1) ** (l + 1) for l in range(i + 1))
-
-
-@lru_cache(maxsize=None)
-def _stieltjes(k: int, big_n: int, digits: int = _DIGITS) -> Tuple[Decimal, float]:
-    """gamma_k = lim_M [sum_{n<=M} (log n)^k / n - (log M)^(k+1)/(k+1)], and its bound.
-
-    Euler-Maclaurin at N = big_n for f(x) = (log x)^k / x, in decimal:
-
-        gamma_k = sum_{n<N} f(n) - (log N)^(k+1)/(k+1) + f(N)/2
-                  - sum_{j<=J} B_2j/(2j)! f^(2j-1)(N) + R,
-
-    f^(m)(x) = x^(-m-1) P_m(log x) (`_log_power_derivatives`).  With the
-    periodic Bernoulli function, |R| <= 2 |B_2J+2|/(2J+2)! Int_N^oo |f^(2J+2)|,
-    and |f^(2J+2)(x)| <= x^(-2J-3) sum_i |c_i| (log x)^i for c = P_2J+2,
-    integrated in closed form (`_log_moment`): a majorant that needs no
-    sign of f's derivatives.  Rounding: each summand is formed by at most
-    2k + 16 correctly rounded decimal operations, each within one unit in
-    the last digit relative, and each addition adds one unit of a partial
-    sum below `mass`, the sum of the summands' magnitudes.
-    """
-    polys = _log_power_derivatives(k, 2 * _EM_J + 2)
-    with localcontext(Context(prec=digits)):
-        log_n, n = _ln(big_n, digits), Decimal(big_n)
-        terms = [Decimal(1 if k == 0 else 0)]                 # n = 1
-        terms += [_ln(m, digits) ** k / m for m in range(2, big_n)]
-        terms += [-log_n ** (k + 1) / (k + 1), log_n ** k / n / 2]
-        for j in range(1, _EM_J + 1):
-            scale = _bernoulli(2 * j) / math.factorial(2 * j)
-            terms += [-_dec(scale * c) * log_n ** i * n ** (-2 * j)
-                      for i, c in enumerate(polys[2 * j - 1]) if c]
-        total = sum(terms, Decimal(0))
-    top = 2 * _EM_J + 2
-    rem = (2.0 * float(abs(_bernoulli(top)) / math.factorial(top))
-           * math.fsum(abs(c) * _log_moment(i, top + 1, big_n) for i, c in enumerate(polys[top])))
-    mass = math.fsum(abs(float(t)) for t in terms)
-    rounding = 10.0 ** (1 - digits) * mass * (2 * k + 16 + len(terms))
-    return total, rem + rounding
-
 
 @lru_cache(maxsize=None)
 def saffari_a(j: int) -> ConstantValue:
@@ -633,7 +586,7 @@ def saffari_a(j: int) -> ConstantValue:
     Laurent series zeta(s) = 1/(s-1) + sum_k (-1)^k gamma_k (s-1)^k / k! give
     s I(s) = 1 - sum_k (-1)^k gamma_k (s-1)^k / k!.  So a_(k+1) =
     -(-1)^k I^(k)(1) = k! (sum_{i<=k} gamma_i / i! - 1), an exact integer
-    combination of the Stieltjes constants (`_stieltjes`, Euler-Maclaurin at
+    combination of the Stieltjes constants (`_em_sum` at s = 1, Euler-Maclaurin at
     N = 32): a_1 = gamma - 1, a_2 = gamma_1 + gamma - 1.  The bound adds
     sum_i k!/i! |d gamma_i|, the decimal rounding of the combination and
     half an ulp for the final rounding to double; it takes no target.
@@ -647,7 +600,7 @@ def _saffari_at(j: int, big_n: int) -> ConstantValue:
     """a_j from the Stieltjes constants at the Euler-Maclaurin point N = big_n."""
     k = j - 1
     weights = [math.factorial(k) // math.factorial(i) for i in range(j)]
-    gammas = [_stieltjes(i, big_n) for i in range(j)]
+    gammas = [_em_sum(1, i, big_n) for i in range(j)]
     with localcontext(Context(prec=_DIGITS)):
         total = sum((w * g for w, (g, _) in zip(weights, gammas)), Decimal(0)) - weights[0]
     mass = math.fsum(w * abs(float(g)) for w, (g, _) in zip(weights, gammas)) + weights[0]

@@ -17,9 +17,8 @@ the declared K (files are checked at load; the built-ins are trusted).
 Exact values are Python integers / fractions, memoised per model.
 
 The polynomials are tuples of Python ints, so compiling a model, and
-loading a file at integer delta, needs no numpy.  It is imported only by the
-float hooks, which receive numpy arrays of primes from the prime pass, by
-`value_at`, and by the profile check at a non-integer delta.
+loading a file, needs no numpy.  It is imported only by the float hooks,
+which receive numpy arrays of primes from the prime pass, and by `value_at`.
 """
 
 from __future__ import annotations
@@ -392,41 +391,39 @@ def _eval_at(c: Poly, xs: list[int]) -> list[int]:
     return acc
 
 
+def _scaled_ratio(n: int, q: int, p: int, e: int) -> float:
+    """|n / q| p^e, correctly rounded to double; inf past the double range."""
+    if e > 0 and n and e * (p.bit_length() - 1) + n.bit_length() - q.bit_length() > 1024:
+        return math.inf     # the ratio exceeds 2^1024: skip the giant power
+    try:
+        return abs(n * p ** e / q) if e >= 0 else abs(n / (q * p ** -e))
+    except OverflowError:
+        return math.inf
+
+
 def error_profile_check(model: PrimeModel, p_max: int) -> tuple[float, bool]:
     """Measure K_hat = max_{p <= p_max} |f(p) - alpha p^d| / p^(d-delta).
 
-    Returns (K_hat, pass) with pass meaning K_hat <= model.k_bound.  For an
-    integer delta the ratio is formed from the exact deviation at every
-    prime, otherwise in float64 from the log1p form.  delta = inf claims a
-    vanishing error term: K_hat = inf unless the deviation is identically 0.
+    Returns (K_hat, pass) with pass meaning K_hat <= model.k_bound.  With
+    delta - d = e + f, e an integer and 0 <= f < 1, p^e joins the exact
+    deviation at every prime, one int / int division rounds the ratio, and
+    p^f multiplies it: exact but for that division at an integer delta
+    (f = 0), within a few ulps otherwise.  delta = inf claims a vanishing
+    error term: K_hat = inf unless the deviation is identically 0.
     """
     if p_max < 2:
         raise GridError(f"error_profile_check needs p_max >= 2, got {p_max}")
     dev = model._deviation
     if model.delta == math.inf or not dev:
         k_hat = math.inf if dev else 0.0
-    elif float(model.delta).is_integer():
+    else:
         ps = small_primes(p_max)
         num, den = _eval_at(dev.num, ps), _eval_at(dev.den, ps)
         if not all(den):
             raise ModelSpecError(f"model {model.name!r} has a pole at a prime <= {p_max}")
-        e = int(model.d - model.delta)
-        if e:   # p^(d - delta) joins the side where its exponent is positive
-            powers = [p ** abs(e) for p in ps]
-            if e > 0:
-                den = list(map(operator.mul, den, powers))
-            else:
-                num = list(map(operator.mul, num, powers))
-        # int / int is correctly rounded, hence odd and monotone: max commutes with it
-        k_hat = max(map(abs, map(operator.truediv, num, den)))
-    else:
-        import numpy as np
-
-        from .sieve import primes_up_to
-
-        pf = primes_up_to(p_max).astype(np.float64)
-        u = np.expm1(model.log_q_ratio_vec(pf, np.log(pf)))
-        k_hat = float(np.max(model.alpha * np.abs(u) * pf ** model.delta))
+        e = math.floor(model.delta) - int(model.d)
+        f = model.delta - math.floor(model.delta)
+        k_hat = max(_scaled_ratio(n, q, p, e) * p ** f for n, q, p in zip(num, den, ps))
     return k_hat, k_hat <= model.k_bound
 
 

@@ -574,16 +574,8 @@ def identity_prefix(model: PrimeModel, n_max: int) -> np.ndarray:
     lp = np.log(pf)
     lf = model.log_at_prime_vec(pf, lp)
 
-    pps: list[tuple[int, float]] = []
-    if not model.strongly_multiplicative:
-        for p in primes_up_to(math.isqrt(n_max)):
-            p = int(p)
-            pa, a = p * p, 2
-            while pa <= n_max:
-                pps.append((pa, log_ratio_prime_power(model, p, a)))
-                pa *= p
-                a += 1
-        pps.sort()
+    pps = [] if model.strongly_multiplicative else sorted(
+        (pa, log_ratio_prime_power(model, p, a)) for pa, p, a in _prime_powers(n_max))
     pp_pa = np.array([pa for pa, _ in pps], dtype=np.int64)
     pp_lr = np.array([lr for _, lr in pps])
 

@@ -144,8 +144,8 @@ def test_saffari_a_doubling_stability():
     # doubling the Euler-Maclaurin N moves every Stieltjes constant less than
     # the two bounds together, and no a_j by more than its bound
     for k in range(8):
-        base, base_err = constants._stieltjes(k, constants._EM_N)
-        doubled, doubled_err = constants._stieltjes(k, 2 * constants._EM_N)
+        base, base_err = constants._em_sum(1, k, constants._EM_N)
+        doubled, doubled_err = constants._em_sum(1, k, 2 * constants._EM_N)
         assert abs(float(doubled - base)) <= base_err + doubled_err, k
     for j in (1, 4, 8):
         base = constants.saffari_a(j)
@@ -157,6 +157,23 @@ def test_saffari_a_doubling_stability():
         constants.saffari_a(0)
     with pytest.raises(GridError):
         constants.saffari_a(9)
+
+
+def test_em_sum_certifies_zeta_and_its_derivative():
+    # s >= 2: zeta(s) at k = 0 and -zeta'(s) at k = 1, within the certified
+    # bound of a 50-digit reference, at N = 32 and at N = 256 (the N of the
+    # C_Q cut P = 1024); doubling N moves no value by more than both bounds
+    with mpmath.workdps(50):
+        for s in range(2, 41):
+            refs = (mpmath.zeta(s), -mpmath.zeta(s, derivative=1))
+            for k, ref in enumerate(refs):
+                for big_n in (32, 256):
+                    value, bound = constants._em_sum(s, k, big_n)
+                    doubled, doubled_bound = constants._em_sum(s, k, 2 * big_n)
+                    value, doubled = mpmath.mpf(str(value)), mpmath.mpf(str(doubled))
+                    assert abs(value - ref) <= bound, (s, k, big_n)
+                    assert abs(doubled - value) < bound + doubled_bound, (s, k, big_n)
+                    assert bound <= 1e-30, (s, k, big_n)
 
 
 def test_a1_quadrature_doubling_and_gamma(gamma_ref):

@@ -378,3 +378,35 @@ def test_k_hat_matches_exact_fractions(tmp_path, fp, d, delta, k):
     for p_max in (2, 1000):
         k_hat, ok = error_profile_check(model, p_max)
         assert k_hat == _k_hat_by_fractions(model, p_max) and ok
+
+
+@pytest.mark.parametrize("fp, d", [
+    ("p + 1000 * p / (p^2 + 5000)", 1),     # p joins the denominator; the max is at p = 41
+    ("2 + 1 / (p + 1)", 0),                 # no integer power
+    ("(p + 1) / p^2", -1),                  # p joins the numerator
+])
+def test_k_hat_at_half_integer_delta_matches_mpmath(tmp_path, fp, d):
+    path = tmp_path / "m.model"
+    alpha = 2 if d == 0 else 1
+    path.write_text(f"name = m\nd = {d}\nalpha = {alpha}\ndelta = 0.5\nK = 1\n"
+                    f"fp = {fp}\nstrongly_multiplicative = true\n")
+    model = load_model_file(str(path))
+    for p_max in (2, 1000):
+        k_hat, ok = error_profile_check(model, p_max)
+        with mpmath.workdps(40):
+            ref = max(abs(mpmath.mpf(dev.numerator) / dev.denominator)
+                      * mpmath.mpf(p) ** (mpmath.mpf(0.5) - d)
+                      for p in map(int, primes_up_to(p_max))
+                      for dev in [Fraction(model.value_at_prime(p)) - alpha * Fraction(p) ** d])
+        assert ok and abs(k_hat - ref) <= 4 * math.ulp(float(ref)), (p_max, k_hat, ref)
+
+
+@pytest.mark.parametrize("delta", ["2000", "2000.5", "1e9", "1000000000.5"])
+def test_a_delta_past_the_double_range_fails_the_profile(tmp_path, delta):
+    # |f(p) - p| p^(delta - 1) exceeds every double: K_hat = inf, with no
+    # overflow escaping and no power p^(delta - 1) formed at delta = 1e9
+    path = tmp_path / "m.model"
+    path.write_text(f"name = m\nd = 1\nalpha = 1\ndelta = {delta}\nK = 1\n"
+                    "fp = p + 1\nstrongly_multiplicative = true\n")
+    with pytest.raises(ModelSpecError, match="measured K_hat = inf"):
+        load_model_file(str(path))

@@ -1,4 +1,4 @@
-"""`constants` and model loads at integer delta run without numpy.
+"""`constants` and every model load run without numpy.
 
 Each case runs in a fresh interpreter, since this test process has numpy
 loaded already.  numpy stays where primes are streamed, so `geomean` still
@@ -20,6 +20,8 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 MODEL = ("name = custom\nd = 2\nalpha = 1\ndelta = 1\nK = 9\n"
          "fp = (2 * p + 3) * (2 * p - 1) / 4\nstrongly_multiplicative = true\n")
+HALF = ("name = half\nd = 1\nalpha = 1\ndelta = 0.5\nK = 1\n"
+        "fp = p + 1000 * p / (p^2 + 5000)\nstrongly_multiplicative = true\n")
 
 
 def _python(code: str) -> subprocess.CompletedProcess:
@@ -42,6 +44,13 @@ def model_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def half_delta_file(tmp_path):
+    path = tmp_path / "half.model"
+    path.write_text(HALF)
+    return str(path)
+
+
 def test_constants_imports_no_numpy():
     assert not _numpy_after("""
         from primemean import cli
@@ -57,11 +66,12 @@ def test_constants_of_a_model_file_imports_no_numpy(model_file):
     """)
 
 
-def test_package_surface_and_model_loads_import_no_numpy(model_file):
+def test_package_surface_and_model_loads_import_no_numpy(model_file, half_delta_file):
     assert not _numpy_after(f"""
         import primemean
         primemean.builtin("kappa")
         primemean.load_model_file({model_file!r})
+        primemean.load_model_file({half_delta_file!r})
     """)
 
 
