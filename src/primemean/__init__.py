@@ -32,9 +32,9 @@ _SURFACE = {
                  "value_at"),
     "primesums": ("CheckpointGrid", "SumsReport", "bruteforce_prefix",
                   "default_cache_path", "identity_prefix", "load_report",
-                  "log_geomean_bruteforce", "log_geomean_identity", "mertens_m_of_x",
-                  "omega_summatory", "r_sum", "rs_inequality_sweep", "save_report",
-                  "sums_stream", "u_of_x", "u_truncation_bound"),
+                  "log_geomean_bruteforce", "log_geomean_identity", "omega_summatory",
+                  "rs_inequality_sweep", "save_report", "sums_stream", "u_of_x",
+                  "u_truncation_bound"),
     "series": ("MAX_ORDER", "FitResult", "fit_coefficients", "lj_coeffs",
                "lj_recurrence_check", "s2_coeffs_from_d", "series_exp"),
     "sieve": ("DEFAULT_MAX_BOUND", "DEFAULT_SEGMENT_SIZE", "SPF_CAP", "PrimeStream",

@@ -34,28 +34,27 @@ sieve bound 1e9 < 2^52: n / p is then within half an ulp < 1/p of the true
 quotient, so its floor is floor(n/p), and every product and difference is an
 integer below 2^53.
 
-Determinism contract: every sum here, the streamed ones and the scalar
-`r_sum` and `mertens_m_of_x` alike, goes through `accum.reduce_primes`, which
-forms per-segment partials by numpy's pairwise reduction and merges them
-into Kahan accumulators in ascending segment order, so a scalar sum equals
-the streamed one at the same point bit for bit.  Every command streams on
-one thread; only the `determinism` check and the benchmark's per-layer
-probe ask `sums_stream(parallel=True)` for the thread pool, whose runs are
-bit-identical to sequential ones.
+Determinism contract: every prime sum here goes through
+`accum.reduce_primes`, which forms per-segment partials by numpy's pairwise
+reduction and merges them into Kahan accumulators in ascending segment
+order.  Every command streams on one thread; only the `determinism` check
+and the benchmark's per-layer probe ask `sums_stream(parallel=True)` for the
+thread pool, whose runs are bit-identical to sequential ones.
 
-Every reported total carries a certified accumulation error bound derived
-only from stored quantities (explicitly *not* from run-time state), so a
-report loaded back from its cache file reproduces the bound bit-for-bit.
+`err_bound` certifies `n_log_g` from the reducer's own bounds: each Kahan
+total carries its pairwise, formation and merge rounding, and the assembly
+adds the rounding of log alpha and its own.  No declared profile constant
+(K) enters it.
 
-Cache format v5 (binary, little-endian): header {magic b"PMSM", version u16,
+Cache format v6 (binary, little-endian): header {magic b"PMSM", version u16,
 model hash u64, checkpoint count u16, flags u8 (bit 0: the file holds the
 companions)}, then a 16-byte blake2b digest of the header and the records,
-then one record per checkpoint {n u64, s1 u64, one f64 each for s2 and s3,
-and, when the file holds the companions, one f64 each for f1, f2, r_sum,
-m_of_x and u_of_x} (32 or 72 bytes).  A file without the companions is a
-miss for a caller that reads them.  `n_log_g` and `err_bound` are
-deliberately not stored: both are reassembled deterministically on load.  A
-file whose digest does not match is rejected.
+then one record per checkpoint {n u64, s1 u64, one f64 each for s2, s3,
+n_log_g and err_bound, and, when the file holds the companions, one f64 each
+for f1, f2, r_sum, m_of_x and u_of_x} (48 or 88 bytes).  A file without the
+companions is a miss for a caller that reads them.  A report is stored as
+streamed and loaded as stored: a load runs no prime pass.  A file whose
+digest does not match is rejected.
 The model hash fingerprints the model itself (see `_model_hash`), not only
 its name, so two models that share a name never share a cache file.
 """
@@ -90,12 +89,12 @@ from .sieve import (
 
 MAX_CHECKPOINTS = 64
 
-# Ordering of the float-valued accumulators, fixed by the cache layout.
+# Ordering of the float-valued accumulators, as `sums` prints them.
 COMPANION_FIELDS = ("f1", "f2", "r_sum", "m_of_x", "u_of_x")
 FLOAT_FIELDS = ("s2", "s3") + COMPANION_FIELDS
 
 CACHE_MAGIC = b"PMSM"
-CACHE_VERSION = 5
+CACHE_VERSION = 6
 _HEADER = struct.Struct("<4sHQHB")   # magic, version, model hash, count, flags
 _HAS_COMPANIONS = 0x01               # flags bit: the records hold the companions
 _DIGEST_SIZE = 16                    # blake2b of header + payload, after the header
@@ -178,8 +177,8 @@ class SumsReport:
     same, bit for bit, either way.
     `n_log_g` is the assembled identity value
     (log alpha) * s1 + d * s2 + s3 + [prime-power correction]; `err_bound`
-    bounds its accumulation error.  Both are functions of the stored data
-    only and are recomputed, never stored.
+    bounds its accumulation error.  Both are assembled once, by
+    `sums_stream`, and stored in the cache as they are.
     """
 
     model_name: str
@@ -248,46 +247,6 @@ def _prime_power_fractions(points: tuple[int, ...]) -> list[KahanSum]:
             fr = points[i] % pa / pa
             frac[i].add(fr, err_in=EPS * fr)
     return frac
-
-
-def _assemble(model: PrimeModel, points, s1, values, pp2):
-    """Recompute (n_log_g, err_bound) from checkpointed sums.
-
-    `values` maps "s2" and "s3" to their per-checkpoint value lists; `pp2`
-    is `_prime_power_identity(model, points)`.  Everything
-    here is a deterministic function of (model, points, s1, values): running
-    it on a freshly streamed report and on one re-loaded from cache yields
-    bit-identical outputs.
-
-    The error bound per checkpoint n combines the pairwise/Kahan
-    accumulation model (depth <= log2 n plus merge slack) with per-term
-    formation rounding, using sum|terms| = value for the sign-constant sums
-    and a growth-profile majorant for s3.
-    """
-    la = math.log(model.alpha)
-    n_log_g = []
-    err_bound = []
-    for i, n in enumerate(points):
-        s1f = float(s1[i])
-        s2 = values["s2"][i]
-        s3 = values["s3"][i]
-        ppv = pp2[i].value
-        v = la * s1f + model.d * s2 + s3 + ppv
-        n_log_g.append(v)
-
-        depth = EPS * (math.ceil(math.log2(max(n, 2))) + 4.0 + FORM_ULPS)
-        if model.delta == math.inf:
-            s3_mass = 0.0
-        else:
-            # |log(Q(p)/(alpha p^d))| <= 2 (K/alpha) p^{-delta} wherever the
-            # relative deviation is <= 1/2, so sum|terms| <= 2(K/alpha) S1.
-            s3_mass = abs(s3) + 2.0 * (model.k_bound / model.alpha) * s1f
-        b = abs(la) * EPS * s1f                  # log alpha known to 1 ulp
-        b += abs(model.d) * depth * s2 + depth * s3_mass
-        b += pp2[i].error_bound()
-        b += 8.0 * EPS * (abs(la) * s1f + abs(model.d * s2) + abs(s3) + abs(ppv))
-        err_bound.append(b)
-    return n_log_g, err_bound
 
 
 # --------------------------------------------------------------------------
@@ -505,17 +464,29 @@ def sums_stream(
 
     values = {name: tuple(acc.value for acc in kah[name]) if name in kah else None
               for name in FLOAT_FIELDS}
-    n_log_g, err_bound = _assemble(model, points, s1, values, pp2)
+
+    # n log G = (log alpha) S1 + d S2 + S3 + [prime powers]; its bound sums
+    # the reducer's certified bounds of S2 (times |d|), S3 and the prime
+    # powers, log alpha's ulp on S1, and the assembly's own rounding.
+    la = math.log(model.alpha)
+    n_log_g, err_bound = [], []
+    for i in range(m):
+        s1f, s2, s3, pp = float(s1[i]), kah["s2"][i], kah["s3"][i], pp2[i]
+        n_log_g.append(la * s1f + model.d * s2.value + s3.value + pp.value)
+        err_bound.append(
+            abs(model.d) * s2.error_bound() + s3.error_bound() + pp.error_bound()
+            + abs(la) * EPS * s1f
+            + 8.0 * EPS * (abs(la) * s1f + abs(model.d * s2.value)
+                           + abs(s3.value) + abs(pp.value)))
 
     # Internal cross-check: the decomposed assembly must agree with a direct
-    # compensated sum of floor(n/p) log f(p) within both error budgets.
+    # compensated sum of floor(n/p) log f(p) within both error budgets.  A
+    # non-finite sum fails it (a NaN compares False).
     for i, n in enumerate(points):
         direct = kah["direct"][i].value + pp2[i].value
         tol = (kah["direct"][i].error_bound() + pp2[i].error_bound()
-               + err_bound[i]
-               + sum(kah[f][i].error_bound() for f in ("s2", "s3"))
-               + 16.0 * EPS * abs(n_log_g[i]))
-        if abs(direct - n_log_g[i]) > tol:
+               + err_bound[i] + 16.0 * EPS * abs(n_log_g[i]))
+        if not abs(direct - n_log_g[i]) <= tol:
             raise AccumulationError(
                 f"identity cross-check failed at n={n} for model "
                 f"{model.name!r}: assembled {n_log_g[i]!r} vs direct "
@@ -652,21 +623,6 @@ def _mertens_terms(pf: np.ndarray, lp: np.ndarray) -> np.ndarray:
     return lp / pf
 
 
-def r_sum(n: int) -> float:
-    """R(n) = sum_{p<=n} {n/p} log p, compensated."""
-    if n < 2:
-        raise GridError(f"r_sum needs n >= 2, got {n}")
-    # fmod of integers below 2^53 is exact: the remainder n - floor(n/p) p
-    return prime_sums([n], lambda pf, lp: np.fmod(n, pf) / pf * lp)[0].value
-
-
-def mertens_m_of_x(x: int) -> float:
-    """M(x) = sum_{p<=x} log p / p, compensated."""
-    if x < 2:
-        raise GridError(f"mertens_m_of_x needs x >= 2, got {x}")
-    return prime_sums([x], _mertens_terms)[0].value
-
-
 def rs_inequality_sweep(xs) -> list[bool]:
     """Check log x + E - 1/(2 log x) < M(x) < log x + E + 1/(2 log x) at each x.
 
@@ -675,8 +631,7 @@ def rs_inequality_sweep(xs) -> list[bool]:
     the left is checked for every x >= 2.  The certified uncertainty of the
     E constant is folded into both margins, so a True verdict is conservative.
 
-    All M(x) values come from one segmented pass with every x as a cut, so
-    each equals `mertens_m_of_x(x)` bit for bit.
+    All M(x) values come from one segmented pass with every x as a cut.
     """
     from .constants import mertens_e
 
@@ -725,7 +680,9 @@ def _model_hash(model: PrimeModel) -> int:
 
 def _record_layout(companions: bool) -> tuple[tuple[str, ...], struct.Struct]:
     """The float fields a record stores, in order, and the record struct."""
-    names = FLOAT_FIELDS if companions else ("s2", "s3")
+    names = ("s2", "s3", "n_log_g", "err_bound")
+    if companions:
+        names += COMPANION_FIELDS
     return names, struct.Struct(f"<QQ{len(names)}d")
 
 
@@ -761,7 +718,7 @@ def save_report(path: str, report: SumsReport) -> None:
 
 def load_report(path: str, model: PrimeModel,
                 grid: CheckpointGrid | None = None) -> SumsReport:
-    """Load a cached report for (model, grid); n_log_g/err_bound reassembled.
+    """Load a cached report for (model, grid), fields as stored.
 
     The report's companion fields are None when the file does not hold
     them.  Raises
@@ -804,21 +761,11 @@ def load_report(path: str, model: PrimeModel,
     if grid is not None and grid.points != points:
         raise CacheFormatError(
             f"{path}: cached grid {points} does not match the requested grid")
-    values = dict.fromkeys(FLOAT_FIELDS)
-    values.update((name, tuple(row[2 + j] for row in rows))
+    fields = dict.fromkeys(COMPANION_FIELDS)
+    fields.update((name, tuple(row[2 + j] for row in rows))
                   for j, name in enumerate(names))
-
-    pp2 = _prime_power_identity(model, points)
-    n_log_g, err_bound = _assemble(model, points, s1, values, pp2)
-    return SumsReport(
-        model_name=model.name,
-        model_hash=model_hash,
-        points=points,
-        s1=s1,
-        n_log_g=tuple(n_log_g),
-        err_bound=tuple(err_bound),
-        **values,
-    )
+    return SumsReport(model_name=model.name, model_hash=model_hash,
+                      points=points, s1=s1, **fields)
 
 
 def default_cache_path(root: str, model: PrimeModel, grid: CheckpointGrid) -> str:

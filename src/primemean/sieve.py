@@ -74,7 +74,7 @@ class PrimeStream:
 
     Segments are independently sievable: `segment_bounds()` plus
     `segment(i)` let a driver pull disjoint windows concurrently, while
-    `segments()` / iteration walk them in ascending order.
+    `segments()` walks them in ascending order.
     """
 
     lo: int
@@ -117,10 +117,6 @@ class PrimeStream:
             primes = _segment_primes(block[0][0], block[-1][1], base)
             edges = np.searchsorted(primes, [lo for lo, _ in block[1:]])
             yield from np.split(primes, edges)
-
-    def __iter__(self) -> Iterator[int]:
-        for seg in self.segments():
-            yield from (int(p) for p in seg)
 
 
 def stream_segmented(lo: int, hi: int,

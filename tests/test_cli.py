@@ -486,21 +486,38 @@ def _assert_recomputed(path: Path, tmp_path, monkeypatch, capsys) -> None:
     assert struct.unpack_from("<H", path.read_bytes(), 4) == (primesums.CACHE_VERSION,)
 
 
-def test_v3_cache_file_is_recomputed(tmp_path, monkeypatch, capsys):
-    # a v3 file has the v4 layout with U; only U's last bits differ
+@pytest.mark.parametrize("version", [3, 5])
+def test_v3_cache_file_is_recomputed(version, tmp_path, monkeypatch, capsys):
+    # a current file stamped with an older version is refused on the version
+    # alone: a v3 file differs from v4 only in U's last bits, and a v5 record
+    # lacks n_log_g and err_bound
     model = builtin("kappa")
     grid = CheckpointGrid.log_spaced(100, 20000, 3)
     path = Path(primesums.default_cache_path(str(tmp_path), model, grid))
     primesums.save_report(str(path), primesums.sums_stream(model, grid))
-    _rewrite_version(path, 3)
-    with pytest.raises(CacheFormatError, match="version 3"):
+    _rewrite_version(path, version)
+    with pytest.raises(CacheFormatError, match=f"version {version}"):
         primesums.load_report(str(path), model, grid)
     _assert_recomputed(path, tmp_path, monkeypatch, capsys)
 
 
+def test_non_finite_sum_fails_the_cross_check(tmp_path, capsys):
+    # the Horner x-form of f(p) cancels at p = 2 and 3, so log1p returns -inf
+    # on both routes and assembled - direct is NaN
+    path = tmp_path / "m64.model"
+    path.write_text("name = m64\nd = 64\nalpha = 1\ndelta = 1\nK = 8256\n"
+                    "fp = (p - 1)^64 + 1\nstrongly_multiplicative = true\n")
+    for argv in (("sums", "--to", "1000", "--points", "2"),
+                 ("fit", "--target", "qsum-residual", "--to", "100000")):
+        with pytest.warns(RuntimeWarning, match="log1p"):
+            rc, out, err = run(capsys, *argv, "--model", str(path))
+        assert rc == 1 and out == "", argv
+        assert "identity cross-check failed" in err, argv
+
+
 def test_v4_cache_file_is_recomputed(tmp_path, monkeypatch, capsys):
     # a v4 file without U: flags 0, records of n, s1 and six floats (64
-    # bytes), where v5 reads flags 0 as records of 32 bytes
+    # bytes), where v6 reads flags 0 as records of 48 bytes
     model = builtin("kappa")
     grid = CheckpointGrid.log_spaced(100, 20000, 3)
     report = primesums.sums_stream(model, grid)
