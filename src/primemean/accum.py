@@ -11,12 +11,14 @@ measure.  Two devices keep that under control:
 - segment partials are merged into a Kahan accumulator, whose rounding is
   bounded by 2 * eps * sum|x| independent of the number of merges.
 
-`reduce_primes` owns the whole reduction: it cuts [2, max cut] into sieve
-segments, forms every partial by pairwise reduction, charges each partial
-pairwise_error_bound(mass, count) + FORM_ULPS * eps * mass (the second term
-is the formation rounding of the individual terms), and merges the partials
-into per-cut Kahan accumulators in ascending segment order, so every total
-carries a certified accumulation error bound.  Every command runs the
+`reduce_primes` owns the whole reduction of every prime and prime-power
+sum (a prime-power term is a channel of its prime's segment): it cuts
+[2, max cut] into sieve segments, forms every partial by pairwise
+reduction, charges each partial pairwise_error_bound(mass, count) +
+FORM_ULPS * eps * mass (the second term is the formation rounding of the
+individual terms), and merges the partials into per-cut Kahan
+accumulators in ascending segment order, so every total carries a
+certified accumulation error bound.  Every command runs the
 segments in order on one thread.  The thread pool behind ``parallel=True``
 serves only the `determinism` check and the benchmark's per-layer probe:
 the merge order never depends on it, so its runs are bit-identical to

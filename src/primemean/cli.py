@@ -216,7 +216,7 @@ def _require_model(args: argparse.Namespace) -> PrimeModel:
 
 
 def _grid(args: argparse.Namespace) -> CheckpointGrid:
-    from .primesums import CheckpointGrid
+    from .primesums import CheckpointGrid, _check_count
 
     lo_def, hi_def, pts_def = _DEFAULT_GRID
     hi = args.hi or max(hi_def, args.lo or 0)
@@ -228,6 +228,7 @@ def _grid(args: argparse.Namespace) -> CheckpointGrid:
         raise GridError(f"grid needs lo <= hi, got [{lo}, {hi}]")
     if points < 1:
         raise GridError(f"need at least one checkpoint, got {points}")
+    _check_count(points)
     import numpy as np
 
     return CheckpointGrid.from_points(

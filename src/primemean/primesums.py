@@ -6,7 +6,9 @@ The central identity: for a positive multiplicative f,
                    = sum_{p<=n} floor(n/p) * log f(p)
                      + sum_{p^a<=n, a>=2} floor(n/p^a) * log(f(p^a)/f(p^(a-1)))
 
-(the second sum vanishes identically for strongly multiplicative f).  With
+(the second sum vanishes identically for strongly multiplicative f).  Call
+the second sum PP: it is one more channel of the prime pass, over the prime
+powers p^a <= n of each segment's primes p <= sqrt(n).  With
 Q(p) = f(p) written against its growth profile alpha * p^d, the prime part
 splits into three streaming accumulators
 
@@ -32,9 +34,9 @@ floor(n/p) is formed as floor(n / p) in float64, and the remainder as
 n - floor(n/p) p.  Both are exact because every checkpoint is at most the
 sieve bound 1e9 < 2^52: n / p is then within half an ulp < 1/p of the true
 quotient, so its floor is floor(n/p), and every product and difference is an
-integer below 2^53.
+integer below 2^53.  The same holds with a prime power p^a <= n in place of p.
 
-Determinism contract: every prime sum here goes through
+Determinism contract: every prime and prime-power sum here goes through
 `accum.reduce_primes`, which forms per-segment partials by numpy's pairwise
 reduction and merges them into Kahan accumulators in ascending segment
 order.  Every command streams on one thread; only the `determinism` check
@@ -42,11 +44,11 @@ and the benchmark's per-layer probe ask `sums_stream(parallel=True)` for the
 thread pool, whose runs are bit-identical to sequential ones.
 
 `err_bound` certifies `n_log_g` from the reducer's own bounds: each Kahan
-total carries its pairwise, formation and merge rounding, and the assembly
-adds the rounding of log alpha and its own.  No declared profile constant
-(K) enters it.
+total, PP included, carries its pairwise, formation and merge rounding, and
+the assembly adds the rounding of log alpha and its own.  No declared
+profile constant (K) enters it.
 
-Cache format v6 (binary, little-endian): header {magic b"PMSM", version u16,
+Cache format v7 (binary, little-endian): header {magic b"PMSM", version u16,
 model hash u64, checkpoint count u16, flags u8 (bit 0: the file holds the
 companions)}, then a 16-byte blake2b digest of the header and the records,
 then one record per checkpoint {n u64, s1 u64, one f64 each for s2, s3,
@@ -54,7 +56,9 @@ n_log_g and err_bound, and, when the file holds the companions, one f64 each
 for f1, f2, r_sum, m_of_x and u_of_x} (48 or 88 bytes).  A file without the
 companions is a miss for a caller that reads them.  A report is stored as
 streamed and loaded as stored: a load runs no prime pass.  A file whose
-digest does not match is rejected.
+digest does not match is rejected, and so is a file of an older version
+(v6 summed PP and F2's prime-power part outside the reducer, so their last
+bits differ).
 The model hash fingerprints the model itself (see `_model_hash`), not only
 its name, so two models that share a name never share a cache file.
 """
@@ -66,7 +70,6 @@ import math
 import os
 import struct
 import tempfile
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -74,8 +77,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .accum import (EPS, FORM_ULPS, KahanSum, SegmentTerms, prime_sums,
-                    reduce_primes)
+from .accum import EPS, KahanSum, SegmentTerms, prime_sums, reduce_primes
 from .errors import AccumulationError, CacheFormatError, GridError
 from .multfunc import (_VALIDATION_PRIMES, PrimeModel, log_ratio_prime_power,
                        value_at)
@@ -94,7 +96,7 @@ COMPANION_FIELDS = ("f1", "f2", "r_sum", "m_of_x", "u_of_x")
 FLOAT_FIELDS = ("s2", "s3") + COMPANION_FIELDS
 
 CACHE_MAGIC = b"PMSM"
-CACHE_VERSION = 6
+CACHE_VERSION = 7
 _HEADER = struct.Struct("<4sHQHB")   # magic, version, model hash, count, flags
 _HAS_COMPANIONS = 0x01               # flags bit: the records hold the companions
 _DIGEST_SIZE = 16                    # blake2b of header + payload, after the header
@@ -103,6 +105,11 @@ _DIGEST_SIZE = 16                    # blake2b of header + payload, after the he
 # --------------------------------------------------------------------------
 # checkpoint grid
 # --------------------------------------------------------------------------
+
+
+def _check_count(count: int) -> None:
+    if count > MAX_CHECKPOINTS:
+        raise GridError(f"{count} checkpoints exceed the cap of {MAX_CHECKPOINTS}")
 
 
 @dataclass(frozen=True)
@@ -115,9 +122,7 @@ class CheckpointGrid:
         pts = self.points
         if not pts:
             raise GridError("checkpoint grid is empty")
-        if len(pts) > MAX_CHECKPOINTS:
-            raise GridError(
-                f"{len(pts)} checkpoints exceed the cap of {MAX_CHECKPOINTS}")
+        _check_count(len(pts))
         for n in pts:
             if not isinstance(n, int) or isinstance(n, bool):
                 raise GridError(f"checkpoint {n!r} is not an integer")
@@ -144,6 +149,7 @@ class CheckpointGrid:
         """count geometrically spaced integers in [lo, hi] (deduplicated)."""
         if count < 1:
             raise GridError(f"need at least one checkpoint, got {count}")
+        _check_count(count)
         if lo > hi:
             raise GridError(f"empty range [{lo}, {hi}]")
         raw = np.geomspace(lo, hi, count)
@@ -204,49 +210,29 @@ class SumsReport:
 
 
 # --------------------------------------------------------------------------
-# prime-power corrections (a >= 2)
+# prime powers (a >= 2)
 # --------------------------------------------------------------------------
 
 
-def _prime_powers(n_max: int) -> Iterator[tuple[int, int, int]]:
-    """(p^a, p, a) for every prime power p^a <= n_max with a >= 2, in
-    ascending p, then ascending a: a fixed order, hence deterministic."""
-    for p in primes_up_to(math.isqrt(n_max)):
-        p = int(p)
+def _prime_power_table(model: PrimeModel, primes: np.ndarray, n_max: int
+                       ) -> tuple[np.ndarray, np.ndarray | None]:
+    """The prime powers p^a <= n_max, a >= 2, of the given ascending primes,
+    sorted ascending as float64, and beside each log(f(p^a)/f(p^(a-1)))
+    (None for strongly multiplicative models, whose ratios are all 1).
+
+    The float values are exact, since n_max < 2^52 (see the module docstring).
+    """
+    pas, lrs = [], []
+    for p in primes[:np.searchsorted(primes, math.isqrt(n_max), side="right")].tolist():
         pa, a = p * p, 2
         while pa <= n_max:
-            yield pa, p, a
+            pas.append(pa)
+            lrs.append(log_ratio_prime_power(model, p, a))
             pa *= p
             a += 1
-
-
-def _prime_power_identity(model: PrimeModel, points: tuple[int, ...]) -> list[KahanSum]:
-    """Per-checkpoint Kahan sums of floor(n/p^a) log(f(p^a)/f(p^(a-1))),
-    a >= 2: the identity's prime-power term, exactly zero (and not summed)
-    for strongly multiplicative models."""
-    m = len(points)
-    pp2 = [KahanSum() for _ in range(m)]
-    if model.strongly_multiplicative:
-        return pp2
-    for pa, p, a in _prime_powers(points[-1]):
-        lr = log_ratio_prime_power(model, p, a)
-        if lr != 0.0:
-            for i in range(bisect_left(points, pa), m):
-                t = points[i] // pa * lr
-                pp2[i].add(t, err_in=FORM_ULPS * EPS * abs(t))
-    return pp2
-
-
-def _prime_power_fractions(points: tuple[int, ...]) -> list[KahanSum]:
-    """Per-checkpoint Kahan sums of {n/p^a}, a >= 2: F2's part on top of F1
-    (model independent)."""
-    m = len(points)
-    frac = [KahanSum() for _ in range(m)]
-    for pa, _, _ in _prime_powers(points[-1]):
-        for i in range(bisect_left(points, pa), m):
-            fr = points[i] % pa / pa
-            frac[i].add(fr, err_in=EPS * fr)
-    return frac
+    order = np.argsort(pas, kind="stable")
+    lr = None if model.strongly_multiplicative else np.array(lrs)[order]
+    return np.array(pas, dtype=np.float64)[order], lr
 
 
 # --------------------------------------------------------------------------
@@ -254,21 +240,30 @@ def _prime_power_fractions(points: tuple[int, ...]) -> list[KahanSum]:
 # --------------------------------------------------------------------------
 
 
-def _prime_terms(model: PrimeModel, need_s3: bool, u_max: int | None,
+def _prime_terms(model: PrimeModel, need_s3: bool, n_max: int, companions: bool,
                  seg: np.ndarray) -> SegmentTerms:
-    """One prime segment's terms of every prime sum, for `reduce_primes`.
+    """One prime segment's terms of every prime and prime-power sum, for
+    `reduce_primes`.
 
-    `direct` is the straight sum floor(n/p) log f(p) used for the internal
-    cross-check; `s1` is an integer channel, summed exactly.  With `u_max`
-    set (the largest cut) the segment also yields the companions' terms.
-    floor(n/p) and the remainder n - floor(n/p) p are formed in float64,
+    `n_max` is the largest cut.  `direct` is the straight sum
+    floor(n/p) log f(p) used for the internal cross-check; `s1` is an
+    integer channel, summed exactly.  `pp` is the identity's a >= 2 term
+    floor(n/p^a) log(f(p^a)/f(p^(a-1))) over the prime powers p^a <= n of
+    the segment's primes (never yielded for strongly multiplicative models).
+    With `companions` set the segment also yields the companions' terms,
+    `f2` being F2's part on top of F1: the fractions {n/p^a}, a >= 2.  A
+    segment with no prime p <= sqrt(n_max) yields neither `pp` nor `f2`.
+    floor(n/p), floor(n/p^a) and the remainders are formed in float64,
     exactly because n < 2^52 (see the module docstring).
     """
+    pa, lr = (_prime_power_table(model, seg, n_max)
+              if companions or not model.strongly_multiplicative
+              else (seg[:0], None))     # nothing reads the prime powers
     pf = seg.astype(np.float64)
     lp = np.log(pf)
     lf = model.log_at_prime_vec(pf, lp)
     qr = model.log_q_ratio_vec(pf, lp) if need_s3 else None
-    u_lo = None if u_max is None else _u_lower_end(seg, lp, u_max)
+    u_lo = _u_lower_end(seg, lp, n_max) if companions else None
 
     def at_cut(count: int, n: int) -> Iterator[tuple[str, np.ndarray]]:
         pc = pf[:count]
@@ -278,13 +273,20 @@ def _prime_terms(model: PrimeModel, need_s3: bool, u_max: int | None,
         if need_s3:
             yield "s3", q * qr[:count]
         yield "direct", q * lf[:count]
-        if u_lo is not None:
+        if companions:
             fr = (n - q * pc) / pc
             yield "f1", fr
             yield "r_sum", fr * lp[:count]
             yield "u_of_x", _u_cut_terms(seg, pf, lp, u_lo, q, n)
+        if pa.size:
+            pac = pa[:np.searchsorted(pa, n, side="right")]
+            qa = np.floor(n / pac)
+            if lr is not None:
+                yield "pp", qa * lr[:pac.size]
+            if companions:
+                yield "f2", (n - qa * pac) / pac
 
-    return ({} if u_lo is None else {"m_of_x": _mertens_terms(pf, lp)}), at_cut
+    return ({"m_of_x": _mertens_terms(pf, lp)} if companions else {}), at_cut
 
 
 # --------------------------------------------------------------------------
@@ -443,48 +445,41 @@ def sums_stream(
     need_s3 = model.delta != math.inf
 
     kah = reduce_primes(points, partial(_prime_terms, model, need_s3,
-                                        grid.n_max if companions else None),
-                        signed=("s3", "direct"), integers=("s1",),
+                                        grid.n_max, companions),
+                        signed=("s3", "direct", "pp"), integers=("s1",),
                         segment_size=segment_size, parallel=parallel)
-    if not need_s3:
-        kah["s3"] = [KahanSum() for _ in range(m)]
-    s1 = kah.pop("s1")
-
-    # prime-power corrections: the a >= 2 identity term, and F2 on top of F1
-    pp2 = _prime_power_identity(model, points)
-    if companions:
-        frac, f2 = _prime_power_fractions(points), []
-        for i in range(m):
-            acc = kah["f1"][i]
-            tot = KahanSum(acc.value, acc.comp, acc.absmass, acc.inherited)
-            src = frac[i]
-            tot.add(src.value, abs_x=src.absmass, err_in=src.error_bound())
-            f2.append(tot)
-        kah["f2"] = f2
+    # a channel no segment yielded sums to zero: s3 when delta is infinite,
+    # pp when f is strongly multiplicative, pp and f2 when n_max < 4
+    for name in ("s3", "pp") + (("f2",) if companions else ()):
+        kah.setdefault(name, [KahanSum() for _ in range(m)])
+    s1, pp = kah.pop("s1"), kah.pop("pp")
+    if companions:      # F2 is F1 plus the prime-power fractions
+        for f1, f2 in zip(kah["f1"], kah["f2"]):
+            f2.add(f1.value, abs_x=f1.absmass, err_in=f1.error_bound())
 
     values = {name: tuple(acc.value for acc in kah[name]) if name in kah else None
               for name in FLOAT_FIELDS}
 
-    # n log G = (log alpha) S1 + d S2 + S3 + [prime powers]; its bound sums
-    # the reducer's certified bounds of S2 (times |d|), S3 and the prime
-    # powers, log alpha's ulp on S1, and the assembly's own rounding.
+    # n log G = (log alpha) S1 + d S2 + S3 + PP; its bound sums the reducer's
+    # certified bounds of S2 (times |d|), S3 and PP, log alpha's ulp on S1,
+    # and the assembly's own rounding.
     la = math.log(model.alpha)
     n_log_g, err_bound = [], []
     for i in range(m):
-        s1f, s2, s3, pp = float(s1[i]), kah["s2"][i], kah["s3"][i], pp2[i]
-        n_log_g.append(la * s1f + model.d * s2.value + s3.value + pp.value)
+        s1f, s2, s3, ppi = float(s1[i]), kah["s2"][i], kah["s3"][i], pp[i]
+        n_log_g.append(la * s1f + model.d * s2.value + s3.value + ppi.value)
         err_bound.append(
-            abs(model.d) * s2.error_bound() + s3.error_bound() + pp.error_bound()
+            abs(model.d) * s2.error_bound() + s3.error_bound() + ppi.error_bound()
             + abs(la) * EPS * s1f
             + 8.0 * EPS * (abs(la) * s1f + abs(model.d * s2.value)
-                           + abs(s3.value) + abs(pp.value)))
+                           + abs(s3.value) + abs(ppi.value)))
 
     # Internal cross-check: the decomposed assembly must agree with a direct
     # compensated sum of floor(n/p) log f(p) within both error budgets.  A
     # non-finite sum fails it (a NaN compares False).
     for i, n in enumerate(points):
-        direct = kah["direct"][i].value + pp2[i].value
-        tol = (kah["direct"][i].error_bound() + pp2[i].error_bound()
+        direct = kah["direct"][i].value + pp[i].value
+        tol = (kah["direct"][i].error_bound() + pp[i].error_bound()
                + err_bound[i] + 16.0 * EPS * abs(n_log_g[i]))
         if not abs(direct - n_log_g[i]) <= tol:
             raise AccumulationError(
@@ -545,10 +540,8 @@ def identity_prefix(model: PrimeModel, n_max: int) -> np.ndarray:
     lp = np.log(pf)
     lf = model.log_at_prime_vec(pf, lp)
 
-    pps = [] if model.strongly_multiplicative else sorted(
-        (pa, log_ratio_prime_power(model, p, a)) for pa, p, a in _prime_powers(n_max))
-    pp_pa = np.array([pa for pa, _ in pps], dtype=np.int64)
-    pp_lr = np.array([lr for _, lr in pps])
+    pp_pa, pp_lr = ((pf[:0], None) if model.strongly_multiplicative
+                    else _prime_power_table(model, primes, n_max))
 
     cut = 0
     cut2 = 0
@@ -560,7 +553,7 @@ def identity_prefix(model: PrimeModel, n_max: int) -> np.ndarray:
         while cut2 < pp_pa.size and pp_pa[cut2] <= n:
             cut2 += 1
         if cut2:
-            total += float(np.sum((n // pp_pa[:cut2]).astype(np.float64) * pp_lr[:cut2]))
+            total += float(np.sum(np.floor(n / pp_pa[:cut2]) * pp_lr[:cut2]))
         out[n] = total
     return out
 

@@ -85,6 +85,10 @@ def argv(draw) -> list[str]:
 @example(args=["sums", "--to", "1000", "--cache", "{file}/sub"], env_cache=None)
 @example(args=["geomean", "--to", "1000"], env_cache="{file}/sub/deeper")
 @example(args=["sums", "--to", "1000", "--cache", "{file}/../new"], env_cache=None)
+@example(args=["geomean", "--model", "kappa", "--points", "1000000000000000"],
+         env_cache=None)
+@example(args=["geomean", "--model", "kappa", "--points", "1000000000000000",
+               "--spacing", "linear"], env_cache=None)
 def test_every_argument_vector_ends_in_a_documented_exit_code(args, env_cache, monkeypatch,
                                                              tmp_path):
     paths = {"dir": str(tmp_path / "cache"), "file": str(tmp_path / "regular")}

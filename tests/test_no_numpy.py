@@ -76,15 +76,17 @@ def test_package_surface_and_model_loads_import_no_numpy(model_file, half_delta_
 
 
 @pytest.mark.parametrize("model, row", [
-    ("euler_phi", {"n": 1000, "log_geomean": 5.333045537856296,
-                   "scaled_ratio": 0.20706764718139534, "predicted": 0.09676933668685889,
-                   "abs_diff": 0.11029831049453645, "predicted_tail": 3.353126012101619e-16}),
+    ("euler_phi", {"n": 1000, "log_geomean": 5.333045537856295,
+                   "scaled_ratio": 0.20706764718139514, "predicted": 0.09676933668685889,
+                   "abs_diff": 0.11029831049453626, "predicted_tail": 3.353126012101619e-16}),
     ("kappa", {"n": 1000, "log_geomean": 5.210436758462227,
                "scaled_ratio": 0.18317404353888447, "predicted": 0.17284386424206455,
                "abs_diff": 0.010330179296819925, "predicted_tail": 5.032409553680675e-16}),
 ])
 def test_geomean_still_imports_numpy_and_prints_the_same(model, row):
-    # the row was printed before the package surface became lazy
+    # the row was printed before the package surface became lazy; the
+    # euler_phi digits were re-pinned when the prime-power term joined the
+    # prime pass's reduction (n log G moved by 9e-13, within its 3.7e-11 bound)
     res = _python(textwrap.dedent(f"""
         import sys
         from primemean import cli

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from primemean import primesums
 from primemean.errors import CacheFormatError, GridError
-from primemean.multfunc import builtin, load_model_file
+from primemean.multfunc import builtin, load_model_file, log_ratio_prime_power
 from primemean.primesums import (CheckpointGrid, SumsReport,
                                  bruteforce_prefix, default_cache_path,
                                  identity_prefix, load_report,
@@ -339,6 +339,28 @@ def test_err_bound_does_not_read_k(tmp_path):
     assert _bits(loose.err_bound) == _bits(tight.err_bound)
 
 
+@pytest.mark.parametrize("name", ["sigma", "euler_phi", "divisor_d", "jordan_2"])
+def test_prime_powers_past_the_first_segment(name):
+    # at 64 numbers a segment, the prime powers of 2 <= p <= 316 fall in
+    # five segments' tables; the reduction must agree with one table
+    model = builtin(name)
+    small = sums_stream(model, _REF_GRID, segment_size=64)
+    ref = sums_stream(model, _REF_GRID)
+    assert small.s1 == ref.s1
+    for n, a, b, ea, eb in zip(_REF_GRID.points, small.n_log_g, ref.n_log_g,
+                               small.err_bound, ref.err_bound):
+        assert abs(a - b) <= ea + eb, (n, a - b, ea + eb)
+    for n, got in zip(_REF_GRID.points, small.f2):
+        pas = [p ** a for p in primes_up_to(n).tolist()
+               for a in range(1, n.bit_length()) if p ** a <= n]
+        want = sum(Fraction(n % x, x) for x in pas)
+        # each term's formation (4 ulps), the pairwise partials
+        # (ceil(log2 count) + 4), the Kahan merge (2) and F1's merge into
+        # F2 (2), all in ulps of the nonnegative total
+        bound = (math.ceil(math.log2(len(pas))) + 12) * 2.0 ** -52 * got
+        assert abs(Fraction(got) - want) <= bound, (n, float(Fraction(got) - want), bound)
+
+
 # ---------------------------------------------------------------------------
 # the segment kernel's float quotients
 # ---------------------------------------------------------------------------
@@ -349,17 +371,29 @@ def test_err_bound_does_not_read_k(tmp_path):
 def test_float_quotients_are_exact_near_the_sieve_bound(lo, hi):
     # the kernel forms floor(n/p) and n - floor(n/p) p in float64, exact
     # for every n below 2^52; n runs up to the sieve bound, and p over
-    # windows where floor(n/p) is ~1, ~3e4 and up to 5e8
+    # windows where floor(n/p) is ~1, ~3e4 and up to 5e8.  The two lower
+    # windows hold primes <= sqrt(1e9), whose prime powers p^a <= 1e9 give
+    # the pp and f2 channels floor(n/p^a) and n - floor(n/p^a) p^a the same way
     assert DEFAULT_MAX_BOUND < 2 ** 52
     top = DEFAULT_MAX_BOUND
     seg = stream_segmented(lo, hi, segment_size=1 << 15).segment(0)
     assert seg.size > 250
-    _, at_cut = primesums._prime_terms(builtin("kappa"), False, top, seg)
+    model = builtin("euler_phi")
+    _, at_cut = primesums._prime_terms(model, True, top, True, seg)
     pf = seg.astype(np.float64)
+    pps = sorted((p ** a, log_ratio_prime_power(model, p, a))
+                 for p in seg.tolist() if p * p <= top
+                 for a in range(2, 64) if p ** a <= top)
+    assert bool(pps) == (lo < math.isqrt(top))
+    pa = np.array([x for x, _ in pps], dtype=np.int64)
+    lr = np.array([x for _, x in pps])
     cuts = {top}
     for p in seg.tolist():
         k = top // p
         cuts |= {k * p, k * p - 1}
+    for x in pa.tolist():
+        k = top // x
+        cuts |= {k * x, k * x - 1, x, x - 1}
     for n in sorted(cuts):
         count = int(np.searchsorted(seg, n, side="right"))
         terms = dict(at_cut(count, n))
@@ -367,6 +401,14 @@ def test_float_quotients_are_exact_near_the_sieve_bound(lo, hi):
         assert terms["s1"].tolist() == q.tolist(), n
         want_f1 = (n - q * seg[:count]).astype(np.float64) / pf[:count]
         assert _bits(terms["f1"]) == _bits(want_f1), n
+        if not pps:
+            assert "pp" not in terms and "f2" not in terms
+            continue
+        c = int(np.searchsorted(pa, n, side="right"))
+        qa = n // pa[:c]
+        assert _bits(terms["pp"]) == _bits(qa.astype(np.float64) * lr[:c]), n
+        want_f2 = (n - qa * pa[:c]).astype(np.float64) / pa[:c].astype(np.float64)
+        assert _bits(terms["f2"]) == _bits(want_f2), n
 
 
 # ---------------------------------------------------------------------------
