@@ -92,7 +92,7 @@ def _partial(terms: np.ndarray, signed: bool) -> tuple[float, float, float]:
     return value, mass, pairwise_error_bound(mass, terms.size) + FORM_ULPS * EPS * mass
 
 
-def _segment_partials(primes, segment_terms, cuts, signed, integers):
+def _segment_partials(primes, segment_terms, cuts, limits, signed, integers):
     """Every cut's partials over one segment, as (cut index, {name: partial})."""
     size = len(primes)
     if size == 0:
@@ -100,9 +100,9 @@ def _segment_partials(primes, segment_terms, cuts, signed, integers):
     shared, at_cut = segment_terms(primes)
     full = {}
     out = []
-    for i in range(bisect_left(cuts, int(primes[0])), len(cuts)):
+    for i in range(bisect_left(limits, int(primes[0])), len(cuts)):
         n = cuts[i]
-        count = int(np.searchsorted(primes, n, side="right"))
+        count = int(np.searchsorted(primes, limits[i], side="right"))
         parts = {}
         for name, terms in shared.items():
             if count < size:
@@ -125,18 +125,22 @@ def reduce_primes(
     *,
     signed: Collection[str] = (),
     integers: Collection[str] = (),
+    limits: Sequence[int] | None = None,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     parallel: bool = False,
 ) -> dict[str, list]:
     """Sum per-segment terms over the primes p <= n at every cut n.
 
-    `cuts` must be strictly ascending, with cuts[0] >= 2.  [2, cuts[-1]] is
-    cut into sieve segments, and `segment_terms(primes)` is called once per
+    `cuts` must be strictly ascending, with cuts[0] >= 2.  With `limits`
+    (one per cut, ascending, each at least 2) cut n sums the primes
+    p <= limits[i] instead of p <= n.  [2, last limit] is cut into sieve
+    segments, and `segment_terms(primes)` is called once per
     nonempty segment with its primes as an ascending int64 array.  It
     returns ``(shared, at_cut)``:
 
     - `shared` maps a channel name to a term array aligned with the primes;
-      at cut n the segment contributes the terms of its primes <= n;
+      at cut n the segment contributes the terms of its primes <= n (or its
+      limit);
     - `at_cut(count, n)`, if not None, yields (channel name, terms) pairs for
       cut n over the first `count` primes.
       Each array is summed before the next is asked for, so a generator
@@ -154,7 +158,8 @@ def reduce_primes(
     Returns, per channel, one entry per cut: a KahanSum, or a Python int for
     integer channels.
     """
-    stream = stream_segmented(2, cuts[-1], segment_size=segment_size)
+    limits = cuts if limits is None else limits
+    stream = stream_segmented(2, limits[-1], segment_size=segment_size)
     sums: dict[str, list] = {}
 
     def merge(partials) -> None:
@@ -174,7 +179,7 @@ def reduce_primes(
 
         def work(idx: int):
             return _segment_partials(stream.segment(idx, base), segment_terms,
-                                     cuts, signed, integers)
+                                     cuts, limits, signed, integers)
 
         with ThreadPoolExecutor() as pool:
             for partials in pool.map(work, range(len(stream.segment_bounds()))):
@@ -184,7 +189,8 @@ def reduce_primes(
         # first measured ~15% slower on the constants' 2e8 passes (an effect
         # of the allocator, not of the arithmetic).
         for primes in stream.segments():
-            merge(_segment_partials(primes, segment_terms, cuts, signed, integers))
+            merge(_segment_partials(primes, segment_terms, cuts, limits, signed,
+                                    integers))
     return sums
 
 

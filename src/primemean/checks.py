@@ -454,6 +454,28 @@ def _check_determinism(ctx: CheckContext, hi: int | None):
     return ok, detail
 
 
+def _check_routes_agree(ctx: CheckContext, hi: int | None):
+    """The sieve and sublinear routes agree within their summed err_bounds."""
+    grid = _grid(hi, 100, 10 ** 7, 12)
+    names = ACCEPTANCE_MODELS + ("jordan_5",)
+    worst, worst_at = 0.0, None
+    for name in names:
+        sieve = ctx.report(name, grid)
+        fast = sums_stream(builtin(name), grid, companions=False, sublinear=True)
+        for n, a, b, ea, eb in zip(grid.points, sieve.n_log_g, fast.n_log_g,
+                                   sieve.err_bound, fast.err_bound):
+            # a NaN or infinite value or bound certifies nothing: it fails
+            finite = all(map(math.isfinite, (a, b, ea, eb)))
+            ratio = abs(a - b) / (ea + eb) if finite else math.inf
+            if ratio > worst:
+                worst, worst_at = ratio, (name, n)
+    ok = worst <= 1.0
+    where = "" if worst_at is None else f" (model {worst_at[0]}, n={worst_at[1]})"
+    detail = (f"max |sieve - sublinear| / (sum of err_bounds) = {worst:.3g}{where} "
+              f"over {len(names)} models, {len(grid)} checkpoints <= {grid.n_max}")
+    return ok, detail
+
+
 _REGISTRY = {
     "identity-oracle": _check_identity_oracle,
     "exact-identities": _check_exact_identities,
@@ -467,6 +489,7 @@ _REGISTRY = {
     "qsum-eta0": _check_qsum_eta0,
     "series-algebra": _check_series_algebra,
     "determinism": _check_determinism,
+    "routes-agree": _check_routes_agree,
     # finer-grained views of exact-identities, for targeted CLI runs
     "omega-identity": _check_omega_identity,
     "logkappa-identity": _check_logkappa_identity,
@@ -477,7 +500,7 @@ _REGISTRY = {
 ACCEPTANCE_CHECKS = (
     "identity-oracle", "exact-identities", "a1-gamma", "constants-stability",
     "rs-inequality", "omega-mean-trend", "s2-constant", "kappa-corollary",
-    "phi-geomean", "qsum-eta0", "series-algebra", "determinism",
+    "phi-geomean", "qsum-eta0", "series-algebra", "determinism", "routes-agree",
 )
 
 CHECK_NAMES = tuple(_REGISTRY)

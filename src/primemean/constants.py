@@ -420,13 +420,15 @@ def _c_q_root_bound(model: PrimeModel) -> Optional[float]:
     return bound if bound <= _MAX_ROOT_BOUND else None
 
 
+def _q_series_coeffs(model: PrimeModel, count: int) -> List[Fraction]:
+    """c_1 .. c_count: log(f(p) / (alpha p^d)) = sum_k c_k p^-k above every root."""
+    s_n, s_d = (_root_power_sums(c, count) for c in (model.fp.num, model.fp.den))
+    return [(sd - sn) / k for k, (sn, sd) in enumerate(zip(s_n, s_d), start=1)]
+
+
 def _c_q_series(model: PrimeModel, p_cut: int) -> ConstantValue:
     num, den = model.fp.num, model.fp.den
     lead, d = model.fp.leading(), int(model.d)
-
-    def coeffs(last: int) -> List[Fraction]:
-        s_n, s_d = _root_power_sums(num, last - 1), _root_power_sums(den, last - 1)
-        return [(sd - sn) / k for k, (sn, sd) in enumerate(zip(s_n, s_d), start=1)]
 
     def head(digits: int) -> Tuple[Decimal, float]:
         terms, err = [], 0.0
@@ -441,8 +443,8 @@ def _c_q_series(model: PrimeModel, p_cut: int) -> ConstantValue:
             total = sum(terms, Decimal(0))
         return total, 10.0 ** (1 - digits) * (err + len(terms) * sum(abs(float(x)) for x in terms))
 
-    return _prime_zeta(head, coeffs, len(num) + len(den) - 2, _c_q_root_bound(model),
-                       False, p_cut)
+    return _prime_zeta(head, lambda last: _q_series_coeffs(model, last - 1),
+                       len(num) + len(den) - 2, _c_q_root_bound(model), False, p_cut)
 
 
 def _prime_sum(p_cut: int, term_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],

@@ -30,9 +30,35 @@ n log G_f(n) reads none of the companions.  Only `sums`, `fit --target
 u-residual` and the S2 = n M - R check read them; every other command and
 check streams with ``companions=False`` and skips their terms.
 
+The sublinear route (``sublinear=True``; `geomean` and `fit` on every
+target but `u-residual` take it, while `sums`, `fit --target u-residual` and
+every check keep the sieve route) streams only the primes p <= y, a split
+per checkpoint (`_split`: isqrt(n), raised to 8R where R bounds the roots of
+f, and n itself when the C_Q series does not apply), through the same
+`_prime_terms` hooks: S1, S2 and S3 over p <= y, PP, and the direct
+cross-check over the same primes.  The rest needs only the primes <= sqrt(n):
+
+    S2(n) = log n! - LG(n),   LG(n) = sum_{p^a <= n, a >= 2} floor(n/p^a) log p,
+
+by Legendre's formula, LG being one more channel of the prime pass and
+log n! Stirling's series in decimal (`lucy.log_factorial`); and above y
+
+    sum_{y<p<=n} floor(n/p) g(p) = sum_{m <= n/(y+1)} (G(floor(n/m)) - G(y)),
+
+G(v) = sum_{p<=v} g(p), from Lucy's floor-value tables (`lucy.prime_tails`)
+for g = 1 (S1, exact) and g = p^-j, j = 1..J.  For p > y >= 8R,
+log(f(p)/(alpha p^d)) = sum_j c_j p^-j with the exact c_j of C_Q's series
+(`constants._q_series_coeffs`), so S3's tail is sum_{j<=J} c_j times the
+j-th row's.  J is the fewest rows whose cut (`_cut_bound`) stays below
+eps n.  Its `err_bound` adds to the prime pass's bounds Stirling's
+remainder and rounding, the tables' running bounds, the tails' rounding and
+the cut: every term is certified, none measured.  Checkpoints reach
+SUBLINEAR_MAX_BOUND = 1e12 on this route (a `WideGrid`), and
+DEFAULT_MAX_BOUND = 1e9 on the sieve route, which refuses a grid beyond it.
+
 floor(n/p) is formed as floor(n / p) in float64, and the remainder as
-n - floor(n/p) p.  Both are exact because every checkpoint is at most the
-sieve bound 1e9 < 2^52: n / p is then within half an ulp < 1/p of the true
+n - floor(n/p) p.  Both are exact because every checkpoint is at most
+1e12 < 2^52: n / p is then within half an ulp < 1/p of the true
 quotient, so its floor is floor(n/p), and every product and difference is an
 integer below 2^53.  The same holds with a prime power p^a <= n in place of p.
 
@@ -49,12 +75,17 @@ the assembly adds the rounding of log alpha and its own.  No declared
 profile constant (K) enters it.
 
 Cache format v7 (binary, little-endian): header {magic b"PMSM", version u16,
-model hash u64, checkpoint count u16, flags u8 (bit 0: the file holds the
-companions)}, then a 16-byte blake2b digest of the header and the records,
-then one record per checkpoint {n u64, s1 u64, one f64 each for s2, s3,
-n_log_g and err_bound, and, when the file holds the companions, one f64 each
-for f1, f2, r_sum, m_of_x and u_of_x} (48 or 88 bytes).  A file without the
-companions is a miss for a caller that reads them.  A report is stored as
+model hash u64, checkpoint count u16, flags u8 (bit 0: the first report
+holds the companions; bit 1: the first report was streamed on the
+sublinear route; bit 2: the sublinear route's report follows a sieve-route
+one)}, then a 16-byte blake2b digest of the header and the records, then
+one record per checkpoint {n u64, s1 u64, one f64 each for s2, s3, n_log_g
+and err_bound, and, when the report holds the companions, one f64 each for
+f1, f2, r_sum, m_of_x and u_of_x} (48 or 88 bytes), and with bit 2 one more
+48-byte record per checkpoint.  A caller reads the report of its route (a
+v7 file written before bits 1 and 2 existed holds one sieve-route report,
+as its clear bits say); a file without it, or without the companions for a
+caller that reads them, is a miss.  A report is stored as
 streamed and loaded as stored: a load runs no prime pass.  A file whose
 digest does not match is rejected, and so is a file of an older version
 (v6 summed PP and F2's prime-power part outside the reducer, so their last
@@ -73,7 +104,7 @@ import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Iterator
+from typing import ClassVar, Iterator
 
 import numpy as np
 
@@ -90,6 +121,7 @@ from .sieve import (
 )
 
 MAX_CHECKPOINTS = 64
+SUBLINEAR_MAX_BOUND = 10 ** 12      # the sublinear route's cap (the sieve's is 1e9)
 
 # Ordering of the float-valued accumulators, as `sums` prints them.
 COMPANION_FIELDS = ("f1", "f2", "r_sum", "m_of_x", "u_of_x")
@@ -99,6 +131,8 @@ CACHE_MAGIC = b"PMSM"
 CACHE_VERSION = 7
 _HEADER = struct.Struct("<4sHQHB")   # magic, version, model hash, count, flags
 _HAS_COMPANIONS = 0x01               # flags bit: the records hold the companions
+_SUBLINEAR = 0x02                    # flags bit: streamed on the sublinear route
+_PLUS_SUBLINEAR = 0x04               # flags bit: the sublinear report follows
 _DIGEST_SIZE = 16                    # blake2b of header + payload, after the header
 
 
@@ -114,9 +148,14 @@ def _check_count(count: int) -> None:
 
 @dataclass(frozen=True)
 class CheckpointGrid:
-    """Ascending evaluation points 2 <= n_1 < ... < n_m, m <= 64."""
+    """Ascending evaluation points 2 <= n_1 < ... < n_m <= MAX_POINT, m <= 64.
+
+    MAX_POINT is the sieve bound; a `WideGrid` raises it to the sublinear
+    route's.
+    """
 
     points: tuple[int, ...]
+    MAX_POINT: ClassVar[int] = DEFAULT_MAX_BOUND
 
     def __post_init__(self):
         pts = self.points
@@ -130,9 +169,9 @@ class CheckpointGrid:
             raise GridError(f"first checkpoint must be >= 2, got {pts[0]}")
         if any(b <= a for a, b in zip(pts, pts[1:])):
             raise GridError("checkpoints must be strictly ascending")
-        if pts[-1] > DEFAULT_MAX_BOUND:
-            raise GridError(
-                f"checkpoint {pts[-1]} exceeds the sieve bound {DEFAULT_MAX_BOUND}")
+        if pts[-1] > self.MAX_POINT:
+            bound = "sieve" if self.MAX_POINT == DEFAULT_MAX_BOUND else "sublinear route's"
+            raise GridError(f"checkpoint {pts[-1]} exceeds the {bound} bound {self.MAX_POINT}")
 
     @classmethod
     def from_points(cls, points) -> "CheckpointGrid":
@@ -167,6 +206,14 @@ class CheckpointGrid:
         return iter(self.points)
 
 
+class WideGrid(CheckpointGrid):
+    """A grid whose checkpoints reach SUBLINEAR_MAX_BOUND, as the command
+    line builds them: the sublinear route streams all of it, and the sieve
+    route refuses a checkpoint beyond the sieve bound."""
+
+    MAX_POINT = SUBLINEAR_MAX_BOUND
+
+
 # --------------------------------------------------------------------------
 # report
 # --------------------------------------------------------------------------
@@ -184,7 +231,8 @@ class SumsReport:
     `n_log_g` is the assembled identity value
     (log alpha) * s1 + d * s2 + s3 + [prime-power correction]; `err_bound`
     bounds its accumulation error.  Both are assembled once, by
-    `sums_stream`, and stored in the cache as they are.
+    `sums_stream`, and stored in the cache as they are.  `sublinear` says
+    which route streamed them.
     """
 
     model_name: str
@@ -200,6 +248,7 @@ class SumsReport:
     u_of_x: tuple[float, ...] | None
     n_log_g: tuple[float, ...]
     err_bound: tuple[float, ...]
+    sublinear: bool = False
 
     def __len__(self) -> int:
         return len(self.points)
@@ -215,24 +264,26 @@ class SumsReport:
 
 
 def _prime_power_table(model: PrimeModel, primes: np.ndarray, n_max: int
-                       ) -> tuple[np.ndarray, np.ndarray | None]:
+                       ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """The prime powers p^a <= n_max, a >= 2, of the given ascending primes,
-    sorted ascending as float64, and beside each log(f(p^a)/f(p^(a-1)))
-    (None for strongly multiplicative models, whose ratios are all 1).
+    sorted ascending as float64; beside each log(f(p^a)/f(p^(a-1)))
+    (None for strongly multiplicative models, whose ratios are all 1) and p.
 
     The float values are exact, since n_max < 2^52 (see the module docstring).
     """
-    pas, lrs = [], []
+    pas, lrs, bases = [], [], []
     for p in primes[:np.searchsorted(primes, math.isqrt(n_max), side="right")].tolist():
         pa, a = p * p, 2
         while pa <= n_max:
             pas.append(pa)
             lrs.append(log_ratio_prime_power(model, p, a))
+            bases.append(p)
             pa *= p
             a += 1
     order = np.argsort(pas, kind="stable")
     lr = None if model.strongly_multiplicative else np.array(lrs)[order]
-    return np.array(pas, dtype=np.float64)[order], lr
+    return (np.array(pas, dtype=np.float64)[order], lr,
+            np.array(bases, dtype=np.float64)[order])
 
 
 # --------------------------------------------------------------------------
@@ -241,7 +292,7 @@ def _prime_power_table(model: PrimeModel, primes: np.ndarray, n_max: int
 
 
 def _prime_terms(model: PrimeModel, need_s3: bool, n_max: int, companions: bool,
-                 seg: np.ndarray) -> SegmentTerms:
+                 seg: np.ndarray, legendre: bool = False) -> SegmentTerms:
     """One prime segment's terms of every prime and prime-power sum, for
     `reduce_primes`.
 
@@ -251,14 +302,15 @@ def _prime_terms(model: PrimeModel, need_s3: bool, n_max: int, companions: bool,
     floor(n/p^a) log(f(p^a)/f(p^(a-1))) over the prime powers p^a <= n of
     the segment's primes (never yielded for strongly multiplicative models).
     With `companions` set the segment also yields the companions' terms,
-    `f2` being F2's part on top of F1: the fractions {n/p^a}, a >= 2.  A
-    segment with no prime p <= sqrt(n_max) yields neither `pp` nor `f2`.
+    `f2` being F2's part on top of F1: the fractions {n/p^a}, a >= 2; with
+    `legendre`, `lg` is Legendre's a >= 2 term floor(n/p^a) log p.  A
+    segment with no prime p <= sqrt(n_max) yields none of `pp`, `f2`, `lg`.
     floor(n/p), floor(n/p^a) and the remainders are formed in float64,
     exactly because n < 2^52 (see the module docstring).
     """
-    pa, lr = (_prime_power_table(model, seg, n_max)
-              if companions or not model.strongly_multiplicative
-              else (seg[:0], None))     # nothing reads the prime powers
+    pa, lr, base = (_prime_power_table(model, seg, n_max)
+                    if companions or legendre or not model.strongly_multiplicative
+                    else (seg[:0], None, None))     # nothing reads the prime powers
     pf = seg.astype(np.float64)
     lp = np.log(pf)
     lf = model.log_at_prime_vec(pf, lp)
@@ -285,6 +337,8 @@ def _prime_terms(model: PrimeModel, need_s3: bool, n_max: int, companions: bool,
                 yield "pp", qa * lr[:pac.size]
             if companions:
                 yield "f2", (n - qa * pac) / pac
+            if legendre:
+                yield "lg", qa * np.log(base[:pac.size])
 
     return ({"m_of_x": _mertens_terms(pf, lp)} if companions else {}), at_cut
 
@@ -421,6 +475,78 @@ def u_truncation_bound(n: int) -> float:
 # --------------------------------------------------------------------------
 
 
+def _assemble(la: float, d: float, s1: int, s2, s3, pp) -> tuple[float, float]:
+    """(log alpha) S1 + d S2 + S3 + PP from (value, bound) pairs of S2, S3
+    and PP, and its bound: theirs (S2's times |d|), log alpha's ulp on S1,
+    and the assembly's own rounding."""
+    s1f = float(s1)
+    value = la * s1f + d * s2[0] + s3[0] + pp[0]
+    bound = (abs(d) * s2[1] + s3[1] + pp[1] + abs(la) * EPS * s1f
+             + 8.0 * EPS * (abs(la) * s1f + abs(d * s2[0]) + abs(s3[0]) + abs(pp[0])))
+    return value, bound
+
+
+def _split(n: int, root: float | None) -> int:
+    """The sublinear route's split y at n: the prime pass sums p <= y, the
+    floor-value tables the primes above.  isqrt(n), but at least 2 (the
+    pass's first prime), raised to 8R where the s3 series needs it (R bounds
+    the roots of f; `root` is 0 when s3 vanishes), and n when the series
+    does not apply (`root` None)."""
+    if root is None:
+        return n
+    return min(n, max(2, math.isqrt(n), math.ceil(8 * root)))
+
+
+def _cut_bound(n: int, y: int, rows: int, width: int, root: float) -> float:
+    """Bound on sum_{y<p<=n} floor(n/p) |sum_{k>J} c_k p^-k|, J = rows:
+    with |c_k| <= B R^k / k (B = deg N + deg D) and R/y <= 1/8, it is below
+    n B (R/y)^(J+1) / ((J+1)^2 (1 - R/y))."""
+    x = root / y
+    return n * width * x ** (rows + 1) / ((rows + 1) ** 2 * (1.0 - x))
+
+
+def _beyond_split(model: PrimeModel, points, splits, s1, s3, lg, root: float):
+    """S1, S2 and S3 over every prime p <= n from the prime pass's sums over
+    p <= y: S2 by Legendre, S1 and S3 with the floor-value tables' tails
+    (module docstring).  S2 and S3 come as (value, bound) pairs."""
+    from .constants import _q_series_coeffs
+    from .lucy import log_factorial, prime_tails
+
+    need_s3 = model.delta != math.inf
+    width = len(model.fp.num) + len(model.fp.den) - 2
+    rows = []
+    for n, y in zip(points, splits):
+        j = 0
+        if need_s3 and y < n:   # the fewest rows whose cut stays below eps n
+            j = 1
+            while _cut_bound(n, y, j, width, root) > EPS * n:
+                j += 1
+        rows.append(j)
+    coeffs = [float(c) for c in _q_series_coeffs(model, max(rows))] if max(rows) else []
+    primes = primes_up_to(max([math.isqrt(points[-1])]
+                              + [y for n, y in zip(points, splits) if y < n]))
+    out1, out2, out3 = [], [], []
+    for i, (n, y) in enumerate(zip(points, splits)):
+        fact, fact_err = log_factorial(n)
+        s2 = fact - lg[i].value
+        out2.append((s2, fact_err + lg[i].error_bound() + EPS * abs(s2)))
+        if y == n:
+            out1.append(s1[i])
+            out3.append(s3[i])
+            continue
+        above, tails = prime_tails(n, y, primes, rows[i])
+        terms = [c * a for c, (a, _) in zip(coeffs, tails)]
+        tail = sum(terms)
+        err = (sum(abs(c) * e for c, (_, e) in zip(coeffs, tails))
+               + (len(terms) + 2) * EPS * sum(map(abs, terms)))
+        if rows[i]:
+            err += _cut_bound(n, y, rows[i], width, root)
+        v3 = s3[i][0] + tail
+        out1.append(s1[i] + above)
+        out3.append((v3, s3[i][1] + err + EPS * abs(v3)))
+    return out1, out2, out3
+
+
 def sums_stream(
     model: PrimeModel,
     grid: CheckpointGrid,
@@ -428,6 +554,7 @@ def sums_stream(
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     parallel: bool = False,
     companions: bool = True,
+    sublinear: bool = False,
 ) -> SumsReport:
     """Evaluate every streaming sum at each checkpoint in one sieve pass.
 
@@ -435,65 +562,78 @@ def sums_stream(
     those fields of the report are None; s1, s2, s3, `n_log_g` and
     `err_bound` are bit-identical to the ``companions=True`` report.  Only
     `sums`, `fit --target u-residual` and the S2 = n M - R check read the
-    companions.  With ``parallel=True`` the prime segments are processed by
+    companions.  With ``sublinear=True`` (no companions) the pass stops at
+    each checkpoint's split y and the rest comes from Legendre's formula and
+    the floor-value tables (module docstring), so that checkpoints may reach
+    SUBLINEAR_MAX_BOUND (the sieve route stops at DEFAULT_MAX_BOUND).  With
+    ``parallel=True`` the prime segments are processed by
     a thread pool (see the module docstring for who asks for it); partials
     are merged in ascending segment order either way, so the result is
     bit-identical to the sequential run.
     """
+    if sublinear and companions:
+        raise ValueError("the sublinear route streams no companions")
+    if not sublinear and grid.n_max > DEFAULT_MAX_BOUND:
+        raise GridError(
+            f"checkpoint {grid.n_max} exceeds the sieve bound {DEFAULT_MAX_BOUND}")
     points = grid.points
     m = len(points)
     need_s3 = model.delta != math.inf
+    if sublinear:
+        from .constants import _c_q_root_bound
 
-    kah = reduce_primes(points, partial(_prime_terms, model, need_s3,
-                                        grid.n_max, companions),
+        root = _c_q_root_bound(model) if need_s3 else 0.0
+        splits = [_split(n, root) for n in points]
+
+    kah = reduce_primes(points, partial(_prime_terms, model, need_s3, grid.n_max,
+                                        companions, legendre=sublinear),
                         signed=("s3", "direct", "pp"), integers=("s1",),
+                        limits=splits if sublinear else None,
                         segment_size=segment_size, parallel=parallel)
     # a channel no segment yielded sums to zero: s3 when delta is infinite,
-    # pp when f is strongly multiplicative, pp and f2 when n_max < 4
-    for name in ("s3", "pp") + (("f2",) if companions else ()):
-        kah.setdefault(name, [KahanSum() for _ in range(m)])
-    s1, pp = kah.pop("s1"), kah.pop("pp")
+    # pp when f is strongly multiplicative, pp, f2 and lg when n_max < 4
+    for name in ("s3", "pp", "f2" if companions else "", "lg" if sublinear else ""):
+        if name:
+            kah.setdefault(name, [KahanSum() for _ in range(m)])
+    s1 = kah.pop("s1")
     if companions:      # F2 is F1 plus the prime-power fractions
         for f1, f2 in zip(kah["f1"], kah["f2"]):
             f2.add(f1.value, abs_x=f1.absmass, err_in=f1.error_bound())
 
     values = {name: tuple(acc.value for acc in kah[name]) if name in kah else None
               for name in FLOAT_FIELDS}
-
-    # n log G = (log alpha) S1 + d S2 + S3 + PP; its bound sums the reducer's
-    # certified bounds of S2 (times |d|), S3 and PP, log alpha's ulp on S1,
-    # and the assembly's own rounding.
+    s2, s3, pp = ([(acc.value, acc.error_bound()) for acc in kah[name]]
+                  for name in ("s2", "s3", "pp"))
     la = math.log(model.alpha)
-    n_log_g, err_bound = [], []
-    for i in range(m):
-        s1f, s2, s3, ppi = float(s1[i]), kah["s2"][i], kah["s3"][i], pp[i]
-        n_log_g.append(la * s1f + model.d * s2.value + s3.value + ppi.value)
-        err_bound.append(
-            abs(model.d) * s2.error_bound() + s3.error_bound() + ppi.error_bound()
-            + abs(la) * EPS * s1f
-            + 8.0 * EPS * (abs(la) * s1f + abs(model.d * s2.value)
-                           + abs(s3.value) + abs(ppi.value)))
+    head = [_assemble(la, model.d, *terms) for terms in zip(s1, s2, s3, pp)]
 
     # Internal cross-check: the decomposed assembly must agree with a direct
-    # compensated sum of floor(n/p) log f(p) within both error budgets.  A
-    # non-finite sum fails it (a NaN compares False).
+    # compensated sum of floor(n/p) log f(p) over the same primes within
+    # both error budgets.  A non-finite sum fails it (a NaN compares False).
     for i, n in enumerate(points):
-        direct = kah["direct"][i].value + pp[i].value
-        tol = (kah["direct"][i].error_bound() + pp[i].error_bound()
-               + err_bound[i] + 16.0 * EPS * abs(n_log_g[i]))
-        if not abs(direct - n_log_g[i]) <= tol:
+        direct = kah["direct"][i].value + pp[i][0]
+        tol = (kah["direct"][i].error_bound() + pp[i][1]
+               + head[i][1] + 16.0 * EPS * abs(head[i][0]))
+        if not abs(direct - head[i][0]) <= tol:
             raise AccumulationError(
                 f"identity cross-check failed at n={n} for model "
-                f"{model.name!r}: assembled {n_log_g[i]!r} vs direct "
+                f"{model.name!r}: assembled {head[i][0]!r} vs direct "
                 f"{direct!r} (tolerance {tol:.3e})")
+
+    total = head
+    if sublinear:
+        s1, s2, s3 = _beyond_split(model, points, splits, s1, s3, kah["lg"], root)
+        total = [_assemble(la, model.d, *terms) for terms in zip(s1, s2, s3, pp)]
+        values.update(s2=tuple(v for v, _ in s2), s3=tuple(v for v, _ in s3))
 
     return SumsReport(
         model_name=model.name,
         model_hash=_model_hash(model),
         points=points,
         s1=tuple(s1),
-        n_log_g=tuple(n_log_g),
-        err_bound=tuple(err_bound),
+        n_log_g=tuple(v for v, _ in total),
+        err_bound=tuple(b for _, b in total),
+        sublinear=sublinear,
         **values,
     )
 
@@ -540,8 +680,8 @@ def identity_prefix(model: PrimeModel, n_max: int) -> np.ndarray:
     lp = np.log(pf)
     lf = model.log_at_prime_vec(pf, lp)
 
-    pp_pa, pp_lr = ((pf[:0], None) if model.strongly_multiplicative
-                    else _prime_power_table(model, primes, n_max))
+    pp_pa, pp_lr, _ = ((pf[:0], None, None) if model.strongly_multiplicative
+                       else _prime_power_table(model, primes, n_max))
 
     cut = 0
     cut2 = 0
@@ -685,16 +825,26 @@ def _digest(header: bytes, payload: bytes) -> bytes:
     return h.digest()
 
 
-def save_report(path: str, report: SumsReport) -> None:
-    """Serialize a report (atomic replace; see module docstring for layout)."""
+def _records(report: SumsReport) -> bytes:
     names, record = _record_layout(report.has_companions)
     columns = [getattr(report, name) for name in names]
-    payload = b"".join(
-        record.pack(n, report.s1[i], *(col[i] for col in columns))
-        for i, n in enumerate(report.points))
+    return b"".join(record.pack(n, report.s1[i], *(col[i] for col in columns))
+                    for i, n in enumerate(report.points))
+
+
+def save_report(path: str, report: SumsReport | tuple[SumsReport, SumsReport]) -> None:
+    """Serialize a report, or a (sieve-route, sublinear-route) pair of
+    reports on one grid (atomic replace; see module docstring for layout)."""
+    report, also = report if isinstance(report, tuple) else (report, None)
+    if also is not None and (report.sublinear or not also.sublinear
+                             or also.points != report.points):
+        raise ValueError("a pair is a sieve-route and a sublinear-route report of one grid")
+    payload = _records(report) + (b"" if also is None else _records(also))
+    flags = ((_HAS_COMPANIONS if report.has_companions else 0)
+             | (_SUBLINEAR if report.sublinear else 0)
+             | (_PLUS_SUBLINEAR if also is not None else 0))
     header = _HEADER.pack(CACHE_MAGIC, CACHE_VERSION,
-                          report.model_hash, len(report),
-                          _HAS_COMPANIONS if report.has_companions else 0)
+                          report.model_hash, len(report), flags)
     data = header + _digest(header, payload) + payload
 
     directory = os.path.dirname(os.path.abspath(path))
@@ -709,15 +859,17 @@ def save_report(path: str, report: SumsReport) -> None:
         raise
 
 
-def load_report(path: str, model: PrimeModel,
-                grid: CheckpointGrid | None = None) -> SumsReport:
-    """Load a cached report for (model, grid), fields as stored.
+def load_report(path: str, model: PrimeModel, grid: CheckpointGrid | None = None,
+                sublinear: bool | None = None) -> SumsReport:
+    """Load a cached report for (model, grid), fields as stored: the file's
+    first report, or with `sublinear` set the report of that route.
 
     The report's companion fields are None when the file does not hold
     them.  Raises
     CacheFormatError on any mismatch: magic, version, unknown flags, invalid
     checkpoint count, payload size, digest, model-name hash, non-ascending
-    checkpoints, or (when `grid` is given) a different checkpoint set.
+    checkpoints, (when `grid` is given) a different checkpoint set, or (when
+    `sublinear` is given) no report of that route.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -730,12 +882,15 @@ def load_report(path: str, model: PrimeModel,
     if version != CACHE_VERSION:
         raise CacheFormatError(
             f"{path}: cache version {version} != supported {CACHE_VERSION}")
-    if flags & ~_HAS_COMPANIONS:
+    if flags & ~(_HAS_COMPANIONS | _SUBLINEAR | _PLUS_SUBLINEAR) or (
+            flags & _SUBLINEAR and flags & (_HAS_COMPANIONS | _PLUS_SUBLINEAR)):
         raise CacheFormatError(f"{path}: unknown flags {flags:#04x}")
     if not (1 <= count <= MAX_CHECKPOINTS):
         raise CacheFormatError(f"{path}: invalid checkpoint count {count}")
-    names, record = _record_layout(bool(flags & _HAS_COMPANIONS))
-    expected = start + count * record.size
+    blocks = [(*_record_layout(bool(flags & _HAS_COMPANIONS)), bool(flags & _SUBLINEAR))]
+    if flags & _PLUS_SUBLINEAR:
+        blocks.append((*_record_layout(False), True))
+    expected = start + count * sum(record.size for _, record, _ in blocks)
     if len(data) != expected:
         raise CacheFormatError(
             f"{path}: payload is {len(data)} bytes, expected {expected}")
@@ -746,7 +901,15 @@ def load_report(path: str, model: PrimeModel,
         raise CacheFormatError(
             f"{path}: cached model does not match {model.name!r}")
 
-    rows = list(record.iter_unpack(payload))
+    offset = 0
+    for names, record, route in blocks:
+        if sublinear is None or route == sublinear:
+            break
+        offset += count * record.size
+    else:
+        raise CacheFormatError(
+            f"{path}: holds no {'sublinear' if sublinear else 'sieve'}-route report")
+    rows = list(record.iter_unpack(payload[offset:offset + count * record.size]))
     points = tuple(row[0] for row in rows)
     s1 = tuple(row[1] for row in rows)
     if any(b <= a for a, b in zip(points, points[1:])):
@@ -758,7 +921,7 @@ def load_report(path: str, model: PrimeModel,
     fields.update((name, tuple(row[2 + j] for row in rows))
                   for j, name in enumerate(names))
     return SumsReport(model_name=model.name, model_hash=model_hash,
-                      points=points, s1=s1, **fields)
+                      points=points, s1=s1, sublinear=route, **fields)
 
 
 def default_cache_path(root: str, model: PrimeModel, grid: CheckpointGrid) -> str:

@@ -84,3 +84,8 @@ def test_criterion_11_series_algebra_exact(ctx):
 
 def test_criterion_12_bitwise_determinism(ctx):
     _run("determinism", ctx)
+
+
+def test_criterion_13_routes_agree(ctx):
+    # the sieve and sublinear routes, six built-ins and jordan_5, 100..1e7
+    _run("routes-agree", ctx, budget=30.0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
@@ -442,6 +443,111 @@ def _write_v1_cache(path, report):
             pairs += [getattr(report, name)[i], 0.0]
         blob.append(struct.pack("<QQ14d", n, report.s1[i], *pairs))
     path.write_bytes(b"".join(blob))
+
+
+def test_geomean_cache_never_reads_the_other_route(tmp_path, monkeypatch, capsys):
+    # geomean streams on the sublinear route and sums on the sieve route;
+    # sums writes both reports to the one file, and each command reads its own
+    monkeypatch.delenv("PRIMEMEAN_CACHE", raising=False)
+    model = builtin("euler_phi")
+    grid = ("--model", "euler_phi", "--to", "30000", "--points", "4", "--cache", str(tmp_path))
+    rc, cold, _ = run(capsys, "geomean", *grid, "--format", "json")
+    assert rc == 0
+    [path] = tmp_path.glob("*.pmsm")
+    assert primesums.load_report(str(path), model).sublinear
+    with pytest.raises(CacheFormatError, match="no sieve-route report"):
+        primesums.load_report(str(path), model, sublinear=False)
+
+    def no_stream(*args, **kwargs):
+        raise AssertionError("the cached report was not served")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(primesums, "sums_stream", no_stream)
+        rc, warm, _ = run(capsys, "geomean", *grid, "--format", "json")
+    assert rc == 0 and warm == cold
+
+    rc, _, _ = run(capsys, "sums", *grid)
+    report = primesums.load_report(str(path), model)
+    assert rc == 0 and report.has_companions and not report.sublinear
+    written = path.read_bytes()
+    with monkeypatch.context() as patch:
+        patch.setattr(primesums, "sums_stream", no_stream)
+        rc, after, _ = run(capsys, "geomean", *grid, "--format", "json")
+        assert rc == 0 and after == cold
+        rc, again, _ = run(capsys, "sums", *grid)
+        assert rc == 0
+    assert path.read_bytes() == written
+
+
+@pytest.mark.parametrize("argv", [
+    ("sums", "--model", "kappa", "--to", "2e9"),
+    ("fit", "--target", "u-residual", "--to", "2e9"),
+    ("verify", "--check", "exact-identities", "--to", "2e9"),
+    ("verify", "--check", "routes-agree", "--to", "2e9"),
+])
+def test_the_sieve_route_keeps_its_bound(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert "checkpoint 2000000000 exceeds the sieve bound 1000000000" in err
+
+
+def test_the_sublinear_route_reaches_1e12(capsys):
+    rc, out, _ = run(capsys, "geomean", "--model", "kappa", "--n", "2e9", "--format", "json")
+    assert rc == 0 and json.loads(out)[0]["n"] == 2 * 10 ** 9
+    for argv in (("geomean", "--model", "kappa", "--n", "1000000000001"),
+                 ("fit", "--target", "s1-residual", "--to", "1e13")):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == ""
+        assert "exceeds the sublinear route's bound 1000000000000" in err
+
+
+@pytest.mark.parametrize("model", ["kappa", "two_omega"])
+@pytest.mark.parametrize("argv", [("--n", "2"), ("--n", "3"), ("--to", "3")])
+def test_geomean_at_the_smallest_checkpoints(capsys, model, argv):
+    # below 4 the split isqrt(n) = 1 is raised to 2, the first prime
+    rc, out, _ = run(capsys, "geomean", "--model", model, *argv, "--format", "json")
+    assert rc == 0
+    rows = json.loads(out)
+    grid = CheckpointGrid.from_points([row["n"] for row in rows])
+    sieve = primesums.sums_stream(builtin(model), grid, companions=False)
+    fast = primesums.sums_stream(builtin(model), grid, companions=False, sublinear=True)
+    for row, n, a, b, ea, eb in zip(rows, grid.points, sieve.n_log_g, fast.n_log_g,
+                                    sieve.err_bound, fast.err_bound):
+        assert row["log_geomean"] == b / n
+        assert abs(a - b) <= ea + eb
+
+
+@pytest.mark.parametrize("field", ["n_log_g", "err_bound"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_routes_agree_fails_on_a_non_finite_value(monkeypatch, field, bad):
+    sums_stream = checks.sums_stream
+
+    def spoiled(model, grid, **kwargs):
+        rep = sums_stream(model, grid, **kwargs)
+        if not kwargs.get("sublinear"):
+            return rep
+        values = getattr(rep, field)
+        return dataclasses.replace(rep, **{field: (bad,) + values[1:]})
+
+    monkeypatch.setattr(checks, "sums_stream", spoiled)
+    result = checks.run_check("routes-agree", hi=10 ** 4)
+    assert not result.passed and "= inf" in result.detail
+
+
+def test_geomean_sieves_no_prime_above_the_split(monkeypatch, capsys):
+    # the default grid ends at 1e8, whose split is isqrt(1e8): the prime
+    # pass must stop there, and the floor-value tables take the rest
+    asked = []
+    stream_segmented = accum.stream_segmented
+
+    def recorded(lo, hi, *args, **kwargs):
+        asked.append(hi)
+        return stream_segmented(lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(accum, "stream_segmented", recorded)
+    monkeypatch.delenv("PRIMEMEAN_CACHE", raising=False)
+    rc, _, _ = run(capsys, "geomean", "--model", "euler_phi")
+    assert rc == 0 and asked == [10 ** 4]
 
 
 def test_v1_cache_file_is_recomputed(tmp_path, monkeypatch, capsys):

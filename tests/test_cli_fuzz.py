@@ -25,7 +25,7 @@ BAD_NUMBERS = ["0", "-5", "nan", "inf", "1e400", "x", ""]
 CHEAP_CHECKS = ["identity-oracle", "exact-identities", "omega-identity",
                 "logkappa-identity", "smr-identity", "a1-gamma", "rs-inequality",
                 "omega-mean-trend", "s2-constant", "kappa-corollary",
-                "series-algebra", "determinism", "bogus"]
+                "series-algebra", "determinism", "routes-agree", "bogus"]
 
 
 def _opt(flag: str, values) -> st.SearchStrategy:
@@ -89,6 +89,7 @@ def argv(draw) -> list[str]:
          env_cache=None)
 @example(args=["geomean", "--model", "kappa", "--points", "1000000000000000",
                "--spacing", "linear"], env_cache=None)
+@example(args=["geomean", "--model", "kappa", "--n", "1e13"], env_cache=None)
 def test_every_argument_vector_ends_in_a_documented_exit_code(args, env_cache, monkeypatch,
                                                              tmp_path):
     paths = {"dir": str(tmp_path / "cache"), "file": str(tmp_path / "regular")}

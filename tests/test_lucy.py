@@ -1,0 +1,79 @@
+"""Floor-value prime sums (Lucy's method) and log n! (Stirling), each
+against an independent reference and its own error bound."""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+import mpmath
+import numpy as np
+import pytest
+
+from primemean import lucy
+from primemean.accum import EPS
+from primemean.sieve import primes_up_to
+
+
+def test_half_log_2pi_constant():
+    with mpmath.workdps(60):
+        ref = mpmath.log(2 * mpmath.pi) / 2
+        assert abs(mpmath.mpf(str(lucy._HALF_LOG_2PI)) - ref) < mpmath.mpf(10) ** -49
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 999, 1000, 1001, 12345, 10 ** 8, 10 ** 12])
+def test_log_factorial_within_its_bound(n):
+    value, bound = lucy.log_factorial(n)
+    with mpmath.workdps(40):
+        err = abs(mpmath.mpf(value) - mpmath.loggamma(n + 1))
+    assert err <= bound
+    assert bound <= 4 * math.ulp(value)
+
+
+@pytest.mark.parametrize("j", [1, 2, 5, 12])
+def test_initial_rows_within_their_bounds(j):
+    v = np.array(list(range(0, 200)) + [999, 4096, 65537, 10 ** 6], dtype=np.float64)
+    value, bound = lucy._initial_row(j, v)
+    with mpmath.workdps(40):
+        for x, got, b in zip(v.astype(int).tolist(), value, bound):
+            if x <= 4096:
+                ref = sum((Fraction(1, k ** j) for k in range(2, x + 1)), Fraction(0))
+                ref = mpmath.mpf(ref.numerator) / ref.denominator
+            else:   # sum_{k<=x} k^-j = zeta(j, 1) - zeta(j, x + 1), or H_x at j = 1
+                ref = (mpmath.harmonic(x) if j == 1
+                       else mpmath.zeta(j) - mpmath.zeta(j, x + 1)) - 1
+            assert abs(mpmath.mpf(got) - ref) <= b, (j, x)
+
+
+# n = 101^3 puts p = 101 last in the per-prime updates, one less first in
+# the batch; a batch of 97 pairs splits the batch primes into many parts
+@pytest.mark.parametrize("batch", [lucy.BATCH, 97])
+@pytest.mark.parametrize("n", [10 ** 4, 12345, 101 ** 3 - 1, 101 ** 3, 999983])
+def test_floor_table_counts_exactly_and_bounds_its_sums(n, batch, monkeypatch):
+    monkeypatch.setattr(lucy, "BATCH", batch)
+    rows = 4
+    every = primes_up_to(n)
+    w = lucy.floor_table(n, primes_up_to(math.isqrt(n)), rows)
+    r = math.isqrt(n)
+    values = [n // m for m in range(1, r + 1)] + list(range(r + 1))
+    assert [int(c) for c in w[0]] == np.searchsorted(every, values, side="right").tolist()
+    # each reference term 1/p^j is correctly rounded and fsum is exact, so
+    # the reference itself is within one ulp of the sum
+    terms = [[1.0 / p ** j for p in every.tolist()] for j in range(1, rows + 1)]
+    for c in list(range(0, 2 * r + 1, max(1, r // 30))) + [2 * r]:
+        count = int(w[0, c])
+        for j in range(1, rows + 1):
+            ref = math.fsum(terms[j - 1][:count])
+            assert abs(w[j, c] - ref) <= w[rows + 1, c] + EPS * ref, (c, j)
+
+
+@pytest.mark.parametrize("n, y", [(5000, 70), (5000, 100), (10 ** 6, 1000), (10 ** 6, 1024)])
+def test_prime_tails_against_a_direct_sum(n, y):
+    rows = 3
+    every = primes_up_to(n)
+    above = [p for p in every.tolist() if p > y]
+    s1, tails = lucy.prime_tails(n, y, primes_up_to(max(math.isqrt(n), y)), rows)
+    assert s1 == sum(n // p for p in above)
+    for j, (value, bound) in enumerate(tails, start=1):
+        ref = math.fsum((n // p) / p ** j for p in above)
+        assert abs(value - ref) <= bound + EPS * ref, j

@@ -86,7 +86,10 @@ def test_package_surface_and_model_loads_import_no_numpy(model_file, half_delta_
 def test_geomean_still_imports_numpy_and_prints_the_same(model, row):
     # the row was printed before the package surface became lazy; the
     # euler_phi digits were re-pinned when the prime-power term joined the
-    # prime pass's reduction (n log G moved by 9e-13, within its 3.7e-11 bound)
+    # prime pass's reduction (n log G moved by 9e-13, within its 3.7e-11 bound).
+    # geomean's sublinear route prints them unchanged: n log G is bit-identical
+    # to the sieve route's at n = 1000, 1.3e-12 (euler_phi) and 6.5e-13 (kappa)
+    # from the 40-digit sums
     res = _python(textwrap.dedent(f"""
         import sys
         from primemean import cli

@@ -310,8 +310,8 @@ def _mp_n_log_g(model, points) -> list:
     return out
 
 
-def _assert_bound_holds(model):
-    rep = sums_stream(model, _REF_GRID, companions=False)
+def _assert_bound_holds(model, sublinear=False):
+    rep = sums_stream(model, _REF_GRID, companions=False, sublinear=sublinear)
     for n, got, ref, bound in zip(_REF_GRID.points, rep.n_log_g,
                                   _mp_n_log_g(model, _REF_GRID.points),
                                   rep.err_bound):
@@ -319,7 +319,7 @@ def _assert_bound_holds(model):
     return rep
 
 
-@pytest.mark.parametrize("name", [
+_REF_CASES = [
     "kappa", "two_omega", "euler_phi", "sigma", "divisor_d", "jordan_2",
     "jordan_5", "bench", "hole2",
     pytest.param("dip", marks=pytest.mark.xfail(
@@ -327,9 +327,50 @@ def _assert_bound_holds(model):
         reason="log1p(u) at u = -0.999975 (p = 2) amplifies the rounding of u "
                "4e4-fold, which FORM_ULPS does not cover: the error at n = 10 "
                "is 1.2e-11 against a bound of 4.0e-13")),
-])
+]
+
+
+@pytest.mark.parametrize("name", _REF_CASES)
 def test_err_bound_holds_against_a_40_digit_reference(name, tmp_path):
     _assert_bound_holds(_ref_model(name, tmp_path))
+
+
+@pytest.mark.parametrize("name", _REF_CASES)
+def test_sublinear_err_bound_holds_against_a_40_digit_reference(name, tmp_path):
+    # the prime pass stops at each split y; Legendre, the floor-value tables
+    # and the s3 series' cut carry the rest (dip fails at n = 10 as above:
+    # there y = n)
+    rep = _assert_bound_holds(_ref_model(name, tmp_path), sublinear=True)
+    assert rep.sublinear
+
+
+@pytest.mark.parametrize("n", [10 ** 9, 10 ** 10])
+def test_kappa_matches_stirling_and_legendre(n):
+    # n log G_kappa = S2 = log n! - sum_{p^a <= n, a >= 2} floor(n/p^a) log p
+    rep = sums_stream(builtin("kappa"), primesums.WideGrid((n,)),
+                      companions=False, sublinear=True)
+    with mpmath.workdps(40):
+        ref = mpmath.loggamma(n + 1)
+        for p in primes_up_to(math.isqrt(n)).tolist():
+            pa, total = p * p, 0
+            while pa <= n:
+                total += n // pa
+                pa *= p
+            ref -= total * mpmath.log(p)
+        assert abs(rep.n_log_g[0] - ref) <= rep.err_bound[0]
+
+
+@pytest.mark.parametrize("name", ["bench", "hole2"])
+def test_routes_agree_on_the_default_grid(name, tmp_path):
+    # bench's roots need y >= 8 * 8 = 64; hole2's root bound is ~2e6, so
+    # its sublinear route streams every prime, like the sieve route
+    model = _ref_model(name, tmp_path)
+    grid = CheckpointGrid.log_spaced(10 ** 4, 10 ** 8, 12)
+    sieve = sums_stream(model, grid, companions=False)
+    fast = sums_stream(model, grid, companions=False, sublinear=True)
+    assert fast.s1 == sieve.s1
+    for a, b, ea, eb in zip(sieve.n_log_g, fast.n_log_g, sieve.err_bound, fast.err_bound):
+        assert abs(a - b) <= ea + eb
 
 
 def test_err_bound_does_not_read_k(tmp_path):
@@ -556,6 +597,36 @@ def test_cache_rejects_corruption(tmp_path):
     missing = tmp_path / "absent.pmsm"
     with pytest.raises((CacheFormatError, OSError)):
         load_report(str(missing), model, grid)
+
+
+def test_a_sieve_and_a_sublinear_report_share_one_file(tmp_path):
+    # `sums --cache` stores the sieve-route report and the sublinear one;
+    # each loads bit for bit, and any flipped byte is refused or harmless
+    grid = CheckpointGrid.from_points([10, 100, 1000])
+    model = builtin("sigma")
+    sieve = sums_stream(model, grid)
+    fast = sums_stream(model, grid, companions=False, sublinear=True)
+    path = tmp_path / "pair.pmsm"
+    save_report(str(path), (sieve, fast))
+    start = primesums._HEADER.size + primesums._DIGEST_SIZE
+    assert path.stat().st_size == start + (88 + 48) * len(grid)
+    assert load_report(str(path), model, grid) == sieve
+    assert load_report(str(path), model, grid, sublinear=False) == sieve
+    assert load_report(str(path), model, grid, sublinear=True) == fast
+    for pair in ((fast, sieve), (sieve, sieve)):
+        with pytest.raises(ValueError):
+            save_report(str(tmp_path / "bad.pmsm"), pair)
+    blob = path.read_bytes()
+    for at in range(len(blob)):
+        mutant = bytearray(blob)
+        mutant[at] ^= 0x04
+        path.write_bytes(bytes(mutant))
+        for route, rep in ((False, sieve), (True, fast)):
+            try:
+                back = load_report(str(path), model, grid, sublinear=route)
+            except CacheFormatError:
+                continue
+            assert back == rep and _bits(back.n_log_g) == _bits(rep.n_log_g)
 
 
 @pytest.fixture(scope="module")
