@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Sequence
 
@@ -175,6 +174,8 @@ def reduce_primes(
                     sums[name][i].add(value, abs_x=mass, err_in=err)
 
     if parallel:
+        from concurrent.futures import ThreadPoolExecutor
+
         base = stream._base()
 
         def work(idx: int):

@@ -47,6 +47,12 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
+# numpy's bundled OpenBLAS reads this when it loads: one thread spares the
+# ~0.07 s of starting its pool, and the CLI's only BLAS call is `fit`'s QR of
+# a design of at most 64 x 13.  A value the caller has set wins.  The library
+# leaves its caller's environment alone.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from . import constants
 from .errors import (AccumulationError, CacheFormatError, GridError,
                      IllConditionedFitError, ModelSpecError, PrecisionError,

@@ -19,6 +19,20 @@ p > n^(1/3) reads only values below n^(2/3) < q^2 for every such prime q, so
 those primes, whose targets are the columns m <= n/p^2, are applied in one
 batch.
 
+Blocks.  An update by p <= n^(1/3) runs over its targets in blocks of at
+most BLOCK columns, so that nothing is written before it is read: first
+the large targets m <= min(r, n/p^2) in ascending order, each reading
+column m p - 1 (a strided slice while m p <= r) or r + floor(n/(m p)) (one
+`np.take`), both right of every column written so far; then the small
+targets v in [p^2, r] in descending order, v = q p + s reading r + q, so a
+run of q's is a contiguous slice repeated p-fold, left of every column
+written so far.  Each target still becomes old - (src - base) g, the
+arithmetic of one full-width gather, so the table is bit-identical to it
+(checked against that gather in the tests).  The initial values are filled
+block by block too, and the batch forms its terms one row at a time, so the
+memory is the table, plus O(BLOCK) temporaries, plus the batch's, which
+BATCH fixes (~2 MB per array).
+
 Initial values: sum_{2<=k<=v} k^-j is summed in exact fractions and
 rounded once for v < EM_FROM, and above by Euler-Maclaurin to the v^(-j-5)
 term,
@@ -55,6 +69,7 @@ from .accum import EPS, pairwise_error_bound
 EM_FROM = 64                 # sum_{k<=v} k^-j directly below, Euler-Maclaurin above
 BOUND_SLACK = 1.0 + 1e-6     # the running bounds' own rounding (< 1e-9 relative)
 BATCH = 1 << 18              # (p, m) pairs per batch update: a few MB per row
+BLOCK = 1 << 14              # table columns per block of a per-prime update
 
 # log(2 pi) / 2 to 50 digits (checked against mpmath in the tests)
 _HALF_LOG_2PI = Decimal("0.91893853320467274178032973640561763986139747363778")
@@ -154,6 +169,12 @@ def _weights(p, base: np.ndarray, rows: int, slop: float):
     return g, base
 
 
+def _values(n: int, r: int, lo: int, hi: int) -> np.ndarray:
+    """The floor values v of columns lo..hi-1 (module docstring), as float64."""
+    large = n // np.arange(lo + 1, min(hi, r) + 1)
+    return np.concatenate((large, np.arange(max(lo, r), hi) - r)).astype(np.float64)
+
+
 def floor_table(n: int, primes: np.ndarray, rows: int) -> np.ndarray:
     """Sums over the primes p <= v of p^-j, j = 0..rows, at the floor values.
 
@@ -163,14 +184,15 @@ def floor_table(n: int, primes: np.ndarray, rows: int) -> np.ndarray:
     every W[j, c], j >= 1.  `primes` must hold every prime <= r, ascending.
     """
     r = math.isqrt(n)
-    idx = np.arange(r + 1)
-    v = np.concatenate((n // idx[1:], idx)).astype(np.float64)
     nv = rows + 1                       # value rows; row nv is the bound
     w = np.zeros((nv + (rows > 0), 2 * r + 1))
-    w[0] = np.maximum(v - 1.0, 0.0)
-    for j in range(1, nv):
-        w[j], bound = _initial_row(j, v)
-        np.maximum(w[nv], bound, out=w[nv])
+    for lo in range(0, 2 * r + 1, BLOCK):
+        hi = min(lo + BLOCK, 2 * r + 1)
+        v = _values(n, r, lo, hi)
+        w[0, lo:hi] = np.maximum(v - 1.0, 0.0)
+        for j in range(1, nv):
+            w[j, lo:hi], bound = _initial_row(j, v)
+            np.maximum(w[nv, lo:hi], bound, out=w[nv, lo:hi])
     # each update's rounding: (rows + 2) ulps of |t_1| and one of the result,
     # both below S_1's largest value, which the updates only lower
     slop = (rows + 3) * EPS * float(w[1].max()) * BOUND_SLACK if rows else 0.0
@@ -178,17 +200,32 @@ def floor_table(n: int, primes: np.ndarray, rows: int) -> np.ndarray:
     split = int(np.count_nonzero(base_primes ** 3 <= n))     # p^3 <= 1e18 < 2^63
 
     for p in base_primes[:split].tolist():
-        top = min(r, n // (p * p))
-        small = r + p * p               # first small target column
-        inner = min(top, r // p)        # m <= inner reads the large column m p - 1
-        src = np.concatenate((idx[p - 1:inner * p:p], r + n // (idx[inner + 1:top + 1] * p),
-                              r + idx[p * p:] // p))
         g, base = _weights(p, w[:, r + p - 1], rows, slop)
-        t = w[:, src]
-        t -= base[:, None]
-        t *= g[:, None]
-        w[:, :top] -= t[:, :top]
-        w[:, small:] -= t[:, top:]
+        g, base = g[:, None], base[:, None]
+        # large targets, column m - 1 for m <= top, ascending: each reads a
+        # column right of every column written so far
+        top = min(r, n // (p * p))
+        inner = min(top, r // p)
+        for lo in range(0, inner, BLOCK):           # m p <= r: column m p - 1
+            hi = min(lo + BLOCK, inner)
+            t = w[:, (lo + 1) * p - 1:hi * p:p] - base
+            t *= g
+            w[:, lo:hi] -= t
+        for lo in range(inner, top, BLOCK):         # m p > r: column r + n // (m p)
+            hi = min(lo + BLOCK, top)
+            t = np.take(w, r + n // (np.arange(lo + 1, hi + 1) * p), axis=1)
+            t -= base
+            t *= g
+            w[:, lo:hi] -= t
+        # small targets v = q p + s in [p^2, r], descending: each reads r + q,
+        # left of every column written so far; the run of q = r // p ends at r
+        step = max(1, BLOCK // p)                   # q's per block
+        for hi in range(r // p + 1, p, -step):
+            lo = max(p, hi - step)
+            t = w[:, r + lo:r + hi] - base
+            t *= g
+            target = w[:, r + lo * p:r + hi * p]
+            target -= np.repeat(t, p, axis=1)[:, :target.shape[1]]
 
     # every p > n^(1/3) reads only final values and writes columns m <= n/p^2:
     # these primes go in batches of about BATCH (p, m) pairs
@@ -202,11 +239,12 @@ def floor_table(n: int, primes: np.ndarray, rows: int) -> np.ndarray:
         m = np.arange(p.size) - np.repeat(np.cumsum(count) - count, count)
         mp = (m + 1) * p
         src = np.where(mp <= r, mp - 1, r + n // mp)
-        g, base = _weights(p, w[:, r + p - 1], rows, slop)
-        t = (w[:, src] - base) * g
+        g, base = _weights(part, w[:, r + part - 1], rows, slop)
         top = int(count[0]) if count.size else 0
-        for j in range(len(w)):
-            w[j, :top] -= np.bincount(m, weights=t[j], minlength=top)
+        for j in range(len(w)):         # a row at a time: temporaries of one row
+            t = w[j, src] - np.repeat(base[j], count)
+            t *= np.repeat(g[j], count)
+            w[j, :top] -= np.bincount(m, weights=t, minlength=top)
         if rows:    # and the sum of a target's k terms: k ulps of S_1
             w[nv, :top] += np.bincount(m, minlength=top) * extra
     if rows:

@@ -5,8 +5,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -14,10 +17,12 @@ from pathlib import Path
 import pytest
 
 from primemean import accum, checks, constants, primesums
-from primemean.cli import main
+from primemean.cli import FIT_TARGETS, main
 from primemean.errors import CacheFormatError, GridError
 from primemean.multfunc import builtin
 from primemean.primesums import CheckpointGrid
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, *argv):
@@ -739,3 +744,39 @@ def test_unmeetable_model_file_exits_2_fast(tmp_path, capsys, body):
     assert time.perf_counter() - start < 1.0
     assert rc == 2 and out == ""
     assert "expected" in err or "MAX_EXPONENT" in err
+
+
+def _fresh(code: str, **env: str) -> str:
+    """stdout of `code` in a fresh interpreter on this source tree, with no
+    OPENBLAS_NUM_THREADS unless `env` sets it."""
+    base = {k: v for k, v in os.environ.items()
+            if not k.startswith("PYTHON") and k != "OPENBLAS_NUM_THREADS"}
+    res = subprocess.run([sys.executable, "-c", code], env={**base, "PYTHONPATH": SRC, **env},
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    return res.stdout
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_cli_runs_openblas_on_one_thread_unless_told_otherwise(preset):
+    env = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
+    out = _fresh("import os, primemean.cli\nprint(os.environ.get('OPENBLAS_NUM_THREADS'))", **env)
+    assert out.strip() == (preset or "1")
+
+
+@pytest.mark.parametrize("module", ["primemean", "primemean.primesums"])
+def test_library_imports_leave_the_environment_and_the_thread_pool_alone(module):
+    out = _fresh(f"import os, sys, {module}\n"
+                 "print(os.environ.get('OPENBLAS_NUM_THREADS'), 'concurrent.futures' in sys.modules)")
+    assert out.strip() == "None False"
+
+
+def test_fit_prints_the_same_bytes_on_one_blas_thread_as_on_several():
+    code = ("from primemean import cli\n"
+            f"for target in {FIT_TARGETS!r}:\n"
+            "    cli.main(['fit', '--target', target, '--from', '10000', '--to', '1000000',\n"
+            "              '--points', '64', '--order', '3'])\n")
+    # several: what numpy's OpenBLAS starts when nothing is set (one per CPU)
+    several = _fresh(code, OPENBLAS_NUM_THREADS=str(max(2, os.cpu_count() or 1)))
+    assert several.count("residual_norm") == 4
+    assert _fresh(code) == several

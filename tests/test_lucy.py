@@ -4,6 +4,7 @@ against an independent reference and its own error bound."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -77,3 +78,84 @@ def test_prime_tails_against_a_direct_sum(n, y):
     for j, (value, bound) in enumerate(tails, start=1):
         ref = math.fsum((n // p) / p ** j for p in above)
         assert abs(value - ref) <= bound + EPS * ref, j
+
+
+def _gather_floor_table(n, primes, rows):
+    """floor_table with each per-prime update as one full-width gather,
+    w[:, src] over every target at once, so that every source is read before
+    any target is written: the reference for the blocked kernel."""
+    r = math.isqrt(n)
+    idx = np.arange(r + 1)
+    v = np.concatenate((n // idx[1:], idx)).astype(np.float64)
+    nv = rows + 1
+    w = np.zeros((nv + (rows > 0), 2 * r + 1))
+    w[0] = np.maximum(v - 1.0, 0.0)
+    for j in range(1, nv):
+        w[j], bound = lucy._initial_row(j, v)
+        np.maximum(w[nv], bound, out=w[nv])
+    slop = (rows + 3) * EPS * float(w[1].max()) * lucy.BOUND_SLACK if rows else 0.0
+    base_primes = primes[:np.searchsorted(primes, r, side="right")]
+    split = int(np.count_nonzero(base_primes ** 3 <= n))
+    for p in base_primes[:split].tolist():
+        top = min(r, n // (p * p))
+        inner = min(top, r // p)
+        src = np.concatenate((idx[p - 1:inner * p:p], r + n // (idx[inner + 1:top + 1] * p),
+                              r + idx[p * p:] // p))
+        g, base = lucy._weights(p, w[:, r + p - 1], rows, slop)
+        t = w[:, src]
+        t -= base[:, None]
+        t *= g[:, None]
+        w[:, :top] -= t[:, :top]
+        w[:, r + p * p:] -= t[:, top:]
+    batch = base_primes[split:]
+    reach = np.cumsum(n // (batch * batch))
+    cuts = (np.searchsorted(reach, np.arange(lucy.BATCH, reach[-1], lucy.BATCH))
+            if batch.size else [])
+    extra = EPS * float(w[1].max()) if rows else 0.0
+    for part in np.split(batch, cuts):
+        count = n // (part * part)
+        p = np.repeat(part, count)
+        m = np.arange(p.size) - np.repeat(np.cumsum(count) - count, count)
+        mp = (m + 1) * p
+        src = np.where(mp <= r, mp - 1, r + n // mp)
+        g, base = lucy._weights(p, w[:, r + p - 1], rows, slop)
+        t = (w[:, src] - base) * g
+        top = int(count[0]) if count.size else 0
+        for j in range(len(w)):
+            w[j, :top] -= np.bincount(m, weights=t[j], minlength=top)
+        if rows:
+            w[nv, :top] += np.bincount(m, minlength=top) * extra
+    if rows:
+        w[nv] *= lucy.BOUND_SLACK
+    return w
+
+
+# blocks of r/16 columns split the initial fill, both target ranges of the
+# first per-prime updates and their small-target runs into many blocks
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("n", [10 ** 4, 12345, 101 ** 3 - 1, 101 ** 3, 999983, 10 ** 8])
+def test_floor_table_is_bitwise_the_gather_reference(n, split, monkeypatch):
+    if split:
+        monkeypatch.setattr(lucy, "BLOCK", max(7, math.isqrt(n) // 16))
+    primes = primes_up_to(math.isqrt(n))
+    for rows in range(5):
+        assert np.array_equal(lucy.floor_table(n, primes, rows),
+                              _gather_floor_table(n, primes, rows)), rows
+
+
+@pytest.mark.parametrize("n", [10 ** 9, 10 ** 10])
+def test_floor_table_temporaries_stay_within_a_few_blocks(n, monkeypatch):
+    # batches of 1024 pairs keep the batch phase's temporaries small, so that
+    # the peak is the initial fill's and the per-prime updates'; a gather over
+    # every column of the table would exceed the budget at both sizes
+    monkeypatch.setattr(lucy, "BATCH", 1024)
+    primes = primes_up_to(math.isqrt(n))
+    lucy.floor_table(10 ** 6, primes, 2)        # fill the constants' caches first
+    tracemalloc.start()
+    try:
+        w = lucy.floor_table(n, primes, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    budget = 8 * len(w) * lucy.BLOCK * w.itemsize      # eight (rows, BLOCK) arrays
+    assert peak - w.nbytes < budget, (peak - w.nbytes, budget)
