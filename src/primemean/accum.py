@@ -18,7 +18,9 @@ reduction, charges each partial pairwise_error_bound(mass, count) +
 FORM_ULPS * eps * mass (the second term is the formation rounding of the
 individual terms), and merges the partials into per-cut Kahan
 accumulators in ascending segment order, so every total carries a
-certified accumulation error bound.  Every command runs the
+certified accumulation error bound.  A run of terms that share one integer
+weight k (`Runs`) is summed once and scaled: its partial's error is k times
+the pairwise one plus the product's rounding.  Every command runs the
 segments in order on one thread.  The thread pool behind ``parallel=True``
 serves only the `determinism` check and the benchmark's per-layer probe:
 the merge order never depends on it, so its runs are bit-identical to
@@ -78,10 +80,22 @@ def pairwise_error_bound(total_abs: float, nterms: int) -> float:
     return EPS * (math.ceil(math.log2(nterms)) + 4.0) * total_abs
 
 
-#: What a segment worker returns: the cut-independent term arrays, and a
-#: function giving the (name, terms) pairs that depend on the cut (or None).
-SegmentTerms = tuple[dict[str, np.ndarray],
-                     Callable[[int, int], Iterable[tuple[str, np.ndarray]]] | None]
+@dataclass(frozen=True)
+class Runs:
+    """A cut's terms in runs of one integer weight each: run j adds
+    weights[j] times the terms edges[j]:edges[j + 1].  `terms` None counts
+    each prime once."""
+
+    terms: np.ndarray | None
+    edges: Sequence[int]
+    weights: Sequence[int]
+
+
+#: What a segment worker returns: the cut-independent channels, as
+#: (name, divisor, terms) triples, and a function giving the (name, terms)
+#: pairs that depend on the cut (or None).
+SegmentTerms = tuple[Iterable[tuple[str, int, np.ndarray | None]],
+                     Callable[[int, int], Iterable[tuple[str, np.ndarray | Runs]]] | None]
 
 
 def _partial(terms: np.ndarray, signed: bool) -> tuple[float, float, float]:
@@ -91,30 +105,52 @@ def _partial(terms: np.ndarray, signed: bool) -> tuple[float, float, float]:
     return value, mass, pairwise_error_bound(mass, terms.size) + FORM_ULPS * EPS * mass
 
 
+def _part(terms: np.ndarray | None, lo: int, hi: int, weight: int, signed: bool,
+          integer: bool):
+    """weight * sum(terms[lo:hi]): an int for an integer channel, else a
+    (value, mass, error) partial whose error is the pairwise partial's times
+    the weight plus the product's rounding.  `terms` None counts each prime
+    once, exactly."""
+    if terms is None:
+        count = weight * (hi - lo)
+        return count if integer else (float(count), float(count), 0.0)
+    if integer:
+        return weight * int(terms[lo:hi].sum())
+    value, mass, err = _partial(terms[lo:hi], signed)
+    if weight == 1:
+        return value, mass, err
+    value *= weight
+    return value, weight * mass, weight * err + EPS * abs(value)
+
+
 def _segment_partials(primes, segment_terms, cuts, limits, signed, integers):
-    """Every cut's partials over one segment, as (cut index, {name: partial})."""
-    size = len(primes)
-    if size == 0:
+    """Every cut's partials over one segment, as (cut index, {name: [partial, ...]})."""
+    if len(primes) == 0:
         return []
     shared, at_cut = segment_terms(primes)
-    full = {}
-    out = []
-    for i in range(bisect_left(limits, int(primes[0])), len(cuts)):
-        n = cuts[i]
-        count = int(np.searchsorted(primes, limits[i], side="right"))
-        parts = {}
-        for name, terms in shared.items():
-            if count < size:
-                parts[name] = _partial(terms[:count], name in signed)
-            else:   # every cut at or above the segment's end shares this one
-                if name not in full:
-                    full[name] = _partial(terms, name in signed)
-                parts[name] = full[name]
-        if at_cut is not None:
-            for name, terms in at_cut(count, n):
-                parts[name] = (int(terms.sum()) if name in integers
-                               else _partial(terms, name in signed))
-        out.append((i, parts))
+    out = [(i, {}) for i in range(bisect_left(limits, int(primes[0])), len(cuts))]
+    for name, divisor, terms in shared:
+        size = len(primes) if terms is None else terms.size
+        flags = name in signed, name in integers
+        memo = {}      # cuts whose limit covers the same primes share a partial
+        for i, parts in out:
+            count = int(np.searchsorted(primes[:size], limits[i] // divisor, side="right"))
+            if count:
+                if count not in memo:
+                    memo[count] = _part(terms, 0, count, 1, *flags)
+                parts.setdefault(name, []).append(memo[count])
+    if at_cut is not None:
+        for i, parts in out:
+            count = int(np.searchsorted(primes, limits[i], side="right"))
+            for name, terms in at_cut(count, cuts[i]):
+                flags = name in signed, name in integers
+                got = parts.setdefault(name, [])
+                if isinstance(terms, Runs):
+                    e = terms.edges
+                    got.extend(_part(terms.terms, e[j], e[j + 1], w, *flags)
+                               for j, w in enumerate(terms.weights) if e[j] < e[j + 1])
+                else:
+                    got.append(_part(terms, 0, terms.size, 1, *flags))
     return out
 
 
@@ -137,13 +173,17 @@ def reduce_primes(
     nonempty segment with its primes as an ascending int64 array.  It
     returns ``(shared, at_cut)``:
 
-    - `shared` maps a channel name to a term array aligned with the primes;
-      at cut n the segment contributes the terms of its primes <= n (or its
-      limit);
+    - `shared` yields (channel name, divisor m, terms) triples, the terms
+      aligned with the first primes of the segment (None: each prime counts
+      once); at cut n the triple contributes the terms of its primes
+      p <= n // m (or the limit's), and every cut's partial is taken
+      before the next triple is asked for;
     - `at_cut(count, n)`, if not None, yields (channel name, terms) pairs for
-      cut n over the first `count` primes.
-      Each array is summed before the next is asked for, so a generator
-      keeps only one alive.
+      cut n over the first `count` primes, the terms an array or `Runs`.
+
+    A channel may get several parts at one cut; each is merged on its own.
+    Each array is summed before the next is asked for, so a generator keeps
+    only one alive.
 
     A channel named in `integers` has nonnegative integer-valued terms, int
     or float, and is summed exactly into a Python int (a float partial is
@@ -163,15 +203,15 @@ def reduce_primes(
 
     def merge(partials) -> None:
         for i, parts in partials:
-            for name, part in parts.items():
+            for name, got in parts.items():
                 if name not in sums:
-                    sums[name] = ([0] * len(cuts) if isinstance(part, int)
+                    sums[name] = ([0] * len(cuts) if name in integers
                                   else [KahanSum() for _ in cuts])
-                if isinstance(part, int):
-                    sums[name][i] += part
+                if name in integers:
+                    sums[name][i] += sum(got)
                 else:
-                    value, mass, err = part
-                    sums[name][i].add(value, abs_x=mass, err_in=err)
+                    for value, mass, err in got:
+                        sums[name][i].add(value, abs_x=mass, err_in=err)
 
     if parallel:
         from concurrent.futures import ThreadPoolExecutor
@@ -205,6 +245,6 @@ def prime_sums(cuts: Sequence[int],
     """
     def terms(seg: np.ndarray) -> SegmentTerms:
         pf = seg.astype(np.float64)
-        return {"sum": term_fn(pf, np.log(pf))}, None
+        return [("sum", 1, term_fn(pf, np.log(pf)))], None
 
     return reduce_primes(cuts, terms, signed=("sum",) if signed else ())["sum"]

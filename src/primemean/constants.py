@@ -760,7 +760,7 @@ def _window_prime_averages(windows: Sequence[Tuple[float, float]]
         v = np.log(pf)
         inv = 1.0 / pf
         lg = v * inv
-        out = {}
+        out = []
         for k, (u0, u1) in enumerate(bounds):
             du = u1 - u0
             mass = np.where(
@@ -769,8 +769,7 @@ def _window_prime_averages(windows: Sequence[Tuple[float, float]]
                          ((u1 - v) / 2.0
                           + (du / (4.0 * np.pi)) * np.sin(2.0 * np.pi * (v - u0) / du))
                          / (du / 2.0)))
-            out[f"m{k}"] = mass * inv
-            out[f"e{k}"] = mass * lg
+            out += [(f"m{k}", 1, mass * inv), (f"e{k}", 1, mass * lg)]
         return out, None
 
     sums = reduce_primes([x_hi], terms)

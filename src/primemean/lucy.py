@@ -158,10 +158,9 @@ def _weights(p, base: np.ndarray, rows: int, slop: float):
     (p^-j is 1/p rounded, then multiplied by itself, so within j ulps), and
     -1/p and -(E(p - 1) + p slop) for the bound row, which then gains
     (E(src) + E(p - 1)) / p + slop."""
-    g = np.cumprod(np.broadcast_to(1.0 / np.asarray(p, dtype=np.float64),
-                                   (rows + 1 + (rows > 0), *np.shape(p))), axis=0)
-    g[1:] = g[:-1]
+    g = np.full((rows + 1 + (rows > 0), *np.shape(p)), 1.0 / np.asarray(p, dtype=np.float64))
     g[0] = 1.0
+    np.cumprod(g, axis=0, out=g)
     base = base.copy()
     if rows:
         g[-1] = -g[1]

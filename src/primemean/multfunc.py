@@ -278,13 +278,17 @@ class PrimeModel:
     def value_at_prime_power(self, p: int, a: int) -> Exact:
         return self._value(p, a)
 
+    def _rat(self, a: Optional[int]) -> _Rat:
+        """p -> f(p^a) as a rational function, built once per a; a = None is fp."""
+        if a not in self._rats:
+            self._rats[a] = self.fpa.rational(a)
+        return self._rats[a]
+
     def _value(self, p: int, a: Optional[int]) -> Exact:
         """Exact f(p^a) from fpa, memoised; a = None evaluates fp."""
         v = self._values.get((p, a))
         if v is None:
-            if a not in self._rats:
-                self._rats[a] = self.fpa.rational(a)
-            v = self._values[(p, a)] = self._rats[a](int(p))
+            v = self._values[(p, a)] = self._rat(a)(int(p))
         return v
 
     def _check_no_pole(self, p: np.ndarray) -> None:
@@ -357,13 +361,14 @@ def value_at(model: PrimeModel, k: int, table: SpfTable) -> FunctionValue:
 
 def log_ratio_prime_power(model: PrimeModel, p: int, a: int) -> float:
     """log(f(p^a)/f(p^(a-1))) for a >= 2 from the exact ratio, within ~1 ulp
-    (exactly 0 for strongly multiplicative f)."""
+    (exactly 0 for strongly multiplicative f).  Neither value is memoised:
+    the prime pass asks for every prime p <= sqrt(n) once."""
     if a < 2:
         raise GridError(f"log_ratio_prime_power needs a >= 2, got {a}")
     if model.strongly_multiplicative:
         return 0.0
-    return _log_exact(Fraction(model.value_at_prime_power(p, a))
-                      / model.value_at_prime_power(p, a - 1))
+    p = int(p)
+    return _log_exact(Fraction(model._rat(a)(p)) / model._rat(a - 1)(p))
 
 
 # --------------------------------------------------------------------------

@@ -20,11 +20,23 @@ splits into three streaming accumulators
 alongside the companion sums F1 (fractional parts), F2 (fractional parts over
 all prime powers), R(n) = sum {n/p} log p, M(x) = sum log p / p, and
 U(x) = sum_{2<=k<=x} log kappa(k) / log k.  `sums_stream` evaluates all of
-them at up to 64 checkpoints in one segmented pass; each prime updates every
-checkpoint >= p, so the pass is O(#primes * #checkpoints-above).  U is a
-prime sum too, U(x) = sum_p log p * sum_{m<=x/p} 1/log(m p): the inner sum
-is added term by term for m < U_M0 and by Euler-Maclaurin above, with the
-truncation bounded by `u_truncation_bound` (below 1.1e-16 * x).
+them at up to 64 checkpoints in one segmented pass; each prime serves every
+checkpoint >= p, so the pass is O(#primes * #checkpoints-above), and the
+work at each (segment, checkpoint) is kept small:
+
+- at cut n the primes p > n / U_M0 fall into runs (n/(k+1), n/k] of one
+  k = floor(n/p) < U_M0, whose edges are integer searches at n // k; S1
+  takes k times each run's count (exact), and S2, S3 and the direct
+  cross-check k times the run's pairwise partial of log p, log Q or
+  log f(p) (`accum.Runs`).  The primes p <= n / U_M0 keep their own
+  floor(n/p), and F1 and R take every prime's fraction (n - k p) / p, so R
+  stays independent of M and S2 (the S2 = n M - R check compares them);
+- U is a prime sum too, U(x) = sum_p log p * sum_{m<=x/p} 1/log(m p).  Its
+  terms m < U_M0 are cut-independent channels sum_{p<=x/m} g_m(p),
+  g_m(p) = log p / log(m p) (g_1 = 1 counts the primes), each g_m formed
+  once per segment and summed up to x // m at every cut; the rest is
+  Euler-Maclaurin, whose upper end Ei(log(q p)) is a Taylor step about
+  log x.  `u_truncation_bound` bounds the truncation (below 1.1e-16 * x).
 
 n log G_f(n) reads none of the companions.  Only `sums`, `fit --target
 u-residual` and the S2 = n M - R check read them; every other command and
@@ -36,7 +48,9 @@ every check keep the sieve route) streams only the primes p <= y, a split
 per checkpoint (`_split`: isqrt(n), raised to 8R where R bounds the roots of
 f, and n itself when the C_Q series does not apply), through the same
 `_prime_terms` hooks: S1, S2 and S3 over p <= y, PP, and the direct
-cross-check over the same primes.  The rest needs only the primes <= sqrt(n):
+cross-check over the same primes (no run appears where y <= n / U_M0, as
+for every n >= 1024 whose y is isqrt(n)).  The rest needs only the primes
+<= sqrt(n):
 
     S2(n) = log n! - LG(n),   LG(n) = sum_{p^a <= n, a >= 2} floor(n/p^a) log p,
 
@@ -56,8 +70,8 @@ the cut: every term is certified, none measured.  Checkpoints reach
 SUBLINEAR_MAX_BOUND = 1e12 on this route (a `WideGrid`), and
 DEFAULT_MAX_BOUND = 1e9 on the sieve route, which refuses a grid beyond it.
 
-floor(n/p) is formed as floor(n / p) in float64, and the remainder as
-n - floor(n/p) p.  Both are exact because every checkpoint is at most
+floor(n/p) is formed as floor(n / p) in float64 (or is the run's k), and
+the remainder as n - floor(n/p) p.  Both are exact because every checkpoint is at most
 1e12 < 2^52: n / p is then within half an ulp < 1/p of the true
 quotient, so its floor is floor(n/p), and every product and difference is an
 integer below 2^53.  The same holds with a prime power p^a <= n in place of p.
@@ -74,7 +88,7 @@ total, PP included, carries its pairwise, formation and merge rounding, and
 the assembly adds the rounding of log alpha and its own.  No declared
 profile constant (K) enters it.
 
-Cache format v7 (binary, little-endian): header {magic b"PMSM", version u16,
+Cache format v8 (binary, little-endian): header {magic b"PMSM", version u16,
 model hash u64, checkpoint count u16, flags u8 (bit 0: the first report
 holds the companions; bit 1: the first report was streamed on the
 sublinear route; bit 2: the sublinear route's report follows a sieve-route
@@ -82,14 +96,13 @@ one)}, then a 16-byte blake2b digest of the header and the records, then
 one record per checkpoint {n u64, s1 u64, one f64 each for s2, s3, n_log_g
 and err_bound, and, when the report holds the companions, one f64 each for
 f1, f2, r_sum, m_of_x and u_of_x} (48 or 88 bytes), and with bit 2 one more
-48-byte record per checkpoint.  A caller reads the report of its route (a
-v7 file written before bits 1 and 2 existed holds one sieve-route report,
-as its clear bits say); a file without it, or without the companions for a
-caller that reads them, is a miss.  A report is stored as
-streamed and loaded as stored: a load runs no prime pass.  A file whose
-digest does not match is rejected, and so is a file of an older version
-(v6 summed PP and F2's prime-power part outside the reducer, so their last
-bits differ).
+48-byte record per checkpoint.  A caller reads the report of its route; a
+file without it, or without the companions for a caller that reads them, is
+a miss.  A report is stored as streamed and loaded as stored: a load runs no
+prime pass.  A file whose digest does not match is rejected, and so is a
+file of an older version (v7 formed the sieve route's S1, S2, S3 and direct
+terms per prime and U's terms m < U_M0 at every cut, so their last bits
+differ).
 The model hash fingerprints the model itself (see `_model_hash`), not only
 its name, so two models that share a name never share a cache file.
 """
@@ -108,7 +121,7 @@ from typing import ClassVar, Iterator
 
 import numpy as np
 
-from .accum import EPS, KahanSum, SegmentTerms, prime_sums, reduce_primes
+from .accum import EPS, KahanSum, Runs, SegmentTerms, prime_sums, reduce_primes
 from .errors import AccumulationError, CacheFormatError, GridError
 from .multfunc import (_VALIDATION_PRIMES, PrimeModel, log_ratio_prime_power,
                        value_at)
@@ -128,7 +141,7 @@ COMPANION_FIELDS = ("f1", "f2", "r_sum", "m_of_x", "u_of_x")
 FLOAT_FIELDS = ("s2", "s3") + COMPANION_FIELDS
 
 CACHE_MAGIC = b"PMSM"
-CACHE_VERSION = 7
+CACHE_VERSION = 8
 _HEADER = struct.Struct("<4sHQHB")   # magic, version, model hash, count, flags
 _HAS_COMPANIONS = 0x01               # flags bit: the records hold the companions
 _SUBLINEAR = 0x02                    # flags bit: streamed on the sublinear route
@@ -298,15 +311,20 @@ def _prime_terms(model: PrimeModel, need_s3: bool, n_max: int, companions: bool,
 
     `n_max` is the largest cut.  `direct` is the straight sum
     floor(n/p) log f(p) used for the internal cross-check; `s1` is an
-    integer channel, summed exactly.  `pp` is the identity's a >= 2 term
-    floor(n/p^a) log(f(p^a)/f(p^(a-1))) over the prime powers p^a <= n of
-    the segment's primes (never yielded for strongly multiplicative models).
-    With `companions` set the segment also yields the companions' terms,
-    `f2` being F2's part on top of F1: the fractions {n/p^a}, a >= 2; with
-    `legendre`, `lg` is Legendre's a >= 2 term floor(n/p^a) log p.  A
-    segment with no prime p <= sqrt(n_max) yields none of `pp`, `f2`, `lg`.
-    floor(n/p), floor(n/p^a) and the remainders are formed in float64,
-    exactly because n < 2^52 (see the module docstring).
+    integer channel, summed exactly.  At cut n the primes p > n / U_M0 come
+    in runs of one k = floor(n/p) < U_M0, and S1, S2, S3 and `direct` take
+    each run as k times the sum of its count, log p, log Q or log f(p);
+    the primes below keep their own floor(n/p).  F1 and R take every
+    prime's fraction (n - floor(n/p) p) / p.  `pp` is the identity's a >= 2
+    term floor(n/p^a) log(f(p^a)/f(p^(a-1))) over the prime powers p^a <= n
+    of the segment's primes (never yielded for strongly multiplicative
+    models).  With `companions` set the segment also yields the companions'
+    terms, `f2` being F2's part on top of F1: the fractions {n/p^a},
+    a >= 2, and U's (see below); with `legendre`, `lg` is Legendre's a >= 2
+    term floor(n/p^a) log p.  A segment with no prime p <= sqrt(n_max)
+    yields none of `pp`, `f2`, `lg`.  floor(n/p), floor(n/p^a) and the
+    remainders are formed in float64, exactly because n < 2^52 (see the
+    module docstring).
     """
     pa, lr, base = (_prime_power_table(model, seg, n_max)
                     if companions or legendre or not model.strongly_multiplicative
@@ -317,19 +335,31 @@ def _prime_terms(model: PrimeModel, need_s3: bool, n_max: int, companions: bool,
     qr = model.log_q_ratio_vec(pf, lp) if need_s3 else None
     u_lo = _u_lower_end(seg, lp, n_max) if companions else None
 
-    def at_cut(count: int, n: int) -> Iterator[tuple[str, np.ndarray]]:
-        pc = pf[:count]
-        q = np.floor(n / pc)
-        yield "s1", q
-        yield "s2", q * lp[:count]
-        if need_s3:
-            yield "s3", q * qr[:count]
-        yield "direct", q * lf[:count]
+    def at_cut(count: int, n: int) -> Iterator[tuple[str, np.ndarray | Runs]]:
+        # run j holds the primes with floor(n/p) = _RUN_WEIGHTS[j]; the first
+        # `head` primes, p <= n / U_M0, precede every run
+        edges = np.searchsorted(seg[:count], n // _RUN_DIVISORS, side="right").tolist()
+        head = edges[0]
+        q = np.empty(count if companions else head)
+        qh = np.floor(np.divide(n, pf[:head], out=q[:head]), out=q[:head])
+        if companions:      # the runs' quotients are their weights
+            for j, k in enumerate(_RUN_WEIGHTS):
+                q[edges[j]:edges[j + 1]] = k
+        yield "s1", qh
+        yield "s1", Runs(None, edges, _RUN_WEIGHTS)
+        for name, t in (("s2", lp), ("s3", qr), ("direct", lf)):
+            if t is not None:
+                yield name, qh * t[:head]
+                yield name, Runs(t, edges, _RUN_WEIGHTS)
         if companions:
-            fr = (n - q * pc) / pc
+            pc = pf[:count]
+            fr = np.multiply(q, pc)         # (n - q p) / p, every step exact but the last
+            np.subtract(n, fr, out=fr)
+            fr /= pc
             yield "f1", fr
             yield "r_sum", fr * lp[:count]
-            yield "u_of_x", _u_cut_terms(seg, pf, lp, u_lo, q, n)
+            if head:
+                yield "u_of_x", _u_em_terms(pf[:head], lp[:head], u_lo, qh, n)
         if pa.size:
             pac = pa[:np.searchsorted(pa, n, side="right")]
             qa = np.floor(n / pac)
@@ -340,7 +370,12 @@ def _prime_terms(model: PrimeModel, need_s3: bool, n_max: int, companions: bool,
             if legendre:
                 yield "lg", qa * np.log(base[:pac.size])
 
-    return ({"m_of_x": _mertens_terms(pf, lp)} if companions else {}), at_cut
+    def shared() -> Iterator[tuple[str, int, np.ndarray | None]]:
+        if companions:
+            yield "m_of_x", 1, _mertens_terms(pf, lp)
+            yield from _u_direct_channels(seg, lp, n_max)
+
+    return shared(), at_cut
 
 
 # --------------------------------------------------------------------------
@@ -351,8 +386,11 @@ def _prime_terms(model: PrimeModel, need_s3: bool, n_max: int, companions: bool,
 #
 #     U(x) = sum_{p<=x} log p * T_p(x // p),   T_p(q) = sum_{m=1}^{q} f_p(m),
 #
-# with f_p(t) = 1/log(t p).  The terms m < U_M0 are added one by one; the
-# rest, for the primes with q >= U_M0, by Euler-Maclaurin:
+# with f_p(t) = 1/log(t p).  The terms m < U_M0 are cut-independent
+# channels: sum_{m<U_M0} sum_{p<=x/m} g_m(p), g_m(p) = log p / log(m p),
+# g_1 = 1 (so m = 1 adds pi(x), exactly).  Each g_m is formed once per
+# segment over its primes p <= n_max / m, and every cut sums a prefix of
+# it.  The rest, for the primes p <= x / U_M0 (q >= U_M0), is Euler-Maclaurin:
 #
 #     sum_{m=M0}^{q} f_p(m) = (li(q p) - li(M0 p)) / p + (f_p(M0) + f_p(q)) / 2
 #         + sum_{k=1}^{J} B_2k / (2k)! (f_p^(2k-1)(q) - f_p^(2k-1)(M0)) + R,
@@ -362,10 +400,24 @@ def _prime_terms(model: PrimeModel, need_s3: bool, n_max: int, companions: bool,
 # coefficients all have the sign (-1)^k.  So f_p^(2J) > 0, f_p^(2J-1) rises
 # to 0, and |R| <= |B_2J| / (2J)! |f_p^(2J-1)(M0)| (the periodic Bernoulli
 # bound 2 zeta(2J) / (2 pi)^(2J) is exactly |B_2J| / (2J)!).
-# `u_truncation_bound` sums these remainders and the Ei series truncation.
+#
+# The lower end li(M0 p) is cut-independent and summed by Ei's power series.
+# At the upper end q p = x - r with the exact integer r = x - q p < p
+# <= x / U_M0, so log(q p) = L - delta with L = log x and
+# 0 <= delta = -log1p(-r/x) < log(U_M0 / (U_M0 - 1)): Ei is a Taylor step
+# about L, sum_{k<=K} Ei^(k)(L) (-delta)^k / k!, whose derivatives are
+# scalars, Ei^(k)(L) = x sum_{j<k} C(k-1, j) (-1)^j j! / L^(j+1).  Its
+# remainder is at most |Ei^(K+1)(xi)| delta^(K+1) / (K+1)! with
+# xi in [L - delta, L].  `u_truncation_bound` sums these remainders and the
+# Ei series truncation.
 
 U_M0 = 32           # m < U_M0 summed term by term
 U_EM_TERMS = 4      # J, the Bernoulli corrections
+
+#: floor(n/p) = k < U_M0 on n/(k+1) < p <= n/k: the divisors k of the run
+#: edges n // k and the run weights, both in ascending order of the primes
+_RUN_DIVISORS = np.arange(U_M0, 0, -1)
+_RUN_WEIGHTS = tuple(range(U_M0 - 1, 0, -1))
 
 
 def _h_poly(k: int) -> tuple[int, ...]:
@@ -391,13 +443,24 @@ _EM_CORRECTIONS = tuple(
 _EI_TERMS = 96
 _EI_COEFFS = tuple(1.0 / (k * math.factorial(k)) for k in range(1, _EI_TERMS + 1))
 
+#: K, the Taylor step's terms, and its largest delta, log(U_M0 / (U_M0 - 1))
+_EI_TAYLOR_TERMS = 8
+_TAYLOR_DELTA = math.log(U_M0 / (U_M0 - 1))
 
-def _ei_series(x: np.ndarray) -> np.ndarray:
-    """sum_{k=1}^{_EI_TERMS} x^k / (k k!) by Horner (all terms positive)."""
-    s = np.full_like(x, _EI_COEFFS[-1])
-    for c in _EI_COEFFS[-2::-1]:
+
+def _horner(coeffs, x):
+    """sum_i coeffs[i] x^i (ascending from x^0) by Horner, in one array, or
+    in floats for a float x."""
+    s = np.full_like(x, coeffs[-1]) if isinstance(x, np.ndarray) else coeffs[-1]
+    for c in coeffs[-2::-1]:
         s *= x
         s += c
+    return s
+
+
+def _ei_series(x):
+    """sum_{k=1}^{_EI_TERMS} x^k / (k k!) by Horner (all terms positive)."""
+    s = _horner(_EI_COEFFS, x)
     s *= x
     return s
 
@@ -409,46 +472,81 @@ def _ei_tail(x: float) -> float:
     return first * (k + 1) / (k + 1 - x)
 
 
+def _ei_derivative(k: int, x: float, ex: float, signs: int = -1) -> float:
+    """Ei^(k)(x) = e^x sum_{j<k} C(k-1, j) (-1)^j j! / x^(j+1), with e^x = ex;
+    `signs` 1 sums the absolute values of the terms instead."""
+    return ex * math.fsum(math.comb(k - 1, j) * signs ** j * math.factorial(j) / x ** (j + 1)
+                          for j in range(k))
+
+
+def _ei_taylor(n: int, delta: np.ndarray) -> np.ndarray:
+    """Ei(log n - delta) - gamma for 0 <= delta < _TAYLOR_DELTA: Ei's series
+    at L = log n plus the Taylor step's K terms, by Horner in delta."""
+    big_l = math.log(n)
+    coeffs = [_ei_derivative(k, big_l, n) * (-1) ** k / math.factorial(k)
+              for k in range(1, _EI_TAYLOR_TERMS + 1)]
+    s = _horner(coeffs, delta)
+    s *= delta
+    s += _ei_series(big_l) + math.log(big_l)
+    return s
+
+
 def _em_corrections(t, v: np.ndarray) -> np.ndarray:
-    """sum_k B_2k / (2k)! f_p^(2k-1)(t), with v = 1/log(t p)."""
-    out = np.zeros_like(v)
-    for b, h in _EM_CORRECTIONS:
-        out += (b * np.polynomial.polynomial.polyval(v, h)) / t ** (len(h) - 2)
+    """sum_k B_2k / (2k)! f_p^(2k-1)(t), with v = 1/log(t p): v^2 / t times
+    a Horner sum in 1/t^2 over the polynomials B_2k / (2k)! h_{2k-1}(v) / v^2
+    (every h_{2k-1} has the factor v^2)."""
+    w = 1.0 / (t * t)
+    out = None
+    for b, h in _EM_CORRECTIONS[::-1]:
+        term = _horner([b * c for c in h[2:]], v)
+        if out is not None:
+            out *= w
+            term += out
+        out = term
+    out *= v
+    out *= v
+    out /= t
     return out
+
+
+def _g_m(lp: np.ndarray, m: int) -> np.ndarray:
+    """g_m(p) = log p / log(m p), from the primes' logs."""
+    den = lp + math.log(m)
+    return np.divide(lp, den, out=den)
+
+
+def _u_direct_channels(seg: np.ndarray, lp: np.ndarray, u_max: int):
+    """U's terms m < U_M0 as `reduce_primes` channels (name, m, g_m): g_1
+    counts the primes, and each further g_m is formed over the segment's
+    primes p <= u_max / m, one at a time."""
+    yield "u_of_x", 1, None
+    for m in range(2, U_M0):
+        c = int(np.searchsorted(seg, u_max // m, side="right"))
+        if c == 0:
+            return
+        yield "u_of_x", m, _g_m(lp[:c], m)
 
 
 def _u_lower_end(seg: np.ndarray, lp: np.ndarray, u_max: int):
     """The cut-independent lower-end terms at m = U_M0, for the segment's
-    primes p <= u_max / U_M0: (log(M0 p), Ei series at it, the rest)."""
+    primes p <= u_max / U_M0: (Ei(log(M0 p)) - gamma, the rest)."""
     c = int(np.searchsorted(seg, u_max // U_M0, side="right"))
     if c == 0:      # no cut reaches the Euler-Maclaurin part in this segment
-        return lp[:0], lp[:0], lp[:0]
+        return lp[:0], lp[:0]
     ua = math.log(U_M0) + lp[:c]
     va = 1.0 / ua
-    return ua, _ei_series(ua), 0.5 * va - _em_corrections(float(U_M0), va)
+    return _ei_series(ua) + np.log(ua), 0.5 * va - _em_corrections(float(U_M0), va)
 
 
-def _u_cut_terms(seg, pf, lp, u_lo, q, n: int) -> np.ndarray:
-    """log p * T_p(n // p) for the first q.size primes of the segment;
-    q holds n // p as floats."""
-    count = q.size
-    t = 1.0 / lp[:count]                                 # m = 1
-    buf = np.empty(count)
-    for m in range(2, U_M0):
-        c = int(np.searchsorted(seg[:count], n // m, side="right"))   # q >= m
-        if c == 0:
-            break
-        tm = np.add(lp[:c], math.log(m), out=buf[:c])
-        t[:c] += np.reciprocal(tm, out=tm)
-    ua, sa, lo = u_lo
-    c = int(np.searchsorted(seg[:count], n // U_M0, side="right"))
-    if c:
-        qc = q[:c]
-        ub = np.log(qc * pf[:c])
-        vb = 1.0 / ub
-        t[:c] += ((_ei_series(ub) - sa[:c] + np.log(ub / ua[:c])) / pf[:c]
-                  + 0.5 * vb + _em_corrections(qc, vb) + lo[:c])
-    t *= lp[:count]
+def _u_em_terms(pf, lp, u_lo, q, n: int) -> np.ndarray:
+    """log p * sum_{m=U_M0}^{q} 1/log(m p) at cut n for the segment's primes
+    p <= n / U_M0, which q holds n // p of as floats."""
+    c = q.size
+    ea, lo = u_lo
+    delta = -np.log1p(-(n - q * pf) / n)
+    vb = 1.0 / (math.log(n) - delta)
+    t = (_ei_taylor(n, delta) - ea[:c]) / pf + 0.5 * vb + _em_corrections(q, vb) + lo[:c]
+    t *= lp
     return t
 
 
@@ -456,10 +554,12 @@ def u_truncation_bound(n: int) -> float:
     """Bound on the truncation error of the streamed U(n), rounding aside.
 
     It sums, over the primes p <= n / U_M0, log p times the Euler-Maclaurin
-    remainder |B_2J| / (2J)! M0^(1-2J) |h_{2J-1}(1/log(M0 p))| and the Ei
-    series truncation at both ends, divided by p.  |h_{2J-1}(v)| grows with
-    v, so v = 1/log(2 M0) majorizes it; theta(y) = sum_{p<=y} log p
-    < 1.01624 y (Rosser and Schoenfeld 1962, Thm 9) and log p / p < 1/2.
+    remainder |B_2J| / (2J)! M0^(1-2J) |h_{2J-1}(1/log(M0 p))|, the Ei
+    series truncation at both ends and the Taylor step's remainder, divided
+    by p.  |h_{2J-1}(v)| grows with v, so v = 1/log(2 M0) majorizes it;
+    theta(y) = sum_{p<=y} log p < 1.01624 y (Rosser and Schoenfeld 1962,
+    Thm 9), log p / p < 1/2, and sum_{p<=y} log p / p < log y + 2 (Mertens).
+    The Taylor remainder takes e^xi <= n and xi >= log n - _TAYLOR_DELTA.
     """
     y = n // U_M0
     if y < 2:
@@ -467,7 +567,10 @@ def u_truncation_bound(n: int) -> float:
     b, h = _EM_CORRECTIONS[-1]
     h_max = abs(float(np.polynomial.polynomial.polyval(1.0 / math.log(2 * U_M0), h)))
     em = 1.01624 * y * abs(b) * h_max / float(U_M0) ** (2 * U_EM_TERMS - 1)
-    return em + 2.0 * _ei_tail(math.log(n)) * y / 2.0
+    k = _EI_TAYLOR_TERMS + 1
+    taylor = (_ei_derivative(k, math.log(n) - _TAYLOR_DELTA, n, signs=1)
+              * _TAYLOR_DELTA ** k / math.factorial(k) * (math.log(y) + 2.0))
+    return em + 2.0 * _ei_tail(math.log(n)) * y / 2.0 + taylor
 
 
 # --------------------------------------------------------------------------

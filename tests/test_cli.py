@@ -597,12 +597,14 @@ def _assert_recomputed(path: Path, tmp_path, monkeypatch, capsys) -> None:
     assert struct.unpack_from("<H", path.read_bytes(), 4) == (primesums.CACHE_VERSION,)
 
 
-@pytest.mark.parametrize("version", [3, 5, 6])
+@pytest.mark.parametrize("version", [3, 5, 6, 7])
 def test_v3_cache_file_is_recomputed(version, tmp_path, monkeypatch, capsys):
     # a current file stamped with an older version is refused on the version
     # alone: a v3 file differs from v4 only in U's last bits, a v5 record
-    # lacks n_log_g and err_bound, and a v6 file's n_log_g, err_bound and f2
-    # differ from v7 in their last bits when f is not strongly multiplicative
+    # lacks n_log_g and err_bound, a v6 file's n_log_g, err_bound and f2
+    # differ from v7 in their last bits when f is not strongly multiplicative,
+    # and a v7 sieve-route report's s2, s3, n_log_g, err_bound and U differ
+    # from v8 in their last bits (per-prime quotients at every cut)
     model = builtin("kappa")
     grid = CheckpointGrid.log_spaced(100, 20000, 3)
     path = Path(primesums.default_cache_path(str(tmp_path), model, grid))
@@ -629,7 +631,7 @@ def test_non_finite_sum_fails_the_cross_check(tmp_path, capsys):
 
 def test_v4_cache_file_is_recomputed(tmp_path, monkeypatch, capsys):
     # a v4 file without U: flags 0, records of n, s1 and six floats (64
-    # bytes), where v7 reads flags 0 as records of 48 bytes
+    # bytes), where the current format reads flags 0 as records of 48 bytes
     model = builtin("kappa")
     grid = CheckpointGrid.log_spaced(100, 20000, 3)
     report = primesums.sums_stream(model, grid)

@@ -410,3 +410,17 @@ def test_a_delta_past_the_double_range_fails_the_profile(tmp_path, delta):
                     "fp = p + 1\nstrongly_multiplicative = true\n")
     with pytest.raises(ModelSpecError, match="measured K_hat = inf"):
         load_model_file(str(path))
+
+
+@pytest.mark.parametrize("name", ["sigma", "euler_phi", "jordan_5"])
+def test_the_prime_power_table_memoises_no_value(name):
+    # the prime pass asks for f(p^a) once per prime power: nothing it
+    # evaluates may stay in the model's memo
+    from primemean.primesums import _prime_power_table
+    from primemean.sieve import primes_up_to
+
+    model = builtin(name)
+    before = dict(model._values)
+    pa, lr, _ = _prime_power_table(model, primes_up_to(10 ** 5), 10 ** 10)
+    assert pa.size == lr.size > 9000
+    assert model._values == before

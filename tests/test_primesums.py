@@ -7,6 +7,7 @@ batch sweeps are cross-checked against per-integer factorization oracles.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import math
 import os
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primemean import primesums
+from primemean import accum, checks, primesums
 from primemean.errors import CacheFormatError, GridError
 from primemean.multfunc import builtin, load_model_file, log_ratio_prime_power
 from primemean.primesums import (CheckpointGrid, SumsReport,
@@ -412,9 +413,12 @@ def test_prime_powers_past_the_first_segment(name):
 def test_float_quotients_are_exact_near_the_sieve_bound(lo, hi):
     # the kernel forms floor(n/p) and n - floor(n/p) p in float64, exact
     # for every n below 2^52; n runs up to the sieve bound, and p over
-    # windows where floor(n/p) is ~1, ~3e4 and up to 5e8.  The two lower
-    # windows hold primes <= sqrt(1e9), whose prime powers p^a <= 1e9 give
-    # the pp and f2 channels floor(n/p^a) and n - floor(n/p^a) p^a the same way
+    # windows where floor(n/p) is ~1, ~3e4 and up to 5e8.  The primes
+    # p <= n / U_M0 keep their own floor(n/p) in s1; the rest come as runs
+    # of one floor(n/p) < U_M0, whose edges and weights must give the same
+    # quotients.  The two lower windows hold primes <= sqrt(1e9), whose
+    # prime powers p^a <= 1e9 give the pp and f2 channels floor(n/p^a) and
+    # n - floor(n/p^a) p^a the same way
     assert DEFAULT_MAX_BOUND < 2 ** 52
     top = DEFAULT_MAX_BOUND
     seg = stream_segmented(lo, hi, segment_size=1 << 15).segment(0)
@@ -435,21 +439,37 @@ def test_float_quotients_are_exact_near_the_sieve_bound(lo, hi):
     for x in pa.tolist():
         k = top // x
         cuts |= {k * x, k * x - 1, x, x - 1}
+    layouts = set()
     for n in sorted(cuts):
         count = int(np.searchsorted(seg, n, side="right"))
-        terms = dict(at_cut(count, n))
+        terms = {}
+        for name, part in at_cut(count, n):
+            terms.setdefault(name, []).append(part)
         q = n // seg[:count]
-        assert terms["s1"].tolist() == q.tolist(), n
+        head, runs = terms["s1"]
+        edges = np.asarray(runs.edges)
+        assert runs.terms is None and edges[0] == head.size and edges[-1] == count, n
+        assert np.all(np.diff(edges) >= 0), n
+        got_q = np.concatenate([head, np.repeat(runs.weights, np.diff(edges))])
+        assert got_q.tolist() == q.tolist(), n
+        if count:
+            layouts.add((head.size > 0, head.size < count))
+        [f1] = terms["f1"]
         want_f1 = (n - q * seg[:count]).astype(np.float64) / pf[:count]
-        assert _bits(terms["f1"]) == _bits(want_f1), n
+        assert _bits(f1) == _bits(want_f1), n
         if not pps:
             assert "pp" not in terms and "f2" not in terms
             continue
         c = int(np.searchsorted(pa, n, side="right"))
         qa = n // pa[:c]
-        assert _bits(terms["pp"]) == _bits(qa.astype(np.float64) * lr[:c]), n
+        [pp], [f2] = terms["pp"], terms["f2"]
+        assert _bits(pp) == _bits(qa.astype(np.float64) * lr[:c]), n
         want_f2 = (n - qa * pa[:c]).astype(np.float64) / pa[:c].astype(np.float64)
-        assert _bits(terms["f2"]) == _bits(want_f2), n
+        assert _bits(f2) == _bits(want_f2), n
+    # the top window is all runs, the middle one all per-prime quotients,
+    # and the low one's small cuts mix both
+    assert layouts == {(False, True) if lo > 10 ** 8 else (True, False),
+                       *([(True, True), (False, True)] if lo == 2 else [])}
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +507,101 @@ def test_smr_identity_small_grid(table5k):
         right = n * rep.m_of_x[i] - rep.r_sum[i]
         assert abs(left - right) <= 1e-9 * n
         assert left == pytest.approx(log_kappa_oracle(n, table5k), abs=1e-9 * n)
+
+
+def test_a_spoiled_r_fraction_fails_exact_identities(monkeypatch):
+    # R is summed from its own fractions {n/p} log p, not derived from
+    # n M - S2: spoil one prime's fraction (by + 1) in one segment and the
+    # S2 = n M - R identity, and with it exact-identities, must fail
+    assert checks.run_check("exact-identities", hi=10 ** 5).passed
+    prime_terms, spoiled = primesums._prime_terms, 7919
+
+    def spoiling(*args, **kwargs):
+        shared, at_cut = prime_terms(*args, **kwargs)
+        [hit] = np.flatnonzero(args[-1] == spoiled).tolist() or [None]
+
+        def spoiled_at_cut(count, n):
+            for name, terms in at_cut(count, n):
+                if name == "r_sum" and hit is not None and hit < count:
+                    terms = terms.copy()
+                    terms[hit] += math.log(spoiled)
+                yield name, terms
+        return shared, spoiled_at_cut
+
+    monkeypatch.setattr(primesums, "_prime_terms", spoiling)
+    result = checks.run_check("exact-identities", hi=10 ** 5)
+    assert not result.passed
+    assert "omega: " in result.detail and "max deviation 0;" in result.detail
+
+
+@pytest.mark.parametrize("points", [1, 12])
+def test_each_g_m_is_formed_once_per_segment(monkeypatch, points):
+    # U's terms m < U_M0 are prefix channels: g_m is formed once per
+    # (segment, m) over the segment's primes p <= n_max / m, whatever the
+    # number of checkpoints
+    formed = collections.Counter()
+    g_m = primesums._g_m
+
+    def counted(lp, m):
+        formed[int(round(math.exp(lp[0]))), m, lp.size] += 1
+        return g_m(lp, m)
+
+    monkeypatch.setattr(primesums, "_g_m", counted)
+    n_max, size = 10 ** 6, 1 << 16
+    grid = (CheckpointGrid.log_spaced(10 ** 4, n_max, points) if points > 1
+            else CheckpointGrid((n_max,)))
+    assert len(grid) == points and grid.n_max == n_max
+    rep = sums_stream(builtin("kappa"), grid, segment_size=size)
+    want = collections.Counter()
+    for seg in stream_segmented(2, n_max, segment_size=size).segments():
+        for m in range(2, primesums.U_M0):
+            c = int(np.searchsorted(seg, n_max // m, side="right"))
+            if c:
+                want[int(seg[0]), m, c] += 1
+    assert formed == want
+    table = spf_build(grid.points[0])
+    assert abs(rep.u_of_x[0] - u_of_x(grid.points[0], table)) <= 1e-12 * grid.points[0]
+
+
+def test_ei_taylor_step_matches_a_30_digit_reference():
+    # Ei(log n - delta) - gamma for every delta the Euler-Maclaurin primes
+    # can give, 0 <= delta < log(U_M0 / (U_M0 - 1))
+    deltas = np.linspace(0.0, primesums._TAYLOR_DELTA, 9)
+    with mpmath.workdps(30):
+        for n in (2 * primesums.U_M0, 10 ** 4, 10 ** 8, 10 ** 9):
+            got = primesums._ei_taylor(n, deltas)
+            for d, g in zip(deltas.tolist(), got.tolist()):
+                want = mpmath.ei(mpmath.log(n) - d) - mpmath.euler
+                assert abs(g - want) <= 1e-14 * want, (n, d)
+
+
+def test_runs_sum_like_their_terms():
+    # a Runs part is k times the pairwise partial of each run: it must agree
+    # with the per-term products floor(n/p) log p within both error bounds,
+    # and count floor(n/p) exactly in an integer channel
+    cuts = [1000, 77777, 10 ** 6]
+
+    def terms(seg):
+        lp = np.log(seg.astype(np.float64))
+
+        def at_cut(count, n):
+            s = seg[:count]
+            edges = np.searchsorted(s, n // np.arange(40, 0, -1), side="right").tolist()
+            q = (n // s[:edges[0]]).astype(np.float64)
+            weights = list(range(39, 0, -1))
+            yield "s1", q
+            yield "s1", accum.Runs(None, edges, weights)
+            yield "s2", q * lp[:edges[0]]
+            yield "s2", accum.Runs(lp, edges, weights)
+            yield "ref1", (n // s).astype(np.float64)
+            yield "ref2", (n // s) * lp[:count]
+        return [], at_cut
+
+    sums = accum.reduce_primes(cuts, terms, integers=("s1", "ref1"), segment_size=1 << 15)
+    assert sums["s1"] == sums["ref1"]
+    for got, ref in zip(sums["s2"], sums["ref2"]):
+        assert abs(got.value - ref.value) <= got.error_bound() + ref.error_bound()
+        assert got.error_bound() <= ref.error_bound()
 
 
 def test_report_field_access(kappa10):
