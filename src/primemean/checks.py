@@ -7,10 +7,14 @@ bit-level determinism of the streaming engine.  The CLI `verify` command and
 the test suite both dispatch through `run_check`, so a property can never
 pass in one harness and silently rot in the other.
 
-Heavy intermediates (factor tables, checkpoint reports) are memoized on a
-`CheckContext`, letting related checks share one sieve pass.  Checks that
-sweep a range take an optional cap `hi` on it (the `--to` of `verify`); with
-no cap every check runs at its registered acceptance scale.
+Heavy intermediates (factor tables, checkpoint reports, the factor peel of
+`exact-identities`) are memoized on a `CheckContext`, letting related checks
+share one prime pass per model, grid and route.  The checks that read only
+s1, s2, s3 or `n_log_g` take the sublinear route, the one `geomean` prints;
+`exact-identities`, which reads the companion sums, and `determinism` take
+the sieve route, and `routes-agree` compares the two.  Checks that sweep a
+range take an optional cap `hi` on it (the `--to` of `verify`); with no cap
+every check runs at its registered acceptance scale.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ class CheckContext:
 
     _tables: dict = field(default_factory=dict)
     _reports: dict = field(default_factory=dict)
+    _peels: dict = field(default_factory=dict)
 
     def table(self, limit: int) -> SpfTable:
         for have in sorted(self._tables):
@@ -66,15 +71,33 @@ class CheckContext:
         return self._tables[limit]
 
     def report(self, model_name: str, grid: CheckpointGrid, *,
-               companions: bool = False) -> primesums.SumsReport:
-        """The model's checkpoint report on `grid`; with `companions` it
-        holds F1, F2, R, M and U too (only the S2 = n M - R check reads them)."""
-        key = (model_name, grid.points)
-        have = self._reports.get(key)
-        if have is None or (companions and not have.has_companions):
+               sublinear: bool = False) -> primesums.SumsReport:
+        """The model's checkpoint report on `grid`, streamed once per route:
+        the sieve route's holds F1, F2, R, M and U too, and the sublinear
+        route's reaches 1e12 (see `primesums.sums_stream`)."""
+        key = (model_name, grid.points, sublinear)
+        if key not in self._reports:
             self._reports[key] = sums_stream(builtin(model_name), grid,
-                                             companions=companions)
+                                             sublinear=sublinear)
         return self._reports[key]
+
+    def factor_sums(self, grid: CheckpointGrid) -> tuple[list[int], list[float]]:
+        """sum_{k<=n} omega(k) (exact) and sum_{k<=n} log kappa(k) at each
+        checkpoint n, from one peel of [2, n_max] by the factor table: an
+        oracle independent of the prime pass."""
+        if grid.points not in self._peels:
+            ks = np.arange(2, grid.n_max + 1, dtype=np.int64)
+            ends = np.array(grid.points) - 1     # ks[i] = i + 2 <= n for i < n - 1
+            omega, log_kappa = [0] * len(grid), [0.0] * len(grid)
+            for idx, p in distinct_prime_factors(ks, self.table(grid.n_max)):
+                # a round's entries with k <= n are a prefix of it
+                counts = np.searchsorted(idx, ends).tolist()
+                logs = np.log(p.astype(np.float64))
+                omega = [w + c for w, c in zip(omega, counts)]
+                log_kappa = [s + float(np.sum(logs[:c])) for s, c in zip(log_kappa, counts)]
+                del logs        # freed before the next round is peeled
+            self._peels[grid.points] = omega, log_kappa
+        return self._peels[grid.points]
 
 
 def _grid(hi: int | None, lo: int, default_hi: int, points: int) -> CheckpointGrid:
@@ -133,26 +156,17 @@ def _check_identity_oracle(ctx: CheckContext, hi: int | None):
 
 
 def _identity_grid(ctx: CheckContext, hi: int | None):
-    """The exact-identities grid and its report; the three identity checks
-    share it, and the S2 = n M - R one reads the companions."""
+    """The exact-identities grid and its sieve-route report, which the three
+    identity checks share (the S2 = n M - R one reads the companions)."""
     grid = _grid(hi, 100, 10 ** 6, 20)
-    return grid, ctx.report("kappa", grid, companions=True)
-
-
-def _logkappa_summatory(n: int, table: SpfTable) -> float:
-    """Independent oracle for sum_{k<=n} log kappa(k) via factor peeling."""
-    acc = 0.0
-    for _, p in distinct_prime_factors(np.arange(2, n + 1, dtype=np.int64), table):
-        acc += float(np.sum(np.log(p.astype(np.float64))))
-    return acc
+    return grid, ctx.report("kappa", grid)
 
 
 def _check_omega_identity(ctx: CheckContext, hi: int | None):
-    """omega_summatory(n) equals the streamed floor sum S1(n) exactly."""
+    """sum_{k<=n} omega(k) equals the streamed floor sum S1(n) exactly."""
     grid, rep = _identity_grid(ctx, hi)
-    table = ctx.table(grid.n_max)
-    worst = max(abs(primesums.omega_summatory(n, table) - rep.s1[i])
-                for i, n in enumerate(grid.points))
+    omega, _ = ctx.factor_sums(grid)
+    worst = max(abs(w - s1) for w, s1 in zip(omega, rep.s1))
     detail = f"{len(grid)} checkpoints <= {grid.n_max}: max deviation {worst}"
     return worst == 0, detail
 
@@ -160,9 +174,8 @@ def _check_omega_identity(ctx: CheckContext, hi: int | None):
 def _check_logkappa_identity(ctx: CheckContext, hi: int | None):
     """sum_{k<=n} log kappa(k) equals the streamed S2(n) within 1e-9 n."""
     grid, rep = _identity_grid(ctx, hi)
-    table = ctx.table(grid.n_max)
-    worst = max(abs(_logkappa_summatory(n, table) - rep.s2[i]) / n
-                for i, n in enumerate(grid.points))
+    _, log_kappa = ctx.factor_sums(grid)
+    worst = max(abs(lk - s2) / n for n, lk, s2 in zip(grid, log_kappa, rep.s2))
     detail = f"{len(grid)} checkpoints <= {grid.n_max}: max deviation {worst:.2e}/n"
     return worst <= 1e-9, detail
 
@@ -286,7 +299,7 @@ def _check_rs_inequality(ctx: CheckContext, hi: int | None):
 def _check_omega_mean_trend(ctx: CheckContext, hi: int | None):
     """(S1/n - log log n - M) log n approaches gamma - 1."""
     points = _trend_points(hi)
-    rep = ctx.report("kappa", CheckpointGrid.from_points(points))
+    rep = ctx.report("kappa", CheckpointGrid.from_points(points), sublinear=True)
     gam = constants.euler_gamma().value
     m_const = constants.meissel_mertens().value
     eps = {n: (rep.s1[i] / n - math.log(math.log(n)) - m_const) * math.log(n)
@@ -316,7 +329,7 @@ def _scaled_residual_stabilization(resid_by_n: dict, points):
 def _check_s2_constant(ctx: CheckContext, hi: int | None):
     """S2(n)/n - log n approaches gamma + E - 1, with c_1 stabilization probe."""
     points = _trend_points(hi)
-    rep = ctx.report("kappa", CheckpointGrid.from_points(points))
+    rep = ctx.report("kappa", CheckpointGrid.from_points(points), sublinear=True)
     c = constants.euler_gamma().value + constants.mertens_e().value - 1.0
     resid = {n: rep.s2[i] / n - math.log(n) - c for i, n in enumerate(points)}
     d_hi = abs(resid[points[-1]])
@@ -336,7 +349,7 @@ def _check_s2_constant(ctx: CheckContext, hi: int | None):
 def _check_kappa_corollary(ctx: CheckContext, hi: int | None):
     """G_kappa(n)/n converges to e^(gamma+E-1); same stabilization probe."""
     points = _trend_points(hi)
-    rep = ctx.report("kappa", CheckpointGrid.from_points(points))
+    rep = ctx.report("kappa", CheckpointGrid.from_points(points), sublinear=True)
     target = constants.leading_constant(builtin("kappa"))
     resid = {n: math.exp(rep.n_log_g[i] / n) / n - target.value
              for i, n in enumerate(points)}
@@ -368,7 +381,7 @@ def _check_qsum_eta0(ctx: CheckContext, hi: int | None):
     """Fitted constant of the jordan_2 prime Q-sum matches eta0(jordan_2)."""
     model = builtin("jordan_2")
     grid = _grid(hi, 10 ** 6, 10 ** 8, 12)
-    rep = ctx.report("jordan_2", grid)
+    rep = ctx.report("jordan_2", grid, sublinear=True)
     la = math.log(model.alpha)
     samples = []
     for i, n in enumerate(grid.points):
@@ -461,7 +474,7 @@ def _check_routes_agree(ctx: CheckContext, hi: int | None):
     worst, worst_at = 0.0, None
     for name in names:
         sieve = ctx.report(name, grid)
-        fast = sums_stream(builtin(name), grid, companions=False, sublinear=True)
+        fast = ctx.report(name, grid, sublinear=True)
         for n, a, b, ea, eb in zip(grid.points, sieve.n_log_g, fast.n_log_g,
                                    sieve.err_bound, fast.err_bound):
             # a NaN or infinite value or bound certifies nothing: it fails

@@ -27,14 +27,16 @@ tail bound.  CSV output follows RFC 4180 (CRLF records).  Checkpoint reports
 of `geomean`, `sums` and `fit` persist to the directory named by --cache or
 the PRIMEMEAN_CACHE environment variable; with neither set, nothing is
 written to disk.  A cached report is reused only when its model fingerprint
-and grid hash match, its integrity digest checks out, it was streamed on the
-command's route, and it holds every field the command reads; reloading one
-is bit-identical to recomputation.  A corrupt, truncated or outdated file is
+and grid hash match, its integrity digest checks out, and it was streamed on
+the command's route, which fixes the fields it holds; reloading one is
+bit-identical to recomputation.  A corrupt, truncated or outdated file is
 detected and silently recomputed.
 
 `geomean` and `fit` on every target but u-residual take the sublinear route
-(checkpoints up to 1e12); `sums`, `fit --target u-residual` and `verify`
-keep the sieve route (up to 1e9).  See the `primesums` module docstring.
+(checkpoints up to 1e12); `sums` and `fit --target u-residual` read the
+companion sums and take the sieve route (up to 1e9).  `verify` runs each
+check on the route it names (see `checks`).  See the `primesums` module
+docstring.
 """
 
 from __future__ import annotations
@@ -229,14 +231,14 @@ def _require_model(args: argparse.Namespace) -> PrimeModel:
 def _grid(args: argparse.Namespace) -> CheckpointGrid:
     """The grid flags' checkpoints, up to the sublinear route's bound; the
     sieve route refuses a grid beyond its own (see `cached_report`)."""
-    from .primesums import WideGrid, _check_count
+    from .primesums import CheckpointGrid, _check_count
 
     lo_def, hi_def, pts_def = _DEFAULT_GRID
     hi = args.hi or max(hi_def, args.lo or 0)
     lo = args.lo or (lo_def if lo_def <= hi else max(2, hi // 100))
     points = pts_def if args.points is None else args.points
     if args.spacing in (None, "log"):
-        return WideGrid.log_spaced(lo, hi, points)
+        return CheckpointGrid.log_spaced(lo, hi, points)
     if lo > hi:
         raise GridError(f"grid needs lo <= hi, got [{lo}, {hi}]")
     if points < 1:
@@ -244,7 +246,7 @@ def _grid(args: argparse.Namespace) -> CheckpointGrid:
     _check_count(points)
     import numpy as np
 
-    return WideGrid.from_points(
+    return CheckpointGrid.from_points(
         sorted({int(round(x)) for x in np.linspace(lo, hi, points)}))
 
 
@@ -287,38 +289,32 @@ def emit_rows(fmt: str, header: tuple, rows: list, out=None) -> None:
 
 
 def cached_report(model: PrimeModel, grid: CheckpointGrid,
-                  cache_dir: str | None, *, companions: bool) -> SumsReport:
+                  cache_dir: str | None, *, sublinear: bool) -> SumsReport:
     """Compute or reload a checkpoint report, persisting when caching is on.
 
-    `companions` says whether the caller reads F1, F2, R, M or U, and so
-    picks the route: the sieve route for those callers, the sublinear route
-    (`primesums` module docstring) for the rest.  A cache file records the
-    route of each report it holds: the sublinear report alone, or the sieve
-    report followed by the sublinear one.  A malformed or mismatched cache
-    file, one without a report of the caller's route, or one without the
-    companions for a caller that reads them, is a miss: the report is
-    recomputed and the file overwritten.  Reloads are bit-identical to fresh
-    runs by construction.
+    `sublinear` picks the route: the sieve route for the callers that read
+    F1, F2, R, M or U, the sublinear route (`primesums` module docstring) for
+    the rest.  A cache file records the route of each report it holds: the
+    sublinear report alone, or the sieve report followed by the sublinear
+    one.  A malformed or mismatched cache file, or one without a report of
+    the caller's route, is a miss: the report is recomputed and the file
+    overwritten.  Reloads are bit-identical to fresh runs by construction.
     """
     from . import primesums
 
-    sublinear = not companions
     if cache_dir is None:
-        return primesums.sums_stream(model, grid, companions=companions, sublinear=sublinear)
+        return primesums.sums_stream(model, grid, sublinear=sublinear)
     path = primesums.default_cache_path(cache_dir, model, grid)
     if os.path.exists(path):
         try:
-            report = primesums.load_report(path, model, grid, sublinear)
+            return primesums.load_report(path, model, grid, sublinear)
         except CacheFormatError:
             pass
-        else:
-            if report.has_companions or not companions:
-                return report
-    report = primesums.sums_stream(model, grid, companions=companions, sublinear=sublinear)
+    report = primesums.sums_stream(model, grid, sublinear=sublinear)
     # a sieve-route file also stores the sublinear report, so that one file
     # serves every command on the model and grid
     stored = (report if sublinear else
-              (report, primesums.sums_stream(model, grid, companions=False, sublinear=True)))
+              (report, primesums.sums_stream(model, grid, sublinear=True)))
     try:
         os.makedirs(cache_dir, exist_ok=True)
         primesums.save_report(path, stored)
@@ -382,13 +378,13 @@ def cmd_geomean(args: argparse.Namespace) -> int:
                  if value is not None]
         if given:
             raise GridError(f"--n is a single checkpoint; it takes no {', '.join(given)}")
-        grid = primesums.WideGrid.from_points([n]) if n > 1 else None
+        grid = primesums.CheckpointGrid.from_points([n]) if n > 1 else None
     predicted = constants.leading_constant(model)
 
     if grid is None:   # the trivial n = 1 point: empty product, G = 1
         points, log_means = [1], [0.0]
     else:
-        report = cached_report(model, grid, cache_dir, companions=False)
+        report = cached_report(model, grid, cache_dir, sublinear=True)
         points = list(grid.points)
         log_means = [report.n_log_g[i] / p for i, p in enumerate(points)]
 
@@ -430,7 +426,7 @@ def cmd_sums(args: argparse.Namespace) -> int:
     from . import primesums
 
     cache_dir, model, grid = _cache_dir(args), _require_model(args), _grid(args)
-    report = cached_report(model, grid, cache_dir, companions=True)
+    report = cached_report(model, grid, cache_dir, sublinear=False)
     header = ("n", "s1") + primesums.FLOAT_FIELDS + ("n_log_g", "err_bound")
     rows = []
     for i, n in enumerate(grid.points):
@@ -482,9 +478,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
     cache_dir = _cache_dir(args)
     model = builtin("kappa") if args.model is None else _model(args)
     target = args.target
-    companions = target == "u-residual"
     grid = _grid(args)
-    report = cached_report(model, grid, cache_dir, companions=companions)
+    report = cached_report(model, grid, cache_dir, sublinear=target != "u-residual")
     samples = _fit_samples(target, model, report, grid.points)
     with_constant = target in ("s2-residual", "qsum-residual")
     fit = series.fit_coefficients(samples, order=args.order,

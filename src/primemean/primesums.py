@@ -38,16 +38,18 @@ work at each (segment, checkpoint) is kept small:
   Euler-Maclaurin, whose upper end Ei(log(q p)) is a Taylor step about
   log x.  `u_truncation_bound` bounds the truncation (below 1.1e-16 * x).
 
-n log G_f(n) reads none of the companions.  Only `sums`, `fit --target
-u-residual` and the S2 = n M - R check read them; every other command and
-check streams with ``companions=False`` and skips their terms.
+n log G_f(n) reads none of the companions.  The route decides what the pass
+streams: the sieve route (``sublinear=False``) always streams the
+companions, and the sublinear route never does.  `sums`, `fit --target
+u-residual`, and the checks `exact-identities`, `determinism` and the sieve
+side of `routes-agree` take the sieve route; `geomean`, `fit` on every other
+target, `log_geomean_identity` and every other check that reads a report
+take the sublinear route.
 
-The sublinear route (``sublinear=True``; `geomean` and `fit` on every
-target but `u-residual` take it, while `sums`, `fit --target u-residual` and
-every check keep the sieve route) streams only the primes p <= y, a split
-per checkpoint (`_split`: isqrt(n), raised to 8R where R bounds the roots of
-f, and n itself when the C_Q series does not apply), through the same
-`_prime_terms` hooks: S1, S2 and S3 over p <= y, PP, and the direct
+The sublinear route (``sublinear=True``) streams only the primes p <= y, a
+split per checkpoint (`_split`: isqrt(n), raised to 8R where R bounds the
+roots of f, and n itself when the C_Q series does not apply), through the
+same `_prime_terms` hooks: S1, S2 and S3 over p <= y, PP, and the direct
 cross-check over the same primes (no run appears where y <= n / U_M0, as
 for every n >= 1024 whose y is isqrt(n)).  The rest needs only the primes
 <= sqrt(n):
@@ -66,9 +68,9 @@ log(f(p)/(alpha p^d)) = sum_j c_j p^-j with the exact c_j of C_Q's series
 j-th row's.  J is the fewest rows whose cut (`_cut_bound`) stays below
 eps n.  Its `err_bound` adds to the prime pass's bounds Stirling's
 remainder and rounding, the tables' running bounds, the tails' rounding and
-the cut: every term is certified, none measured.  Checkpoints reach
-SUBLINEAR_MAX_BOUND = 1e12 on this route (a `WideGrid`), and
-DEFAULT_MAX_BOUND = 1e9 on the sieve route, which refuses a grid beyond it.
+the cut: every term is certified, none measured.  A `CheckpointGrid`
+reaches SUBLINEAR_MAX_BOUND = 1e12, which this route streams in full; the
+sieve route refuses a checkpoint beyond DEFAULT_MAX_BOUND = 1e9.
 
 floor(n/p) is formed as floor(n / p) in float64 (or is the run's k), and
 the remainder as n - floor(n/p) p.  Both are exact because every checkpoint is at most
@@ -88,21 +90,19 @@ total, PP included, carries its pairwise, formation and merge rounding, and
 the assembly adds the rounding of log alpha and its own.  No declared
 profile constant (K) enters it.
 
-Cache format v8 (binary, little-endian): header {magic b"PMSM", version u16,
-model hash u64, checkpoint count u16, flags u8 (bit 0: the first report
-holds the companions; bit 1: the first report was streamed on the
-sublinear route; bit 2: the sublinear route's report follows a sieve-route
-one)}, then a 16-byte blake2b digest of the header and the records, then
-one record per checkpoint {n u64, s1 u64, one f64 each for s2, s3, n_log_g
-and err_bound, and, when the report holds the companions, one f64 each for
-f1, f2, r_sum, m_of_x and u_of_x} (48 or 88 bytes), and with bit 2 one more
-48-byte record per checkpoint.  A caller reads the report of its route; a
-file without it, or without the companions for a caller that reads them, is
-a miss.  A report is stored as streamed and loaded as stored: a load runs no
-prime pass.  A file whose digest does not match is rejected, and so is a
-file of an older version (v7 formed the sieve route's S1, S2, S3 and direct
-terms per prime and U's terms m < U_M0 at every cut, so their last bits
-differ).
+Cache format v9 (binary, little-endian): header {magic b"PMSM", version u16,
+model hash u64, checkpoint count u16, layout u8 (0: a sieve-route report;
+1: a sublinear-route report; 2: a sieve-route report, then a
+sublinear-route one)}, then a 16-byte blake2b digest of the header and the
+records, then one block of records per report, one record per checkpoint
+{n u64, s1 u64, one f64 each for s2, s3, n_log_g and err_bound, and on the
+sieve route one f64 each for f1, f2, r_sum, m_of_x and u_of_x} (88 bytes on
+the sieve route, 48 on the sublinear one).  A caller reads the report of its
+route; a file without it is a miss.  A report is stored as streamed and
+loaded as stored: a load runs no prime pass.  A file whose digest does not
+match is rejected, and so is a file of an older version (v8's layout byte
+also allowed a sieve-route report without the companions, in 48-byte
+records).
 The model hash fingerprints the model itself (see `_model_hash`), not only
 its name, so two models that share a name never share a cache file.
 """
@@ -117,7 +117,7 @@ import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import ClassVar, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -141,11 +141,10 @@ COMPANION_FIELDS = ("f1", "f2", "r_sum", "m_of_x", "u_of_x")
 FLOAT_FIELDS = ("s2", "s3") + COMPANION_FIELDS
 
 CACHE_MAGIC = b"PMSM"
-CACHE_VERSION = 8
-_HEADER = struct.Struct("<4sHQHB")   # magic, version, model hash, count, flags
-_HAS_COMPANIONS = 0x01               # flags bit: the records hold the companions
-_SUBLINEAR = 0x02                    # flags bit: streamed on the sublinear route
-_PLUS_SUBLINEAR = 0x04               # flags bit: the sublinear report follows
+CACHE_VERSION = 9
+_HEADER = struct.Struct("<4sHQHB")   # magic, version, model hash, count, layout
+#: the layout byte indexes the routes of a file's reports (True: sublinear)
+_LAYOUTS = ((False,), (True,), (False, True))
 _DIGEST_SIZE = 16                    # blake2b of header + payload, after the header
 
 
@@ -161,14 +160,11 @@ def _check_count(count: int) -> None:
 
 @dataclass(frozen=True)
 class CheckpointGrid:
-    """Ascending evaluation points 2 <= n_1 < ... < n_m <= MAX_POINT, m <= 64.
-
-    MAX_POINT is the sieve bound; a `WideGrid` raises it to the sublinear
-    route's.
+    """Ascending evaluation points 2 <= n_1 < ... < n_m <= SUBLINEAR_MAX_BOUND,
+    m <= 64; the sieve route (`sums_stream`) refuses n_m > DEFAULT_MAX_BOUND.
     """
 
     points: tuple[int, ...]
-    MAX_POINT: ClassVar[int] = DEFAULT_MAX_BOUND
 
     def __post_init__(self):
         pts = self.points
@@ -182,9 +178,9 @@ class CheckpointGrid:
             raise GridError(f"first checkpoint must be >= 2, got {pts[0]}")
         if any(b <= a for a, b in zip(pts, pts[1:])):
             raise GridError("checkpoints must be strictly ascending")
-        if pts[-1] > self.MAX_POINT:
-            bound = "sieve" if self.MAX_POINT == DEFAULT_MAX_BOUND else "sublinear route's"
-            raise GridError(f"checkpoint {pts[-1]} exceeds the {bound} bound {self.MAX_POINT}")
+        if pts[-1] > SUBLINEAR_MAX_BOUND:
+            raise GridError(f"checkpoint {pts[-1]} exceeds the sublinear route's "
+                            f"bound {SUBLINEAR_MAX_BOUND}")
 
     @classmethod
     def from_points(cls, points) -> "CheckpointGrid":
@@ -219,14 +215,6 @@ class CheckpointGrid:
         return iter(self.points)
 
 
-class WideGrid(CheckpointGrid):
-    """A grid whose checkpoints reach SUBLINEAR_MAX_BOUND, as the command
-    line builds them: the sublinear route streams all of it, and the sieve
-    route refuses a checkpoint beyond the sieve bound."""
-
-    MAX_POINT = SUBLINEAR_MAX_BOUND
-
-
 # --------------------------------------------------------------------------
 # report
 # --------------------------------------------------------------------------
@@ -237,15 +225,13 @@ class SumsReport:
     """All streaming sums at each checkpoint, with certified error bounds.
 
     `model_hash` fingerprints the model (the cache key; see `_model_hash`).
-    `s1` entries are exact integers.  The companion fields f1, f2, r_sum,
-    m_of_x and u_of_x are all None when the report was streamed without
-    them (`sums_stream(..., companions=False)`); every other field is the
-    same, bit for bit, either way.
+    `s1` entries are exact integers.  `sublinear` says which route
+    streamed the report: the companion fields f1, f2, r_sum, m_of_x and
+    u_of_x are all None on the sublinear route, which streams none of them.
     `n_log_g` is the assembled identity value
     (log alpha) * s1 + d * s2 + s3 + [prime-power correction]; `err_bound`
     bounds its accumulation error.  Both are assembled once, by
-    `sums_stream`, and stored in the cache as they are.  `sublinear` says
-    which route streamed them.
+    `sums_stream`, and stored in the cache as they are.
     """
 
     model_name: str
@@ -254,10 +240,10 @@ class SumsReport:
     s1: tuple[int, ...]
     s2: tuple[float, ...]
     s3: tuple[float, ...]
-    f1: tuple[float, ...]
-    f2: tuple[float, ...]
-    r_sum: tuple[float, ...]
-    m_of_x: tuple[float, ...]
+    f1: tuple[float, ...] | None
+    f2: tuple[float, ...] | None
+    r_sum: tuple[float, ...] | None
+    m_of_x: tuple[float, ...] | None
     u_of_x: tuple[float, ...] | None
     n_log_g: tuple[float, ...]
     err_bound: tuple[float, ...]
@@ -265,10 +251,6 @@ class SumsReport:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    @property
-    def has_companions(self) -> bool:
-        return self.f1 is not None
 
 
 # --------------------------------------------------------------------------
@@ -304,8 +286,8 @@ def _prime_power_table(model: PrimeModel, primes: np.ndarray, n_max: int
 # --------------------------------------------------------------------------
 
 
-def _prime_terms(model: PrimeModel, need_s3: bool, n_max: int, companions: bool,
-                 seg: np.ndarray, legendre: bool = False) -> SegmentTerms:
+def _prime_terms(model: PrimeModel, need_s3: bool, n_max: int, sublinear: bool,
+                 seg: np.ndarray) -> SegmentTerms:
     """One prime segment's terms of every prime and prime-power sum, for
     `reduce_primes`.
 
@@ -318,31 +300,29 @@ def _prime_terms(model: PrimeModel, need_s3: bool, n_max: int, companions: bool,
     prime's fraction (n - floor(n/p) p) / p.  `pp` is the identity's a >= 2
     term floor(n/p^a) log(f(p^a)/f(p^(a-1))) over the prime powers p^a <= n
     of the segment's primes (never yielded for strongly multiplicative
-    models).  With `companions` set the segment also yields the companions'
+    models).  On the sieve route the segment also yields the companions'
     terms, `f2` being F2's part on top of F1: the fractions {n/p^a},
-    a >= 2, and U's (see below); with `legendre`, `lg` is Legendre's a >= 2
-    term floor(n/p^a) log p.  A segment with no prime p <= sqrt(n_max)
+    a >= 2, and U's (see below); on the `sublinear` one, `lg` is Legendre's
+    a >= 2 term floor(n/p^a) log p.  A segment with no prime p <= sqrt(n_max)
     yields none of `pp`, `f2`, `lg`.  floor(n/p), floor(n/p^a) and the
     remainders are formed in float64, exactly because n < 2^52 (see the
     module docstring).
     """
-    pa, lr, base = (_prime_power_table(model, seg, n_max)
-                    if companions or legendre or not model.strongly_multiplicative
-                    else (seg[:0], None, None))     # nothing reads the prime powers
+    pa, lr, base = _prime_power_table(model, seg, n_max)
     pf = seg.astype(np.float64)
     lp = np.log(pf)
     lf = model.log_at_prime_vec(pf, lp)
     qr = model.log_q_ratio_vec(pf, lp) if need_s3 else None
-    u_lo = _u_lower_end(seg, lp, n_max) if companions else None
+    u_lo = None if sublinear else _u_lower_end(seg, lp, n_max)
 
     def at_cut(count: int, n: int) -> Iterator[tuple[str, np.ndarray | Runs]]:
         # run j holds the primes with floor(n/p) = _RUN_WEIGHTS[j]; the first
         # `head` primes, p <= n / U_M0, precede every run
         edges = np.searchsorted(seg[:count], n // _RUN_DIVISORS, side="right").tolist()
         head = edges[0]
-        q = np.empty(count if companions else head)
+        q = np.empty(head if sublinear else count)
         qh = np.floor(np.divide(n, pf[:head], out=q[:head]), out=q[:head])
-        if companions:      # the runs' quotients are their weights
+        if not sublinear:   # the runs' quotients are their weights
             for j, k in enumerate(_RUN_WEIGHTS):
                 q[edges[j]:edges[j + 1]] = k
         yield "s1", qh
@@ -351,7 +331,7 @@ def _prime_terms(model: PrimeModel, need_s3: bool, n_max: int, companions: bool,
             if t is not None:
                 yield name, qh * t[:head]
                 yield name, Runs(t, edges, _RUN_WEIGHTS)
-        if companions:
+        if not sublinear:
             pc = pf[:count]
             fr = np.multiply(q, pc)         # (n - q p) / p, every step exact but the last
             np.subtract(n, fr, out=fr)
@@ -365,13 +345,13 @@ def _prime_terms(model: PrimeModel, need_s3: bool, n_max: int, companions: bool,
             qa = np.floor(n / pac)
             if lr is not None:
                 yield "pp", qa * lr[:pac.size]
-            if companions:
-                yield "f2", (n - qa * pac) / pac
-            if legendre:
+            if sublinear:
                 yield "lg", qa * np.log(base[:pac.size])
+            else:
+                yield "f2", (n - qa * pac) / pac
 
     def shared() -> Iterator[tuple[str, int, np.ndarray | None]]:
-        if companions:
+        if not sublinear:
             yield "m_of_x", 1, _mertens_terms(pf, lp)
             yield from _u_direct_channels(seg, lp, n_max)
 
@@ -654,28 +634,23 @@ def sums_stream(
     model: PrimeModel,
     grid: CheckpointGrid,
     *,
+    sublinear: bool = False,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     parallel: bool = False,
-    companions: bool = True,
-    sublinear: bool = False,
 ) -> SumsReport:
     """Evaluate every streaming sum at each checkpoint in one sieve pass.
 
-    With ``companions=False`` the terms of F1, F2, R, M and U are skipped and
-    those fields of the report are None; s1, s2, s3, `n_log_g` and
-    `err_bound` are bit-identical to the ``companions=True`` report.  Only
-    `sums`, `fit --target u-residual` and the S2 = n M - R check read the
-    companions.  With ``sublinear=True`` (no companions) the pass stops at
-    each checkpoint's split y and the rest comes from Legendre's formula and
-    the floor-value tables (module docstring), so that checkpoints may reach
-    SUBLINEAR_MAX_BOUND (the sieve route stops at DEFAULT_MAX_BOUND).  With
+    The route is the one switch.  The sieve route (the default) streams
+    every prime up to the grid's last checkpoint, at most DEFAULT_MAX_BOUND,
+    with the companions F1, F2, R, M and U.  With ``sublinear=True`` the pass
+    stops at each checkpoint's split y and the rest comes from Legendre's
+    formula and the floor-value tables (module docstring), so that the grid
+    may reach SUBLINEAR_MAX_BOUND; the companion fields are None.  With
     ``parallel=True`` the prime segments are processed by
     a thread pool (see the module docstring for who asks for it); partials
     are merged in ascending segment order either way, so the result is
     bit-identical to the sequential run.
     """
-    if sublinear and companions:
-        raise ValueError("the sublinear route streams no companions")
     if not sublinear and grid.n_max > DEFAULT_MAX_BOUND:
         raise GridError(
             f"checkpoint {grid.n_max} exceeds the sieve bound {DEFAULT_MAX_BOUND}")
@@ -689,17 +664,16 @@ def sums_stream(
         splits = [_split(n, root) for n in points]
 
     kah = reduce_primes(points, partial(_prime_terms, model, need_s3, grid.n_max,
-                                        companions, legendre=sublinear),
+                                        sublinear),
                         signed=("s3", "direct", "pp"), integers=("s1",),
                         limits=splits if sublinear else None,
                         segment_size=segment_size, parallel=parallel)
     # a channel no segment yielded sums to zero: s3 when delta is infinite,
     # pp when f is strongly multiplicative, pp, f2 and lg when n_max < 4
-    for name in ("s3", "pp", "f2" if companions else "", "lg" if sublinear else ""):
-        if name:
-            kah.setdefault(name, [KahanSum() for _ in range(m)])
+    for name in ("s3", "pp", "lg" if sublinear else "f2"):
+        kah.setdefault(name, [KahanSum() for _ in range(m)])
     s1 = kah.pop("s1")
-    if companions:      # F2 is F1 plus the prime-power fractions
+    if not sublinear:   # F2 is F1 plus the prime-power fractions
         for f1, f2 in zip(kah["f1"], kah["f2"]):
             f2.add(f1.value, abs_x=f1.absmass, err_in=f1.error_bound())
 
@@ -756,7 +730,7 @@ def log_geomean_identity(model: PrimeModel, n: int) -> float:
         raise GridError(f"log_geomean_identity needs n >= 1, got {n}")
     if n == 1:
         return 0.0
-    report = sums_stream(model, CheckpointGrid((n,)), companions=False)
+    report = sums_stream(model, CheckpointGrid((n,)), sublinear=True)
     result = report.n_log_g[0]
     if report.err_bound[0] > 1e-12 * abs(result) + 1e-12 * n:
         raise AccumulationError(
@@ -914,10 +888,11 @@ def _model_hash(model: PrimeModel) -> int:
     return int.from_bytes(digest, "little")
 
 
-def _record_layout(companions: bool) -> tuple[tuple[str, ...], struct.Struct]:
-    """The float fields a record stores, in order, and the record struct."""
+def _record_layout(sublinear: bool) -> tuple[tuple[str, ...], struct.Struct]:
+    """The float fields a record of the route stores, in order, and the
+    record struct."""
     names = ("s2", "s3", "n_log_g", "err_bound")
-    if companions:
+    if not sublinear:
         names += COMPANION_FIELDS
     return names, struct.Struct(f"<QQ{len(names)}d")
 
@@ -929,7 +904,7 @@ def _digest(header: bytes, payload: bytes) -> bytes:
 
 
 def _records(report: SumsReport) -> bytes:
-    names, record = _record_layout(report.has_companions)
+    names, record = _record_layout(report.sublinear)
     columns = [getattr(report, name) for name in names]
     return b"".join(record.pack(n, report.s1[i], *(col[i] for col in columns))
                     for i, n in enumerate(report.points))
@@ -938,16 +913,13 @@ def _records(report: SumsReport) -> bytes:
 def save_report(path: str, report: SumsReport | tuple[SumsReport, SumsReport]) -> None:
     """Serialize a report, or a (sieve-route, sublinear-route) pair of
     reports on one grid (atomic replace; see module docstring for layout)."""
-    report, also = report if isinstance(report, tuple) else (report, None)
-    if also is not None and (report.sublinear or not also.sublinear
-                             or also.points != report.points):
+    reports = report if isinstance(report, tuple) else (report,)
+    routes = tuple(rep.sublinear for rep in reports)
+    if routes not in _LAYOUTS or any(rep.points != reports[0].points for rep in reports):
         raise ValueError("a pair is a sieve-route and a sublinear-route report of one grid")
-    payload = _records(report) + (b"" if also is None else _records(also))
-    flags = ((_HAS_COMPANIONS if report.has_companions else 0)
-             | (_SUBLINEAR if report.sublinear else 0)
-             | (_PLUS_SUBLINEAR if also is not None else 0))
-    header = _HEADER.pack(CACHE_MAGIC, CACHE_VERSION,
-                          report.model_hash, len(report), flags)
+    payload = b"".join(map(_records, reports))
+    header = _HEADER.pack(CACHE_MAGIC, CACHE_VERSION, reports[0].model_hash,
+                          len(reports[0]), _LAYOUTS.index(routes))
     data = header + _digest(header, payload) + payload
 
     directory = os.path.dirname(os.path.abspath(path))
@@ -967,9 +939,8 @@ def load_report(path: str, model: PrimeModel, grid: CheckpointGrid | None = None
     """Load a cached report for (model, grid), fields as stored: the file's
     first report, or with `sublinear` set the report of that route.
 
-    The report's companion fields are None when the file does not hold
-    them.  Raises
-    CacheFormatError on any mismatch: magic, version, unknown flags, invalid
+    Raises
+    CacheFormatError on any mismatch: magic, version, unknown layout, invalid
     checkpoint count, payload size, digest, model-name hash, non-ascending
     checkpoints, (when `grid` is given) a different checkpoint set, or (when
     `sublinear` is given) no report of that route.
@@ -979,20 +950,17 @@ def load_report(path: str, model: PrimeModel, grid: CheckpointGrid | None = None
     start = _HEADER.size + _DIGEST_SIZE
     if len(data) < start:
         raise CacheFormatError(f"{path}: truncated header")
-    magic, version, model_hash, count, flags = _HEADER.unpack_from(data)
+    magic, version, model_hash, count, layout = _HEADER.unpack_from(data)
     if magic != CACHE_MAGIC:
         raise CacheFormatError(f"{path}: bad magic {magic!r}")
     if version != CACHE_VERSION:
         raise CacheFormatError(
             f"{path}: cache version {version} != supported {CACHE_VERSION}")
-    if flags & ~(_HAS_COMPANIONS | _SUBLINEAR | _PLUS_SUBLINEAR) or (
-            flags & _SUBLINEAR and flags & (_HAS_COMPANIONS | _PLUS_SUBLINEAR)):
-        raise CacheFormatError(f"{path}: unknown flags {flags:#04x}")
+    if layout >= len(_LAYOUTS):
+        raise CacheFormatError(f"{path}: unknown layout {layout:#04x}")
     if not (1 <= count <= MAX_CHECKPOINTS):
         raise CacheFormatError(f"{path}: invalid checkpoint count {count}")
-    blocks = [(*_record_layout(bool(flags & _HAS_COMPANIONS)), bool(flags & _SUBLINEAR))]
-    if flags & _PLUS_SUBLINEAR:
-        blocks.append((*_record_layout(False), True))
+    blocks = [(*_record_layout(route), route) for route in _LAYOUTS[layout]]
     expected = start + count * sum(record.size for _, record, _ in blocks)
     if len(data) != expected:
         raise CacheFormatError(

@@ -407,7 +407,7 @@ def test_cache_without_u_is_refilled_for_sums(tmp_path, monkeypatch, capsys):
     assert rc == 0
     [path] = tmp_path.glob("*.pmsm")
     model = builtin("sigma")
-    assert not primesums.load_report(str(path), model).has_companions
+    assert primesums.load_report(str(path), model).sublinear
     written = path.read_bytes()
 
     def no_stream(*args, **kwargs):
@@ -421,7 +421,7 @@ def test_cache_without_u_is_refilled_for_sums(tmp_path, monkeypatch, capsys):
 
     rc, warm, _ = run(capsys, "sums", "--model", "sigma", *grid, "--format", "json")
     assert rc == 0 and warm == cold
-    assert primesums.load_report(str(path), model).has_companions
+    assert not primesums.load_report(str(path), model).sublinear
 
 
 def test_fit_u_residual_after_geomean(tmp_path, monkeypatch, capsys):
@@ -473,7 +473,7 @@ def test_geomean_cache_never_reads_the_other_route(tmp_path, monkeypatch, capsys
 
     rc, _, _ = run(capsys, "sums", *grid)
     report = primesums.load_report(str(path), model)
-    assert rc == 0 and report.has_companions and not report.sublinear
+    assert rc == 0 and report.u_of_x is not None and not report.sublinear
     written = path.read_bytes()
     with monkeypatch.context() as patch:
         patch.setattr(primesums, "sums_stream", no_stream)
@@ -514,12 +514,47 @@ def test_geomean_at_the_smallest_checkpoints(capsys, model, argv):
     assert rc == 0
     rows = json.loads(out)
     grid = CheckpointGrid.from_points([row["n"] for row in rows])
-    sieve = primesums.sums_stream(builtin(model), grid, companions=False)
-    fast = primesums.sums_stream(builtin(model), grid, companions=False, sublinear=True)
+    sieve = primesums.sums_stream(builtin(model), grid)
+    fast = primesums.sums_stream(builtin(model), grid, sublinear=True)
     for row, n, a, b, ea, eb in zip(rows, grid.points, sieve.n_log_g, fast.n_log_g,
                                     sieve.err_bound, fast.err_bound):
         assert row["log_geomean"] == b / n
         assert abs(a - b) <= ea + eb
+
+
+@pytest.mark.parametrize("names, route", [
+    (["omega-mean-trend", "s2-constant", "kappa-corollary"], True),
+    (["exact-identities"], False),
+])
+def test_checks_share_one_stream_per_route(monkeypatch, names, route):
+    # the trend checks read one sublinear-route report of kappa's ladder, and
+    # exact-identities' three identities one sieve-route report
+    calls = []
+    sums_stream = checks.sums_stream
+
+    def counted(model, grid, **kwargs):
+        calls.append(kwargs.get("sublinear", False))
+        return sums_stream(model, grid, **kwargs)
+
+    monkeypatch.setattr(checks, "sums_stream", counted)
+    checks.run_all(names=names)
+    assert calls == [route]
+
+
+def test_one_factor_peel_matches_per_checkpoint_oracles():
+    # omega's prefix exactly as omega_summatory's peel of [2, n]; log kappa's
+    # within a few pairwise-summation ulps of an exact fsum per integer
+    from primemean.sieve import factorize
+
+    grid = CheckpointGrid.log_spaced(100, 30000, 9)
+    ctx = checks.CheckContext()
+    omega, log_kappa = ctx.factor_sums(grid)
+    table = ctx.table(grid.n_max)
+    assert omega == [primesums.omega_summatory(n, table) for n in grid]
+    per_k = [math.fsum(math.log(p) for p, _ in factorize(k, table))
+             for k in range(2, grid.n_max + 1)]
+    for n, got in zip(grid, log_kappa):
+        assert abs(got - math.fsum(per_k[:n - 1])) <= 1e-12 * n, n
 
 
 @pytest.mark.parametrize("field", ["n_log_g", "err_bound"])
@@ -597,14 +632,15 @@ def _assert_recomputed(path: Path, tmp_path, monkeypatch, capsys) -> None:
     assert struct.unpack_from("<H", path.read_bytes(), 4) == (primesums.CACHE_VERSION,)
 
 
-@pytest.mark.parametrize("version", [3, 5, 6, 7])
+@pytest.mark.parametrize("version", [3, 5, 6, 7, 8])
 def test_v3_cache_file_is_recomputed(version, tmp_path, monkeypatch, capsys):
     # a current file stamped with an older version is refused on the version
     # alone: a v3 file differs from v4 only in U's last bits, a v5 record
     # lacks n_log_g and err_bound, a v6 file's n_log_g, err_bound and f2
     # differ from v7 in their last bits when f is not strongly multiplicative,
-    # and a v7 sieve-route report's s2, s3, n_log_g, err_bound and U differ
-    # from v8 in their last bits (per-prime quotients at every cut)
+    # a v7 sieve-route report's s2, s3, n_log_g, err_bound and U differ
+    # from v8 in their last bits (per-prime quotients at every cut), and v8
+    # read layout byte 0 as a sieve-route report without the companions
     model = builtin("kappa")
     grid = CheckpointGrid.log_spaced(100, 20000, 3)
     path = Path(primesums.default_cache_path(str(tmp_path), model, grid))
@@ -631,7 +667,7 @@ def test_non_finite_sum_fails_the_cross_check(tmp_path, capsys):
 
 def test_v4_cache_file_is_recomputed(tmp_path, monkeypatch, capsys):
     # a v4 file without U: flags 0, records of n, s1 and six floats (64
-    # bytes), where the current format reads flags 0 as records of 48 bytes
+    # bytes), where the current format reads layout 0 as records of 88 bytes
     model = builtin("kappa")
     grid = CheckpointGrid.log_spaced(100, 20000, 3)
     report = primesums.sums_stream(model, grid)

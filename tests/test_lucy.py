@@ -68,6 +68,14 @@ def test_floor_table_counts_exactly_and_bounds_its_sums(n, batch, monkeypatch):
             assert abs(w[j, c] - ref) <= w[rows + 1, c] + EPS * ref, (c, j)
 
 
+# pi(10^k), OEIS A006880: the sublinear route's S1 above the split, and so
+# the trend checks' omega means, rest on this column
+@pytest.mark.parametrize("n, pi", [(10 ** 9, 50_847_534), (10 ** 10, 455_052_511),
+                                   (10 ** 11, 4_118_054_813)])
+def test_floor_table_counts_the_classical_prime_counts(n, pi):
+    assert lucy.floor_table(n, primes_up_to(math.isqrt(n)), 0)[0, 0] == pi
+
+
 @pytest.mark.parametrize("n, y", [(5000, 70), (5000, 100), (10 ** 6, 1000), (10 ** 6, 1024)])
 def test_prime_tails_against_a_direct_sum(n, y):
     rows = 3

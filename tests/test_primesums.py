@@ -63,7 +63,7 @@ def test_grid_from_points_validates():
     good = CheckpointGrid.from_points([2, 10, 100])
     assert good.points == (2, 10, 100) and good.n_max == 100 and len(good) == 3
     for bad in ([], [1, 5], [10, 10], [100, 10], [2.5, 10], [True, 10],
-                list(range(2, 100))[:70], [2, 10 ** 9 + 1]):
+                list(range(2, 100))[:70], [2, 10 ** 12 + 1]):
         with pytest.raises(GridError):
             CheckpointGrid.from_points(bad)
 
@@ -312,7 +312,7 @@ def _mp_n_log_g(model, points) -> list:
 
 
 def _assert_bound_holds(model, sublinear=False):
-    rep = sums_stream(model, _REF_GRID, companions=False, sublinear=sublinear)
+    rep = sums_stream(model, _REF_GRID, sublinear=sublinear)
     for n, got, ref, bound in zip(_REF_GRID.points, rep.n_log_g,
                                   _mp_n_log_g(model, _REF_GRID.points),
                                   rep.err_bound):
@@ -348,8 +348,7 @@ def test_sublinear_err_bound_holds_against_a_40_digit_reference(name, tmp_path):
 @pytest.mark.parametrize("n", [10 ** 9, 10 ** 10])
 def test_kappa_matches_stirling_and_legendre(n):
     # n log G_kappa = S2 = log n! - sum_{p^a <= n, a >= 2} floor(n/p^a) log p
-    rep = sums_stream(builtin("kappa"), primesums.WideGrid((n,)),
-                      companions=False, sublinear=True)
+    rep = sums_stream(builtin("kappa"), CheckpointGrid((n,)), sublinear=True)
     with mpmath.workdps(40):
         ref = mpmath.loggamma(n + 1)
         for p in primes_up_to(math.isqrt(n)).tolist():
@@ -367,8 +366,8 @@ def test_routes_agree_on_the_default_grid(name, tmp_path):
     # its sublinear route streams every prime, like the sieve route
     model = _ref_model(name, tmp_path)
     grid = CheckpointGrid.log_spaced(10 ** 4, 10 ** 8, 12)
-    sieve = sums_stream(model, grid, companions=False)
-    fast = sums_stream(model, grid, companions=False, sublinear=True)
+    sieve = sums_stream(model, grid)
+    fast = sums_stream(model, grid, sublinear=True)
     assert fast.s1 == sieve.s1
     for a, b, ea, eb in zip(sieve.n_log_g, fast.n_log_g, sieve.err_bound, fast.err_bound):
         assert abs(a - b) <= ea + eb
@@ -424,7 +423,7 @@ def test_float_quotients_are_exact_near_the_sieve_bound(lo, hi):
     seg = stream_segmented(lo, hi, segment_size=1 << 15).segment(0)
     assert seg.size > 250
     model = builtin("euler_phi")
-    _, at_cut = primesums._prime_terms(model, True, top, True, seg)
+    _, at_cut = primesums._prime_terms(model, True, top, False, seg)
     pf = seg.astype(np.float64)
     pps = sorted((p ** a, log_ratio_prime_power(model, p, a))
                  for p in seg.tolist() if p * p <= top
@@ -643,26 +642,6 @@ def _bits(values) -> bytes:
     return struct.pack(f"<{len(values)}d", *values)
 
 
-@pytest.mark.parametrize("name", ["kappa", "euler_phi", "sigma"])
-def test_report_without_u_matches_full_report(name):
-    # sigma has prime-power terms, euler_phi a nonzero S3
-    grid = CheckpointGrid.log_spaced(100, 2 * 10 ** 6, 7)
-    model = builtin(name)
-    full = sums_stream(model, grid)
-    lazy = sums_stream(model, grid, companions=False)
-    lazy_par = sums_stream(model, grid, parallel=True, companions=False)
-    assert full.has_companions
-    for field in primesums.COMPANION_FIELDS:
-        assert getattr(full, field) is not None, field
-    for rep in (lazy, lazy_par):
-        assert not rep.has_companions
-        for field in primesums.COMPANION_FIELDS:
-            assert getattr(rep, field) is None, field
-        assert rep.s1 == full.s1
-        for field in ("s2", "s3", "n_log_g", "err_bound"):
-            assert _bits(getattr(rep, field)) == _bits(getattr(full, field)), field
-
-
 def test_report_roundtrip_bitwise(tmp_path):
     grid = CheckpointGrid.log_spaced(10, 10 ** 4, 6)
     model = builtin("jordan_2")
@@ -679,12 +658,12 @@ def test_report_roundtrip_bitwise(tmp_path):
     with pytest.raises(CacheFormatError):
         load_report(str(path), builtin("kappa"), grid)
 
-    lazy = sums_stream(model, grid, companions=False)
+    lazy = sums_stream(model, grid, sublinear=True)
     lazy_path = tmp_path / "jordan-lazy.pmsm"
     save_report(str(lazy_path), lazy)
     assert load_report(str(lazy_path), model, grid) == lazy
-    # records of 88 and 48 bytes: n, s1, s2, s3, n_log_g, err_bound (then
-    # the companions)
+    # records of 88 and 48 bytes: n, s1, s2, s3, n_log_g, err_bound (then,
+    # on the sieve route, the companions)
     start = primesums._HEADER.size + primesums._DIGEST_SIZE
     assert path.stat().st_size == start + 88 * len(grid)
     assert lazy_path.stat().st_size == start + 48 * len(grid)
@@ -720,7 +699,7 @@ def test_a_sieve_and_a_sublinear_report_share_one_file(tmp_path):
     grid = CheckpointGrid.from_points([10, 100, 1000])
     model = builtin("sigma")
     sieve = sums_stream(model, grid)
-    fast = sums_stream(model, grid, companions=False, sublinear=True)
+    fast = sums_stream(model, grid, sublinear=True)
     path = tmp_path / "pair.pmsm"
     save_report(str(path), (sieve, fast))
     start = primesums._HEADER.size + primesums._DIGEST_SIZE
@@ -744,21 +723,49 @@ def test_a_sieve_and_a_sublinear_report_share_one_file(tmp_path):
             assert back == rep and _bits(back.n_log_g) == _bits(rep.n_log_g)
 
 
+def test_only_the_three_layouts_load(tmp_path):
+    # every layout byte, re-signed with a valid digest: 0 (sieve), 1
+    # (sublinear) and 2 (sieve, then sublinear) load, and nothing else does
+    grid = CheckpointGrid.from_points([10, 100, 1000])
+    model = builtin("sigma")
+    sieve = sums_stream(model, grid)
+    fast = sums_stream(model, grid, sublinear=True)
+    files = {0: sieve, 1: fast, 2: (sieve, fast)}
+    head, size = primesums._HEADER.size, primesums._DIGEST_SIZE
+    for layout, stored in files.items():
+        path = tmp_path / f"layout{layout}.pmsm"
+        save_report(str(path), stored)
+        blob = path.read_bytes()
+        assert blob[head - 1] == layout
+        for flags in range(256):
+            mutant = bytearray(blob)
+            mutant[head - 1] = flags
+            mutant[head:head + size] = primesums._digest(bytes(mutant[:head]),
+                                                         bytes(mutant[head + size:]))
+            path.write_bytes(bytes(mutant))
+            if flags != layout:
+                with pytest.raises(CacheFormatError):
+                    load_report(str(path), model, grid)
+                continue
+            for rep in (stored if isinstance(stored, tuple) else (stored,)):
+                assert load_report(str(path), model, grid, sublinear=rep.sublinear) == rep
+
+
 @pytest.fixture(scope="module")
 def saved_sigma(tmp_path_factory):
-    """sigma's report with and without the companions: both record layouts."""
+    """sigma's report on each route: both record layouts."""
     grid = CheckpointGrid.from_points([10, 100, 1000])
     model = builtin("sigma")
     path = tmp_path_factory.mktemp("cache") / "sigma.pmsm"
-    return model, grid, path, {companions: sums_stream(model, grid, companions=companions)
-                               for companions in (True, False)}
+    return model, grid, path, {sublinear: sums_stream(model, grid, sublinear=sublinear)
+                               for sublinear in (False, True)}
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_cache_single_byte_mutation_is_caught(saved_sigma, data):
     model, grid, path, reports = saved_sigma
-    rep = reports[data.draw(st.booleans(), label="companions")]
+    rep = reports[data.draw(st.booleans(), label="sublinear")]
     save_report(str(path), rep)
     mutant = bytearray(path.read_bytes())
     at = data.draw(st.integers(0, len(mutant) - 1), label="offset")
@@ -769,7 +776,7 @@ def test_cache_single_byte_mutation_is_caught(saved_sigma, data):
     except CacheFormatError:
         return
     assert back.s1 == rep.s1 and back.points == rep.points
-    assert back.has_companions == rep.has_companions
+    assert back.sublinear == rep.sublinear
     for field in primesums.FLOAT_FIELDS + ("n_log_g", "err_bound"):
         if getattr(rep, field) is not None:
             assert _bits(getattr(back, field)) == _bits(getattr(rep, field)), field
@@ -811,8 +818,8 @@ def test_model_file_spelling_out_euler_phi_sums_bitwise(tmp_path):
     path.write_text("name = phi\nd = 1\nalpha = 1\ndelta = 1\nK = 1\n"
                     "fp = p - 1\nfpa = p^(a - 1) * (p - 1)\n")
     grid = CheckpointGrid.log_spaced(10, 10 ** 6, 8)
-    got = sums_stream(load_model_file(str(path)), grid, companions=False)
-    want = sums_stream(builtin("euler_phi"), grid, companions=False)
+    got = sums_stream(load_model_file(str(path)), grid)
+    want = sums_stream(builtin("euler_phi"), grid)
     for f in dataclasses.fields(SumsReport):
         if f.name not in ("model_name", "model_hash"):
             assert getattr(got, f.name) == getattr(want, f.name), f.name
