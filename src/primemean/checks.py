@@ -13,8 +13,12 @@ share one prime pass per model, grid and route.  The checks that read only
 s1, s2, s3 or `n_log_g` take the sublinear route, the one `geomean` prints;
 `exact-identities`, which reads the companion sums, and `determinism` take
 the sieve route, and `routes-agree` compares the two.  Checks that sweep a
-range take an optional cap `hi` on it (the `--to` of `verify`); with no cap
-every check runs at its registered acceptance scale.
+range take an optional cap `hi` on it (the `--to` of `verify`), and the
+trend checks' ladder ends at it; with no cap every check runs at its
+registered acceptance scale.
+
+Two independent routes belong to the checks: the quadrature of a_1, and
+the prime sums of M and E from one memoised pass (`_mertens_prime_sums`).
 """
 
 from __future__ import annotations
@@ -25,11 +29,12 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from . import constants, primesums, series
-from .accum import EPS
+from .accum import EPS, KahanSum, SegmentTerms, reduce_primes
 from .errors import GridError, UnknownCheckError
 from .multfunc import builtin
 from .primesums import CheckpointGrid, sums_stream
@@ -37,10 +42,6 @@ from .sieve import SpfTable, distinct_prime_factors, spf_build
 
 ACCEPTANCE_MODELS = ("kappa", "two_omega", "euler_phi", "sigma",
                      "divisor_d", "jordan_2")
-
-# Checkpoints shared by the convergence-trend checks: the last three drive
-# the stabilization probes, the first supplies the "improves since" baseline.
-TREND_POINTS = (10 ** 4, 10 ** 6, 10 ** 7, 10 ** 8)
 
 
 @dataclass
@@ -109,9 +110,10 @@ def _grid(hi: int | None, lo: int, default_hi: int, points: int) -> CheckpointGr
 
 
 def _trend_points(hi: int | None) -> tuple[int, ...]:
-    """The four-point convergence ladder, scaled down if a cap is given."""
-    if hi is None or hi >= TREND_POINTS[-1]:
-        return TREND_POINTS
+    """The four-point convergence ladder ending at the cap (default 1e8:
+    1e4, 1e6, 1e7, 1e8).  The last three points drive the stabilization
+    probes, the first supplies the "improves since" baseline."""
+    hi = hi or 10 ** 8
     pts = sorted({max(100, hi // 10 ** 4), hi // 100, hi // 10, hi})
     if len(pts) < 4 or pts[0] < 100:
         raise GridError(f"trend checks need a range above 1e4, got hi={hi}")
@@ -251,24 +253,61 @@ def _check_a1_gamma(ctx: CheckContext, hi: int | None):
     return ok, detail
 
 
+#: The prime-sum references' cuts: M at 5e7 against 1e8, E at 2e8 against 4e8.
+_MERTENS_CUTS = (5 * 10 ** 7, 10 ** 8, 2 * 10 ** 8, 4 * 10 ** 8)
+
+
+@lru_cache(maxsize=None)
+def _mertens_prime_sums(cuts: tuple[int, ...]
+                        ) -> tuple[tuple[constants.ConstantValue, constants.ConstantValue], ...]:
+    """(M, E) summed over every prime to each cut P in one prime pass, a
+    route that shares only gamma with the prime-zeta series of `constants`:
+    M = gamma + sum_{p<=P} [log(1 - 1/p) + 1/p], E = -gamma - sum_{p<=P}
+    log p / (p (p-1)).  Each bound adds gamma's, the reducer's accumulation
+    error and the tail over p > P:
+
+    - M: each term is -sum_{k>=2} 1/(k p^k), so the tail is below
+      sum_{n>P} 1/(2n(n-1)) = 1/(2P) (only primes contribute);
+    - E: log n/(n(n-1)) = (1 + 1/(n-1)) log n / n^2, and sum_{n>P} log n/n^2
+      <= Int_P^oo log t/t^2 dt = (log P + 1)/P for P >= 3, giving
+      (1 + 1/P)(log P + 1)/P.
+    """
+    def terms(seg: np.ndarray) -> SegmentTerms:
+        pf = seg.astype(np.float64)
+        return [("M", 1, np.log1p(-1.0 / pf) + 1.0 / pf),
+                ("E", 1, -np.log(pf) / (pf * (pf - 1.0)))], None
+
+    sums = reduce_primes(cuts, terms, signed=("M", "E"))
+    gamma = constants.euler_gamma()
+
+    def value(sign: float, total: KahanSum, tail: float, p_cut: int) -> constants.ConstantValue:
+        return constants.ConstantValue(sign * gamma.value + total.value,
+                                       tail + gamma.tail_bound + total.error_bound(),
+                                       "prime-sum", (("p_cut", float(p_cut)),))
+
+    return tuple((value(1.0, m, 1.0 / (2.0 * p), p),
+                  value(-1.0, e, (1.0 + 1.0 / p) * (math.log(p) + 1.0) / p, p))
+                 for p, m, e in zip(cuts, sums["M"], sums["E"]))
+
+
 def _check_constants_stability(ctx: CheckContext, hi: int | None):
     """M and E: prime-zeta vs limit definition, prime-sum doubling, cross-route.
 
-    The doubling clause runs the prime-sum route at explicit cuts (M at 5e7
-    against 1e8, E at 2e8 against 4e8): each move must stay below the
-    smaller cut's tail bound.  The cross-route clause asks the prime-zeta
-    and prime-sum values to agree within the sum of their tail bounds; both
-    routes add the same gamma, so it tests the prime-zeta tail against
-    direct prime sums (gamma has its own checks: a1-gamma, and the 40-digit
-    reference in the tests).
+    The doubling clause reads the prime-sum references (`_mertens_prime_sums`,
+    M at 5e7 against 1e8, E at 2e8 against 4e8): each move must stay below
+    the smaller cut's tail bound.  The cross-route clause asks the
+    prime-zeta and prime-sum values to agree within the sum of their tail
+    bounds; both routes add the same gamma, so it tests the prime-zeta tail
+    against direct prime sums (gamma has its own checks: a1-gamma, and the
+    40-digit reference in the tests).
     """
+    refs = dict(zip(_MERTENS_CUTS, _mertens_prime_sums(_MERTENS_CUTS)))
     ok, details = True, []
-    for name, fn, limit, cut in (
-            ("M", constants.meissel_mertens, constants.meissel_mertens_limit, 5 * 10 ** 7),
-            ("E", constants.mertens_e, constants.mertens_e_limit, 2 * 10 ** 8)):
+    for index, name, fn, limit, cut in (
+            (0, "M", constants.meissel_mertens, constants.meissel_mertens_limit, 5 * 10 ** 7),
+            (1, "E", constants.mertens_e, constants.mertens_e_limit, 2 * 10 ** 8)):
         closed = fn()
-        base = fn(truncation_override=cut)
-        doubled = fn(truncation_override=2 * cut)
+        base, doubled = refs[cut][index], refs[2 * cut][index]
         dev = abs(closed.value - limit())
         move = abs(doubled.value - base.value)
         cross = abs(closed.value - base.value)

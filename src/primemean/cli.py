@@ -330,6 +330,8 @@ def cached_report(model: PrimeModel, grid: CheckpointGrid,
 
 def cmd_constants(args: argparse.Namespace) -> int:
     """Print the constants; with --precision, every row's bound must meet it."""
+    if not 0 <= args.aj <= constants.SAFFARI_MAX_J:
+        raise GridError(f"--aj must be in 0..{constants.SAFFARI_MAX_J}, got {args.aj}")
     model, precision = _model(args), args.precision
     kw = {} if precision is None else {"target_precision": precision}
     rows = []

@@ -5,9 +5,9 @@ derived from a stated inequality — never an eyeballed guess.  gamma, M, E
 and the a_j take no target: each is certified to ~1e-16 (relative, for
 the a_j).  A target sizes work only where there is work to size, the
 prime-sum fallback of C_Q; the CLI checks every printed bound against
-`--precision` in one place.  Everything but the prime-sum routes and the
-limit oracles runs in stdlib decimal and fractions, so `constants` never
-imports numpy; those routes import it (and the prime stream) when they run.
+`--precision` in one place.  Everything but C_Q's prime-sum fallback and
+the limit oracles runs in stdlib decimal and fractions, so `constants` never
+imports numpy; those two import it (and the prime stream) when they run.
 
 - gamma_k, the Stieltjes constants: sum_{n<N} (log n)^k / n
   - (log N)^(k+1)/(k+1) plus the Euler-Maclaurin corrections of
@@ -17,7 +17,7 @@ imports numpy; those routes import it (and the prime stream) when they run.
 - a_j = -Int_1^oo {t} (log t)^(j-1) t^-2 dt = (j-1)! (sum_{i<j} gamma_i / i!
   - 1) (`saffari_a`), from zeta(s) = s/(s-1) - s Int_1^oo {t} t^(-s-1) dt.
 
-M, E and C_Q come from the prime zeta function by default (Flajolet and
+M, E and C_Q come from the prime zeta function (Flajolet and
 Vardi, "Zeta function expansions of classical constants", 1996; H. Cohen,
 "High precision computation of Hardy-Littlewood constants", 1998).  The
 primes p <= P (P = ZETA_P = 100, more for C_Q models with large roots) are
@@ -64,20 +64,14 @@ large), and each tail_bound adds five parts:
 4. gamma's bound from the same sum (`_em_sum` at s = 1);
 5. the final rounding to double, half an ulp.
 
-The prime-sum route sums every prime to a cut P through
-`accum.reduce_primes` (pairwise per-segment partials merged in ascending
-order by Kahan summation, so each value is deterministic, and each tail
-bound includes the reducer's certified accumulation error); M and E add
-the decimal gamma.  It runs when a caller passes ``truncation_override``
-(the doubling and cross-route checks use it), and for C_Q when the series
-does not apply: a root bound above `_MAX_ROOT_BOUND`, or a leading
-coefficient that is not exactly alpha.  Its tails over p > P:
-
-- M: each term is -sum_{k>=2} 1/(k p^k), so the tail is below
-  sum_{n>P} 1/(2 n (n-1)) = 1/(2P);
-- E: below (1 + 1/P) sum_{n>P} log n / n^2 <= (1 + 1/P)(log P + 1)/P;
-- C_Q: with |f(p) - alpha p^d| <= K p^(d-delta) and (K/alpha) P^-delta <=
-  1/2, |log(1+u)| <= 2|u| bounds the tail by 2(K/alpha) P^-delta/delta.
+When the series does not apply to C_Q (a root bound above
+`_MAX_ROOT_BOUND`, or a leading coefficient that is not exactly alpha), its
+prime-sum fallback sums every prime to a cut P through `accum.prime_sums`
+(pairwise per-segment partials merged in ascending order by Kahan
+summation, so the value is deterministic, and the tail bound includes the
+reducer's certified accumulation error).  With |f(p) - alpha p^d| <=
+K p^(d-delta) and (K/alpha) P^-delta <= 1/2, |log(1+u)| <= 2|u| bounds the
+tail over p > P by 2(K/alpha) P^-delta/delta.
 
 The limit definitions of M and E converge like 1/log x — useless directly —
 but they make honest *validation oracles* once the known secondary structure
@@ -114,7 +108,8 @@ if TYPE_CHECKING:
 #: cut to it.
 DEFAULT_CQ_PRECISION = 1e-8
 
-_SAFFARI_MAX_J = 8
+#: The largest j that `saffari_a` certifies.
+SAFFARI_MAX_J = 8
 
 #: Primes up to ZETA_P are summed directly on the prime-zeta route.
 ZETA_P = 100
@@ -366,31 +361,6 @@ def _prime_zeta(head: Callable[[int], Tuple[Decimal, float]],
                       (("p_cut", float(p_cut)),))
 
 
-def _meissel_mertens_series(p_cut: int) -> ConstantValue:
-    primes = _small_primes(p_cut)
-
-    def head(digits: int) -> Tuple[Decimal, float]:
-        gamma, err = _em_sum(1, 0, _EM_N, digits)
-        with localcontext(Context(prec=digits)):
-            total = gamma + sum((1 - Decimal(1) / p).ln() + Decimal(1) / p for p in primes)
-        return total, err + 12 * len(primes) * 10.0 ** (1 - digits)
-
-    return _prime_zeta(head, lambda last: [Fraction(-1, s) for s in range(2, last + 1)],
-                       0.5, 1.0, False, p_cut)
-
-
-def _mertens_e_series(p_cut: int) -> ConstantValue:
-    primes = _small_primes(p_cut)
-
-    def head(digits: int) -> Tuple[Decimal, float]:
-        gamma, err = _em_sum(1, 0, _EM_N, digits)
-        with localcontext(Context(prec=digits)):
-            total = -gamma - sum(_ln(p, digits) / (p * (p - 1)) for p in primes)
-        return total, err + 6 * len(primes) * 10.0 ** (1 - digits)
-
-    return _prime_zeta(head, lambda last: [Fraction(-1)] * (last - 1), 1.0, 1.0, True, p_cut)
-
-
 def _root_bound(coeffs: Sequence[int]) -> float:
     """Fujiwara's bound on the roots of sum_i coeffs[i] p^i (0 for a constant):
     2 max(|a_{n-1}/a_n|, |a_{n-2}/a_n|^(1/2), ..., |a_0/(2 a_n)|^(1/n))."""
@@ -447,83 +417,62 @@ def _c_q_series(model: PrimeModel, p_cut: int) -> ConstantValue:
                        len(num) + len(den) - 2, _c_q_root_bound(model), False, p_cut)
 
 
-def _prime_sum(p_cut: int, term_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-               head: float, head_err: float, tail: float) -> ConstantValue:
-    """head + sum_{p<=P} term_fn(p, log p); the bound adds head_err, the tail
-    over p > P and the reducer's accumulation error."""
-    from .accum import prime_sums
-
-    [total] = prime_sums([p_cut], term_fn, signed=True)
-    return ConstantValue(value=head + total.value,
-                         tail_bound=tail + head_err + total.error_bound(),
-                         method="prime-sum", params=(("p_cut", float(p_cut)),))
-
-
 # --------------------------------------------------------------------------
 # M and E
 # --------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def meissel_mertens(truncation_override: int | None = None) -> ConstantValue:
-    """M = gamma + sum_p [log(1 - 1/p) + 1/p].
+def meissel_mertens() -> ConstantValue:
+    """M = gamma + sum_p [log(1 - 1/p) + 1/p], from the prime zeta function
+    (module docstring), certified to ~3e-17."""
+    primes = _small_primes(ZETA_P)
 
-    By default from the prime zeta function (module docstring), certified
-    to ~3e-17.  ``truncation_override`` sums every prime to that cut
-    instead, with the tail bound 1/(2P): each prime's term is
-    -sum_{k>=2} 1/(k p^k), and sum_{n>P} 1/(2n(n-1)) = 1/(2P) ignores that
-    only primes contribute.
-    """
-    if truncation_override is None:
-        return _meissel_mertens_series(ZETA_P)
-    import numpy as np
+    def head(digits: int) -> Tuple[Decimal, float]:
+        gamma, err = _em_sum(1, 0, _EM_N, digits)
+        with localcontext(Context(prec=digits)):
+            total = gamma + sum((1 - Decimal(1) / p).ln() + Decimal(1) / p for p in primes)
+        return total, err + 12 * len(primes) * 10.0 ** (1 - digits)
 
-    p_cut, gamma = int(truncation_override), euler_gamma()
-    return _prime_sum(p_cut, lambda p, logp: np.log1p(-1.0 / p) + 1.0 / p,
-                      gamma.value, gamma.tail_bound, 1.0 / (2.0 * p_cut))
+    return _prime_zeta(head, lambda last: [Fraction(-1, s) for s in range(2, last + 1)],
+                       0.5, 1.0, False, ZETA_P)
 
 
 @lru_cache(maxsize=None)
-def mertens_e(truncation_override: int | None = None) -> ConstantValue:
-    """E = -gamma - sum_p log p / (p (p-1)).
+def mertens_e() -> ConstantValue:
+    """E = -gamma - sum_p log p / (p (p-1)), from the prime zeta function
+    (module docstring), certified to ~1.1e-16."""
+    primes = _small_primes(ZETA_P)
 
-    By default from the prime zeta function (module docstring), certified
-    to ~1.1e-16.  ``truncation_override`` sums every prime to that cut
-    instead.  Tail over p > P: log n/(n(n-1)) = (1 + 1/(n-1)) log n / n^2,
-    and sum_{n>P} log n/n^2 <= Int_P^oo log t/t^2 dt = (log P + 1)/P for
-    P >= 3, giving the certified bound (1 + 1/P)(log P + 1)/P.
-    """
-    if truncation_override is None:
-        return _mertens_e_series(ZETA_P)
-    p_cut, gamma = int(truncation_override), euler_gamma()
-    return _prime_sum(p_cut, lambda p, logp: -logp / (p * (p - 1.0)),
-                      -gamma.value, gamma.tail_bound,
-                      (1.0 + 1.0 / p_cut) * (math.log(p_cut) + 1.0) / p_cut)
+    def head(digits: int) -> Tuple[Decimal, float]:
+        gamma, err = _em_sum(1, 0, _EM_N, digits)
+        with localcontext(Context(prec=digits)):
+            total = -gamma - sum(_ln(p, digits) / (p * (p - 1)) for p in primes)
+        return total, err + 6 * len(primes) * 10.0 ** (1 - digits)
+
+    return _prime_zeta(head, lambda last: [Fraction(-1)] * (last - 1), 1.0, 1.0, True, ZETA_P)
 
 
 # --------------------------------------------------------------------------
 # model-dependent constants
 # --------------------------------------------------------------------------
 
-def c_q(model: PrimeModel, target_precision: float = DEFAULT_CQ_PRECISION,
-        truncation_override: int | None = None) -> ConstantValue:
+def c_q(model: PrimeModel, target_precision: float = DEFAULT_CQ_PRECISION) -> ConstantValue:
     """C_Q = sum_p (1/p) log(f(p) / (alpha p^d)), absolutely convergent.
 
     Models with delta = inf declare f(p) = alpha p^d identically (validated
     by their growth-profile check), so C_Q = 0 exactly.  Otherwise the
     prime-zeta series (module docstring) certifies it to ~1e-16, whatever
     the target; f(p) <= 0 at a prime p <= P raises ModelSpecError.  The
-    prime-sum route runs for ``truncation_override``, and when the series
-    does not apply (a root bound above _MAX_ROOT_BOUND, or a leading
-    coefficient that is not exactly alpha).  Only there does the target
-    size the work: the cut P makes the tail bound 2 (K/alpha) P^-delta /
-    delta at most 99% of it, leaving 1% to the float accumulation, and
-    (K/alpha) P^-delta <= 1/2 so that |log(1+u)| <= 2|u| applies.  A cut
-    beyond the sieve bound raises PrecisionError.
+    prime-sum fallback runs when the series does not apply (a root bound
+    above _MAX_ROOT_BOUND, or a leading coefficient that is not exactly
+    alpha).  Only there does the target size the work: the cut P makes the
+    tail bound 2 (K/alpha) P^-delta / delta at most 99% of it, leaving 1% to
+    the float accumulation, and (K/alpha) P^-delta <= 1/2 so that
+    |log(1+u)| <= 2|u| applies.  A cut beyond the sieve bound raises
+    PrecisionError.
     """
     if model.delta == math.inf:
         return ConstantValue(0.0, 0.0, method="identically-zero")
-    if truncation_override is not None:
-        return _c_q_at(model, int(truncation_override), False)
     bound = _c_q_root_bound(model)
     if bound is not None:
         return _c_q_at(model, max(ZETA_P, math.ceil(8 * bound)), True)
@@ -549,10 +498,18 @@ def _c_q_tail(model: PrimeModel, p: float) -> float:
 
 @lru_cache(maxsize=None)
 def _c_q_at(model: PrimeModel, p_cut: int, series: bool) -> ConstantValue:
+    """C_Q at the cut P, by the prime-zeta series or by the prime-sum
+    fallback: every prime p <= P summed, its bound the tail over p > P plus
+    the reducer's accumulation error."""
     if series:
         return _c_q_series(model, p_cut)
-    return _prime_sum(p_cut, lambda p, logp: model.log_q_ratio_vec(p, logp) / p,
-                      0.0, 0.0, _c_q_tail(model, p_cut))
+    from .accum import prime_sums
+
+    [total] = prime_sums([p_cut], lambda p, logp: model.log_q_ratio_vec(p, logp) / p,
+                         signed=True)
+    return ConstantValue(value=total.value,
+                         tail_bound=_c_q_tail(model, p_cut) + total.error_bound(),
+                         method="prime-sum", params=(("p_cut", float(p_cut)),))
 
 
 # C_Q is memoised on its route and cut, so every target that leads to one cut
@@ -593,8 +550,8 @@ def saffari_a(j: int) -> ConstantValue:
     sum_i k!/i! |d gamma_i|, the decimal rounding of the combination and
     half an ulp for the final rounding to double; it takes no target.
     """
-    if not 1 <= j <= _SAFFARI_MAX_J:
-        raise GridError(f"saffari_a supports 1 <= j <= {_SAFFARI_MAX_J}, got {j}")
+    if not 1 <= j <= SAFFARI_MAX_J:
+        raise GridError(f"saffari_a supports 1 <= j <= {SAFFARI_MAX_J}, got {j}")
     return _saffari_at(j, _EM_N)
 
 

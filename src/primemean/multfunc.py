@@ -630,6 +630,6 @@ def load_model_file(path: str) -> PrimeModel:
     k_hat, ok = error_profile_check(model, p_max=10 ** 5)
     if not ok:
         raise ModelSpecError(
-            f"{path}: growth profile violated: measured K_hat = {k_hat:g} "
-            f"exceeds declared K = {model.k_bound:g}")
+            f"{path}: growth profile violated: measured K_hat = {k_hat!r} "
+            f"exceeds declared K = {model.k_bound!r}")
     return model

@@ -149,7 +149,8 @@ def test_trend_ladder_refuses_caps_below_its_range(capsys, to):
 
 def test_every_accepted_trend_cap_gives_four_points_from_100():
     accepted = []
-    for hi in [*range(2, 20001), 10 ** 5, 10 ** 6 + 7, 10 ** 7, 10 ** 8 - 1]:
+    for hi in [*range(2, 20001), 10 ** 5, 10 ** 6 + 7, 10 ** 7, 10 ** 8 - 1, 10 ** 8,
+               10 ** 10, 10 ** 12]:
         try:
             points = checks._trend_points(hi)
         except GridError:
@@ -158,6 +159,21 @@ def test_every_accepted_trend_cap_gives_four_points_from_100():
         assert points[0] >= 100 and points[-1] == hi, hi
         accepted.append(hi)
     assert accepted[0] == 10100
+
+
+def test_omega_mean_trend_follows_the_cap_past_the_sieve():
+    # the default cap gives the ladder 1e4, 1e6, 1e7, 1e8; at 1e10 the ladder
+    # is 1e6, 1e8, 1e9, 1e10, on the sublinear route
+    assert checks._trend_points(None) == (10 ** 4, 10 ** 6, 10 ** 7, 10 ** 8)
+    result = checks.run_check("omega-mean-trend", hi=10 ** 10)
+    assert result.passed, result.detail
+    assert "|eps(1e+10) - (gamma-1)|" in result.detail
+
+
+def test_trend_cap_beyond_the_sublinear_bound_exits_2(capsys):
+    rc, out, err = run(capsys, "verify", "--check", "omega-mean-trend", "--to", "2e12")
+    assert rc == 2 and out == ""
+    assert "exceeds the sublinear route's bound 1000000000000" in err
 
 
 def test_verify_refuses_unknown_check_before_any_check_runs(capsys, monkeypatch):
@@ -258,6 +274,17 @@ def test_aj_certify_below_the_old_1e_11_floor(capsys):
                        "--precision", "1e-15")
     assert rc == 3 and out == ""
     assert err.startswith("error: eta0[euler_phi] has tail bound")
+
+
+@pytest.mark.parametrize("aj", ["-1", "9"])
+def test_aj_outside_its_range_exits_2_before_any_constant(capsys, monkeypatch, aj):
+    def must_not_run():
+        raise AssertionError("a constant was computed before --aj was refused")
+
+    monkeypatch.setattr(constants, "euler_gamma", must_not_run)
+    rc, out, err = run(capsys, "constants", "--aj", aj)
+    assert rc == 2 and out == ""
+    assert f"--aj must be in 0..8, got {aj}" in err
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "0", "-1e-3", "x"])

@@ -99,12 +99,18 @@ def test_mertens_e_certified(e_ref40):
     assert round(e.value, 6) == -1.332582
 
 
+def _mertens_prime_sum(index: int, cut: int):
+    """M (index 0) or E (index 1) summed to `cut`, from the memoised pass of
+    the constants-stability check when the cut is one of its own."""
+    cuts = checks._MERTENS_CUTS if cut in checks._MERTENS_CUTS else (cut,)
+    return checks._mertens_prime_sums(cuts)[cuts.index(cut)][index]
+
+
 def test_doubling_moves_less_than_tail():
-    # the prime-sum route at the cuts of the constants-stability check
-    for make, cut in ((constants.meissel_mertens, 5 * 10 ** 7),
-                      (constants.mertens_e, 2 * 10 ** 8)):
-        base = make(truncation_override=cut)
-        doubled = make(truncation_override=2 * cut)
+    # the prime-sum references at the cuts of the constants-stability check
+    for index, cut in ((0, 5 * 10 ** 7), (1, 2 * 10 ** 8)):
+        base = _mertens_prime_sum(index, cut)
+        doubled = _mertens_prime_sum(index, 2 * cut)
         assert base.method == doubled.method == "prime-sum"
         assert abs(doubled.value - base.value) < base.tail_bound
 
@@ -274,28 +280,32 @@ def test_limit_oracles_agree_with_closed_forms(m_ref, e_ref):
 # frozen again when their prime-sum route took the decimal gamma in place
 # of a float harmonic sum: each value moved by 8.35e-13, inside the old
 # bound (1.0e-8 and 1.0e-7), and each bound shrank by that sum's 8.4e-13.
+# The prime sums of M and E are the constants-stability check's references
+# (`checks._mertens_prime_sums`); C_Q's is its prime-sum fallback.
 _FROZEN_PRIME_SUMS = {
-    "M": (constants.meissel_mertens, (),
+    "M": (lambda cut: _mertens_prime_sum(0, cut), constants.meissel_mertens,
           "0x1.0bc5ecede6605p-2", "0x1.5798f286283e7p-27", 50_000_000),
-    "E": (constants.mertens_e, (),
+    "E": (lambda cut: _mertens_prime_sum(1, cut), constants.mertens_e,
           "-0x1.55241c9828278p+0", "0x1.ad7f2ae9d5caep-24", 201_198_002),
-    "C_Q[euler_phi]": (constants.c_q, ("euler_phi",),
+    "C_Q[euler_phi]": (lambda cut: constants._c_q_at(builtin("euler_phi"), cut, False),
+                       lambda: constants.c_q(builtin("euler_phi")),
                        "-0x1.28fd6d474160dp-1", "0x1.5798f4ceb9f7fp-27", 200_000_000),
-    "C_Q[sigma]": (constants.c_q, ("sigma",),
+    "C_Q[sigma]": (lambda cut: constants._c_q_at(builtin("sigma"), cut, False),
+                   lambda: constants.c_q(builtin("sigma")),
                    "0x1.893f73c97255dp-2", "0x1.5798f28d9f307p-27", 200_000_000),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_FROZEN_PRIME_SUMS))
 def test_prime_sum_constants_frozen(name):
-    fn, models, value, tail, cut = _FROZEN_PRIME_SUMS[name]
-    cv = fn(*map(builtin, models), truncation_override=cut)
+    prime_sum, prime_zeta, value, tail, cut = _FROZEN_PRIME_SUMS[name]
+    cv = prime_sum(cut)
     assert cv.method == "prime-sum" and cv.param("p_cut") == cut
     assert cv.value == float.fromhex(value)
     growth = cv.tail_bound - float.fromhex(tail)
     assert 0.0 <= growth <= FORM_ULPS * EPS
     # the prime-zeta value moves only within the prime-sum bound
-    new = fn(*map(builtin, models))
+    new = prime_zeta()
     assert new.method == "prime-zeta"
     assert abs(new.value - cv.value) <= cv.tail_bound
 

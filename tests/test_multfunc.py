@@ -222,6 +222,11 @@ def test_load_model_file_with_prime_power_rule(tmp_path, table5k):
      "strongly_multiplicative = true\n", "duplicate"),
     ("name = x\nd = 1\nalpha = 1\ndelta = inf\nK = 0\nfp = p + 1\n"
      "strongly_multiplicative = true\n", "growth profile"),
+    # alpha is 1/3 rounded to a double, so K_hat exceeds K = 1 by 1.85e-12:
+    # both numbers are printed in full
+    ("name = x\nd = 1\nalpha = 0.3333333333333333\ndelta = 1\nK = 1\nfp = p/3 + 1\n"
+     "strongly_multiplicative = true\n",
+     r"measured K_hat = 1\.0000000000018503 exceeds declared K = 1\.0$"),
 ])
 def test_load_model_file_rejects(tmp_path, body, fragment):
     path = tmp_path / "bad.model"
