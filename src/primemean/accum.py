@@ -16,7 +16,9 @@ sum (a prime-power term is a channel of its prime's segment): it cuts
 [2, max cut] into sieve segments, forms every partial by pairwise
 reduction, charges each partial pairwise_error_bound(mass, count) +
 FORM_ULPS * eps * mass (the second term is the formation rounding of the
-individual terms), and merges the partials into per-cut Kahan
+individual terms; the mass sum|x| of a signed channel's partial is |sum x|
+when its terms share one sign, and a second pairwise sum only when they do
+not), and merges the partials into per-cut Kahan
 accumulators in ascending segment order, so every total carries a
 certified accumulation error bound.  A run of terms that share one integer
 weight k (`Runs`) is summed once and scaled: its partial's error is k times
@@ -99,9 +101,16 @@ SegmentTerms = tuple[Iterable[tuple[str, int, np.ndarray | None]],
 
 
 def _partial(terms: np.ndarray, signed: bool) -> tuple[float, float, float]:
-    """(value, mass, error) of one pairwise partial; mass is sum|terms|."""
+    """(value, mass, error) of one pairwise partial; mass is sum|terms|.
+
+    Terms of one sign have the mass |value|: pairwise sums of t and of -t
+    round alike, so that is sum|terms| bit for bit, and only a mixed-sign
+    slice is summed a second time."""
     value = float(terms.sum())
-    mass = float(np.abs(terms).sum()) if signed else value
+    mass = value
+    if signed:
+        one_sign = terms.size == 0 or terms.min() >= 0 or terms.max() <= 0
+        mass = abs(value) if one_sign else float(np.abs(terms).sum())
     return value, mass, pairwise_error_bound(mass, terms.size) + FORM_ULPS * EPS * mass
 
 
@@ -139,6 +148,7 @@ def _segment_partials(primes, segment_terms, cuts, limits, signed, integers):
                 if count not in memo:
                     memo[count] = _part(terms, 0, count, 1, *flags)
                 parts.setdefault(name, []).append(memo[count])
+        del terms       # freed before the generator forms the next array
     if at_cut is not None:
         for i, parts in out:
             count = int(np.searchsorted(primes, limits[i], side="right"))
@@ -151,6 +161,7 @@ def _segment_partials(primes, segment_terms, cuts, limits, signed, integers):
                                for j, w in enumerate(terms.weights) if e[j] < e[j + 1])
                 else:
                     got.append(_part(terms, 0, terms.size, 1, *flags))
+                del terms
     return out
 
 
@@ -189,8 +200,8 @@ def reduce_primes(
     or float, and is summed exactly into a Python int (a float partial is
     exact while its total stays below 2^53: every pairwise partial is then
     an integer no larger than the total).  A channel named in `signed` takes
-    its mass from sum|terms|; any other channel must have nonnegative terms
-    and takes its mass from their sum.
+    its mass from sum|terms| (|sum| when they share one sign); any other
+    channel must have nonnegative terms and takes its mass from their sum.
     With ``parallel=True`` the segments run on a thread pool (see the module
     docstring for who asks for it).
 

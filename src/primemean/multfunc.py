@@ -57,11 +57,24 @@ def _log_exact(q: Exact) -> float:
     """log q within ~1 ulp (log1p of the exact q - 1 near 1), never overflowing."""
     if isinstance(q, int):
         return math.log(q)
-    if Fraction(1, 2) < q < 2:
-        return math.log1p(q - 1)
-    if abs(q.numerator.bit_length() - q.denominator.bit_length()) < 1000:
-        return math.log(q)
-    return math.log(q.numerator) - math.log(q.denominator)
+    return _log_ratio(q.numerator, q.denominator)
+
+
+def _log_ratio(num: int, den: int) -> float:
+    """log(num / den) for den > 0, the same bits whether or not num / den is
+    reduced: every branch reads the correctly rounded num / den, but for
+    bit lengths 999 or more apart, where the reduced ones (within one of
+    these) decide between it and log num - log den."""
+    if num % den == 0:
+        return math.log(num // den)
+    if den < 2 * num and num < 2 * den:
+        return math.log1p((num - den) / den)
+    if abs(num.bit_length() - den.bit_length()) >= 999:
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
+        if abs(num.bit_length() - den.bit_length()) >= 1000:
+            return math.log(num) - math.log(den)
+    return math.log(num / den)
 
 
 # --------------------------------------------------------------------------
@@ -362,13 +375,20 @@ def value_at(model: PrimeModel, k: int, table: SpfTable) -> FunctionValue:
 def log_ratio_prime_power(model: PrimeModel, p: int, a: int) -> float:
     """log(f(p^a)/f(p^(a-1))) for a >= 2 from the exact ratio, within ~1 ulp
     (exactly 0 for strongly multiplicative f).  Neither value is memoised:
-    the prime pass asks for every prime p <= sqrt(n) once."""
+    the prime pass asks for every prime p <= sqrt(n) once.  The ratio is
+    N/D with N = f_a.num f_(a-1).den and D = f_a.den f_(a-1).num from the
+    polynomials' values, not reduced (see `_log_ratio`)."""
     if a < 2:
         raise GridError(f"log_ratio_prime_power needs a >= 2, got {a}")
     if model.strongly_multiplicative:
         return 0.0
     p = int(p)
-    return _log_exact(Fraction(model._rat(a)(p)) / model._rat(a - 1)(p))
+    hi, lo = model._rat(a), model._rat(a - 1)
+    hn, hd, ln, ld = (_eval(c, p) for c in (hi.num, hi.den, lo.num, lo.den))
+    if hd == 0 or ld == 0:
+        raise ModelSpecError("division by zero in model expression")
+    num, den = hn * ld, hd * ln
+    return _log_ratio(-num, -den) if den < 0 else _log_ratio(num, den)
 
 
 # --------------------------------------------------------------------------

@@ -72,6 +72,21 @@ the cut: every term is certified, none measured.  A `CheckpointGrid`
 reaches SUBLINEAR_MAX_BOUND = 1e12, which this route streams in full; the
 sieve route refuses a checkpoint beyond DEFAULT_MAX_BOUND = 1e9.
 
+Segment geometry: both routes cut the pass into segments of SEGMENT_SIZE =
+2^19 numbers, half of sieve.DEFAULT_SEGMENT_SIZE (which serves the plain
+prime sums of `accum.prime_sums`, whose passes hold one or two arrays per
+segment), from sieve blocks of 2^21 numbers.  On the sieve route a segment
+keeps about a dozen arrays of its primes alive at once (the primes, p,
+log p, log f(p), U's lower end, a cut's quotients and U's upper-end
+buffers, built in place), so the first segment, with 43,390 primes, sets
+the pass's working set.  The sublinear route's pass ends at the largest
+split y, and a pass that ends inside the first segment (y < 2^19: every
+n < 2.75e11 whose split is isqrt(n)) does not depend on the segment length;
+a longer one (larger n, or a model whose C_Q series does not apply, with
+y = n) moves within its bounds when the length does.
+A segment worker never writes an array after yielding it: the reducer may
+still hold it (a caller of `at_cut` may keep every part).
+
 floor(n/p) is formed as floor(n / p) in float64 (or is the run's k), and
 the remainder as n - floor(n/p) p.  Both are exact because every checkpoint is at most
 1e12 < 2^52: n / p is then within half an ulp < 1/p of the true
@@ -90,7 +105,7 @@ total, PP included, carries its pairwise, formation and merge rounding, and
 the assembly adds the rounding of log alpha and its own.  No declared
 profile constant (K) enters it.
 
-Cache format v9 (binary, little-endian): header {magic b"PMSM", version u16,
+Cache format v10 (binary, little-endian): header {magic b"PMSM", version u16,
 model hash u64, checkpoint count u16, layout u8 (0: a sieve-route report;
 1: a sublinear-route report; 2: a sieve-route report, then a
 sublinear-route one)}, then a 16-byte blake2b digest of the header and the
@@ -102,7 +117,8 @@ route; a file without it is a miss.  A report is stored as streamed and
 loaded as stored: a load runs no prime pass.  A file whose digest does not
 match is rejected, and so is a file of an older version (v8's layout byte
 also allowed a sieve-route report without the companions, in 48-byte
-records).
+records; v9's sieve-route sums came from segments of 2^20 numbers and
+differ from v10's in their last bits).
 The model hash fingerprints the model itself (see `_model_hash`), not only
 its name, so two models that share a name never share a cache file.
 """
@@ -127,13 +143,14 @@ from .multfunc import (_VALIDATION_PRIMES, PrimeModel, log_ratio_prime_power,
                        value_at)
 from .sieve import (
     DEFAULT_MAX_BOUND,
-    DEFAULT_SEGMENT_SIZE,
     SpfTable,
     distinct_prime_factors,
     primes_up_to,
 )
 
 MAX_CHECKPOINTS = 64
+#: numbers per segment of `sums_stream`'s prime pass (see the module docstring)
+SEGMENT_SIZE = 1 << 19
 SUBLINEAR_MAX_BOUND = 10 ** 12      # the sublinear route's cap (the sieve's is 1e9)
 
 # Ordering of the float-valued accumulators, as `sums` prints them.
@@ -141,7 +158,7 @@ COMPANION_FIELDS = ("f1", "f2", "r_sum", "m_of_x", "u_of_x")
 FLOAT_FIELDS = ("s2", "s3") + COMPANION_FIELDS
 
 CACHE_MAGIC = b"PMSM"
-CACHE_VERSION = 9
+CACHE_VERSION = 10
 _HEADER = struct.Struct("<4sHQHB")   # magic, version, model hash, count, layout
 #: the layout byte indexes the routes of a file's reports (True: sublinear)
 _LAYOUTS = ((False,), (True,), (False, True))
@@ -266,17 +283,19 @@ def _prime_power_table(model: PrimeModel, primes: np.ndarray, n_max: int
 
     The float values are exact, since n_max < 2^52 (see the module docstring).
     """
+    strong = model.strongly_multiplicative
     pas, lrs, bases = [], [], []
     for p in primes[:np.searchsorted(primes, math.isqrt(n_max), side="right")].tolist():
         pa, a = p * p, 2
         while pa <= n_max:
             pas.append(pa)
-            lrs.append(log_ratio_prime_power(model, p, a))
+            if not strong:
+                lrs.append(log_ratio_prime_power(model, p, a))
             bases.append(p)
             pa *= p
             a += 1
     order = np.argsort(pas, kind="stable")
-    lr = None if model.strongly_multiplicative else np.array(lrs)[order]
+    lr = None if strong else np.array(lrs)[order]
     return (np.array(pas, dtype=np.float64)[order], lr,
             np.array(bases, dtype=np.float64)[order])
 
@@ -338,6 +357,7 @@ def _prime_terms(model: PrimeModel, need_s3: bool, n_max: int, sublinear: bool,
             fr /= pc
             yield "f1", fr
             yield "r_sum", fr * lp[:count]
+            del fr          # freed before U's buffers: a yielded array is never reused
             if head:
                 yield "u_of_x", _u_em_terms(pf[:head], lp[:head], u_lo, qh, n)
         if pa.size:
@@ -412,11 +432,29 @@ def _h_poly(k: int) -> tuple[int, ...]:
     return tuple(c)
 
 
+#: B_2k / (2k)! for k = 1..J
+_EM_BERNOULLI = tuple(b / math.factorial(2 * k) for k, b in enumerate(
+    (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30))[:U_EM_TERMS],
+    start=1))
+
 # (B_2k / (2k)!, h_{2k-1}) for k = 1..J
-_EM_CORRECTIONS = tuple(
-    (float(b / math.factorial(2 * k)), _h_poly(2 * k - 1))
-    for k, b in enumerate((Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42),
-                           Fraction(-1, 30))[:U_EM_TERMS], start=1))
+_EM_CORRECTIONS = tuple((float(b), _h_poly(2 * k - 1))
+                        for k, b in enumerate(_EM_BERNOULLI, start=1))
+
+
+def _em_lower_coeffs() -> tuple[float, ...]:
+    """The lower end f_p(M0) / 2 - sum_k B_2k / (2k)! f_p^(2k-1)(M0) as one
+    polynomial in v = 1/log(M0 p): its exact coefficients, rounded once,
+    ascending from v^1 (f_p^(2k-1)(M0) = M0^(1-2k) h_{2k-1}(v))."""
+    c = [Fraction(0)] * (2 * U_EM_TERMS + 1)
+    c[1] = Fraction(1, 2)
+    for k, b in enumerate(_EM_BERNOULLI, start=1):
+        for j, h in enumerate(_h_poly(2 * k - 1)):
+            c[j] -= b * h / Fraction(U_M0) ** (2 * k - 1)
+    return tuple(map(float, c[1:]))
+
+
+_EM_LOWER = _em_lower_coeffs()
 
 #: Terms of the series Ei(x) = gamma + log x + sum_{k>=1} x^k / (k k!); the
 #: truncation is bounded in `_ei_tail` for every x up to log of the sieve bound.
@@ -428,10 +466,16 @@ _EI_TAYLOR_TERMS = 8
 _TAYLOR_DELTA = math.log(U_M0 / (U_M0 - 1))
 
 
-def _horner(coeffs, x):
-    """sum_i coeffs[i] x^i (ascending from x^0) by Horner, in one array, or
-    in floats for a float x."""
-    s = np.full_like(x, coeffs[-1]) if isinstance(x, np.ndarray) else coeffs[-1]
+def _horner(coeffs, x, out=None):
+    """sum_i coeffs[i] x^i (ascending from x^0) by Horner, in one array (`out`,
+    not x, if given), or in floats for a float x."""
+    if not isinstance(x, np.ndarray):
+        s = coeffs[-1]
+    elif out is None:
+        s = np.full_like(x, coeffs[-1])
+    else:
+        s = out
+        s.fill(coeffs[-1])
     for c in coeffs[-2::-1]:
         s *= x
         s += c
@@ -471,18 +515,19 @@ def _ei_taylor(n: int, delta: np.ndarray) -> np.ndarray:
     return s
 
 
-def _em_corrections(t, v: np.ndarray) -> np.ndarray:
-    """sum_k B_2k / (2k)! f_p^(2k-1)(t), with v = 1/log(t p): v^2 / t times
-    a Horner sum in 1/t^2 over the polynomials B_2k / (2k)! h_{2k-1}(v) / v^2
-    (every h_{2k-1} has the factor v^2)."""
-    w = 1.0 / (t * t)
-    out = None
-    for b, h in _EM_CORRECTIONS[::-1]:
-        term = _horner([b * c for c in h[2:]], v)
-        if out is not None:
-            out *= w
-            term += out
-        out = term
+def _em_corrections(t: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sum_k B_2k / (2k)! f_p^(2k-1)(t), with v = 1/log(t p), into `out`:
+    v^2 / t times a Horner sum in 1/t^2 over the polynomials
+    B_2k / (2k)! h_{2k-1}(v) / v^2 (every h_{2k-1} has the factor v^2)."""
+    w = np.multiply(t, t)
+    np.divide(1.0, w, out=w)
+    (b, h), *rest = _EM_CORRECTIONS[::-1]
+    _horner([b * c for c in h[2:]], v, out)
+    term = None
+    for b, h in rest:
+        out *= w
+        term = _horner([b * c for c in h[2:]], v, term)
+        out += term
     out *= v
     out *= v
     out /= t
@@ -509,25 +554,43 @@ def _u_direct_channels(seg: np.ndarray, lp: np.ndarray, u_max: int):
 
 def _u_lower_end(seg: np.ndarray, lp: np.ndarray, u_max: int):
     """The cut-independent lower-end terms at m = U_M0, for the segment's
-    primes p <= u_max / U_M0: (Ei(log(M0 p)) - gamma, the rest)."""
+    primes p <= u_max / U_M0: (Ei(log(M0 p)) - gamma, the rest), in two
+    buffers."""
     c = int(np.searchsorted(seg, u_max // U_M0, side="right"))
     if c == 0:      # no cut reaches the Euler-Maclaurin part in this segment
         return lp[:0], lp[:0]
     ua = math.log(U_M0) + lp[:c]
-    va = 1.0 / ua
-    return _ei_series(ua) + np.log(ua), 0.5 * va - _em_corrections(float(U_M0), va)
+    ea = _ei_series(ua)
+    lo = np.log(ua)
+    ea += lo
+    va = np.divide(1.0, ua, out=ua)
+    _horner(_EM_LOWER, va, lo)
+    lo *= va
+    return ea, lo
 
 
 def _u_em_terms(pf, lp, u_lo, q, n: int) -> np.ndarray:
     """log p * sum_{m=U_M0}^{q} 1/log(m p) at cut n for the segment's primes
-    p <= n / U_M0, which q holds n // p of as floats."""
+    p <= n / U_M0, which q holds n // p of as floats.  Three buffers and
+    `_em_corrections`' two: t holds delta, then 0.5 vb, then the corrections."""
     c = q.size
     ea, lo = u_lo
-    delta = -np.log1p(-(n - q * pf) / n)
-    vb = 1.0 / (math.log(n) - delta)
-    t = (_ei_taylor(n, delta) - ea[:c]) / pf + 0.5 * vb + _em_corrections(q, vb) + lo[:c]
-    t *= lp
-    return t
+    t = np.multiply(q, pf)              # delta = -log1p(-(n - q p) / n)
+    np.subtract(n, t, out=t)
+    np.negative(t, out=t)
+    t /= n
+    np.log1p(t, out=t)
+    np.negative(t, out=t)
+    vb = np.subtract(math.log(n), t)
+    np.divide(1.0, vb, out=vb)
+    s = _ei_taylor(n, t)
+    s -= ea[:c]
+    s /= pf
+    s += np.multiply(vb, 0.5, out=t)
+    s += _em_corrections(q, vb, t)
+    s += lo[:c]
+    s *= lp
+    return s
 
 
 def u_truncation_bound(n: int) -> float:
@@ -635,7 +698,7 @@ def sums_stream(
     grid: CheckpointGrid,
     *,
     sublinear: bool = False,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
+    segment_size: int = SEGMENT_SIZE,
     parallel: bool = False,
 ) -> SumsReport:
     """Evaluate every streaming sum at each checkpoint in one sieve pass.

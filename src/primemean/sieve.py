@@ -5,12 +5,24 @@ stream keeps memory at O(segment_size + sqrt(hi)) so a desk machine can walk
 every prime up to 1e9; the smallest-prime-factor (SPF) table is the exact
 factorization oracle used by brute-force cross-checks and is deliberately
 capped at a much smaller range.
+
+A window's odd-only mask starts from a wheel: the odd numbers prime to
+3 * 5 * 7 * 11 * 13 * 17 repeat with a period of WHEEL_PERIOD odd numbers,
+so one period's pattern, built once on first use, is copied into the window
+by doubling, and only the base primes from 19 up are struck one by one.  A
+window shorter than the period strikes every base prime and never builds
+the 255,255-byte pattern.
+`PrimeStream.segments` sieves blocks of BLOCK_SIZE numbers (the struck
+base primes cost a Python step each per block, so a block stays large
+whatever the segment length), keeps each block's mask packed 8 flags a
+byte, and reads one segment's primes from it at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator
 
 import numpy as np
@@ -19,7 +31,7 @@ from .errors import GridError
 
 DEFAULT_SEGMENT_SIZE = 1 << 20  # numbers per segment
 DEFAULT_MAX_BOUND = 10 ** 9     # address budget for sieving
-SEGMENTS_PER_BLOCK = 2          # segments sieved together by PrimeStream.segments
+BLOCK_SIZE = 1 << 21            # numbers PrimeStream.segments sieves at a time
 SPF_CAP = 10 ** 7               # SPF tables stay oracle-sized
 
 
@@ -44,28 +56,72 @@ def primes_up_to(limit: int) -> np.ndarray:
     return np.concatenate((np.array([2], dtype=np.int64), odds))
 
 
+#: the odd primes the wheel pre-sieves, and its period in odd numbers
+WHEEL_PRIMES = (3, 5, 7, 11, 13, 17)
+WHEEL_PERIOD = math.prod(WHEEL_PRIMES)
+
+
+@cache
+def _wheel_pattern() -> np.ndarray:
+    """pattern[j]: 2j + 1 is prime to every wheel prime, for 0 <= j < WHEEL_PERIOD."""
+    pattern = np.ones(WHEEL_PERIOD, dtype=bool)
+    for p in WHEEL_PRIMES:
+        pattern[(p - 1) // 2::p] = False
+    return pattern
+
+
+def _sieve(lo: int, hi: int, base_odd: np.ndarray) -> tuple[int, np.ndarray]:
+    """(start, mask) for the window [lo, hi): mask[i] says whether the odd
+    number start + 2i is prime, for the odd numbers of the window; when the
+    window holds 2, one more index in front stands for start = 1 and marks
+    the 2.  `base_odd` must contain every odd prime <= sqrt(hi - 1)."""
+    start = 1 if lo <= 2 < hi else max(lo, 3) | 1
+    mask = np.empty(max(0, (hi - start + 1) // 2), dtype=bool)
+    if not mask.size:
+        return start, mask
+    if mask.size < WHEEL_PERIOD:        # short: the loop below strikes every base prime
+        mask.fill(True)
+        skip = 0
+    else:
+        pattern = _wheel_pattern()
+        j = (start - 1) // 2 % WHEEL_PERIOD
+        mask[:WHEEL_PERIOD - j] = pattern[j:]   # one period from phase j
+        mask[WHEEL_PERIOD - j:WHEEL_PERIOD] = pattern[:j]
+        done = WHEEL_PERIOD
+        while done < mask.size:             # double the filled prefix
+            step = min(done, mask.size - done)
+            mask[done:done + step] = mask[:step]
+            done += step
+        for p in WHEEL_PRIMES:              # the wheel struck its own primes
+            if start <= p < hi:
+                mask[(p - start) // 2] = True
+        skip = len(WHEEL_PRIMES)            # the wheel primes are the first odd primes
+    base = base_odd[skip:np.searchsorted(base_odd, math.isqrt(hi - 1), side="right")]
+    # each base prime's first odd multiple >= max(p^2, start), as a mask index
+    first = np.maximum(base * base, -(-start // base) * base)
+    first += base * (first % 2 == 0)
+    for i, p in zip(((first - start) // 2).tolist(), base.tolist()):
+        mask[i::p] = False      # empty when the multiple lies past the window
+    return start, mask
+
+
+def _marked(flags: np.ndarray, start: int) -> np.ndarray:
+    """The primes a run of `_sieve` flags marks, index 0 standing for start."""
+    primes = np.flatnonzero(flags)  # int64 indices, mapped to numbers in place
+    primes *= 2
+    primes += start
+    if start == 1 and primes.size:
+        primes[0] = 2
+    return primes
+
+
 def _segment_primes(lo: int, hi: int, base_odd: np.ndarray) -> np.ndarray:
     """Primes in the half-open window [lo, hi).
 
     `base_odd` must contain every odd prime <= sqrt(hi - 1).
     """
-    if hi <= 2 or hi <= lo:
-        return np.empty(0, dtype=np.int64)
-    first_odd = max(lo, 3) | 1
-    out_two = lo <= 2 < hi
-    if first_odd >= hi:
-        return np.array([2], dtype=np.int64) if out_two else np.empty(0, dtype=np.int64)
-    mask = np.ones((hi - first_odd + 1) // 2, dtype=bool)
-    base = base_odd[:np.searchsorted(base_odd, math.isqrt(hi - 1), side="right")]
-    # each base prime's first odd multiple >= max(p^2, first_odd), as a mask index
-    start = np.maximum(base * base, -(-first_odd // base) * base)
-    start += base * (start % 2 == 0)
-    for i, p in zip(((start - first_odd) // 2).tolist(), base.tolist()):
-        mask[i::p] = False      # empty when the multiple lies past the window
-    primes = first_odd + 2 * np.flatnonzero(mask).astype(np.int64)
-    if out_two:
-        return np.concatenate((np.array([2], dtype=np.int64), primes))
-    return primes
+    start, mask = _sieve(lo, hi, base_odd)
+    return _marked(mask, start)
 
 
 @dataclass(frozen=True)
@@ -105,18 +161,28 @@ class PrimeStream:
         return _segment_primes(lo, hi, self._base() if base_odd is None else base_odd)
 
     def segments(self) -> Iterator[np.ndarray]:
-        """The segments in ascending order, sieved SEGMENTS_PER_BLOCK at a time.
+        """The segments in ascending order, from blocks of BLOCK_SIZE numbers.
 
-        Each block is split at the segment edges, so every segment is the
-        same array that `segment(i)` returns.
+        A block holds whole segments, at least one.  Its mask is kept packed
+        8 flags a byte, and a segment's primes are read from it only when the
+        segment is asked for; they are the same array that `segment(i)`
+        returns.
         """
         base = self._base()
         bounds = self.segment_bounds()
-        for b in range(0, len(bounds), SEGMENTS_PER_BLOCK):
-            block = bounds[b:b + SEGMENTS_PER_BLOCK]
-            primes = _segment_primes(block[0][0], block[-1][1], base)
-            edges = np.searchsorted(primes, [lo for lo, _ in block[1:]])
-            yield from np.split(primes, edges)
+        per_block = max(1, BLOCK_SIZE // self.segment_size)
+        for b in range(0, len(bounds), per_block):
+            block = bounds[b:b + per_block]
+            start, mask = _sieve(block[0][0], block[-1][1], base)
+            bits = np.packbits(mask)
+            del mask
+            for lo, hi in block:
+                i = 0 if lo <= 2 else (lo - start + 1) // 2     # first flag of [lo, hi)
+                end = (hi - start + 1) // 2
+                flags = np.unpackbits(bits[i // 8:(end + 7) // 8]).view(bool)
+                primes = _marked(flags[i % 8:i % 8 + end - i], start + 2 * i)
+                del flags       # not held across the yield
+                yield primes
 
 
 def stream_segmented(lo: int, hi: int,

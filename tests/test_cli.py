@@ -659,15 +659,17 @@ def _assert_recomputed(path: Path, tmp_path, monkeypatch, capsys) -> None:
     assert struct.unpack_from("<H", path.read_bytes(), 4) == (primesums.CACHE_VERSION,)
 
 
-@pytest.mark.parametrize("version", [3, 5, 6, 7, 8])
+@pytest.mark.parametrize("version", [3, 5, 6, 7, 8, 9])
 def test_v3_cache_file_is_recomputed(version, tmp_path, monkeypatch, capsys):
     # a current file stamped with an older version is refused on the version
     # alone: a v3 file differs from v4 only in U's last bits, a v5 record
     # lacks n_log_g and err_bound, a v6 file's n_log_g, err_bound and f2
     # differ from v7 in their last bits when f is not strongly multiplicative,
     # a v7 sieve-route report's s2, s3, n_log_g, err_bound and U differ
-    # from v8 in their last bits (per-prime quotients at every cut), and v8
-    # read layout byte 0 as a sieve-route report without the companions
+    # from v8 in their last bits (per-prime quotients at every cut), v8
+    # read layout byte 0 as a sieve-route report without the companions, and
+    # a v9 sieve-route report's sums differ from v10 in their last bits
+    # (segments of 2^20 numbers, U's lower end as four polynomials)
     model = builtin("kappa")
     grid = CheckpointGrid.log_spaced(100, 20000, 3)
     path = Path(primesums.default_cache_path(str(tmp_path), model, grid))

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from primemean.accum import FORM_ULPS
 from primemean.errors import GridError, ModelSpecError
-from primemean.multfunc import (BUILTIN_NAMES, MAX_EXPONENT, builtin,
+from primemean.multfunc import (BUILTIN_NAMES, MAX_EXPONENT, _log_exact, builtin,
                                 error_profile_check, load_model_file,
                                 log_ratio_prime_power, parse_expression,
                                 value_at)
@@ -285,6 +285,43 @@ def test_prime_power_log_ratios_within_form_ulps(tmp_path):
                     continue
                 worst = max(worst, float(abs(got - want)) / math.ulp(float(want)))
             assert worst <= FORM_ULPS, (model.name, worst)
+
+
+# f(p^a) = (a + 2) (p + 1) / 3: ratios (a + 2) / (a + 1) near 1, never integers
+SLOW_POWERS = ("name = slow_powers\nd = 1\nalpha = 1\ndelta = 1\nK = 1\n"
+               "fp = p + 1\nfpa = (a + 2) * (p + 1) / 3\n")
+# f(p^a) = p^(60 a) a / (a + 1): ratios p^60 a^2 / (a^2 - 1) of ~1000 bits
+# and more once p > 2^16.6
+STEEP_POWERS = ("name = steep_powers\nd = 60\nalpha = 0.5\ndelta = 1\nK = 0\n"
+                "fp = p^60 / 2\nfpa = p^(60 * a) * a / (a + 1)\n")
+
+
+def test_prime_power_log_ratios_match_the_fraction_formula(tmp_path):
+    # the ratio from unreduced integers takes the log the exact Fraction
+    # would, bit for bit: every built-in, jordan_5, and files whose ratios
+    # are not integers (SIGMA_LIKE, SLOW_POWERS) or whose reduced bit
+    # lengths straddle the last branch's 1000 (STEEP_POWERS)
+    models = [builtin(name) for name in (
+        "kappa", "two_omega", "euler_phi", "sigma", "divisor_d", "jordan_2", "jordan_5")]
+    for i, body in enumerate((SIGMA_LIKE, SLOW_POWERS, STEEP_POWERS)):
+        path = tmp_path / f"m{i}.model"
+        path.write_text(body)
+        models.append(load_model_file(str(path)))
+    powers = [(p, a) for p in primes_up_to(10 ** 4).tolist()
+              for a in range(2, 40) if p ** a <= 10 ** 12]
+    assert len(powers) == 2801
+    # the steep model's degree 60 a stays within MAX_EXPONENT for a <= 4
+    steep = [(p, a) for p in primes_up_to(120000).tolist() for a in (2, 3, 4)
+             if p < 100 or 98000 < p < 110000]
+    widths = set()
+    for model in models:
+        for p, a in steep if model.name == "steep_powers" else powers:
+            got = log_ratio_prime_power(model, p, a)
+            q = Fraction(model._rat(a)(p)) / model._rat(a - 1)(p)
+            want = 0.0 if model.strongly_multiplicative else _log_exact(q)
+            assert got.hex() == want.hex(), (model.name, p, a)
+            widths.add(q.numerator.bit_length() - q.denominator.bit_length())
+    assert {999, 1000, 1001} <= widths
 
 
 @pytest.mark.parametrize("body,fragment", [

@@ -12,6 +12,7 @@ import dataclasses
 import math
 import os
 import struct
+import tracemalloc
 from bisect import bisect_left
 from fractions import Fraction
 
@@ -601,6 +602,51 @@ def test_runs_sum_like_their_terms():
     for got, ref in zip(sums["s2"], sums["ref2"]):
         assert abs(got.value - ref.value) <= got.error_bound() + ref.error_bound()
         assert got.error_bound() <= ref.error_bound()
+
+
+@pytest.mark.parametrize("terms", [
+    [3.0, 1e-300, 0.0, 7.5e15], [-2.0, -0.0, -1e-17], [1.5, -2.25, 1e-16, -0.0],
+    [-0.0], [-0.0, -0.0], [0.0, -0.0], [],
+], ids=["positive", "negative", "mixed", "minus-zero", "minus-zeros", "zeros", "empty"])
+def test_signed_partial_takes_the_abs_sums_bits(terms):
+    # a signed partial whose terms share one sign takes its mass from its
+    # value; (value, mass, error) must be the bits of the mass sum|terms|
+    x = np.array(terms * 37)
+    value = float(x.sum())
+    mass = float(np.abs(x).sum())
+    err = accum.pairwise_error_bound(mass, x.size) + accum.FORM_ULPS * accum.EPS * mass
+    got = accum._partial(x, True)
+    assert _bits(got) == _bits((value, mass, err))
+    assert math.copysign(1.0, got[1]) == 1.0
+    if x.size and x.min() >= 0:     # an unsigned channel's mass is its value
+        assert _bits(accum._partial(x, False)) == _bits((value, value, err))
+
+
+def test_sieve_route_working_set():
+    # the sieve route's traced peak on 12 checkpoints to 1e7 stays below 11
+    # float64 arrays of the first segment's primes (43,390 below 2^19).  It
+    # falls in U's Euler-Maclaurin terms at the first segment's last cut,
+    # with live: the segment's primes, p, log p and log f(p) (4) and the
+    # cut's quotients (1); the sieve block's packed flags (0.4); U's lower
+    # end (2) and five buffers of its upper end, each over the primes
+    # p <= 1e7 / 32 (7 x 0.62): ~9.7, the rest is bookkeeping
+    model = builtin("kappa")
+    sums_stream(model, CheckpointGrid((1 << 20,)))  # lazy state: the wheel pattern
+    grid = CheckpointGrid.log_spaced(10 ** 4, 10 ** 7, 12)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        sums_stream(model, grid)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    first = int(np.searchsorted(primes_up_to(primesums.SEGMENT_SIZE), primesums.SEGMENT_SIZE))
+    assert first == 43390
+    assert peak < 11 * 8 * first, peak
 
 
 def test_report_field_access(kappa10):

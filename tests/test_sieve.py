@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from primemean.errors import GridError
-from primemean.sieve import (DEFAULT_MAX_BOUND, SEGMENTS_PER_BLOCK, SpfTable,
-                             distinct_prime_factors, factorize, primes_up_to,
-                             spf_build, stream_segmented)
+from primemean.sieve import (BLOCK_SIZE, DEFAULT_MAX_BOUND, WHEEL_PERIOD,
+                             SpfTable, _segment_primes, distinct_prime_factors,
+                             factorize, primes_up_to, spf_build, stream_segmented)
 
 
 def trial_division_primes(limit: int) -> list[int]:
@@ -50,15 +50,17 @@ def test_segmented_stream_partial_window():
     assert np.concatenate(list(stream.segments())).tolist() == expect
 
 
-# `segments()` sieves SEGMENTS_PER_BLOCK segments at a time; a block of
-# segment size 997 from lo = 2 ends at 2 + BLOCK
-BLOCK = SEGMENTS_PER_BLOCK * 997
+# `segments()` sieves blocks of the whole segments that fit in BLOCK_SIZE
+# numbers; with segments of WIDE numbers (odd, so flags straddle bytes) the
+# first block from lo = 2 ends at 2 + BLOCK
+WIDE = BLOCK_SIZE // 3 - 1
+BLOCK = BLOCK_SIZE // WIDE * WIDE
 
 
 @pytest.mark.parametrize("lo,hi,size", [
     (2, 5000, 997),
-    (2, 1 + BLOCK, 997),        # the last segment ends on a block edge
-    (2, 2 + BLOCK, 997),        # one number past it
+    (2, 1 + BLOCK, WIDE),       # the last segment ends on a block edge
+    (2, 2 + BLOCK, WIDE),       # one number past it
     (1000, 20000, 997),
     (2, 5000, 64),
 ], ids=["misaligned", "block-edge", "past-block-edge", "lo-above-2", "size-64"])
@@ -75,6 +77,39 @@ def test_stream_segments_are_disjoint_and_ordered(lo, hi, size):
         assert seg.tolist() == want[(want >= s_lo) & (want < s_hi)].tolist()
         # random-access segments agree with the ordered walk
         assert stream.segment(i).tolist() == seg.tolist()
+
+
+def _window_primes(lo: int, hi: int) -> list[int]:
+    """The primes of [lo, hi) from the segment kernel, with every base prime."""
+    got = _segment_primes(lo, hi, primes_up_to(math.isqrt(max(hi - 1, 1)))[1:])
+    assert got.dtype == np.int64
+    return got.tolist()
+
+
+@pytest.mark.parametrize("lo", range(2, 20))
+def test_wheel_windows_from_the_small_primes(lo):
+    # the wheel strikes 3..17 along with their multiples and gives them back;
+    # windows from lo = 2..19, shorter and longer than one pattern period
+    want = primes_up_to(3 * WHEEL_PERIOD).tolist()
+    for hi in (lo + 1, lo + 2, 20, 30, 290, 1000, 2 * WHEEL_PERIOD + 7,
+               3 * WHEEL_PERIOD):
+        if hi > lo:
+            assert _window_primes(lo, hi) == [p for p in want if lo <= p < hi], hi
+
+
+def test_wheel_windows_across_odd_block_edges():
+    # windows whose first odd number falls anywhere in the pattern, of odd or
+    # even length, whose masks (one flag per odd number) fall short of, fill
+    # or pass one period: shorter masks strike the wheel primes themselves
+    want = primes_up_to(4 * 10 ** 6)
+    rng = np.random.default_rng(23)
+    lengths = (1, 2, 3, 97, 1000, 2 * WHEEL_PERIOD - 2, 2 * WHEEL_PERIOD - 1,
+               2 * WHEEL_PERIOD, 2 * WHEEL_PERIOD + 1, 2 * WHEEL_PERIOD + 2, 1 << 19)
+    for lo in [2 * WHEEL_PERIOD - 1, 2 * WHEEL_PERIOD, 2 * WHEEL_PERIOD + 1,
+               *rng.integers(20, 3 * 10 ** 6, 24).tolist()]:
+        for length in lengths:
+            hi = lo + length
+            assert _window_primes(lo, hi) == want[(want >= lo) & (want < hi)].tolist(), (lo, hi)
 
 
 def test_stream_validates_range():
