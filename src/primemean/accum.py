@@ -22,10 +22,12 @@ not), and merges the partials into per-cut Kahan
 accumulators in ascending segment order, so every total carries a
 certified accumulation error bound.  A run of terms that share one integer
 weight k (`Runs`) is summed once and scaled: its partial's error is k times
-the pairwise one plus the product's rounding.  Every command runs the
-segments in order on one thread.  The thread pool behind ``parallel=True``
-serves only the `determinism` check and the benchmark's per-layer probe:
-the merge order never depends on it, so its runs are bit-identical to
+the pairwise one plus the product's rounding.  Both modes read the one
+ordered walk `PrimeStream.segments()`, so they sieve the same blocks.
+Every command forms the partials on one thread; ``parallel=True`` hands
+the walk to a thread pool _IN_FLIGHT segments at a time and serves only
+the `determinism` check and the benchmark's per-layer probe.  The merge
+order never depends on the mode, so threaded runs are bit-identical to
 sequential ones.
 """
 
@@ -34,6 +36,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice
 from typing import Callable, Collection, Iterable, Sequence
 
 import numpy as np
@@ -41,6 +45,9 @@ import numpy as np
 from .sieve import DEFAULT_SEGMENT_SIZE, stream_segmented
 
 EPS = 2.0 ** -52
+
+#: segments a threaded pass hands the pool at a time
+_IN_FLIGHT = 8
 
 # Per-term formation rounding allowance (in ulps of the term magnitude):
 # one log/log1p evaluation, one division, one multiplication, one cast.
@@ -179,9 +186,10 @@ def reduce_primes(
 
     `cuts` must be strictly ascending, with cuts[0] >= 2.  With `limits`
     (one per cut, ascending, each at least 2) cut n sums the primes
-    p <= limits[i] instead of p <= n.  [2, last limit] is cut into sieve
-    segments, and `segment_terms(primes)` is called once per
-    nonempty segment with its primes as an ascending int64 array.  It
+    p <= limits[i] instead of p <= n.  [2, last limit] is walked once, in
+    ascending segments of `segment_size` numbers (`PrimeStream.segments()`),
+    and `segment_terms(primes)` is called once per nonempty segment with
+    its primes as an ascending int64 array.  It
     returns ``(shared, at_cut)``:
 
     - `shared` yields (channel name, divisor m, terms) triples, the terms
@@ -202,14 +210,15 @@ def reduce_primes(
     an integer no larger than the total).  A channel named in `signed` takes
     its mass from sum|terms| (|sum| when they share one sign); any other
     channel must have nonnegative terms and takes its mass from their sum.
-    With ``parallel=True`` the segments run on a thread pool (see the module
-    docstring for who asks for it).
+    With ``parallel=True`` a thread pool forms the partials of the same
+    walk, _IN_FLIGHT segments at a time, and they are merged in segment
+    order (see the module docstring for who asks for it).
 
     Returns, per channel, one entry per cut: a KahanSum, or a Python int for
     integer channels.
     """
     limits = cuts if limits is None else limits
-    stream = stream_segmented(2, limits[-1], segment_size=segment_size)
+    segments = stream_segmented(2, limits[-1], segment_size=segment_size).segments()
     sums: dict[str, list] = {}
 
     def merge(partials) -> None:
@@ -224,25 +233,21 @@ def reduce_primes(
                     for value, mass, err in got:
                         sums[name][i].add(value, abs_x=mass, err_in=err)
 
+    work = partial(_segment_partials, segment_terms=segment_terms, cuts=cuts,
+                   limits=limits, signed=signed, integers=integers)
     if parallel:
         from concurrent.futures import ThreadPoolExecutor
 
-        base = stream._base()
-
-        def work(idx: int):
-            return _segment_partials(stream.segment(idx, base), segment_terms,
-                                     cuts, limits, signed, integers)
-
         with ThreadPoolExecutor() as pool:
-            for partials in pool.map(work, range(len(stream.segment_bounds()))):
-                merge(partials)
+            while chunk := list(islice(segments, _IN_FLIGHT)):
+                for partials in pool.map(work, chunk):
+                    merge(partials)
     else:
         # `primes` stays alive while the next segment is sieved: freeing it
         # first measured ~15% slower on the constants' 2e8 passes (an effect
         # of the allocator, not of the arithmetic).
-        for primes in stream.segments():
-            merge(_segment_partials(primes, segment_terms, cuts, limits, signed,
-                                    integers))
+        for primes in segments:
+            merge(work(primes))
     return sums
 
 

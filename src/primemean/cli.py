@@ -78,11 +78,14 @@ _DEFAULT_GRID = (10 ** 4, 10 ** 8, 12)
 
 
 def _int_arg(text: str) -> int:
-    """Checkpoint bound: accepts 50000 or 5e4."""
+    """Checkpoint bound: accepts 50000 or 5e4, refuses 10.9."""
     try:
-        value = int(float(text))
+        number = float(text)
+        value = int(number)
     except (ValueError, OverflowError):   # not a number, NaN, or infinite
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}") from None
+    if value != number:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
     return value
@@ -296,9 +299,10 @@ def cached_report(model: PrimeModel, grid: CheckpointGrid,
     F1, F2, R, M or U, the sublinear route (`primesums` module docstring) for
     the rest.  A cache file records the route of each report it holds: the
     sublinear report alone, or the sieve report followed by the sublinear
-    one.  A malformed or mismatched cache file, or one without a report of
-    the caller's route, is a miss: the report is recomputed and the file
-    overwritten.  Reloads are bit-identical to fresh runs by construction.
+    one.  A malformed, mismatched or unreadable cache file, or one without a
+    report of the caller's route, is a miss: the report is recomputed and
+    the file overwritten.  Reloads are bit-identical to fresh runs by
+    construction.
     """
     from . import primesums
 
@@ -308,7 +312,7 @@ def cached_report(model: PrimeModel, grid: CheckpointGrid,
     if os.path.exists(path):
         try:
             return primesums.load_report(path, model, grid, sublinear)
-        except CacheFormatError:
+        except (CacheFormatError, OSError):    # e.g. a directory at the path
             pass
     report = primesums.sums_stream(model, grid, sublinear=sublinear)
     # a sieve-route file also stores the sublinear report, so that one file

@@ -97,8 +97,9 @@ Determinism contract: every prime and prime-power sum here goes through
 `accum.reduce_primes`, which forms per-segment partials by numpy's pairwise
 reduction and merges them into Kahan accumulators in ascending segment
 order.  Every command streams on one thread; only the `determinism` check
-and the benchmark's per-layer probe ask `sums_stream(parallel=True)` for the
-thread pool, whose runs are bit-identical to sequential ones.
+and the benchmark's per-layer probe ask `sums_stream(parallel=True)`, which
+reads the same ordered walk and forms its partials on a thread pool, so
+its runs are bit-identical to sequential ones.
 
 `err_bound` certifies `n_log_g` from the reducer's own bounds: each Kahan
 total, PP included, carries its pairwise, formation and merge rounding, and
@@ -698,7 +699,6 @@ def sums_stream(
     grid: CheckpointGrid,
     *,
     sublinear: bool = False,
-    segment_size: int = SEGMENT_SIZE,
     parallel: bool = False,
 ) -> SumsReport:
     """Evaluate every streaming sum at each checkpoint in one sieve pass.
@@ -708,11 +708,12 @@ def sums_stream(
     with the companions F1, F2, R, M and U.  With ``sublinear=True`` the pass
     stops at each checkpoint's split y and the rest comes from Legendre's
     formula and the floor-value tables (module docstring), so that the grid
-    may reach SUBLINEAR_MAX_BOUND; the companion fields are None.  With
-    ``parallel=True`` the prime segments are processed by
-    a thread pool (see the module docstring for who asks for it); partials
-    are merged in ascending segment order either way, so the result is
-    bit-identical to the sequential run.
+    may reach SUBLINEAR_MAX_BOUND; the companion fields are None.  The pass
+    walks segments of SEGMENT_SIZE numbers, read when the call starts.  With
+    ``parallel=True`` a thread pool forms the partials of the same walk
+    (see the module docstring for who asks for it); they are merged in
+    ascending segment order either way, so the result is bit-identical to
+    the sequential run.
     """
     if not sublinear and grid.n_max > DEFAULT_MAX_BOUND:
         raise GridError(
@@ -730,7 +731,7 @@ def sums_stream(
                                         sublinear),
                         signed=("s3", "direct", "pp"), integers=("s1",),
                         limits=splits if sublinear else None,
-                        segment_size=segment_size, parallel=parallel)
+                        segment_size=SEGMENT_SIZE, parallel=parallel)
     # a channel no segment yielded sums to zero: s3 when delta is infinite,
     # pp when f is strongly multiplicative, pp, f2 and lg when n_max < 4
     for name in ("s3", "pp", "lg" if sublinear else "f2"):

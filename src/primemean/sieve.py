@@ -12,10 +12,11 @@ so one period's pattern, built once on first use, is copied into the window
 by doubling, and only the base primes from 19 up are struck one by one.  A
 window shorter than the period strikes every base prime and never builds
 the 255,255-byte pattern.
-`PrimeStream.segments` sieves blocks of BLOCK_SIZE numbers (the struck
-base primes cost a Python step each per block, so a block stays large
-whatever the segment length), keeps each block's mask packed 8 flags a
-byte, and reads one segment's primes from it at a time.
+`PrimeStream.segments` is the one walk over the primes: it sieves blocks of
+BLOCK_SIZE numbers in ascending order (the struck base primes cost a
+Python step each per block, so a block stays large whatever the segment
+length), keeps each block's mask packed 8 flags a byte, and reads one
+segment's primes from it at a time.
 """
 
 from __future__ import annotations
@@ -115,23 +116,10 @@ def _marked(flags: np.ndarray, start: int) -> np.ndarray:
     return primes
 
 
-def _segment_primes(lo: int, hi: int, base_odd: np.ndarray) -> np.ndarray:
-    """Primes in the half-open window [lo, hi).
-
-    `base_odd` must contain every odd prime <= sqrt(hi - 1).
-    """
-    start, mask = _sieve(lo, hi, base_odd)
-    return _marked(mask, start)
-
-
 @dataclass(frozen=True)
 class PrimeStream:
-    """Lazy ascending stream of the primes in [lo, hi] (inclusive).
-
-    Segments are independently sievable: `segment_bounds()` plus
-    `segment(i)` let a driver pull disjoint windows concurrently, while
-    `segments()` walks them in ascending order.
-    """
+    """Lazy ascending stream of the primes in [lo, hi] (inclusive), walked
+    once, in order, by `segments()`."""
 
     lo: int
     hi: int
@@ -143,44 +131,28 @@ class PrimeStream:
         if self.segment_size < 64:
             raise GridError(f"segment size too small: {self.segment_size}")
 
-    def segment_bounds(self) -> list[tuple[int, int]]:
-        end = self.hi + 1
-        bounds = []
-        lo = self.lo
-        while lo < end:
-            bounds.append((lo, min(lo + self.segment_size, end)))
-            lo += self.segment_size
-        return bounds
-
-    def _base(self) -> np.ndarray:
-        return primes_up_to(math.isqrt(self.hi))[1:]  # odd base primes
-
-    def segment(self, i: int, base_odd: np.ndarray | None = None) -> np.ndarray:
-        lo = self.lo + i * self.segment_size
-        hi = min(lo + self.segment_size, self.hi + 1)
-        return _segment_primes(lo, hi, self._base() if base_odd is None else base_odd)
-
     def segments(self) -> Iterator[np.ndarray]:
-        """The segments in ascending order, from blocks of BLOCK_SIZE numbers.
+        """The primes of each window [lo + k * segment_size, ...) in
+        ascending order, from blocks of BLOCK_SIZE numbers.
 
         A block holds whole segments, at least one.  Its mask is kept packed
         8 flags a byte, and a segment's primes are read from it only when the
-        segment is asked for; they are the same array that `segment(i)`
-        returns.
+        segment is asked for.
         """
-        base = self._base()
-        bounds = self.segment_bounds()
-        per_block = max(1, BLOCK_SIZE // self.segment_size)
-        for b in range(0, len(bounds), per_block):
-            block = bounds[b:b + per_block]
-            start, mask = _sieve(block[0][0], block[-1][1], base)
+        base = primes_up_to(math.isqrt(self.hi))[1:]   # odd base primes
+        end = self.hi + 1
+        block_size = max(1, BLOCK_SIZE // self.segment_size) * self.segment_size
+        for block_lo in range(self.lo, end, block_size):
+            block_hi = min(block_lo + block_size, end)
+            start, mask = _sieve(block_lo, block_hi, base)
             bits = np.packbits(mask)
             del mask
-            for lo, hi in block:
+            for lo in range(block_lo, block_hi, self.segment_size):
+                hi = min(lo + self.segment_size, end)
                 i = 0 if lo <= 2 else (lo - start + 1) // 2     # first flag of [lo, hi)
-                end = (hi - start + 1) // 2
-                flags = np.unpackbits(bits[i // 8:(end + 7) // 8]).view(bool)
-                primes = _marked(flags[i % 8:i % 8 + end - i], start + 2 * i)
+                stop = (hi - start + 1) // 2
+                flags = np.unpackbits(bits[i // 8:(stop + 7) // 8]).view(bool)
+                primes = _marked(flags[i % 8:i % 8 + stop - i], start + 2 * i)
                 del flags       # not held across the yield
                 yield primes
 

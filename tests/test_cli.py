@@ -352,6 +352,23 @@ def test_non_finite_bound_is_exit_two(capsys, bad):
     assert "not a finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [("geomean", "--n", "10.9"), ("geomean", "--n", "12345.5"),
+                                 ("geomean", "--to", "1e4", "--from", "12.5"),
+                                 ("sums", "--to", "1000.5"), ("verify", "--to", "25000.25")],
+                         ids=["n-10.9", "n-12345.5", "from-12.5", "to-1000.5", "verify-to"])
+def test_fractional_integer_flag_is_exit_two(capsys, bad):
+    with pytest.raises(SystemExit) as exc:
+        main([bad[0], *(("--model", "kappa") if bad[0] != "verify" else ()), *bad[1:]])
+    assert exc.value.code == 2
+    assert "not an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,n", [("5e4", 50000), ("1e4", 10000), ("10.0", 10)])
+def test_integral_float_forms_are_accepted(capsys, text, n):
+    rc, out, _ = run(capsys, "geomean", "--model", "kappa", "--n", text, "--format", "json")
+    assert rc == 0 and [row["n"] for row in json.loads(out)] == [n]
+
+
 def test_missing_model_file_is_exit_two(tmp_path, capsys):
     path = tmp_path / "no-such.model"
     rc, _, err = run(capsys, "geomean", "--model", str(path), "--n", "10")
@@ -762,6 +779,22 @@ def test_cache_path_under_a_file_exits_2(tmp_path, monkeypatch, capsys, below):
     assert rc == 2 and str(target) in err and out == ""
     assert blocker.read_text() == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["not-a-dir"]
+
+
+def test_directory_at_the_report_path_exits_2(tmp_path, capsys):
+    # the load's IsADirectoryError is a miss; the rewrite cannot replace
+    # the directory, which is the documented "cannot be written"
+    cache = tmp_path / "cache"
+    args = ("geomean", "--model", "kappa", "--to", "1000", "--points", "2",
+            "--cache", str(cache))
+    assert run(capsys, *args)[0] == 0
+    report, = cache.iterdir()
+    report.unlink()
+    report.mkdir()
+    rc, out, err = run(capsys, *args)
+    assert rc == 2 and "cannot be written" in err and out == ""
+    assert "Traceback" not in err
+    assert [p.name for p in cache.iterdir()] == [report.name] and report.is_dir()
 
 
 def test_cache_write_failure_exits_2(tmp_path, monkeypatch, capsys):

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from primemean.cli import FIT_TARGETS, main
 
 BOUNDS = ["1", "2", "10", "97", "1000", "5e3", "1e4"]
-BAD_NUMBERS = ["0", "-5", "nan", "inf", "1e400", "x", ""]
+BAD_NUMBERS = ["0", "-5", "nan", "inf", "1e400", "x", "", "12.5"]
 CHEAP_CHECKS = ["identity-oracle", "exact-identities", "omega-identity",
                 "logkappa-identity", "smr-identity", "a1-gamma", "rs-inequality",
                 "omega-mean-trend", "s2-constant", "kappa-corollary",

@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 import ast
+import importlib
+import sys
 import types
 from pathlib import Path
 
+import numpy as np
+
 import primemean
+from primemean import constants, multfunc, primesums, sieve
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_public_names_resolve_and_are_not_submodules():
@@ -63,3 +70,23 @@ def test_no_module_level_import_goes_unused():
         unused += [f"{path.name}:{line}: {name}"
                    for name, line in _module_imports(tree.body).items() if name not in used]
     assert not unused, unused
+
+
+def test_the_benchmark_reaches_what_it_calls(monkeypatch):
+    # perfbench/layers.py wraps and calls these names of the package;
+    # it is imported as perfbench/run.py imports it, perfbench/ on sys.path
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    try:
+        layers = importlib.import_module("layers")
+        for module, attr, _ in layers._PATCHES:
+            assert callable(getattr(module, attr, None)), (module.__name__, attr)
+    finally:
+        for name in ("layers", "harness"):
+            sys.modules.pop(name, None)
+    grid = primesums.CheckpointGrid.log_spaced(100, 10 ** 4, 3)
+    report = primesums.sums_stream(multfunc.builtin("kappa"), grid, parallel=True)
+    assert report.points == grid.points
+    assert hasattr(constants.c_q, "cache_info")
+    walk = np.concatenate(list(sieve.stream_segmented(2, 10 ** 4).segments()))
+    assert walk.tolist() == sieve.primes_up_to(10 ** 4).tolist()
+    assert sieve.DEFAULT_SEGMENT_SIZE == 1 << 20

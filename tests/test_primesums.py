@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primemean import accum, checks, primesums
+from primemean import accum, checks, primesums, sieve
 from primemean.errors import CacheFormatError, GridError
 from primemean.multfunc import builtin, load_model_file, log_ratio_prime_power
 from primemean.primesums import (CheckpointGrid, SumsReport,
@@ -162,20 +162,21 @@ def u_spf_oracle():
 
 @pytest.mark.parametrize("name", ["kappa", "euler_phi"])
 @pytest.mark.parametrize("parallel", [False, True])
-def test_streamed_u_matches_spf_oracle(u_spf_oracle, name, parallel):
-    rep = sums_stream(builtin(name), _U_GRID, parallel=parallel,
-                      segment_size=1 << 14)   # Euler-Maclaurin primes span segments
+def test_streamed_u_matches_spf_oracle(monkeypatch, u_spf_oracle, name, parallel):
+    monkeypatch.setattr(primesums, "SEGMENT_SIZE", 1 << 14)  # Euler-Maclaurin primes span segments
+    rep = sums_stream(builtin(name), _U_GRID, parallel=parallel)
     for n, got, want in zip(_U_GRID.points, rep.u_of_x, u_spf_oracle):
         assert abs(got - want) <= 1e-12 * n, n
 
 
-def test_streamed_u_with_one_euler_maclaurin_prime_in_a_segment():
-    # segment_size 1 << 14 puts the third segment at [32770, 49154); with
+def test_streamed_u_with_one_euler_maclaurin_prime_in_a_segment(monkeypatch):
+    # segments of 1 << 14 numbers put the third segment at [32770, 49154); with
     # u_max // U_M0 = 32771 only its first prime (the next is 32779) gets an
     # Euler-Maclaurin part
     u_max = primesums.U_M0 * 32771 + 5
     grid = CheckpointGrid.from_points([10 ** 5, u_max])
-    rep = sums_stream(builtin("kappa"), grid, segment_size=1 << 14)
+    monkeypatch.setattr(primesums, "SEGMENT_SIZE", 1 << 14)
+    rep = sums_stream(builtin("kappa"), grid)
     table = spf_build(u_max)
     for n, got in zip(grid.points, rep.u_of_x):
         assert abs(got - u_of_x(n, table)) <= 1e-12 * n, n
@@ -382,12 +383,13 @@ def test_err_bound_does_not_read_k(tmp_path):
 
 
 @pytest.mark.parametrize("name", ["sigma", "euler_phi", "divisor_d", "jordan_2"])
-def test_prime_powers_past_the_first_segment(name):
+def test_prime_powers_past_the_first_segment(monkeypatch, name):
     # at 64 numbers a segment, the prime powers of 2 <= p <= 316 fall in
     # five segments' tables; the reduction must agree with one table
     model = builtin(name)
-    small = sums_stream(model, _REF_GRID, segment_size=64)
     ref = sums_stream(model, _REF_GRID)
+    monkeypatch.setattr(primesums, "SEGMENT_SIZE", 64)
+    small = sums_stream(model, _REF_GRID)
     assert small.s1 == ref.s1
     for n, a, b, ea, eb in zip(_REF_GRID.points, small.n_log_g, ref.n_log_g,
                                small.err_bound, ref.err_bound):
@@ -421,7 +423,7 @@ def test_float_quotients_are_exact_near_the_sieve_bound(lo, hi):
     # n - floor(n/p^a) p^a the same way
     assert DEFAULT_MAX_BOUND < 2 ** 52
     top = DEFAULT_MAX_BOUND
-    seg = stream_segmented(lo, hi, segment_size=1 << 15).segment(0)
+    seg, = stream_segmented(lo, hi, segment_size=1 << 15).segments()
     assert seg.size > 250
     model = builtin("euler_phi")
     _, at_cut = primesums._prime_terms(model, True, top, False, seg)
@@ -551,7 +553,8 @@ def test_each_g_m_is_formed_once_per_segment(monkeypatch, points):
     grid = (CheckpointGrid.log_spaced(10 ** 4, n_max, points) if points > 1
             else CheckpointGrid((n_max,)))
     assert len(grid) == points and grid.n_max == n_max
-    rep = sums_stream(builtin("kappa"), grid, segment_size=size)
+    monkeypatch.setattr(primesums, "SEGMENT_SIZE", size)
+    rep = sums_stream(builtin("kappa"), grid)
     want = collections.Counter()
     for seg in stream_segmented(2, n_max, segment_size=size).segments():
         for m in range(2, primesums.U_M0):
@@ -676,12 +679,46 @@ def test_rs_sweep_matches_scalar():
 # ---------------------------------------------------------------------------
 
 
-def test_parallel_matches_sequential_exactly():
+def test_parallel_matches_sequential_exactly(monkeypatch):
+    # the sieve route, the sublinear route (whose pass ends at each split
+    # y), and short segments, which put many blocks and more segments than
+    # the pool takes at a time into one pass
     grid = CheckpointGrid.log_spaced(100, 2 * 10 ** 6, 9)
     model = builtin("sigma")
-    seq = sums_stream(model, grid, parallel=False)
-    par = sums_stream(model, grid, parallel=True)
-    assert seq == par
+    for sublinear, size in ((False, primesums.SEGMENT_SIZE),
+                            (True, primesums.SEGMENT_SIZE), (False, 1 << 12)):
+        monkeypatch.setattr(primesums, "SEGMENT_SIZE", size)
+        seq = sums_stream(model, grid, sublinear=sublinear, parallel=False)
+        par = sums_stream(model, grid, sublinear=sublinear, parallel=True)
+        assert seq == par, (sublinear, size)
+
+
+def test_a_threaded_pass_sieves_each_block_once(monkeypatch):
+    # both modes read the one ordered walk: the pool forms partials of the
+    # blocks a sequential pass sieves, and sieves no window of its own
+    windows = collections.Counter()
+    sieve_window = sieve._sieve
+
+    def counted(lo, hi, base_odd):
+        windows[lo, hi] += 1
+        return sieve_window(lo, hi, base_odd)
+
+    monkeypatch.setattr(sieve, "_sieve", counted)
+    cuts = [10 ** 4, 3 * 10 ** 6, 5 * 10 ** 6]
+    assert cuts[-1] > 2 * sieve.BLOCK_SIZE
+
+    def terms(seg):
+        return [("s1", 1, None)], None
+
+    seen = {}
+    for parallel in (False, True):
+        windows.clear()
+        sums = accum.reduce_primes(cuts, terms, integers=("s1",), segment_size=1 << 16,
+                                   parallel=parallel)
+        seen[parallel] = dict(windows)
+        assert sums["s1"] == [int(primes_up_to(n).size) for n in cuts]
+    assert len(seen[False]) == 3 and set(seen[False].values()) == {1}
+    assert seen[True] == seen[False]
 
 
 def _bits(values) -> bytes:

@@ -9,7 +9,7 @@ import pytest
 
 from primemean.errors import GridError
 from primemean.sieve import (BLOCK_SIZE, DEFAULT_MAX_BOUND, WHEEL_PERIOD,
-                             SpfTable, _segment_primes, distinct_prime_factors,
+                             SpfTable, distinct_prime_factors,
                              factorize, primes_up_to, spf_build, stream_segmented)
 
 
@@ -65,25 +65,21 @@ BLOCK = BLOCK_SIZE // WIDE * WIDE
     (2, 5000, 64),
 ], ids=["misaligned", "block-edge", "past-block-edge", "lo-above-2", "size-64"])
 def test_stream_segments_are_disjoint_and_ordered(lo, hi, size):
-    stream = stream_segmented(lo, hi, segment_size=size)
-    bounds = stream.segment_bounds()
-    assert bounds[0][0] == lo and bounds[-1][1] == hi + 1
-    for (a_lo, a_hi), (b_lo, b_hi) in zip(bounds, bounds[1:]):
-        assert a_hi == b_lo
-    segments = list(stream.segments())
-    assert len(segments) == len(bounds)
+    # segment k holds the primes of [lo + k * size, lo + (k + 1) * size),
+    # the last one cut at hi
+    segments = list(stream_segmented(lo, hi, segment_size=size).segments())
+    assert len(segments) == -(-(hi + 1 - lo) // size)
     want = primes_up_to(hi)
-    for i, ((s_lo, s_hi), seg) in enumerate(zip(bounds, segments)):
+    for k, seg in enumerate(segments):
+        s_lo, s_hi = lo + k * size, min(lo + (k + 1) * size, hi + 1)
         assert seg.tolist() == want[(want >= s_lo) & (want < s_hi)].tolist()
-        # random-access segments agree with the ordered walk
-        assert stream.segment(i).tolist() == seg.tolist()
 
 
 def _window_primes(lo: int, hi: int) -> list[int]:
-    """The primes of [lo, hi) from the segment kernel, with every base prime."""
-    got = _segment_primes(lo, hi, primes_up_to(math.isqrt(max(hi - 1, 1)))[1:])
-    assert got.dtype == np.int64
-    return got.tolist()
+    """The primes of [lo, hi) from the stream, as one segment."""
+    segments = list(stream_segmented(lo, hi - 1, segment_size=max(64, hi - lo)).segments())
+    assert len(segments) == 1 and segments[0].dtype == np.int64
+    return segments[0].tolist()
 
 
 @pytest.mark.parametrize("lo", range(2, 20))
