@@ -87,10 +87,11 @@ class CheckContext:
         checkpoint n, from one peel of [2, n_max] by the factor table: an
         oracle independent of the prime pass."""
         if grid.points not in self._peels:
+            table = self.table(grid.n_max)      # refuses a grid past its cap first
             ks = np.arange(2, grid.n_max + 1, dtype=np.int64)
             ends = np.array(grid.points) - 1     # ks[i] = i + 2 <= n for i < n - 1
             omega, log_kappa = [0] * len(grid), [0.0] * len(grid)
-            for idx, p in distinct_prime_factors(ks, self.table(grid.n_max)):
+            for idx, p in distinct_prime_factors(ks, table):
                 # a round's entries with k <= n are a prefix of it
                 counts = np.searchsorted(idx, ends).tolist()
                 logs = np.log(p.astype(np.float64))
@@ -157,52 +158,38 @@ def _check_identity_oracle(ctx: CheckContext, hi: int | None):
     return ok, detail
 
 
-def _identity_grid(ctx: CheckContext, hi: int | None):
-    """The exact-identities grid and its sieve-route report, which the three
-    identity checks share (the S2 = n M - R one reads the companions)."""
+def _identity_deviations(ctx: CheckContext, hi: int | None) -> tuple[str, dict]:
+    """The three at-scale identities on one grid, from its sieve-route report
+    (S2 = n M - R reads the companions) and the factor peel: the grid's
+    description, and per identity (passed, its worst deviation).  omega = S1
+    holds exactly, sum log kappa = S2 and S2 = n M - R within 1e-9 n."""
     grid = _grid(hi, 100, 10 ** 6, 20)
-    return grid, ctx.report("kappa", grid)
-
-
-def _check_omega_identity(ctx: CheckContext, hi: int | None):
-    """sum_{k<=n} omega(k) equals the streamed floor sum S1(n) exactly."""
-    grid, rep = _identity_grid(ctx, hi)
-    omega, _ = ctx.factor_sums(grid)
-    worst = max(abs(w - s1) for w, s1 in zip(omega, rep.s1))
-    detail = f"{len(grid)} checkpoints <= {grid.n_max}: max deviation {worst}"
-    return worst == 0, detail
-
-
-def _check_logkappa_identity(ctx: CheckContext, hi: int | None):
-    """sum_{k<=n} log kappa(k) equals the streamed S2(n) within 1e-9 n."""
-    grid, rep = _identity_grid(ctx, hi)
-    _, log_kappa = ctx.factor_sums(grid)
-    worst = max(abs(lk - s2) / n for n, lk, s2 in zip(grid, log_kappa, rep.s2))
-    detail = f"{len(grid)} checkpoints <= {grid.n_max}: max deviation {worst:.2e}/n"
-    return worst <= 1e-9, detail
-
-
-def _check_smr_identity(ctx: CheckContext, hi: int | None):
-    """S2(n) = n M(n) - R(n) within 1e-9 n at every checkpoint."""
-    grid, rep = _identity_grid(ctx, hi)
-    worst = max(abs(rep.s2[i] - (n * rep.m_of_x[i] - rep.r_sum[i])) / n
+    rep = ctx.report("kappa", grid)
+    omega, log_kappa = ctx.factor_sums(grid)
+    d_omega = max(abs(w - s1) for w, s1 in zip(omega, rep.s1))
+    d_kappa = max(abs(lk - s2) / n for n, lk, s2 in zip(grid, log_kappa, rep.s2))
+    d_smr = max(abs(rep.s2[i] - (n * rep.m_of_x[i] - rep.r_sum[i])) / n
                 for i, n in enumerate(grid.points))
-    detail = f"{len(grid)} checkpoints <= {grid.n_max}: max deviation {worst:.2e}/n"
-    return worst <= 1e-9, detail
+    return f"{len(grid)} checkpoints <= {grid.n_max}", {
+        "omega": (d_omega == 0, f"max deviation {d_omega}"),
+        "log-kappa": (d_kappa <= 1e-9, f"max deviation {d_kappa:.2e}/n"),
+        "S2=nM-R": (d_smr <= 1e-9, f"max deviation {d_smr:.2e}/n"),
+    }
+
+
+def _identity_check(identity: str):
+    def check(ctx: CheckContext, hi: int | None):
+        where, deviations = _identity_deviations(ctx, hi)
+        ok, worst = deviations[identity]
+        return ok, f"{where}: {worst}"
+    return check
 
 
 def _check_exact_identities(ctx: CheckContext, hi: int | None):
     """All three at-scale identities: omega = S1, sum log kappa = S2, SMR."""
-    results = [
-        _check_omega_identity(ctx, hi),
-        _check_logkappa_identity(ctx, hi),
-        _check_smr_identity(ctx, hi),
-    ]
-    ok = all(r[0] for r in results)
-    detail = ("omega: " + results[0][1].split(": ")[-1]
-              + "; log-kappa: " + results[1][1].split(": ")[-1]
-              + "; S2=nM-R: " + results[2][1].split(": ")[-1])
-    return ok, detail
+    _, deviations = _identity_deviations(ctx, hi)
+    ok = all(passed for passed, _ in deviations.values())
+    return ok, "; ".join(f"{name}: {worst}" for name, (_, worst) in deviations.items())
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
@@ -486,10 +473,9 @@ def _check_series_algebra(ctx: CheckContext, hi: int | None):
 
 def _check_determinism(ctx: CheckContext, hi: int | None):
     """Sequential and parallel sweeps serialize to byte-identical files."""
-    grid = _grid(hi, 100, 10 ** 6, 20)
-    model = builtin("kappa")
-    rep_seq = sums_stream(model, grid, parallel=False)
-    rep_par = sums_stream(model, grid, parallel=True)
+    grid = _grid(hi, 100, 10 ** 6, 20)      # exact-identities' grid and report
+    rep_seq = ctx.report("kappa", grid)
+    rep_par = sums_stream(builtin("kappa"), grid, parallel=True)
     with tempfile.TemporaryDirectory() as tmp:
         p_seq = os.path.join(tmp, "seq.pmsm")
         p_par = os.path.join(tmp, "par.pmsm")
@@ -543,9 +529,9 @@ _REGISTRY = {
     "determinism": _check_determinism,
     "routes-agree": _check_routes_agree,
     # finer-grained views of exact-identities, for targeted CLI runs
-    "omega-identity": _check_omega_identity,
-    "logkappa-identity": _check_logkappa_identity,
-    "smr-identity": _check_smr_identity,
+    "omega-identity": _identity_check("omega"),
+    "logkappa-identity": _identity_check("log-kappa"),
+    "smr-identity": _identity_check("S2=nM-R"),
 }
 
 # The acceptance registry proper: one check per acceptance criterion.
@@ -567,12 +553,16 @@ def _lookup(name: str):
 def run_check(name: str, ctx: CheckContext | None = None,
               hi: int | None = None) -> CheckResult:
     """Run one check; `hi` caps its sweep.  a1-gamma, constants-stability and
-    series-algebra sweep nothing and ignore it, so one cap serves a whole run."""
+    series-algebra sweep nothing and ignore it.  A cap past the check's reach
+    raises its GridError with the check's name in front."""
     check = _lookup(name)
     if ctx is None:
         ctx = CheckContext()
     start = time.perf_counter()
-    passed, detail = check(ctx, hi)
+    try:
+        passed, detail = check(ctx, hi)
+    except GridError as exc:
+        raise GridError(f"{name}: {exc}") from exc
     return CheckResult(name, passed, detail, time.perf_counter() - start)
 
 

@@ -301,24 +301,27 @@ def cached_report(model: PrimeModel, grid: CheckpointGrid,
     sublinear report alone, or the sieve report followed by the sublinear
     one.  A malformed, mismatched or unreadable cache file, or one without a
     report of the caller's route, is a miss: the report is recomputed and
-    the file overwritten.  Reloads are bit-identical to fresh runs by
-    construction.
+    the file overwritten, reusing the file's sublinear report when it holds
+    one.  Reloads are bit-identical to fresh runs by construction.
     """
     from . import primesums
 
     if cache_dir is None:
         return primesums.sums_stream(model, grid, sublinear=sublinear)
     path = primesums.default_cache_path(cache_dir, model, grid)
-    if os.path.exists(path):
+    try:
+        return primesums.load_report(path, model, grid, sublinear)
+    except (CacheFormatError, OSError):    # no file, a bad one, or a directory
+        pass
+    report = stored = primesums.sums_stream(model, grid, sublinear=sublinear)
+    if not sublinear:
+        # a sieve-route file also stores the sublinear report, so that one
+        # file serves every command on the model and grid; a file that
+        # `geomean` wrote holds it already
         try:
-            return primesums.load_report(path, model, grid, sublinear)
-        except (CacheFormatError, OSError):    # e.g. a directory at the path
-            pass
-    report = primesums.sums_stream(model, grid, sublinear=sublinear)
-    # a sieve-route file also stores the sublinear report, so that one file
-    # serves every command on the model and grid
-    stored = (report if sublinear else
-              (report, primesums.sums_stream(model, grid, sublinear=True)))
+            stored = report, primesums.load_report(path, model, grid, True)
+        except (CacheFormatError, OSError):
+            stored = report, primesums.sums_stream(model, grid, sublinear=True)
     try:
         os.makedirs(cache_dir, exist_ok=True)
         primesums.save_report(path, stored)

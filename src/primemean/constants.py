@@ -84,7 +84,9 @@ x^((1-k)/k) (transfer of the smooth x^(1/k) components of the prime counts)
 plus the contribution of the first ten nontrivial zeta-zero ordinates.  The
 zeros appear only here, in the oracle; measured accuracy of the oracles is
 a few parts in 1e9 (M) and 1e8..1e9 (E) on decade windows ending at 1e7-1e9,
-orders of magnitude below the 1e-6 agreement they are used to certify.
+orders of magnitude below the 1e-6 agreement they are used to certify.  The
+windows are decades (ratio 10), and both oracles read one memoised prime
+walk per anchor.
 """
 
 from __future__ import annotations
@@ -680,14 +682,13 @@ def _limit_correction_m(u: np.ndarray) -> np.ndarray:
     return c
 
 
-def _hann_average(fn: Callable[[np.ndarray], np.ndarray], u0: float, u1: float,
-                  panels: int = 64) -> float:
-    """Hann-weighted average of fn over [u0, u1] by composite Gauss-Legendre."""
+def _hann_average(fn: Callable[[np.ndarray], np.ndarray], u0: float, u1: float) -> float:
+    """Hann-weighted average of fn over [u0, u1], Gauss-Legendre on 64 panels."""
     import numpy as np
 
     nodes, weights = np.polynomial.legendre.leggauss(12)
     du = u1 - u0
-    edges = np.linspace(u0, u1, panels + 1)
+    edges = np.linspace(u0, u1, 64 + 1)
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         mid = 0.5 * (lo + hi)
@@ -698,55 +699,64 @@ def _hann_average(fn: Callable[[np.ndarray], np.ndarray], u0: float, u1: float,
     return total / (du / 2.0)
 
 
-def _window_prime_averages(windows: Sequence[Tuple[float, float]]
-                           ) -> List[Tuple[float, float]]:
-    """Hann-weighted averages of (sum_{p<=x} 1/p, sum_{p<=x} log p/p).
+#: Each limit-oracle window is a factor _WINDOW_RATIO wide.
+_WINDOW_RATIO = 10.0
 
-    One streaming pass to the largest window edge; each prime contributes
-    its term times the closed-form Hann mass above log p.
+
+def _windows(x_hi: float) -> Tuple[Tuple[float, float], Tuple[float, float]]:
+    """The limit oracles' windows [x_hi/r^2, x_hi/r] and [x_hi/r, x_hi] in u = log x."""
+    mid = math.log(x_hi / _WINDOW_RATIO)
+    return (math.log(x_hi / _WINDOW_RATIO ** 2), mid), (mid, math.log(x_hi))
+
+
+@lru_cache(maxsize=None)
+def _window_sums(x_hi: float) -> Tuple[float, float, float]:
+    """Hann-weighted averages of sum_{p<=x} 1/p over both `_windows(x_hi)`
+    and of sum_{p<=x} log p/p over the upper one: the three sums the limit
+    oracles read.
+
+    One streaming pass to x_hi, memoised so that both oracles at one anchor
+    share it; each prime contributes its term times the closed-form Hann
+    mass above log p.
     """
     import numpy as np
 
     from .accum import reduce_primes
 
-    bounds = [(math.log(x0), math.log(x1)) for x0, x1 in windows]
-    x_hi = max(int(x1) for _, x1 in windows)
+    lower, upper = _windows(x_hi)
+
+    def mass(v: np.ndarray, u0: float, u1: float) -> np.ndarray:
+        du = u1 - u0
+        return np.where(
+            v <= u0, 1.0,
+            np.where(v >= u1, 0.0,
+                     ((u1 - v) / 2.0
+                      + (du / (4.0 * np.pi)) * np.sin(2.0 * np.pi * (v - u0) / du))
+                     / (du / 2.0)))
 
     def terms(seg: np.ndarray) -> SegmentTerms:
         pf = seg.astype(np.float64)
         v = np.log(pf)
         inv = 1.0 / pf
-        lg = v * inv
-        out = []
-        for k, (u0, u1) in enumerate(bounds):
-            du = u1 - u0
-            mass = np.where(
-                v <= u0, 1.0,
-                np.where(v >= u1, 0.0,
-                         ((u1 - v) / 2.0
-                          + (du / (4.0 * np.pi)) * np.sin(2.0 * np.pi * (v - u0) / du))
-                         / (du / 2.0)))
-            out += [(f"m{k}", 1, mass * inv), (f"e{k}", 1, mass * lg)]
-        return out, None
+        upper_mass = mass(v, *upper)
+        return [("m_lower", 1, mass(v, *lower) * inv), ("m_upper", 1, upper_mass * inv),
+                ("e_upper", 1, upper_mass * (v * inv))], None
 
-    sums = reduce_primes([x_hi], terms)
-    return [(sums[f"m{k}"][0].value, sums[f"e{k}"][0].value)
-            for k in range(len(windows))]
+    sums = reduce_primes([int(x_hi)], terms)
+    return tuple(sums[name][0].value for name in ("m_lower", "m_upper", "e_upper"))
 
 
-def _check_window(x_hi: float, window_ratio: float, windows: int) -> None:
-    """Check `windows` adjacent windows, each a factor window_ratio wide, ending at x_hi."""
+def _check_window(x_hi: float, windows: int) -> None:
+    """Check `windows` adjacent windows, each a factor _WINDOW_RATIO wide, ending at x_hi."""
     from .sieve import DEFAULT_MAX_BOUND
 
-    if window_ratio < 2.0:
-        raise GridError("limit oracle needs window_ratio >= 2")
-    if x_hi / window_ratio ** windows < 1e5:
+    if x_hi / _WINDOW_RATIO ** windows < 1e5:
         raise GridError("limit oracle windows must start at 1e5 or above")
     if x_hi > DEFAULT_MAX_BOUND:
         raise GridError(f"limit oracle cannot stream past {DEFAULT_MAX_BOUND:g}")
 
 
-def meissel_mertens_limit(x_hi: float = 1e8, window_ratio: float = 10.0) -> float:
+def meissel_mertens_limit(x_hi: float = 1e8) -> float:
     """Limit-definition estimate of M with a Richardson step.
 
     Corrected Hann-window averages over [x_hi/r^2, x_hi/r] and
@@ -756,27 +766,20 @@ def meissel_mertens_limit(x_hi: float = 1e8, window_ratio: float = 10.0) -> floa
     """
     import numpy as np
 
-    _check_window(x_hi, window_ratio, 2)
-    w1 = (x_hi / window_ratio ** 2, x_hi / window_ratio)
-    w2 = (x_hi / window_ratio, x_hi)
-    (a1, _), (a2, _) = _window_prime_averages([w1, w2])
-    ests = []
-    for (x0, x1), a in ((w1, a1), (w2, a2)):
-        u0, u1 = math.log(x0), math.log(x1)
-        ests.append(a - _hann_average(np.log, u0, u1)
-                    - _hann_average(_limit_correction_m, u0, u1))
-    r = math.sqrt(window_ratio)
+    _check_window(x_hi, 2)
+    ests = [a - _hann_average(np.log, u0, u1) - _hann_average(_limit_correction_m, u0, u1)
+            for (u0, u1), a in zip(_windows(x_hi), _window_sums(x_hi))]
+    r = math.sqrt(_WINDOW_RATIO)
     return (r * ests[1] - ests[0]) / (r - 1.0)
 
 
-def mertens_e_limit(x_hi: float = 1e8, window_ratio: float = 10.0) -> float:
+def mertens_e_limit(x_hi: float = 1e8) -> float:
     """Limit-definition estimate of E over the Hann window [x_hi/r, x_hi].
 
     Measured accuracy a few 1e-9 at the default anchor — the corrected
     continuous average sidesteps the 1/log x convergence of raw sampling.
     """
-    _check_window(x_hi, window_ratio, 1)
-    x0, x1 = x_hi / window_ratio, x_hi
-    u0, u1 = math.log(x0), math.log(x1)
-    (_, a_e), = _window_prime_averages([(x0, x1)])
-    return (a_e - 0.5 * (u0 + u1) - _hann_average(_limit_correction_e, u0, u1))
+    _check_window(x_hi, 1)
+    u0, u1 = _windows(x_hi)[1]
+    return (_window_sums(x_hi)[2] - 0.5 * (u0 + u1)
+            - _hann_average(_limit_correction_e, u0, u1))

@@ -48,10 +48,10 @@ def test_criterion_03_a1_equals_gamma_minus_one(ctx):
     _run("a1-gamma", ctx, budget=5.0)
 
 
-def test_constants_stability_streams_the_primes_three_times(monkeypatch):
-    # the prime-sum references of M and E come from one pass to 4e8, and each
-    # limit oracle streams once.  Placed before criterion 04, which then
-    # reads the references from the memo this test leaves behind.
+def test_constants_stability_streams_the_primes_twice(monkeypatch):
+    # the prime-sum references of M and E come from one pass to 4e8, and
+    # both limit oracles read one walk to 1e8.  Placed before criterion 04,
+    # which then reads the references from the memo this test leaves behind.
     from primemean import accum, constants
 
     calls = []
@@ -63,10 +63,10 @@ def test_constants_stability_streams_the_primes_three_times(monkeypatch):
 
     monkeypatch.setattr(accum, "stream_segmented", counted)
     for cached in (checks._mertens_prime_sums, constants.meissel_mertens,
-                   constants.mertens_e):
+                   constants.mertens_e, constants._window_sums):
         cached.cache_clear()
     assert checks.run_check("constants-stability").passed
-    assert len(calls) == 3 and max(calls) == 4 * 10 ** 8
+    assert len(calls) == 2 and max(calls) == 4 * 10 ** 8
 
 
 def test_criterion_04_constant_routes_agree(ctx):

@@ -138,6 +138,23 @@ def test_verify_inverted_range_exits_2(capsys, check):
     assert message in err
 
 
+def test_verify_cap_past_a_checks_reach_names_the_check(capsys):
+    # the default list starts with identity-oracle, whose factor table stops at 1e7
+    rc, out, err = run(capsys, "verify", "--to", "1e10")
+    assert rc == 2 and out == ""
+    assert "identity-oracle: SPF table limit 10000000000 exceeds cap 10000000" in err
+
+
+def test_factor_peel_past_the_table_refuses_before_allocating(monkeypatch):
+    # the peel holds every k <= n_max as int64: 8 GB at the sieve bound 1e9
+    def no_array(*args, **kwargs):
+        raise AssertionError("the peel allocated before the table refused")
+
+    monkeypatch.setattr(checks.np, "arange", no_array)
+    with pytest.raises(GridError, match="exceeds cap 10000000"):
+        checks.CheckContext().factor_sums(CheckpointGrid.log_spaced(100, 2 * 10 ** 7, 3))
+
+
 # caps the four-point trend ladder cannot serve: a point below 100 (150,
 # 500, 9999) or two equal points (10000)
 @pytest.mark.parametrize("to", ["150", "500", "9999", "10000"])
@@ -466,6 +483,46 @@ def test_cache_without_u_is_refilled_for_sums(tmp_path, monkeypatch, capsys):
     rc, warm, _ = run(capsys, "sums", "--model", "sigma", *grid, "--format", "json")
     assert rc == 0 and warm == cold
     assert not primesums.load_report(str(path), model).sublinear
+
+
+def test_sums_pairs_the_sublinear_report_a_geomean_file_holds(tmp_path, monkeypatch, capsys):
+    # sums streams only its own route, and leaves the file a cold sums writes
+    grid = ("--model", "sigma", "--to", "20000", "--points", "3")
+    monkeypatch.delenv("PRIMEMEAN_CACHE", raising=False)
+    cold, warm = tmp_path / "cold", tmp_path / "warm"
+    assert run(capsys, "sums", *grid, "--cache", str(cold))[0] == 0
+    assert run(capsys, "geomean", *grid, "--cache", str(warm))[0] == 0
+
+    routes = []
+    sums_stream = primesums.sums_stream
+
+    def recorded(model, grid, **kwargs):
+        routes.append(kwargs.get("sublinear", False))
+        return sums_stream(model, grid, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(primesums, "sums_stream", recorded)
+        assert run(capsys, "sums", *grid, "--cache", str(warm))[0] == 0
+    assert routes == [False]
+    [cold_file], [warm_file] = cold.glob("*.pmsm"), warm.glob("*.pmsm")
+    assert warm_file.read_bytes() == cold_file.read_bytes()
+
+
+def test_determinism_reuses_the_exact_identities_report(monkeypatch):
+    # exact-identities leaves the sequential report in the context, on the
+    # same grid, so determinism streams only the threaded one
+    ctx = checks.CheckContext()
+    assert checks.run_check("exact-identities", ctx, hi=10 ** 5).passed
+    calls = []
+    sums_stream = checks.sums_stream
+
+    def recorded(model, grid, **kwargs):
+        calls.append(kwargs)
+        return sums_stream(model, grid, **kwargs)
+
+    monkeypatch.setattr(checks, "sums_stream", recorded)
+    assert checks.run_check("determinism", ctx, hi=10 ** 5).passed
+    assert calls == [{"parallel": True}]
 
 
 def test_fit_u_residual_after_geomean(tmp_path, monkeypatch, capsys):

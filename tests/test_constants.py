@@ -261,16 +261,14 @@ def test_zeta_zero_ordinates_rederived():
 
 
 def test_limit_oracles_agree_with_closed_forms(m_ref, e_ref):
-    # the M oracle Richardson-steps across two windows, so its anchor must
-    # leave x_hi / ratio^2 >= 1e5
-    m_est = constants.meissel_mertens_limit(1e7, 10.0)
+    # the M oracle Richardson-steps across two decade windows, so its anchor
+    # must leave x_hi / 100 >= 1e5
+    m_est = constants.meissel_mertens_limit(1e7)
     assert abs(m_est - m_ref) <= 1e-6
-    e_est = constants.mertens_e_limit(1e6, 10.0)
+    e_est = constants.mertens_e_limit(1e6)
     assert abs(e_est - e_ref) <= 1e-5
     with pytest.raises(GridError):
         constants.meissel_mertens_limit(1e4)
-    with pytest.raises(GridError):
-        constants.mertens_e_limit(1e6, 1.5)
 
 
 # Values computed before the prime sums moved to the shared reducer in
@@ -313,6 +311,26 @@ def test_prime_sum_constants_frozen(name):
 def test_limit_oracles_frozen():
     assert constants.meissel_mertens_limit(1e7) == float.fromhex("0x1.0bc5e5ade4e4ep-2")
     assert constants.mertens_e_limit(1e6) == float.fromhex("-0x1.5523fb403e970p+0")
+
+
+def test_limit_oracles_share_one_walk_per_anchor(monkeypatch):
+    # E's upper-window sum is a channel of M's walk at the same anchor
+    from primemean import accum
+
+    calls = []
+    stream_segmented = accum.stream_segmented
+
+    def counted(lo, hi, *args, **kwargs):
+        calls.append(hi)
+        return stream_segmented(lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(accum, "stream_segmented", counted)
+    constants._window_sums.cache_clear()
+    constants.meissel_mertens_limit(1e7)
+    e_shared = constants.mertens_e_limit(1e7)
+    assert calls == [10 ** 7]
+    constants._window_sums.cache_clear()
+    assert constants.mertens_e_limit(1e7) == e_shared
 
 
 def test_cq_model_file_is_bitwise_builtin(tmp_path):
