@@ -22,32 +22,43 @@ not), and merges the partials into per-cut Kahan
 accumulators in ascending segment order, so every total carries a
 certified accumulation error bound.  A run of terms that share one integer
 weight k (`Runs`) is summed once and scaled: its partial's error is k times
-the pairwise one plus the product's rounding.  Both modes read the one
-ordered walk `PrimeStream.segments()`, so they sieve the same blocks.
-Every command forms the partials on one thread; ``parallel=True`` hands
-the walk to a thread pool _IN_FLIGHT segments at a time and serves only
-the `determinism` check and the benchmark's per-layer probe.  The merge
-order never depends on the mode, so threaded runs are bit-identical to
-sequential ones.
+the pairwise one plus the product's rounding.
+
+The walk is `PrimeStream.tagged()`, whose segments carry their index in
+the whole walk.  By default (``parallel=True``) a walk of two or more sieve
+blocks is shared by `process_count` processes: this one forks a child per
+further CPU, every process takes whole blocks from one queue (a pipe of
+block indices, so a process that finishes early takes more) and forms
+their segments' partials, the children send theirs back over a pipe
+(pickled, so every float arrives bit for bit), and this process merges
+every segment's partials in ascending segment order.  A split run is
+therefore bit-identical to ``parallel=False``, which walks every block
+here.  A child leaves through os._exit (no atexit handler, no stdout
+flush), sends back any exception that stops it, which is raised here with
+its type and message, and stops when its parent has gone; the parent kills
+and reaps every child however it leaves, and walks alone when os.fork
+fails.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import select
+import signal
+import struct
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
-from typing import Callable, Collection, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .sieve import DEFAULT_SEGMENT_SIZE, stream_segmented
+from .errors import AccumulationError
+from .sieve import DEFAULT_SEGMENT_SIZE, PrimeStream, stream_segmented
 
 EPS = 2.0 ** -52
-
-#: segments a threaded pass hands the pool at a time
-_IN_FLIGHT = 8
 
 # Per-term formation rounding allowance (in ulps of the term magnitude):
 # one log/log1p evaluation, one division, one multiplication, one cast.
@@ -180,17 +191,17 @@ def reduce_primes(
     integers: Collection[str] = (),
     limits: Sequence[int] | None = None,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
-    parallel: bool = False,
+    parallel: bool = True,
 ) -> dict[str, list]:
     """Sum per-segment terms over the primes p <= n at every cut n.
 
     `cuts` must be strictly ascending, with cuts[0] >= 2.  With `limits`
     (one per cut, ascending, each at least 2) cut n sums the primes
     p <= limits[i] instead of p <= n.  [2, last limit] is walked once, in
-    ascending segments of `segment_size` numbers (`PrimeStream.segments()`),
+    ascending segments of `segment_size` numbers (`PrimeStream.tagged()`),
     and `segment_terms(primes)` is called once per nonempty segment with
-    its primes as an ascending int64 array.  It
-    returns ``(shared, at_cut)``:
+    its primes as an ascending int64 array, maybe in a forked child (where
+    its side effects stay).  It returns ``(shared, at_cut)``:
 
     - `shared` yields (channel name, divisor m, terms) triples, the terms
       aligned with the first primes of the segment (None: each prime counts
@@ -210,15 +221,15 @@ def reduce_primes(
     an integer no larger than the total).  A channel named in `signed` takes
     its mass from sum|terms| (|sum| when they share one sign); any other
     channel must have nonnegative terms and takes its mass from their sum.
-    With ``parallel=True`` a thread pool forms the partials of the same
-    walk, _IN_FLIGHT segments at a time, and they are merged in segment
-    order (see the module docstring for who asks for it).
+    By default the walk's blocks are shared among `process_count` processes
+    (see the module docstring); ``parallel=False`` walks them all in this
+    one.  The partials are merged in segment order either way.
 
     Returns, per channel, one entry per cut: a KahanSum, or a Python int for
     integer channels.
     """
     limits = cuts if limits is None else limits
-    segments = stream_segmented(2, limits[-1], segment_size=segment_size).segments()
+    stream = stream_segmented(2, limits[-1], segment_size=segment_size)
     sums: dict[str, list] = {}
 
     def merge(partials) -> None:
@@ -235,20 +246,160 @@ def reduce_primes(
 
     work = partial(_segment_partials, segment_terms=segment_terms, cuts=cuts,
                    limits=limits, signed=signed, integers=integers)
-    if parallel:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor() as pool:
-            while chunk := list(islice(segments, _IN_FLIGHT)):
-                for partials in pool.map(work, chunk):
-                    merge(partials)
-    else:
+    processes = process_count(limits[-1], segment_size) if parallel else 1
+    if processes == 1 or not _split_walk(stream, work, merge, processes):
         # `primes` stays alive while the next segment is sieved: freeing it
         # first measured ~15% slower on the constants' 2e8 passes (an effect
         # of the allocator, not of the arithmetic).
-        for primes in segments:
+        for primes in stream.segments():
             merge(work(primes))
     return sums
+
+
+def process_count(hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> int:
+    """The processes a default `reduce_primes` walk of [2, hi] is shared by
+    (one after a failed os.fork): one per CPU this process may run on, at
+    most one per sieve block, and one where there is no os.fork."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    blocks = PrimeStream(2, hi, segment_size).block_count()
+    return max(1, min(len(os.sched_getaffinity(0)), blocks))
+
+
+_HEADER = struct.Struct("<Q")      # a message's length, in front of its pickle
+_BLOCK = struct.Struct("<I")       # a block index in the queue of a split walk
+
+
+def _split_walk(stream: PrimeStream, work, merge, processes: int) -> bool:
+    """Walk `stream` in `processes` processes that take its blocks from one
+    queue, and merge every segment's partials here in ascending order.
+    False, with every child reaped, when os.fork fails.
+
+    The children are forked, not spawned: `work` holds the caller's
+    closures (a term function is often a lambda), which a fresh interpreter
+    could not unpickle, and a spawned one would import numpy again."""
+    queue, fill = os.pipe()
+    # at most 477 blocks to DEFAULT_MAX_BOUND: 1.9 kB, within a pipe's buffer
+    os.write(fill, b"".join(_BLOCK.pack(b) for b in range(stream.block_count())))
+    os.close(fill)
+    parent = os.getpid()
+    children: list[_Child] = []
+    try:
+        for _ in range(1, processes):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                return False
+            if pid == 0:
+                os.close(read_fd)
+                for child in children:
+                    os.close(child.fd)
+                _child_walk(stream.tagged(_claims(queue)), work, write_fd, parent)
+            os.close(write_fd)
+            children.append(_Child(pid, read_fd))
+        ready = {}      # segment index -> partials not merged yet
+        k = 0           # the next segment to merge
+        segments = -(-(stream.hi + 1 - stream.lo) // stream.segment_size)
+        own = stream.tagged(_claims(queue))
+        while k < segments:
+            got = next(own, None)
+            if got is not None:
+                ready[got[0]] = work(got[1])
+            elif not any(child.open for child in children):
+                raise AccumulationError(
+                    f"a child of the split prime walk exited before segment {k}")
+            _receive(children, ready, wait=got is None)
+            while k in ready:
+                merge(ready.pop(k))
+                k += 1
+        return True
+    finally:
+        os.close(queue)
+        for child in children:
+            child.close()
+
+
+def _claims(queue: int) -> Iterator[int]:
+    """The block indices this process takes from the queue, until it is empty."""
+    while token := os.read(queue, _BLOCK.size):
+        yield _BLOCK.unpack(token)[0]
+
+
+def _child_walk(segments: Iterator[tuple[int, np.ndarray]], work, fd: int,
+                parent: int):
+    """A forked child's whole life: send (k, partials) for every segment k
+    it walks, or the exception that stopped it, and leave through os._exit
+    (no atexit handler, no stdout flush), also when the parent has gone.
+    Nothing is re-raised: the child must never return into its caller's
+    frames, which belong to the parent's pass."""
+    code = 1
+    try:
+        for k, primes in segments:
+            if os.getppid() != parent:
+                break
+            _send(fd, pickle.dumps((k, work(primes)), pickle.HIGHEST_PROTOCOL))
+        else:
+            code = 0
+    except BaseException as exc:       # KeyboardInterrupt too
+        try:
+            blob = pickle.dumps(exc)
+            pickle.loads(blob)
+        except Exception:
+            blob = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+        _send(fd, blob)
+    finally:
+        os._exit(code)
+
+
+def _send(fd: int, blob: bytes) -> None:
+    data = memoryview(_HEADER.pack(len(blob)) + blob)
+    while data:
+        data = data[os.write(fd, data):]
+
+
+def _receive(children: list[_Child], ready: dict, wait: bool) -> None:
+    """Read what the children's pipes hold into `ready`; with `wait`, wait
+    until one of them has something (or has closed)."""
+    fds = {child.fd: child for child in children if child.open}
+    if fds:
+        for fd in select.select(list(fds), [], [], None if wait else 0)[0]:
+            fds[fd].read(ready)
+
+
+class _Child:
+    """The parent's end of one child: its pid and pipe, and the bytes read
+    of its next message."""
+
+    def __init__(self, pid: int, fd: int):
+        self.pid, self.fd, self.buf, self.open = pid, fd, bytearray(), True
+
+    def read(self, ready: dict) -> None:
+        """One read of the pipe; each whole message it completes goes into
+        `ready`, and an exception the child sent is raised here."""
+        chunk = os.read(self.fd, 1 << 20)
+        self.open = bool(chunk)
+        self.buf += chunk
+        while len(self.buf) >= _HEADER.size:
+            end = _HEADER.size + _HEADER.unpack_from(self.buf)[0]
+            if len(self.buf) < end:
+                break
+            message = pickle.loads(self.buf[_HEADER.size:end])
+            del self.buf[:end]
+            if isinstance(message, BaseException):
+                raise message
+            ready[message[0]] = message[1]
+
+    def close(self) -> None:
+        """Kill and reap the child (it may have exited), and close the pipe."""
+        try:
+            os.kill(self.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        os.waitpid(self.pid, 0)
+        os.close(self.fd)
 
 
 def prime_sums(cuts: Sequence[int],

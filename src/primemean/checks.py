@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import constants, primesums, series
-from .accum import EPS, KahanSum, SegmentTerms, reduce_primes
+from .accum import EPS, KahanSum, SegmentTerms, process_count, reduce_primes
 from .errors import GridError, UnknownCheckError
 from .multfunc import builtin
 from .primesums import CheckpointGrid, sums_stream
@@ -164,8 +164,9 @@ def _identity_deviations(ctx: CheckContext, hi: int | None) -> tuple[str, dict]:
     description, and per identity (passed, its worst deviation).  omega = S1
     holds exactly, sum log kappa = S2 and S2 = n M - R within 1e-9 n."""
     grid = _grid(hi, 100, 10 ** 6, 20)
-    rep = ctx.report("kappa", grid)
+    primesums.check_sieve_route(grid)       # then the peel's table refuses, before any stream
     omega, log_kappa = ctx.factor_sums(grid)
+    rep = ctx.report("kappa", grid)
     d_omega = max(abs(w - s1) for w, s1 in zip(omega, rep.s1))
     d_kappa = max(abs(lk - s2) / n for n, lk, s2 in zip(grid, log_kappa, rep.s2))
     d_smr = max(abs(rep.s2[i] - (n * rep.m_of_x[i] - rep.r_sum[i])) / n
@@ -472,22 +473,23 @@ def _check_series_algebra(ctx: CheckContext, hi: int | None):
 
 
 def _check_determinism(ctx: CheckContext, hi: int | None):
-    """Sequential and parallel sweeps serialize to byte-identical files."""
-    grid = _grid(hi, 100, 10 ** 6, 20)      # exact-identities' grid and report
-    rep_seq = ctx.report("kappa", grid)
-    rep_par = sums_stream(builtin("kappa"), grid, parallel=True)
+    """One-process and split sweeps serialize to byte-identical files."""
+    grid = _grid(hi, 100, 10 ** 7, 20)      # with a cap, exact-identities' grid and report
+    rep_split = ctx.report("kappa", grid)
+    rep_one = sums_stream(builtin("kappa"), grid, parallel=False)
     with tempfile.TemporaryDirectory() as tmp:
-        p_seq = os.path.join(tmp, "seq.pmsm")
-        p_par = os.path.join(tmp, "par.pmsm")
-        primesums.save_report(p_seq, rep_seq)
-        primesums.save_report(p_par, rep_par)
-        with open(p_seq, "rb") as fh:
-            b_seq = fh.read()
-        with open(p_par, "rb") as fh:
-            b_par = fh.read()
-    ok = b_seq == b_par and rep_seq == rep_par
-    detail = (f"sequential vs parallel sweep over {len(grid)} checkpoints "
-              f"<= {grid.n_max}: "
+        p_one = os.path.join(tmp, "one.pmsm")
+        p_split = os.path.join(tmp, "split.pmsm")
+        primesums.save_report(p_one, rep_one)
+        primesums.save_report(p_split, rep_split)
+        with open(p_one, "rb") as fh:
+            b_one = fh.read()
+        with open(p_split, "rb") as fh:
+            b_split = fh.read()
+    ok = b_one == b_split and rep_one == rep_split
+    split = process_count(grid.n_max, primesums.SEGMENT_SIZE)
+    detail = (f"a 1-process and a {split}-process sweep over "
+              f"{len(grid)} checkpoints <= {grid.n_max}: "
               + ("byte-identical report files" if ok else "files differ"))
     return ok, detail
 

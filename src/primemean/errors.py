@@ -48,4 +48,5 @@ class CacheFormatError(PrimemeanError):
 
 
 class AccumulationError(PrimemeanError):
-    """Internal cross-check of a compensated accumulation failed."""
+    """Internal cross-check of a compensated accumulation failed, or a child
+    process of a split prime walk died before sending its partials."""

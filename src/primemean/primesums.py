@@ -96,10 +96,11 @@ integer below 2^53.  The same holds with a prime power p^a <= n in place of p.
 Determinism contract: every prime and prime-power sum here goes through
 `accum.reduce_primes`, which forms per-segment partials by numpy's pairwise
 reduction and merges them into Kahan accumulators in ascending segment
-order.  Every command streams on one thread; only the `determinism` check
-and the benchmark's per-layer probe ask `sums_stream(parallel=True)`, which
-reads the same ordered walk and forms its partials on a thread pool, so
-its runs are bit-identical to sequential ones.
+order.  A pass of two or more sieve blocks is shared by one process per
+CPU (`accum.process_count`), whose partials are merged in the same order,
+so its report is bit-identical to a one-process run
+(``sums_stream(parallel=False)``, which the `determinism` check compares
+with it).
 
 `err_bound` certifies `n_log_g` from the reducer's own bounds: each Kahan
 total, PP included, carries its pairwise, formation and merge rounding, and
@@ -694,12 +695,19 @@ def _beyond_split(model: PrimeModel, points, splits, s1, s3, lg, root: float):
     return out1, out2, out3
 
 
+def check_sieve_route(grid: CheckpointGrid) -> None:
+    """Refuse a grid past the sieve route's bound, DEFAULT_MAX_BOUND."""
+    if grid.n_max > DEFAULT_MAX_BOUND:
+        raise GridError(
+            f"checkpoint {grid.n_max} exceeds the sieve bound {DEFAULT_MAX_BOUND}")
+
+
 def sums_stream(
     model: PrimeModel,
     grid: CheckpointGrid,
     *,
     sublinear: bool = False,
-    parallel: bool = False,
+    parallel: bool = True,
 ) -> SumsReport:
     """Evaluate every streaming sum at each checkpoint in one sieve pass.
 
@@ -709,15 +717,14 @@ def sums_stream(
     stops at each checkpoint's split y and the rest comes from Legendre's
     formula and the floor-value tables (module docstring), so that the grid
     may reach SUBLINEAR_MAX_BOUND; the companion fields are None.  The pass
-    walks segments of SEGMENT_SIZE numbers, read when the call starts.  With
-    ``parallel=True`` a thread pool forms the partials of the same walk
-    (see the module docstring for who asks for it); they are merged in
-    ascending segment order either way, so the result is bit-identical to
-    the sequential run.
+    walks segments of SEGMENT_SIZE numbers, read when the call starts.  By
+    default the blocks of a pass are shared by one process per CPU (see
+    `accum.reduce_primes`); ``parallel=False`` walks them all in this one.
+    The partials are merged in ascending segment order either way, so the
+    result is bit-identical.
     """
-    if not sublinear and grid.n_max > DEFAULT_MAX_BOUND:
-        raise GridError(
-            f"checkpoint {grid.n_max} exceeds the sieve bound {DEFAULT_MAX_BOUND}")
+    if not sublinear:
+        check_sieve_route(grid)
     points = grid.points
     m = len(points)
     need_s3 = model.delta != math.inf

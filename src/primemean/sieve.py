@@ -12,11 +12,13 @@ so one period's pattern, built once on first use, is copied into the window
 by doubling, and only the base primes from 19 up are struck one by one.  A
 window shorter than the period strikes every base prime and never builds
 the 255,255-byte pattern.
-`PrimeStream.segments` is the one walk over the primes: it sieves blocks of
+`PrimeStream.tagged` is the one walk over the primes: it sieves blocks of
 BLOCK_SIZE numbers in ascending order (the struck base primes cost a
 Python step each per block, so a block stays large whatever the segment
 length), keeps each block's mask packed 8 flags a byte, and reads one
-segment's primes from it at a time.
+segment's primes from it at a time, tagged with the segment's place in the
+whole walk.  It may walk only some of the blocks, so that processes can
+share a walk; `segments()` is the whole walk, untagged.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -119,7 +121,7 @@ def _marked(flags: np.ndarray, start: int) -> np.ndarray:
 @dataclass(frozen=True)
 class PrimeStream:
     """Lazy ascending stream of the primes in [lo, hi] (inclusive), walked
-    once, in order, by `segments()`."""
+    in ascending segments by `tagged()` (some blocks) or `segments()` (all)."""
 
     lo: int
     hi: int
@@ -131,30 +133,46 @@ class PrimeStream:
         if self.segment_size < 64:
             raise GridError(f"segment size too small: {self.segment_size}")
 
+    @property
+    def block_size(self) -> int:
+        """Numbers per sieve block: the whole segments that fit in BLOCK_SIZE, at least one."""
+        return max(1, BLOCK_SIZE // self.segment_size) * self.segment_size
+
+    def block_count(self) -> int:
+        return -(-(self.hi + 1 - self.lo) // self.block_size)
+
     def segments(self) -> Iterator[np.ndarray]:
         """The primes of each window [lo + k * segment_size, ...) in
-        ascending order, from blocks of BLOCK_SIZE numbers.
+        ascending order, from blocks of BLOCK_SIZE numbers."""
+        return (primes for _, primes in self.tagged())
 
-        A block holds whole segments, at least one.  Its mask is kept packed
-        8 flags a byte, and a segment's primes are read from it only when the
-        segment is asked for.
+    def tagged(self, blocks: Iterable[int] | None = None
+               ) -> Iterator[tuple[int, np.ndarray]]:
+        """(k, primes of window k) for every segment of the given blocks
+        (ascending block indices; default every block), k counting the
+        segments of the whole walk.
+
+        A segment's mask is kept packed 8 flags a byte in its block, and
+        its primes are read from it only when the segment is asked for.
         """
         base = primes_up_to(math.isqrt(self.hi))[1:]   # odd base primes
         end = self.hi + 1
-        block_size = max(1, BLOCK_SIZE // self.segment_size) * self.segment_size
-        for block_lo in range(self.lo, end, block_size):
+        block_size = self.block_size
+        per_block = block_size // self.segment_size
+        for b in range(self.block_count()) if blocks is None else blocks:
+            block_lo = self.lo + b * block_size
             block_hi = min(block_lo + block_size, end)
             start, mask = _sieve(block_lo, block_hi, base)
             bits = np.packbits(mask)
             del mask
-            for lo in range(block_lo, block_hi, self.segment_size):
+            for j, lo in enumerate(range(block_lo, block_hi, self.segment_size)):
                 hi = min(lo + self.segment_size, end)
                 i = 0 if lo <= 2 else (lo - start + 1) // 2     # first flag of [lo, hi)
                 stop = (hi - start + 1) // 2
                 flags = np.unpackbits(bits[i // 8:(stop + 7) // 8]).view(bool)
                 primes = _marked(flags[i % 8:i % 8 + stop - i], start + 2 * i)
                 del flags       # not held across the yield
-                yield primes
+                yield b * per_block + j, primes
 
 
 def stream_segmented(lo: int, hi: int,

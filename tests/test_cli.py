@@ -509,8 +509,8 @@ def test_sums_pairs_the_sublinear_report_a_geomean_file_holds(tmp_path, monkeypa
 
 
 def test_determinism_reuses_the_exact_identities_report(monkeypatch):
-    # exact-identities leaves the sequential report in the context, on the
-    # same grid, so determinism streams only the threaded one
+    # exact-identities leaves the default (split) report in the context, on
+    # the same grid, so determinism streams only the one-process one
     ctx = checks.CheckContext()
     assert checks.run_check("exact-identities", ctx, hi=10 ** 5).passed
     calls = []
@@ -521,8 +521,27 @@ def test_determinism_reuses_the_exact_identities_report(monkeypatch):
         return sums_stream(model, grid, **kwargs)
 
     monkeypatch.setattr(checks, "sums_stream", recorded)
-    assert checks.run_check("determinism", ctx, hi=10 ** 5).passed
-    assert calls == [{"parallel": True}]
+    result = checks.run_check("determinism", ctx, hi=10 ** 5)
+    assert result.passed and calls == [{"parallel": False}]
+    assert result.detail.startswith("a 1-process and a 1-process sweep over 20 ")
+
+
+def test_determinism_names_each_runs_process_count(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    result = checks.run_check("determinism", checks.CheckContext(), hi=3 * 10 ** 6)
+    assert result.passed, result.detail
+    assert result.detail == ("a 1-process and a 2-process sweep over 20 checkpoints "
+                             "<= 3000000: byte-identical report files")
+
+
+def test_identity_checks_refuse_past_the_table_before_streaming(monkeypatch, capsys):
+    def no_stream(*args, **kwargs):
+        raise AssertionError("streamed before the factor table refused")
+
+    monkeypatch.setattr(checks, "sums_stream", no_stream)
+    rc, out, err = run(capsys, "verify", "--check", "omega-identity", "--to", "3e8")
+    assert rc == 2 and out == ""
+    assert "SPF table limit 300000000 exceeds cap 10000000" in err
 
 
 def test_fit_u_residual_after_geomean(tmp_path, monkeypatch, capsys):

@@ -11,7 +11,9 @@ import collections
 import dataclasses
 import math
 import os
+import select
 import struct
+import time
 import tracemalloc
 from bisect import bisect_left
 from fractions import Fraction
@@ -23,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primemean import accum, checks, primesums, sieve
-from primemean.errors import CacheFormatError, GridError
+from primemean.errors import AccumulationError, CacheFormatError, GridError
 from primemean.multfunc import builtin, load_model_file, log_ratio_prime_power
 from primemean.primesums import (CheckpointGrid, SumsReport,
                                  bruteforce_prefix, default_cache_path,
@@ -679,46 +681,161 @@ def test_rs_sweep_matches_scalar():
 # ---------------------------------------------------------------------------
 
 
-def test_parallel_matches_sequential_exactly(monkeypatch):
-    # the sieve route, the sublinear route (whose pass ends at each split
-    # y), and short segments, which put many blocks and more segments than
-    # the pool takes at a time into one pass
-    grid = CheckpointGrid.log_spaced(100, 2 * 10 ** 6, 9)
-    model = builtin("sigma")
-    for sublinear, size in ((False, primesums.SEGMENT_SIZE),
-                            (True, primesums.SEGMENT_SIZE), (False, 1 << 12)):
-        monkeypatch.setattr(primesums, "SEGMENT_SIZE", size)
-        seq = sums_stream(model, grid, sublinear=sublinear, parallel=False)
-        par = sums_stream(model, grid, sublinear=sublinear, parallel=True)
-        assert seq == par, (sublinear, size)
+def _small_blocks(monkeypatch, segment_size: int) -> None:
+    """Sieve blocks of two segments of `segment_size` numbers each, so that
+    a cheap pass spans several blocks, and three CPUs to share it."""
+    monkeypatch.setattr(primesums, "SEGMENT_SIZE", segment_size)
+    monkeypatch.setattr(sieve, "BLOCK_SIZE", 2 * segment_size)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
 
 
-def test_a_threaded_pass_sieves_each_block_once(monkeypatch):
-    # both modes read the one ordered walk: the pool forms partials of the
-    # blocks a sequential pass sieves, and sieves no window of its own
-    windows = collections.Counter()
+def test_parallel_matches_sequential_exactly(monkeypatch, tmp_path):
+    # a walk shared by three processes and the one-process walk give the
+    # same bits on both routes, for built-ins and a model file; each pass
+    # spans an odd number of blocks, three or more
+    models = [builtin(name) for name in ("sigma", "kappa", "euler_phi")]
+    models.append(_ref_model("bench", tmp_path))
+    for sublinear, size, n_max in ((False, 1 << 15, 3 * 10 ** 5), (True, 1 << 8, 10 ** 7)):
+        _small_blocks(monkeypatch, size)
+        grid = CheckpointGrid.log_spaced(100, n_max, 9)
+        y = math.isqrt(n_max) if sublinear else n_max      # the last split, or n_max
+        blocks = stream_segmented(2, y, size).block_count()
+        assert blocks >= 3 and blocks % 2 == 1, blocks
+        for model in models:
+            one = sums_stream(model, grid, sublinear=sublinear, parallel=False)
+            split = sums_stream(model, grid, sublinear=sublinear)
+            assert repr(split) == repr(one), (model.name, sublinear)
+
+
+def test_split_prime_sums_match_one_process(monkeypatch):
+    # five blocks of the plain prime sums' segments, shared by three processes
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    cuts = [1000, 10 ** 6, 10 ** 7]
+    assert accum.process_count(cuts[-1]) == 3
+    assert stream_segmented(2, cuts[-1]).block_count() == 5
+    split = accum.prime_sums(cuts, lambda p, logp: logp / p)
+    monkeypatch.setattr(accum, "process_count", lambda *args: 1)
+    assert repr(accum.prime_sums(cuts, lambda p, logp: logp / p)) == repr(split)
+
+
+def test_a_split_pass_sieves_each_block_once(monkeypatch, tmp_path):
+    # the processes of a split pass share out the blocks of the one walk:
+    # together they sieve the blocks a one-process pass sieves, each once
+    log = tmp_path / "windows"
     sieve_window = sieve._sieve
 
-    def counted(lo, hi, base_odd):
-        windows[lo, hi] += 1
+    def logged(lo, hi, base_odd):
+        with open(log, "a") as fh:
+            fh.write(f"{lo} {hi}\n")
         return sieve_window(lo, hi, base_odd)
 
-    monkeypatch.setattr(sieve, "_sieve", counted)
-    cuts = [10 ** 4, 3 * 10 ** 6, 5 * 10 ** 6]
-    assert cuts[-1] > 2 * sieve.BLOCK_SIZE
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    _small_blocks(monkeypatch, 1 << 16)
+    monkeypatch.setattr(sieve, "_sieve", logged)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    cuts = [10 ** 4, 3 * 10 ** 5, 5 * 10 ** 5]
 
     def terms(seg):
         return [("s1", 1, None)], None
 
     seen = {}
     for parallel in (False, True):
-        windows.clear()
+        log.unlink(missing_ok=True)
         sums = accum.reduce_primes(cuts, terms, integers=("s1",), segment_size=1 << 16,
                                    parallel=parallel)
-        seen[parallel] = dict(windows)
+        seen[parallel] = collections.Counter(log.read_text().splitlines())
         assert sums["s1"] == [int(primes_up_to(n).size) for n in cuts]
-    assert len(seen[False]) == 3 and set(seen[False].values()) == {1}
+    assert len(seen[False]) == 4 and set(seen[False].values()) == {1}
     assert seen[True] == seen[False]
+    assert len(forks) == 2
+
+
+class _WorkerFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failure", ["raises", "dies"])
+def test_a_childs_failure_reaches_the_parent(monkeypatch, tmp_path, failure):
+    # the segment worker fails only in a child: the parent raises the
+    # exception it sent, with its type and message, or names the child that
+    # died without one (and the autouse fixture sees every child reaped)
+    _small_blocks(monkeypatch, 1 << 15)
+    parent = os.getpid()
+    started = tmp_path / "child-started"
+
+    def terms(seg):
+        if os.getpid() != parent:
+            started.touch()
+            if failure == "dies":
+                os._exit(3)
+            raise _WorkerFailure("no terms past 0")
+        deadline = time.monotonic() + 30     # until a child has taken a block
+        while not started.exists() and time.monotonic() < deadline:
+            time.sleep(0.001)
+        return [("s1", 1, None)], None
+
+    expected = (_WorkerFailure, "^no terms past 0$") if failure == "raises" else (
+        AccumulationError, "^a child of the split prime walk exited before segment ")
+    with pytest.raises(expected[0], match=expected[1]) as exc:
+        accum.reduce_primes([3 * 10 ** 5], terms, integers=("s1",), segment_size=1 << 15)
+    assert exc.type is expected[0]
+
+
+def test_an_interrupted_parent_reaps_its_children(monkeypatch):
+    # Ctrl-C reaches the parent while it waits on its children's pipes
+    _small_blocks(monkeypatch, 1 << 15)
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(accum, "_receive", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        accum.reduce_primes([3 * 10 ** 5], lambda seg: ([("s1", 1, None)], None),
+                            integers=("s1",), segment_size=1 << 15)
+
+
+def test_a_child_stops_when_its_parent_has_gone():
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        accum._child_walk(iter([(0, np.array([2, 3]))]), None, write_fd, parent=-1)
+    os.close(write_fd)
+    try:
+        assert select.select([read_fd], [], [], 30)[0], "the child did not exit"
+        assert os.read(read_fd, 64) == b""      # it sent nothing
+    finally:
+        os.close(read_fd)
+        _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 1
+
+
+def test_a_one_block_walk_forks_nothing(monkeypatch):
+    def no_fork():
+        raise AssertionError("a one-block walk forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    grid = CheckpointGrid.log_spaced(100, sieve.BLOCK_SIZE - 10, 5)
+    assert accum.process_count(grid.n_max, primesums.SEGMENT_SIZE) == 1
+    sums_stream(builtin("kappa"), grid)
+    accum.prime_sums([sieve.BLOCK_SIZE - 2], lambda p, logp: logp)
+
+
+def test_a_failed_fork_walks_in_one_process(monkeypatch):
+    _small_blocks(monkeypatch, 1 << 15)
+    grid = CheckpointGrid.log_spaced(100, 3 * 10 ** 5, 9)
+    one = sums_stream(builtin("sigma"), grid, parallel=False)
+
+    def failing_fork():
+        raise OSError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    assert repr(sums_stream(builtin("sigma"), grid)) == repr(one)
 
 
 def _bits(values) -> bytes:
