@@ -24,20 +24,22 @@ certified accumulation error bound.  A run of terms that share one integer
 weight k (`Runs`) is summed once and scaled: its partial's error is k times
 the pairwise one plus the product's rounding.
 
-The walk is `PrimeStream.tagged()`, whose segments carry their index in
-the whole walk.  By default (``parallel=True``) a walk of two or more sieve
+The walk is `PrimeStream.tagged()` in segments of SEGMENT_SIZE numbers,
+whose segments carry their index in the whole walk, and it has one loop
+(`_walk`).  By default (``parallel=True``) a walk of two or more sieve
 blocks is shared by `process_count` processes: this one forks a child per
-further CPU, every process takes whole blocks from one queue (a pipe of
+further CPU.  Every process takes whole blocks from one queue (a pipe of
 block indices, so a process that finishes early takes more) and forms
 their segments' partials, the children send theirs back over a pipe
 (pickled, so every float arrives bit for bit), and this process merges
 every segment's partials in ascending segment order.  A split run is
-therefore bit-identical to ``parallel=False``, which walks every block
-here.  A child leaves through os._exit (no atexit handler, no stdout
-flush), sends back any exception that stops it, which is raised here with
-its type and message, and stops when its parent has gone; the parent kills
-and reaps every child however it leaves, and walks alone when os.fork
-fails.
+therefore bit-identical to one process (``parallel=False``), which forks
+nothing and takes every block itself.  A child leaves through os._exit
+(no atexit handler, no stdout flush), sends back any exception that stops
+it, which is raised here with its type and message, and stops when its
+parent has gone; the parent kills and reaps every child however it
+leaves.  A failed os.fork only ends the forking: the walk goes on with
+the processes already running, and no block is walked twice.
 """
 
 from __future__ import annotations
@@ -56,9 +58,11 @@ from typing import Callable, Collection, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import AccumulationError
-from .sieve import DEFAULT_SEGMENT_SIZE, PrimeStream, stream_segmented
+from .sieve import PrimeStream, stream_segmented
 
 EPS = 2.0 ** -52
+#: numbers per segment of every prime walk
+SEGMENT_SIZE = 1 << 19
 
 # Per-term formation rounding allowance (in ulps of the term magnitude):
 # one log/log1p evaluation, one division, one multiplication, one cast.
@@ -190,7 +194,6 @@ def reduce_primes(
     signed: Collection[str] = (),
     integers: Collection[str] = (),
     limits: Sequence[int] | None = None,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
     parallel: bool = True,
 ) -> dict[str, list]:
     """Sum per-segment terms over the primes p <= n at every cut n.
@@ -198,7 +201,7 @@ def reduce_primes(
     `cuts` must be strictly ascending, with cuts[0] >= 2.  With `limits`
     (one per cut, ascending, each at least 2) cut n sums the primes
     p <= limits[i] instead of p <= n.  [2, last limit] is walked once, in
-    ascending segments of `segment_size` numbers (`PrimeStream.tagged()`),
+    ascending segments of SEGMENT_SIZE numbers (`PrimeStream.tagged()`),
     and `segment_terms(primes)` is called once per nonempty segment with
     its primes as an ascending int64 array, maybe in a forked child (where
     its side effects stay).  It returns ``(shared, at_cut)``:
@@ -229,7 +232,7 @@ def reduce_primes(
     integer channels.
     """
     limits = cuts if limits is None else limits
-    stream = stream_segmented(2, limits[-1], segment_size=segment_size)
+    stream = stream_segmented(2, limits[-1], SEGMENT_SIZE)
     sums: dict[str, list] = {}
 
     def merge(partials) -> None:
@@ -246,34 +249,29 @@ def reduce_primes(
 
     work = partial(_segment_partials, segment_terms=segment_terms, cuts=cuts,
                    limits=limits, signed=signed, integers=integers)
-    processes = process_count(limits[-1], segment_size) if parallel else 1
-    if processes == 1 or not _split_walk(stream, work, merge, processes):
-        # `primes` stays alive while the next segment is sieved: freeing it
-        # first measured ~15% slower on the constants' 2e8 passes (an effect
-        # of the allocator, not of the arithmetic).
-        for primes in stream.segments():
-            merge(work(primes))
+    _walk(stream, work, merge, process_count(limits[-1]) if parallel else 1)
     return sums
 
 
-def process_count(hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> int:
+def process_count(hi: int) -> int:
     """The processes a default `reduce_primes` walk of [2, hi] is shared by
-    (one after a failed os.fork): one per CPU this process may run on, at
+    (fewer when an os.fork fails): one per CPU this process may run on, at
     most one per sieve block, and one where there is no os.fork."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
-    blocks = PrimeStream(2, hi, segment_size).block_count()
+    blocks = PrimeStream(2, hi, SEGMENT_SIZE).block_count()
     return max(1, min(len(os.sched_getaffinity(0)), blocks))
 
 
 _HEADER = struct.Struct("<Q")      # a message's length, in front of its pickle
-_BLOCK = struct.Struct("<I")       # a block index in the queue of a split walk
+_BLOCK = struct.Struct("<I")       # a block index in the queue of a walk
 
 
-def _split_walk(stream: PrimeStream, work, merge, processes: int) -> bool:
-    """Walk `stream` in `processes` processes that take its blocks from one
-    queue, and merge every segment's partials here in ascending order.
-    False, with every child reaped, when os.fork fails.
+def _walk(stream: PrimeStream, work, merge, processes: int) -> None:
+    """Walk `stream` in up to `processes` processes that take its blocks
+    from one queue, and merge every segment's partials here in ascending
+    order.  One process forks nothing; a failed os.fork forks no more, and
+    the walk goes on with the processes already running.
 
     The children are forked, not spawned: `work` holds the caller's
     closures (a term function is often a lambda), which a fresh interpreter
@@ -292,7 +290,7 @@ def _split_walk(stream: PrimeStream, work, merge, processes: int) -> bool:
             except OSError:
                 os.close(read_fd)
                 os.close(write_fd)
-                return False
+                break
             if pid == 0:
                 os.close(read_fd)
                 for child in children:
@@ -303,6 +301,9 @@ def _split_walk(stream: PrimeStream, work, merge, processes: int) -> bool:
         ready = {}      # segment index -> partials not merged yet
         k = 0           # the next segment to merge
         segments = -(-(stream.hi + 1 - stream.lo) // stream.segment_size)
+        # `got` keeps a segment's primes alive while the next one is sieved:
+        # freeing them first measured ~15% slower on the constants' 2e8
+        # passes (an effect of the allocator, not of the arithmetic)
         own = stream.tagged(_claims(queue))
         while k < segments:
             got = next(own, None)
@@ -315,7 +316,6 @@ def _split_walk(stream: PrimeStream, work, merge, processes: int) -> bool:
             while k in ready:
                 merge(ready.pop(k))
                 k += 1
-        return True
     finally:
         os.close(queue)
         for child in children:

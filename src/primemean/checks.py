@@ -487,7 +487,7 @@ def _check_determinism(ctx: CheckContext, hi: int | None):
         with open(p_split, "rb") as fh:
             b_split = fh.read()
     ok = b_one == b_split and rep_one == rep_split
-    split = process_count(grid.n_max, primesums.SEGMENT_SIZE)
+    split = process_count(grid.n_max)
     detail = (f"a 1-process and a {split}-process sweep over "
               f"{len(grid)} checkpoints <= {grid.n_max}: "
               + ("byte-identical report files" if ok else "files differ"))

@@ -240,10 +240,10 @@ def _grid(args: argparse.Namespace) -> CheckpointGrid:
     hi = args.hi or max(hi_def, args.lo or 0)
     lo = args.lo or (lo_def if lo_def <= hi else max(2, hi // 100))
     points = pts_def if args.points is None else args.points
-    if args.spacing in (None, "log"):
-        return CheckpointGrid.log_spaced(lo, hi, points)
     if lo > hi:
         raise GridError(f"grid needs lo <= hi, got [{lo}, {hi}]")
+    if args.spacing in (None, "log"):
+        return CheckpointGrid.log_spaced(lo, hi, points)
     if points < 1:
         raise GridError(f"need at least one checkpoint, got {points}")
     _check_count(points)
@@ -388,6 +388,9 @@ def cmd_geomean(args: argparse.Namespace) -> int:
         if given:
             raise GridError(f"--n is a single checkpoint; it takes no {', '.join(given)}")
         grid = primesums.CheckpointGrid.from_points([n]) if n > 1 else None
+    if args.oracle and grid is not None and grid.n_max > ORACLE_TABLE_CAP:
+        raise GridError(f"--oracle builds a factor table; grid must stay <= "
+                        f"{ORACLE_TABLE_CAP:.0e}, got {grid.n_max}")
     predicted = constants.leading_constant(model)
 
     if grid is None:   # the trivial n = 1 point: empty product, G = 1
@@ -399,13 +402,8 @@ def cmd_geomean(args: argparse.Namespace) -> int:
 
     oracle_means = None
     if args.oracle:
-        n_max = points[-1]
-        if n_max > ORACLE_TABLE_CAP:
-            raise GridError(
-                f"--oracle builds a factor table; grid must stay <= "
-                f"{ORACLE_TABLE_CAP:.0e}, got {n_max}")
         from .sieve import spf_build
-        table = spf_build(n_max)
+        table = spf_build(points[-1])
         oracle_means = [
             primesums.log_geomean_bruteforce(model, p, table) / p
             for p in points]

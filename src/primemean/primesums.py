@@ -72,18 +72,16 @@ the cut: every term is certified, none measured.  A `CheckpointGrid`
 reaches SUBLINEAR_MAX_BOUND = 1e12, which this route streams in full; the
 sieve route refuses a checkpoint beyond DEFAULT_MAX_BOUND = 1e9.
 
-Segment geometry: both routes cut the pass into segments of SEGMENT_SIZE =
-2^19 numbers, half of sieve.DEFAULT_SEGMENT_SIZE (which serves the plain
-prime sums of `accum.prime_sums`, whose passes hold one or two arrays per
-segment), from sieve blocks of 2^21 numbers.  On the sieve route a segment
-keeps about a dozen arrays of its primes alive at once (the primes, p,
-log p, log f(p), U's lower end, a cut's quotients and U's upper-end
-buffers, built in place), so the first segment, with 43,390 primes, sets
-the pass's working set.  The sublinear route's pass ends at the largest
-split y, and a pass that ends inside the first segment (y < 2^19: every
-n < 2.75e11 whose split is isqrt(n)) does not depend on the segment length;
-a longer one (larger n, or a model whose C_Q series does not apply, with
-y = n) moves within its bounds when the length does.
+Segment geometry: both routes cut the pass into the reducer's segments of
+accum.SEGMENT_SIZE = 2^19 numbers, from sieve blocks of 2^21 numbers.  On
+the sieve route a segment keeps about a dozen arrays of its primes alive
+at once (the primes, p, log p, log f(p), U's lower end, a cut's quotients
+and U's upper-end buffers, built in place), so the first segment, with
+43,390 primes, sets the pass's working set.  The sublinear route's pass
+ends at the largest split y, and a pass that ends inside the first segment
+(y < 2^19: every n < 2.75e11 whose split is isqrt(n)) does not depend on
+the segment length; a longer one (larger n, or a model whose C_Q series
+does not apply, with y = n) moves within its bounds when the length does.
 A segment worker never writes an array after yielding it: the reducer may
 still hold it (a caller of `at_cut` may keep every part).
 
@@ -151,8 +149,6 @@ from .sieve import (
 )
 
 MAX_CHECKPOINTS = 64
-#: numbers per segment of `sums_stream`'s prime pass (see the module docstring)
-SEGMENT_SIZE = 1 << 19
 SUBLINEAR_MAX_BOUND = 10 ** 12      # the sublinear route's cap (the sieve's is 1e9)
 
 # Ordering of the float-valued accumulators, as `sums` prints them.
@@ -716,8 +712,7 @@ def sums_stream(
     with the companions F1, F2, R, M and U.  With ``sublinear=True`` the pass
     stops at each checkpoint's split y and the rest comes from Legendre's
     formula and the floor-value tables (module docstring), so that the grid
-    may reach SUBLINEAR_MAX_BOUND; the companion fields are None.  The pass
-    walks segments of SEGMENT_SIZE numbers, read when the call starts.  By
+    may reach SUBLINEAR_MAX_BOUND; the companion fields are None.  By
     default the blocks of a pass are shared by one process per CPU (see
     `accum.reduce_primes`); ``parallel=False`` walks them all in this one.
     The partials are merged in ascending segment order either way, so the
@@ -737,8 +732,7 @@ def sums_stream(
     kah = reduce_primes(points, partial(_prime_terms, model, need_s3, grid.n_max,
                                         sublinear),
                         signed=("s3", "direct", "pp"), integers=("s1",),
-                        limits=splits if sublinear else None,
-                        segment_size=SEGMENT_SIZE, parallel=parallel)
+                        limits=splits if sublinear else None, parallel=parallel)
     # a channel no segment yielded sums to zero: s3 when delta is infinite,
     # pp when f is strongly multiplicative, pp, f2 and lg when n_max < 4
     for name in ("s3", "pp", "lg" if sublinear else "f2"):

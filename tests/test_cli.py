@@ -14,6 +14,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from primemean import accum, checks, constants, primesums
@@ -64,6 +65,29 @@ def test_geomean_oracle_example(capsys):
                                                abs=1e-12)
     assert row["log_geomean_bruteforce"] == pytest.approx(
         row["log_geomean"], abs=1e-12)
+
+
+def test_oracle_past_its_table_refuses_before_streaming(monkeypatch, capsys):
+    calls = []
+    sums_stream = primesums.sums_stream
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return sums_stream(*args, **kwargs)
+
+    monkeypatch.setattr(primesums, "sums_stream", spy)
+    rc, out, err = run(capsys, "geomean", "--model", "euler_phi", "--n", "1e10", "--oracle")
+    assert rc == 2 and out == "" and calls == []
+    assert "--oracle builds a factor table; grid must stay <= 1e+07, got 10000000000" in err
+
+
+def test_oracle_disagreement_exits_1(monkeypatch, capsys):
+    bruteforce = primesums.log_geomean_bruteforce
+    monkeypatch.setattr(primesums, "log_geomean_bruteforce",
+                        lambda *args: bruteforce(*args) + 1.0)
+    rc, out, err = run(capsys, "geomean", "--model", "kappa", "--n", "1000", "--oracle")
+    assert rc == 1 and out == ""
+    assert "identity and brute-force geometric means disagree at n=1000" in err
 
 
 def test_geomean_trivial_point(capsys):
@@ -422,6 +446,40 @@ def test_fit_s1_residual_small_window(capsys):
     # leading coefficient approximates gamma - 1 even at desk scale
     assert rows["coef[1/log^1]"] == pytest.approx(0.5772156649 - 1.0, abs=0.1)
     assert "constant" not in rows
+
+
+@pytest.mark.parametrize("spacing", ["log", "linear"])
+def test_an_inverted_grid_has_one_message(capsys, spacing):
+    rc, out, err = run(capsys, "geomean", "--model", "kappa", "--from", "1e6",
+                       "--to", "1e4", "--spacing", spacing)
+    assert rc == 2 and out == ""
+    assert "grid needs lo <= hi, got [1000000, 10000]" in err
+
+
+def test_sums_on_a_linear_grid(capsys):
+    rc, out, _ = run(capsys, "sums", "--model", "kappa", "--from", "100", "--to", "1000",
+                     "--points", "5", "--spacing", "linear", "--format", "json")
+    assert rc == 0
+    assert [row["n"] for row in json.loads(out)] == [100, 325, 550, 775, 1000]
+
+
+def test_fit_qsum_residual_matches_least_squares(capsys):
+    # euler_phi has alpha = d = 1: the prime part's residual is
+    # (S2 + S3)/n - log n, fitted with a constant and 1/log n, 1/log^2 n
+    rc, out, _ = run(capsys, "fit", "--target", "qsum-residual", "--model", "euler_phi",
+                     "--order", "2", "--from", "1e4", "--to", "1e7", "--points", "8",
+                     "--format", "json")
+    assert rc == 0
+    rows = {r["term"]: r["value"] for r in json.loads(out)}
+    grid = CheckpointGrid.log_spaced(10 ** 4, 10 ** 7, 8)
+    report = primesums.sums_stream(builtin("euler_phi"), grid, sublinear=True)
+    n = np.array(grid.points, dtype=float)
+    y = (np.array(report.s2) + np.array(report.s3)) / n - np.log(n)
+    design = np.column_stack([np.ones_like(n), 1 / np.log(n), 1 / np.log(n) ** 2])
+    want = np.linalg.lstsq(design, y, rcond=None)[0]
+    got = [rows["constant"], rows["coef[1/log^1]"], rows["coef[1/log^2]"]]
+    assert got == pytest.approx(want.tolist(), rel=1e-9)
+    assert (rows["window_lo"], rows["window_hi"], rows["window_points"]) == (1e4, 1e7, 8)
 
 
 def test_fit_s2_residual_has_constant(capsys):

@@ -278,13 +278,17 @@ def test_limit_oracles_agree_with_closed_forms(m_ref, e_ref):
 # frozen again when their prime-sum route took the decimal gamma in place
 # of a float harmonic sum: each value moved by 8.35e-13, inside the old
 # bound (1.0e-8 and 1.0e-7), and each bound shrank by that sum's 8.4e-13.
+# M and E were frozen again when every prime walk took segments of 2^19
+# numbers (was 2^20): M's value moved by one ulp (5.6e-17), E's not at all,
+# and their bounds shrank by 7.0e-17 and 1.7e-16 (fewer terms per pairwise
+# partial).  C_Q's bounds shrank too, and stay above the older values here.
 # The prime sums of M and E are the constants-stability check's references
 # (`checks._mertens_prime_sums`); C_Q's is its prime-sum fallback.
 _FROZEN_PRIME_SUMS = {
     "M": (lambda cut: _mertens_prime_sum(0, cut), constants.meissel_mertens,
-          "0x1.0bc5ecede6605p-2", "0x1.5798f286283e7p-27", 50_000_000),
+          "0x1.0bc5ecede6604p-2", "0x1.5798f25dbec82p-27", 50_000_000),
     "E": (lambda cut: _mertens_prime_sum(1, cut), constants.mertens_e,
-          "-0x1.55241c9828278p+0", "0x1.ad7f2ae9d5caep-24", 201_198_002),
+          "-0x1.55241c9828278p+0", "0x1.ad7f2addbfcfap-24", 201_198_002),
     "C_Q[euler_phi]": (lambda cut: constants._c_q_at(builtin("euler_phi"), cut, False),
                        lambda: constants.c_q(builtin("euler_phi")),
                        "-0x1.28fd6d474160dp-1", "0x1.5798f4ceb9f7fp-27", 200_000_000),
@@ -309,8 +313,8 @@ def test_prime_sum_constants_frozen(name):
 
 
 def test_limit_oracles_frozen():
-    assert constants.meissel_mertens_limit(1e7) == float.fromhex("0x1.0bc5e5ade4e4ep-2")
-    assert constants.mertens_e_limit(1e6) == float.fromhex("-0x1.5523fb403e970p+0")
+    assert constants.meissel_mertens_limit(1e7) == float.fromhex("0x1.0bc5e5ade4e63p-2")
+    assert constants.mertens_e_limit(1e6) == float.fromhex("-0x1.5523fb403e968p+0")
 
 
 def test_limit_oracles_share_one_walk_per_anchor(monkeypatch):

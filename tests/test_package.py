@@ -72,6 +72,23 @@ def test_no_module_level_import_goes_unused():
     assert not unused, unused
 
 
+def test_only_the_sieve_takes_a_segment_length():
+    # every prime walk takes accum.SEGMENT_SIZE; `sieve` alone may be told
+    # another length
+    src = Path(primemean.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "sieve.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                names = [arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs]
+                if "segment_size" in names:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
 def test_the_benchmark_reaches_what_it_calls(monkeypatch):
     # perfbench/layers.py wraps and calls these names of the package;
     # it is imported as perfbench/run.py imports it, perfbench/ on sys.path

@@ -165,7 +165,7 @@ def u_spf_oracle():
 @pytest.mark.parametrize("name", ["kappa", "euler_phi"])
 @pytest.mark.parametrize("parallel", [False, True])
 def test_streamed_u_matches_spf_oracle(monkeypatch, u_spf_oracle, name, parallel):
-    monkeypatch.setattr(primesums, "SEGMENT_SIZE", 1 << 14)  # Euler-Maclaurin primes span segments
+    monkeypatch.setattr(accum, "SEGMENT_SIZE", 1 << 14)  # Euler-Maclaurin primes span segments
     rep = sums_stream(builtin(name), _U_GRID, parallel=parallel)
     for n, got, want in zip(_U_GRID.points, rep.u_of_x, u_spf_oracle):
         assert abs(got - want) <= 1e-12 * n, n
@@ -177,7 +177,7 @@ def test_streamed_u_with_one_euler_maclaurin_prime_in_a_segment(monkeypatch):
     # Euler-Maclaurin part
     u_max = primesums.U_M0 * 32771 + 5
     grid = CheckpointGrid.from_points([10 ** 5, u_max])
-    monkeypatch.setattr(primesums, "SEGMENT_SIZE", 1 << 14)
+    monkeypatch.setattr(accum, "SEGMENT_SIZE", 1 << 14)
     rep = sums_stream(builtin("kappa"), grid)
     table = spf_build(u_max)
     for n, got in zip(grid.points, rep.u_of_x):
@@ -390,7 +390,7 @@ def test_prime_powers_past_the_first_segment(monkeypatch, name):
     # five segments' tables; the reduction must agree with one table
     model = builtin(name)
     ref = sums_stream(model, _REF_GRID)
-    monkeypatch.setattr(primesums, "SEGMENT_SIZE", 64)
+    monkeypatch.setattr(accum, "SEGMENT_SIZE", 64)
     small = sums_stream(model, _REF_GRID)
     assert small.s1 == ref.s1
     for n, a, b, ea, eb in zip(_REF_GRID.points, small.n_log_g, ref.n_log_g,
@@ -555,7 +555,7 @@ def test_each_g_m_is_formed_once_per_segment(monkeypatch, points):
     grid = (CheckpointGrid.log_spaced(10 ** 4, n_max, points) if points > 1
             else CheckpointGrid((n_max,)))
     assert len(grid) == points and grid.n_max == n_max
-    monkeypatch.setattr(primesums, "SEGMENT_SIZE", size)
+    monkeypatch.setattr(accum, "SEGMENT_SIZE", size)
     rep = sums_stream(builtin("kappa"), grid)
     want = collections.Counter()
     for seg in stream_segmented(2, n_max, segment_size=size).segments():
@@ -580,10 +580,11 @@ def test_ei_taylor_step_matches_a_30_digit_reference():
                 assert abs(g - want) <= 1e-14 * want, (n, d)
 
 
-def test_runs_sum_like_their_terms():
+def test_runs_sum_like_their_terms(monkeypatch):
     # a Runs part is k times the pairwise partial of each run: it must agree
     # with the per-term products floor(n/p) log p within both error bounds,
     # and count floor(n/p) exactly in an integer channel
+    monkeypatch.setattr(accum, "SEGMENT_SIZE", 1 << 15)
     cuts = [1000, 77777, 10 ** 6]
 
     def terms(seg):
@@ -602,7 +603,7 @@ def test_runs_sum_like_their_terms():
             yield "ref2", (n // s) * lp[:count]
         return [], at_cut
 
-    sums = accum.reduce_primes(cuts, terms, integers=("s1", "ref1"), segment_size=1 << 15)
+    sums = accum.reduce_primes(cuts, terms, integers=("s1", "ref1"))
     assert sums["s1"] == sums["ref1"]
     for got, ref in zip(sums["s2"], sums["ref2"]):
         assert abs(got.value - ref.value) <= got.error_bound() + ref.error_bound()
@@ -649,7 +650,7 @@ def test_sieve_route_working_set():
     finally:
         if not tracing:
             tracemalloc.stop()
-    first = int(np.searchsorted(primes_up_to(primesums.SEGMENT_SIZE), primesums.SEGMENT_SIZE))
+    first = int(np.searchsorted(primes_up_to(accum.SEGMENT_SIZE), accum.SEGMENT_SIZE))
     assert first == 43390
     assert peak < 11 * 8 * first, peak
 
@@ -684,7 +685,7 @@ def test_rs_sweep_matches_scalar():
 def _small_blocks(monkeypatch, segment_size: int) -> None:
     """Sieve blocks of two segments of `segment_size` numbers each, so that
     a cheap pass spans several blocks, and three CPUs to share it."""
-    monkeypatch.setattr(primesums, "SEGMENT_SIZE", segment_size)
+    monkeypatch.setattr(accum, "SEGMENT_SIZE", segment_size)
     monkeypatch.setattr(sieve, "BLOCK_SIZE", 2 * segment_size)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
 
@@ -747,8 +748,7 @@ def test_a_split_pass_sieves_each_block_once(monkeypatch, tmp_path):
     seen = {}
     for parallel in (False, True):
         log.unlink(missing_ok=True)
-        sums = accum.reduce_primes(cuts, terms, integers=("s1",), segment_size=1 << 16,
-                                   parallel=parallel)
+        sums = accum.reduce_primes(cuts, terms, integers=("s1",), parallel=parallel)
         seen[parallel] = collections.Counter(log.read_text().splitlines())
         assert sums["s1"] == [int(primes_up_to(n).size) for n in cuts]
     assert len(seen[False]) == 4 and set(seen[False].values()) == {1}
@@ -783,7 +783,7 @@ def test_a_childs_failure_reaches_the_parent(monkeypatch, tmp_path, failure):
     expected = (_WorkerFailure, "^no terms past 0$") if failure == "raises" else (
         AccumulationError, "^a child of the split prime walk exited before segment ")
     with pytest.raises(expected[0], match=expected[1]) as exc:
-        accum.reduce_primes([3 * 10 ** 5], terms, integers=("s1",), segment_size=1 << 15)
+        accum.reduce_primes([3 * 10 ** 5], terms, integers=("s1",))
     assert exc.type is expected[0]
 
 
@@ -797,7 +797,7 @@ def test_an_interrupted_parent_reaps_its_children(monkeypatch):
     monkeypatch.setattr(accum, "_receive", interrupted)
     with pytest.raises(KeyboardInterrupt):
         accum.reduce_primes([3 * 10 ** 5], lambda seg: ([("s1", 1, None)], None),
-                            integers=("s1",), segment_size=1 << 15)
+                            integers=("s1",))
 
 
 def test_a_child_stops_when_its_parent_has_gone():
@@ -821,9 +821,64 @@ def test_a_one_block_walk_forks_nothing(monkeypatch):
 
     monkeypatch.setattr(os, "fork", no_fork)
     grid = CheckpointGrid.log_spaced(100, sieve.BLOCK_SIZE - 10, 5)
-    assert accum.process_count(grid.n_max, primesums.SEGMENT_SIZE) == 1
+    assert accum.process_count(grid.n_max) == 1
     sums_stream(builtin("kappa"), grid)
     accum.prime_sums([sieve.BLOCK_SIZE - 2], lambda p, logp: logp)
+
+
+def test_a_one_process_walk_takes_every_block_from_the_queue(monkeypatch):
+    # parallel=False runs the one walk loop: it forks nothing and
+    # claims every block itself, in order
+    def no_fork():
+        raise AssertionError("a one-process walk forked")
+
+    claimed = []
+    claims = accum._claims
+
+    def logged(queue):
+        for b in claims(queue):
+            claimed.append(b)
+            yield b
+
+    _small_blocks(monkeypatch, 1 << 15)
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(accum, "_claims", logged)
+    sums = accum.reduce_primes([3 * 10 ** 5], lambda seg: ([("s1", 1, None)], None),
+                               integers=("s1",), parallel=False)
+    assert sums["s1"] == [int(primes_up_to(3 * 10 ** 5).size)]
+    assert claimed == list(range(stream_segmented(2, 3 * 10 ** 5, 1 << 15).block_count()))
+
+
+def test_a_second_failed_fork_walks_on_with_the_first_child(monkeypatch, tmp_path):
+    # three CPUs and the second fork fails: the parent and the child it did
+    # fork share the walk, each block sieved once, and the child is reaped
+    _small_blocks(monkeypatch, 1 << 15)
+    grid = CheckpointGrid.log_spaced(100, 3 * 10 ** 5, 9)
+    one = sums_stream(builtin("sigma"), grid, parallel=False)
+    log = tmp_path / "windows"
+    sieve_window = sieve._sieve
+
+    def logged(lo, hi, base_odd):
+        with open(log, "a") as fh:
+            fh.write(f"{lo}\n")
+        return sieve_window(lo, hi, base_odd)
+
+    monkeypatch.setattr(sieve, "_sieve", logged)
+    forks = []
+    fork = os.fork
+
+    def second_fails():
+        forks.append(1)
+        if len(forks) == 2:
+            raise OSError(11, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fails)
+    assert repr(sums_stream(builtin("sigma"), grid)) == repr(one)
+    assert len(forks) == 2
+    windows = log.read_text().split()
+    blocks = stream_segmented(2, grid.n_max, 1 << 15).block_count()
+    assert len(windows) == len(set(windows)) == blocks
 
 
 def test_a_failed_fork_walks_in_one_process(monkeypatch):
