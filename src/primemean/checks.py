@@ -104,10 +104,7 @@ class CheckContext:
 
 def _grid(hi: int | None, lo: int, default_hi: int, points: int) -> CheckpointGrid:
     """`points` log-spaced checkpoints from `lo` to the cap (default `default_hi`)."""
-    hi = hi or default_hi
-    if lo > hi:
-        raise GridError(f"grid needs lo <= hi, got [{lo}, {hi}]")
-    return CheckpointGrid.log_spaced(lo, hi, points)
+    return CheckpointGrid.log_spaced(lo, hi or default_hi, points)
 
 
 def _trend_points(hi: int | None) -> tuple[int, ...]:

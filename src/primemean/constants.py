@@ -488,8 +488,8 @@ def c_q(model: PrimeModel, target_precision: float = DEFAULT_CQ_PRECISION) -> Co
     p_cut = max(100, math.ceil(needed))
     if p_cut > DEFAULT_MAX_BOUND:
         raise PrecisionError(
-            f"model {model.name!r} (delta={model.delta:g}) needs primes to "
-            f"{p_cut:.3g}, beyond the sieve bound {DEFAULT_MAX_BOUND:g}",
+            f"C_Q[{model.name}]: model {model.name!r} (delta={model.delta:g}) "
+            f"needs primes to {p_cut:.3g}, beyond the sieve bound {DEFAULT_MAX_BOUND:g}",
             achievable=_c_q_tail(model, DEFAULT_MAX_BOUND))
     return _c_q_at(model, p_cut, False)
 

@@ -70,7 +70,8 @@ eps n.  Its `err_bound` adds to the prime pass's bounds Stirling's
 remainder and rounding, the tables' running bounds, the tails' rounding and
 the cut: every term is certified, none measured.  A `CheckpointGrid`
 reaches SUBLINEAR_MAX_BOUND = 1e12, which this route streams in full; the
-sieve route refuses a checkpoint beyond DEFAULT_MAX_BOUND = 1e9.
+sieve route refuses a checkpoint beyond DEFAULT_MAX_BOUND = 1e9, and so does
+this one for a model with no C_Q series.
 
 Segment geometry: both routes cut the pass into the reducer's segments of
 accum.SEGMENT_SIZE = 2^19 numbers, from sieve blocks of 2^21 numbers.  On
@@ -214,7 +215,7 @@ class CheckpointGrid:
             raise GridError(f"need at least one checkpoint, got {count}")
         _check_count(count)
         if lo > hi:
-            raise GridError(f"empty range [{lo}, {hi}]")
+            raise GridError(f"grid needs lo <= hi, got [{lo}, {hi}]")
         raw = np.geomspace(lo, hi, count)
         pts = sorted({int(round(x)) for x in raw})
         return cls(tuple(pts))
@@ -691,11 +692,12 @@ def _beyond_split(model: PrimeModel, points, splits, s1, s3, lg, root: float):
     return out1, out2, out3
 
 
-def check_sieve_route(grid: CheckpointGrid) -> None:
-    """Refuse a grid past the sieve route's bound, DEFAULT_MAX_BOUND."""
+def check_sieve_route(grid: CheckpointGrid, why: str = "") -> None:
+    """Refuse a grid past the sieve route's bound, DEFAULT_MAX_BOUND; `why`
+    ends the message."""
     if grid.n_max > DEFAULT_MAX_BOUND:
         raise GridError(
-            f"checkpoint {grid.n_max} exceeds the sieve bound {DEFAULT_MAX_BOUND}")
+            f"checkpoint {grid.n_max} exceeds the sieve bound {DEFAULT_MAX_BOUND}{why}")
 
 
 def sums_stream(
@@ -712,7 +714,8 @@ def sums_stream(
     with the companions F1, F2, R, M and U.  With ``sublinear=True`` the pass
     stops at each checkpoint's split y and the rest comes from Legendre's
     formula and the floor-value tables (module docstring), so that the grid
-    may reach SUBLINEAR_MAX_BOUND; the companion fields are None.  By
+    may reach SUBLINEAR_MAX_BOUND (DEFAULT_MAX_BOUND for a model with no C_Q
+    series, whose split is n); the companion fields are None.  By
     default the blocks of a pass are shared by one process per CPU (see
     `accum.reduce_primes`); ``parallel=False`` walks them all in this one.
     The partials are merged in ascending segment order either way, so the
@@ -727,6 +730,9 @@ def sums_stream(
         from .constants import _c_q_root_bound
 
         root = _c_q_root_bound(model) if need_s3 else 0.0
+        if root is None:    # every split is n
+            check_sieve_route(grid, f": model {model.name!r} has no C_Q series, "
+                                    "so the sublinear route streams every prime")
         splits = [_split(n, root) for n in points]
 
     kah = reduce_primes(points, partial(_prime_terms, model, need_s3, grid.n_max,
@@ -807,37 +813,24 @@ def log_geomean_identity(model: PrimeModel, n: int) -> float:
 def identity_prefix(model: PrimeModel, n_max: int) -> np.ndarray:
     """n * log G_f(n) for every n = 1..n_max (index n; entries 0, 1 are 0).
 
-    Batch form of `log_geomean_identity` for dense sweeps: for each n the
-    prime part sum floor(n/p) log f(p) is evaluated directly (one vector
-    reduction over primes <= n), plus the a >= 2 correction.  Intended for
-    moderate n_max (the work is O(n_max * pi(n_max))).
+    Batch form of `log_geomean_identity` for dense sweeps, in the identity's
+    divisor form sum_{q<=n} floor(n/q) w(q) = sum_{k<=n} sum_{q|k} w(q), q
+    over the primes (w = log f(p)) and the prime powers p^a, a >= 2
+    (w = log(f(p^a)/f(p^(a-1)))): each weight is added into every multiple
+    of q, and the result is the prefix sum over k.
     """
     if n_max < 1:
         raise GridError(f"identity_prefix needs n_max >= 1, got {n_max}")
-    out = np.zeros(n_max + 1)
-    if n_max == 1:
-        return out
     primes = primes_up_to(n_max)
     pf = primes.astype(np.float64)
-    lp = np.log(pf)
-    lf = model.log_at_prime_vec(pf, lp)
-
-    pp_pa, pp_lr, _ = ((pf[:0], None, None) if model.strongly_multiplicative
-                       else _prime_power_table(model, primes, n_max))
-
-    cut = 0
-    cut2 = 0
-    for n in range(2, n_max + 1):
-        while cut < primes.size and primes[cut] <= n:
-            cut += 1
-        q = n // primes[:cut]
-        total = float(np.sum(q.astype(np.float64) * lf[:cut]))
-        while cut2 < pp_pa.size and pp_pa[cut2] <= n:
-            cut2 += 1
-        if cut2:
-            total += float(np.sum(np.floor(n / pp_pa[:cut2]) * pp_lr[:cut2]))
-        out[n] = total
-    return out
+    per_k = np.zeros(n_max + 1)
+    for p, w in zip(primes.tolist(), model.log_at_prime_vec(pf, np.log(pf)).tolist()):
+        per_k[p::p] += w
+    if not model.strongly_multiplicative:
+        pa, lr, _ = _prime_power_table(model, primes, n_max)
+        for q, w in zip(pa.astype(np.int64).tolist(), lr.tolist()):
+            per_k[q::q] += w
+    return np.cumsum(per_k)
 
 
 def log_geomean_bruteforce(model: PrimeModel, n: int, table: SpfTable) -> float:

@@ -81,6 +81,39 @@ def test_oracle_past_its_table_refuses_before_streaming(monkeypatch, capsys):
     assert "--oracle builds a factor table; grid must stay <= 1e+07, got 10000000000" in err
 
 
+def _no_series_model(tmp_path) -> str:
+    """A model whose C_Q series does not apply: its root bound is above 128."""
+    path = tmp_path / "big.model"
+    path.write_text("name = big\nd = 1\nalpha = 1\ndelta = 1\nK = 1000\n"
+                    "fp = p + 1000\nstrongly_multiplicative = true\n")
+    return str(path)
+
+
+def test_sublinear_route_without_a_series_refuses_past_the_sieve(tmp_path, monkeypatch,
+                                                                  capsys):
+    # with no C_Q series the split is n, so the pass would stream every prime
+    calls = []
+    reduce_primes = primesums.reduce_primes
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return reduce_primes(*args, **kwargs)
+
+    monkeypatch.setattr(primesums, "reduce_primes", spy)
+    rc, out, err = run(capsys, "fit", "--model", _no_series_model(tmp_path),
+                       "--target", "qsum-residual", "--to", "2e9")
+    assert rc == 2 and out == "" and calls == []
+    assert ("checkpoint 2000000000 exceeds the sieve bound 1000000000: model 'big' "
+            "has no C_Q series") in err
+
+
+@pytest.mark.parametrize("argv", [("constants",), ("geomean", "--n", "1000")])
+def test_unreachable_c_q_names_the_constant(tmp_path, capsys, argv):
+    rc, out, err = run(capsys, *argv, "--model", _no_series_model(tmp_path))
+    assert rc == 3 and out == ""
+    assert "C_Q[big]: " in err and "beyond the sieve bound" in err
+
+
 def test_oracle_disagreement_exits_1(monkeypatch, capsys):
     bruteforce = primesums.log_geomean_bruteforce
     monkeypatch.setattr(primesums, "log_geomean_bruteforce",

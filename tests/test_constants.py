@@ -269,6 +269,8 @@ def test_limit_oracles_agree_with_closed_forms(m_ref, e_ref):
     assert abs(e_est - e_ref) <= 1e-5
     with pytest.raises(GridError):
         constants.meissel_mertens_limit(1e4)
+    with pytest.raises(GridError, match="limit oracle cannot stream past"):
+        constants.meissel_mertens_limit(2e9)
 
 
 # Values computed before the prime sums moved to the shared reducer in

@@ -77,8 +77,14 @@ def test_grid_log_spaced_dedups():
     assert all(a < b for a, b in zip(grid.points, grid.points[1:]))
     tiny = CheckpointGrid.log_spaced(10, 12, 30)  # collapses to 3 integers
     assert tiny.points == (10, 11, 12)
-    with pytest.raises(GridError):
+    with pytest.raises(GridError, match=r"grid needs lo <= hi, got \[100, 10\]"):
         CheckpointGrid.log_spaced(100, 10, 5)
+
+
+def test_grid_refuses_a_float_checkpoint():
+    # `from_points` converts first; built directly, the grid itself refuses
+    with pytest.raises(GridError, match="is not an integer"):
+        CheckpointGrid((10, 10.5))
 
 
 @settings(max_examples=60, deadline=None)
@@ -243,6 +249,34 @@ def test_prefix_sweeps_match_bruteforce(table5k):
         dev = np.max(np.abs(ident - brute) / np.maximum(1, np.arange(601)))
         assert dev <= 1e-9, name
         assert ident[0] == ident[1] == 0.0
+
+
+@pytest.mark.parametrize("name", ["sigma", "euler_phi", "jordan_3", "kappa"])
+def test_identity_prefix_is_the_divisor_sum(name):
+    # sum_{k<=n} log f(k) = sum_{q<=n} floor(n/q) w(q), q over the primes
+    # (w = log f(p)) and the prime powers p^a, a >= 2 (w = log(f(p^a)/f(p^(a-1))))
+    model = builtin(name)
+    ident = identity_prefix(model, 5000)
+    primes = primes_up_to(5000)
+    pf = primes.astype(np.float64)
+    w = dict(zip(primes.tolist(), model.log_at_prime_vec(pf, np.log(pf)).tolist()))
+    for p in primes[primes <= 70].tolist():
+        pa, a = p * p, 2
+        while pa <= 5000:
+            w[pa] = log_ratio_prime_power(model, p, a)
+            pa, a = pa * p, a + 1
+    for n in (2, 4, 97, 600, 4999):
+        expected = math.fsum(n // q * wq for q, wq in w.items() if q <= n)
+        assert abs(ident[n] - expected) <= 1e-12 * n, n
+
+
+def test_identity_prefix_is_not_quadratic():
+    # one strided add per prime and prime power: ~0.1 s to 1e6, where a
+    # per-n sum over the primes takes minutes
+    start = time.perf_counter()
+    ident = identity_prefix(builtin("sigma"), 10 ** 6)
+    assert time.perf_counter() - start < 10.0
+    assert ident.shape == (10 ** 6 + 1,)
 
 
 def test_prime_power_corrections_kick_in(table5k):
@@ -946,6 +980,22 @@ def test_cache_rejects_corruption(tmp_path):
     missing = tmp_path / "absent.pmsm"
     with pytest.raises((CacheFormatError, OSError)):
         load_report(str(missing), model, grid)
+
+
+def test_cache_refuses_descending_checkpoints(tmp_path):
+    # a well-signed file whose records run backwards
+    model = builtin("kappa")
+    rep = sums_stream(model, CheckpointGrid.from_points([10, 100]))
+    names, record = primesums._record_layout(False)
+    payload = b"".join(record.pack(rep.points[i], rep.s1[i],
+                                   *(getattr(rep, f)[i] for f in names))
+                       for i in (1, 0))
+    header = primesums._HEADER.pack(primesums.CACHE_MAGIC, primesums.CACHE_VERSION,
+                                    rep.model_hash, len(rep), 0)
+    path = tmp_path / "backwards.pmsm"
+    path.write_bytes(header + primesums._digest(header, payload) + payload)
+    with pytest.raises(CacheFormatError, match="checkpoints are not ascending"):
+        load_report(str(path), model)
 
 
 def test_a_sieve_and_a_sublinear_report_share_one_file(tmp_path):
