@@ -23,7 +23,7 @@ Vardi, "Zeta function expansions of classical constants", 1996; H. Cohen,
 primes p <= P (P = ZETA_P = 100, more for C_Q models with large roots) are
 summed directly; the tail over p > P comes from, at integers t >= 2,
 
-    H(t) = log zeta_{>P}(t) = log zeta(t) + sum_{p<=P} log(1 - p^-t),
+    H(t) = log zeta_{>P}(t) = log(zeta(t) prod_{p<=P} (1 - p^-t)),
     G(t) = (-zeta'/zeta)_{>P}(t) = -zeta'(t)/zeta(t) - sum_{p<=P} log p p^-t / (1 - p^-t),
 
 with zeta(t) and -zeta'(t) from the same Euler-Maclaurin sum as gamma_k
@@ -58,9 +58,10 @@ large), and each tail_bound adds five parts:
    (log P + 1)/(t-1) the terms past T add up to at most
    2.02 B c (R/P)^T / (1 - R/P), c = log P + 1 for G and 1 for H;
 3. the rest of the decimal rounding: every decimal operation lands within
-   one unit in its last digit, and each H(t), G(t) is formed from zeta(t)
-   and -zeta'(t) by fewer than `_value_ulps` such operations (per prime
-   p <= P) on quantities below 4;
+   one unit in its last digit.  H(t) is one log of the product
+   zeta(t) prod_{p<=P} (1 - p^-t), whose partials lie in [1, 2), and G(t)
+   takes the terms of the primes p <= P off -zeta'(t)/zeta(t) one at a
+   time; `_value_ulps` bounds what either gathers;
 4. gamma's bound from the same sum (`_em_sum` at s = 1);
 5. the final rounding to double, half an ulp.
 
@@ -278,12 +279,16 @@ def _small_primes(p_cut: int) -> Tuple[int, ...]:
 
 def _value_ulps(p_cut: int) -> float:
     """Rounding bound, in units of 10^(1-digits), of one H(t) or G(t) beyond
-    zeta's own (which `_em_sum` bounds).
+    zeta's own (which `_em_sum` bounds): 32 per prime p <= P, plus 256.
 
-    At most 4 decimal operations per prime p <= P, plus 32 more; each lands
-    within one unit in the last digit of a quantity below 4, and later steps
-    amplify an error at most twice (a log of a number >= 1/2, a division by
-    1 - p^-t >= 1/2).
+    Each decimal operation lands within one unit in its last digit.  H(t)
+    takes three per prime, x = p^-t <= 1/4, 1 - x >= 3/4 and the product
+    with the partial zeta_{>p}(t) in [1, 2), so the product gains at most 3
+    units relative, 6 absolute, per prime; the one log at the end is
+    1-Lipschitz above 1 and adds a unit of a value below 1.  G(t) takes,
+    per prime, log p, its product with x, the division by 1 - x and the
+    subtraction from a partial below 4: a term below 1 with at most 5 units
+    relative, plus 4 units.  Both stay well inside the bound.
     """
     return 2 * 4 * 4 * (len(_small_primes(p_cut)) + 8)
 
@@ -298,11 +303,12 @@ def _rough(t: int, p_cut: int, digits: int) -> Tuple[Decimal, Decimal, float, fl
     zeta, err = _em_sum(t, 0, _em_n(p_cut), digits)
     dzeta, derr = _em_sum(t, 1, _em_n(p_cut), digits)
     with localcontext(Context(prec=digits)):
-        h, g = zeta.ln(), dzeta / zeta
+        rough, g = zeta, dzeta / zeta
         for p in _small_primes(p_cut):
             x = Decimal(p) ** -t
-            h += (1 - x).ln()
+            rough *= 1 - x
             g -= _ln(p, digits) * x / (1 - x)
+        h = rough.ln()
     return h, g, 1.01 * err, 1.01 * (derr + err)
 
 

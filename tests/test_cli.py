@@ -130,6 +130,21 @@ def test_geomean_trivial_point(capsys):
     assert json.loads(out)[0]["log_geomean"] == 0.0
 
 
+def _refuse(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+@pytest.mark.parametrize("model", ["two_omega", "divisor_d"])
+def test_json_prints_null_for_a_non_finite_float(capsys, model):
+    # lambda = log alpha != 0, so the scaled ratio at n = 1 is NaN
+    rc, out, _ = run(capsys, "geomean", "--model", model, "--n", "1", "--format", "json")
+    assert rc == 0
+    [row] = json.loads(out, parse_constant=_refuse)
+    assert row["scaled_ratio"] is None and row["abs_diff"] is None
+    rc, out, _ = run(capsys, "geomean", "--model", model, "--n", "1", "--format", "csv")
+    assert out.splitlines()[1].split(",")[2] == "nan"
+
+
 def test_sums_csv_is_rfc4180(capsys):
     rc, out, _ = run(capsys, "sums", "--model", "kappa", "--to", "100",
                      "--points", "2", "--format", "csv")

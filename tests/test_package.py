@@ -13,7 +13,8 @@ import numpy as np
 import primemean
 from primemean import constants, multfunc, primesums, sieve
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_public_names_resolve_and_are_not_submodules():
@@ -59,6 +60,13 @@ def _used_names(tree: ast.Module) -> set[str]:
                 used.update(n.id for n in ast.walk(ast.parse(c.value, mode="eval"))
                             if isinstance(n, ast.Name))
     return used
+
+
+def test_the_script_ends_through_run():
+    # `run` skips the interpreter's teardown; `main` is the in-process entry
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    section = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert section.split() == ["primemean", "=", '"primemean.cli:run"']
 
 
 def test_no_module_level_import_goes_unused():
